@@ -29,8 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (LogValue, WeightVector, WeightedVector, as_fraction,
-                   rational_vector)
+from .core import LogValue, WeightVector, WeightedVector, rational_vector
 from .exactlp import simplex_max
 
 __all__ = [
@@ -132,8 +131,8 @@ def _minimal_face(support: Sequence[WeightVector], theta: tuple[Fraction, ...]
             face.append(j)
             combos.append(res.x)
     interior = [sum(x[j] for x in combos) / len(combos) for j in range(s)]
-    assert all(interior[j] > 0 for j in face)
-    assert all(interior[j] == 0 for j in range(s) if j not in face)
+    if not all(interior[j] > 0 if j in face else interior[j] == 0 for j in range(s)):
+        raise RuntimeError("face interior point failed its support check")
     return face, interior
 
 

@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .capacity import capacity_kl_form, theta_capacity
 from .core import LogValue, WeightVector, WeightedVector, as_fraction
-from .haarmc import UnitaryOrbitVector, mc_invariant_norm, mc_isotypic_norm
+from .haarmc import (UnitaryOrbitVector, _label_pair, mc_invariant_norm,
+                     mc_isotypic_norm)
 from .projection import (LaurentPoly, critical_values, duality_report,
                          laurent_cst_power, prefactor_sequence,
                          projection_norm_table)
@@ -293,10 +294,6 @@ def _fmt_float(x: float) -> str:
     return "%.16e" % float(x)
 
 
-def _lv_log(lv: LogValue) -> float:
-    return lv.log_mag if lv.sign else -math.inf
-
-
 # ---------------------------------------------------------------------------
 # Experiment handlers. Each returns (columns, rows, headline, passed); rows
 # contain python scalars/strings ready for the CSV writer.
@@ -309,14 +306,13 @@ def _run_duality(config: dict):
     report = duality_report(v, theta, _require(config, "k_max"))
     slack = tol.get("weak_duality_slack", 1e-10)
     min_ratio = tol.get("min_final_ratio", 0.985)
-    rows = [(k, _lv_log(ns), rate, lcs, gap)
+    rows = [(k, ns.log_mag, rate, lcs, gap)
             for k, ns, rate, lcs, gap in report.rows]
     if not rows:
         raise ConfigError("no k <= k_max makes k*theta integral")
     last = rows[-1]
     final_ratio = math.exp((last[2] - last[3]) / 2) if math.isfinite(last[3]) else math.nan
-    gaps = [r[4] for r in rows if not math.isnan(r[4])]
-    min_gap = min(gaps) if gaps else math.inf
+    min_gap = min((r[4] for r in rows if not math.isnan(r[4])), default=math.inf)
     passed = bool(final_ratio >= min_ratio and min_gap >= -slack)
     headline = {
         "cap_sq": math.exp(last[3]) if math.isfinite(last[3]) else 0.0,
@@ -369,8 +365,7 @@ def _run_perm_dual(config: dict):
     rows = list(report.rows)
     if not rows:
         raise ConfigError("no k <= k_max makes k*(r,c) integral")
-    gaps = [r[4] for r in rows if not math.isnan(r[4])]
-    min_gap = min(gaps) if gaps else math.inf
+    min_gap = min((r[4] for r in rows if not math.isnan(r[4])), default=math.inf)
     passed = min_gap >= -slack
     headline = {
         "cap_sq": math.exp(rows[0][3]) if math.isfinite(rows[0][3]) else 0.0,
@@ -413,7 +408,8 @@ def _ldp_common(report, tol):
                 "rows": len(rows)}
     if pins:
         headline["pinned_differences"] = pins
-    return rows, headline, passed
+    return (("k", "log_prob_ln", "empirical_rate", "analytic_rate", "difference"),
+            rows, headline, bool(passed))
 
 
 def _run_schur_weyl_ldp(config: dict):
@@ -422,9 +418,7 @@ def _run_schur_weyl_ldp(config: dict):
     family = SchurWeylFamily(q)
     theta = [as_fraction(t) for t in inst["theta"]]
     report = ldp_report(family, theta, _require(config, "k_max"))
-    rows, headline, passed = _ldp_common(report, config.get("tolerances", {}))
-    return (("k", "log_prob_ln", "empirical_rate", "analytic_rate", "difference"),
-            rows, headline, bool(passed))
+    return _ldp_common(report, config.get("tolerances", {}))
 
 
 def _run_duffield_ldp(config: dict):
@@ -432,42 +426,22 @@ def _run_duffield_ldp(config: dict):
     family = DuffieldFamily(tuple(int(w) for w in inst["weights"]))
     report = ldp_report(family, as_fraction(inst["theta"]),
                         _require(config, "k_max"))
-    rows, headline, passed = _ldp_common(report, config.get("tolerances", {}))
-    return (("k", "log_prob_ln", "empirical_rate", "analytic_rate", "difference"),
-            rows, headline, bool(passed))
+    return _ldp_common(report, config.get("tolerances", {}))
 
 
-def _mc_case_exact(case: dict, k: int):
-    """Exact counterpart of one mc-check case, or None when not available."""
-    group = case["group"]
-    if group == "torus":
-        v = _vector_from_config(case["vector"])
-        lam = case.get("lam")
-        coords = tuple(int(x) for x in lam) if lam is not None else (0,) * v.n
-        table = projection_norm_table(v, k)
-        return table.get(k, coords).to_float()
-    if group == "su2":
-        lam = case.get("lam")
-        if lam is None:
-            m = 0
-        elif isinstance(lam, int):
-            m = lam
-        else:
-            parts = tuple(lam)
-            m = parts[0] - (parts[1] if len(parts) > 1 else 0)
-        return 1.0 if m == k else 0.0
+def _mc_case_exact(instance, k: int, lam) -> float:
+    """Exact counterpart of one mc-check case."""
+    if isinstance(instance, WeightedVector):
+        coords = tuple(lam) if lam is not None else (0,) * instance.n
+        return projection_norm_table(instance, k).get(k, coords).to_float()
+    pair = (0, 0) if lam is None else _label_pair(lam)
+    if instance.group == "su2":
+        return 1.0 if pair[0] - pair[1] == k else 0.0
     # u2: the lambda-isotypic norm is the Schur-Weyl mass f^lambda s_lambda(q)
-    A = np.array([[complex(*e) if isinstance(e, list) else complex(e)
-                   for e in row] for row in case["matrix"]])
-    sigma = A @ A.conj().T
-    q = sorted(np.linalg.eigvalsh(sigma).real.tolist(), reverse=True)
-    lam = case.get("lam")
-    if lam is None:
-        return 0.0 if k >= 1 else 1.0
-    parts = tuple(int(x) for x in (lam if isinstance(lam, list) else [lam]))
-    pair = (parts[0], parts[1] if len(parts) > 1 else 0)
-    if pair[0] + pair[1] != k:
+    if sum(pair) != k:
         return 0.0
+    A = instance.matrix()
+    q = sorted(np.linalg.eigvalsh(A @ A.conj().T).real.tolist(), reverse=True)
     for row in schur_weyl_measure(q, k):
         if tuple(row.lam.padded(2)) == pair:
             return row.prob.to_float()
@@ -490,18 +464,16 @@ def _run_mc_check(config: dict):
         if group == "torus":
             instance = _vector_from_config(case["vector"])
         elif group == "su2":
-            amps = [complex(*a) if isinstance(a, list) else complex(_coeff(a))
-                    for a in case["amplitudes"]]
-            instance = UnitaryOrbitVector("su2", tuple(amps))
+            amps = tuple(complex(_coeff(a)) for a in case["amplitudes"])
+            instance = UnitaryOrbitVector("su2", amps)
         else:
-            mat = tuple(tuple(complex(*e) if isinstance(e, list) else complex(_coeff(e))
-                              for e in row) for row in case["matrix"])
+            mat = tuple(tuple(complex(_coeff(e)) for e in row) for row in case["matrix"])
             instance = UnitaryOrbitVector("u2", mat)
         if lam is None:
             est = mc_invariant_norm(instance, k, samples, seed + idx)
         else:
             est = mc_isotypic_norm(instance, k, lam, samples, seed + idx)
-        exact = _mc_case_exact(case, k)
+        exact = _mc_case_exact(instance, k, lam)
         err = abs(est.mean - exact)
         sigmas = err / est.stderr if est.stderr > 0 else (0.0 if err == 0 else math.inf)
         ok = sigmas <= max_sigmas
@@ -532,13 +504,13 @@ def _run_capacity(config: dict):
     check_tol = tol.get("cross_check_tol", 1e-8)
     passed = diff <= check_tol
     inside = bool(cap.certificate.inside) if cap.certificate else True
-    rows = [(_lv_log(cap.log_cap), _lv_log(kl), diff,
+    rows = [(cap.log_cap.log_mag, kl.log_mag, diff,
              "true" if cap.diverging else "false",
              "true" if inside else "false")]
     headline = {
         "cap": cap.log_cap.to_float(),
-        "log_cap": _lv_log(cap.log_cap),
-        "kl_log_cap_sq": _lv_log(kl),
+        "log_cap": cap.log_cap.log_mag,
+        "kl_log_cap_sq": kl.log_mag,
         "cross_check_diff": diff,
         "inside": inside,
         "diverging": bool(cap.diverging),
@@ -709,7 +681,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, RuntimeError, MemoryError) as exc:
+    except (ValueError, TypeError, RuntimeError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,6 @@ from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
-    "BigNat",
     "MAX_WEIGHT_COORD",
     "AMPLITUDE_SQ_FLOOR",
     "LogValue",
@@ -30,10 +29,6 @@ __all__ = [
     "rational_vector",
     "fraction_log",
 ]
-
-# Exact nonnegative integers are plain Python ints, which are arbitrary
-# precision already; the alias documents intent at API boundaries.
-BigNat = int
 
 # Largest admissible absolute value of a weight coordinate.
 MAX_WEIGHT_COORD = 10**6

@@ -100,7 +100,8 @@ def simplex_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
     cost1 = [_ZERO] * n + [-_ONE] * m
     zrow, _ = _make_zrow(T, basis, cost1, ncols)
     status = _run_simplex(T, zrow, basis, ncols)
-    assert status == "optimal", "phase 1 is always bounded"
+    if status != "optimal":
+        raise RuntimeError(f"phase 1 ended {status}, but it is always bounded")
     art_value = sum((T[i][-1] for i in range(m) if basis[i] >= n), _ZERO)
 
     if art_value > 0:
@@ -110,9 +111,10 @@ def simplex_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
         y = [-(signs[i] * y_adj[i]) for i in range(m)]
         for j in range(n):
             col = sum((y[i] * Fraction(A[i][j]) for i in range(m)), _ZERO)
-            assert col <= 0, "Farkas certificate failed column check"
-        assert sum((y[i] * Fraction(b[i]) for i in range(m)), _ZERO) > 0, \
-            "Farkas certificate failed objective check"
+            if col > 0:
+                raise RuntimeError("Farkas certificate failed column check")
+        if sum((y[i] * Fraction(b[i]) for i in range(m)), _ZERO) <= 0:
+            raise RuntimeError("Farkas certificate failed objective check")
         return LPResult(status="infeasible", farkas=y)
 
     # Drive any residual artificial variables out of the basis.
@@ -143,7 +145,9 @@ def simplex_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
         x[bi] = T[i][-1]
     for i in range(m):
         lhs = sum((Fraction(A[i][j]) * x[j] for j in range(n)), _ZERO)
-        assert lhs == Fraction(b[i]), "primal solution failed exact feasibility check"
-    assert all(v >= 0 for v in x), "primal solution failed nonnegativity"
+        if lhs != Fraction(b[i]):
+            raise RuntimeError("primal solution failed exact feasibility check")
+    if any(v < 0 for v in x):
+        raise RuntimeError("primal solution failed nonnegativity")
     obj = sum((Fraction(c[j]) * x[j] for j in range(n)), _ZERO)
     return LPResult(status="optimal", x=x, objective=obj)

@@ -18,7 +18,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -198,6 +198,19 @@ def _run_blocks(block_fn: Callable[[np.random.Generator, int], np.ndarray],
     return McEstimate(mean, math.sqrt(var / samples), samples, seed)
 
 
+def _label_pair(lam) -> tuple[int, int]:
+    """(l1, l2), l1 >= l2, named by an su2 or u2 label: a Partition, an
+    integer l read as (l, 0), or one or two integer parts."""
+    parts = (lam.padded(2) if isinstance(lam, Partition) else
+             tuple(int(p) for p in lam) if isinstance(lam, (tuple, list)) else (int(lam),))
+    if not 1 <= len(parts) <= 2:
+        raise ValueError(f"label {list(parts)} must have one or two parts")
+    pair = (parts[0], parts[1] if len(parts) > 1 else 0)
+    if pair[0] < pair[1]:
+        raise ValueError(f"label {list(parts)} reads as {pair}, which is not nonincreasing")
+    return pair
+
+
 def _dispatch(instance, k: int, lam) -> Callable[[np.random.Generator, int], np.ndarray]:
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}")
@@ -212,22 +225,11 @@ def _dispatch(instance, k: int, lam) -> Callable[[np.random.Generator, int], np.
                 raise ValueError("lambda must match the torus rank")
         return lambda rng, size: _torus_block(v, k, coords, rng, size)
     if isinstance(instance, UnitaryOrbitVector):
+        pair = None if lam is None else _label_pair(lam)
         if instance.group == "su2":
-            m = None
-            if lam is not None:
-                parts = lam.parts if isinstance(lam, Partition) else (
-                    tuple(lam) if isinstance(lam, (tuple, list)) else (int(lam),))
-                if len(parts) > 2:
-                    raise ValueError("su2 label needs at most 2 parts")
-                m = parts[0] - (parts[1] if len(parts) > 1 else 0)
+            m = None if pair is None else pair[0] - pair[1]
             v = np.array(instance.data, dtype=complex)
             return lambda rng, size: _su2_block(v, k, m, rng, size)
-        pair = None
-        if lam is not None:
-            parts = lam.parts if isinstance(lam, Partition) else tuple(lam)
-            if len(parts) > 2:
-                raise ValueError("u2 label needs at most 2 parts")
-            pair = (parts[0], parts[1] if len(parts) > 1 else 0)
         A = instance.matrix()
         return lambda rng, size: _u2_block(A, k, pair, rng, size)
     raise TypeError(f"unsupported instance {type(instance).__name__}")

@@ -2,8 +2,10 @@
 
 For a torus vector v with squared amplitudes q_w, the squared norm of the
 weight-lambda component of v^{tensor k} is the coefficient of t^lambda in
-(sum_w q_w t^w)^k. The table builder runs this convolution exactly in log
-domain. The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 instead uses a
+(sum_w q_w t^w)^k. One generator runs this convolution exactly in log
+domain, one row per k; the table builder keeps its rows and the duality
+report streams them, reading single coefficients through the same lookup.
+The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 instead uses a
 scaled linear representation with a relative truncation floor, which keeps
 array extents O(sqrt(k log(1/floor))) per axis and makes k = 10^4 cheap; the
 introduced relative bias is far below 1e-6 and is documented inline.
@@ -14,13 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .capacity import theta_capacity
-from .core import (ConvergenceReport, LogValue, WeightVector, WeightedVector,
-                   rational_vector)
+from .capacity import moment_map, theta_capacity
+from .core import ConvergenceReport, LogValue, WeightedVector, rational_vector
 
 __all__ = [
     "ProjectionTable",
@@ -65,6 +66,27 @@ def _step_log(arr: np.ndarray, offset: np.ndarray, W: np.ndarray,
     return out, new_offset
 
 
+def _log_rows(v: WeightedVector, k_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(offset, arr) for k = 1 .. k_max: arr holds the log coefficients of
+    (sum_w q_w t^w)^k on the bounding box whose lower corner is offset. The
+    steps start from k = 0, the single coefficient log 1 at the origin."""
+    W, q = _weight_arrays(v)
+    logq = np.log(q)
+    arr, offset = np.zeros((1,) * v.n), np.zeros(v.n, dtype=np.int64)
+    for _ in range(k_max):
+        arr, offset = _step_log(arr, offset, W, logq)
+        yield offset, arr
+
+
+def _row_value(offset: np.ndarray, arr: np.ndarray, lam) -> LogValue:
+    """The coefficient at weight lam of one log-domain row."""
+    idx = tuple(int(c) - int(o) for c, o in zip(lam, offset, strict=True))
+    if any(i < 0 or i >= s for i, s in zip(idx, arr.shape)):
+        return LogValue.zero()
+    val = float(arr[idx])
+    return LogValue.zero() if val == -math.inf else LogValue(1, val)
+
+
 class ProjectionTable:
     """Exact log-domain squared projection norms for k = 1 .. k_max."""
 
@@ -77,32 +99,18 @@ class ProjectionTable:
     def k_max(self) -> int:
         return len(self._rows)
 
+    def _row(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        if not 1 <= k <= self.k_max:
+            raise ValueError(f"k = {k} outside the tabulated range 1..{self.k_max}")
+        return self._rows[k - 1]
+
     def get(self, k: int, lam) -> LogValue:
         """Squared norm of the weight-lam component of v^{tensor k}."""
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"k = {k} outside the tabulated range 1..{self.k_max}")
-        coords = tuple(lam.coords) if isinstance(lam, WeightVector) else tuple(lam)
-        offset, arr = self._rows[k - 1]
-        idx = tuple(int(c - o) for c, o in zip(coords, offset, strict=True))
-        if any(i < 0 or i >= s for i, s in zip(idx, arr.shape)):
-            return LogValue.zero()
-        val = float(arr[idx])
-        return LogValue.zero() if val == -math.inf else LogValue(1, val)
-
-    def entries(self, k: int) -> Iterator[tuple[WeightVector, LogValue]]:
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"k = {k} outside the tabulated range 1..{self.k_max}")
-        offset, arr = self._rows[k - 1]
-        for idx in np.ndindex(arr.shape):
-            val = float(arr[idx])
-            if val != -math.inf:
-                yield (WeightVector(tuple(int(i + o) for i, o in zip(idx, offset))),
-                       LogValue(1, val))
+        return _row_value(*self._row(k), tuple(lam))
 
     def total(self, k: int) -> LogValue:
         """log of the sum over all weights; equals 2k log |v| exactly in math."""
-        offset, arr = self._rows[k - 1]
-        flat = arr.ravel()
+        flat = self._row(k)[1].ravel()
         m = float(flat.max())
         if m == -math.inf:
             return LogValue.zero()
@@ -121,8 +129,7 @@ def projection_norm_table(v: WeightedVector, k_max: int,
     v = v.pruned()
     if v.is_zero:
         return ProjectionTable(v.n, 0.0, [])
-    W, q = _weight_arrays(v)
-    logq = np.log(q)
+    W, _ = _weight_arrays(v)
     extent = W.max(axis=0) - W.min(axis=0)
     total = 0
     for k in range(1, k_max + 1):
@@ -131,16 +138,7 @@ def projection_norm_table(v: WeightedVector, k_max: int,
             raise MemoryError(
                 f"projection table would need more than {max_bytes} bytes at "
                 f"k = {k}, extent {tuple(int(e) for e in (k * extent + 1))}")
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    arr = np.full(tuple(extent + 1), -np.inf)
-    offset = W.min(axis=0).copy()
-    for w, lq in zip(W, logq):
-        arr[tuple(int(c) for c in (w - offset))] = lq
-    rows.append((offset.copy(), arr))
-    for _ in range(k_max - 1):
-        arr, offset = _step_log(arr, offset, W, logq)
-        rows.append((offset.copy(), arr))
-    return ProjectionTable(v.n, v.norm_sq, rows)
+    return ProjectionTable(v.n, v.norm_sq, list(_log_rows(v, k_max)))
 
 
 def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
@@ -148,7 +146,8 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
 
     Rows cover every k <= k_max with k theta integral. Columns:
     k, log_norm_sq (LogValue), rate (log_norm_sq / k), log_cap_sq, gap
-    where gap = log_cap_sq - rate is nonnegative up to round-off.
+    where gap = log_cap_sq - rate is nonnegative up to round-off. The
+    log-domain rows are streamed, so only the current one is held.
     """
     v = v.pruned()
     if v.is_zero:
@@ -158,30 +157,13 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     cap = theta_capacity(v, th)
     log_cap_sq = 2.0 * cap.log_cap.log_mag if cap.log_cap.sign else -math.inf
 
-    W, q = _weight_arrays(v)
-    logq = np.log(q)
-    arr = None
-    offset = None
     rows = []
-    for k in range(1, k_max + 1):
-        if arr is None:
-            extent = W.max(axis=0) - W.min(axis=0)
-            arr = np.full(tuple(extent + 1), -np.inf)
-            offset = W.min(axis=0).copy()
-            for w, lq in zip(W, logq):
-                arr[tuple(int(c) for c in (w - offset))] = lq
-        else:
-            arr, offset = _step_log(arr, offset, W, logq)
+    for k, (offset, arr) in enumerate(_log_rows(v, k_max), start=1):
         if k % ell:
             continue
-        lam = tuple(int(t * k) for t in th)
-        idx = tuple(int(c - o) for c, o in zip(lam, offset))
-        inside = all(0 <= i < s for i, s in zip(idx, arr.shape))
-        val = float(arr[idx]) if inside else -math.inf
-        norm_sq = LogValue.zero() if val == -math.inf else LogValue(1, val)
-        rate = val / k
-        gap = log_cap_sq - rate
-        rows.append((k, norm_sq, rate, log_cap_sq, gap))
+        norm_sq = _row_value(offset, arr, tuple(int(t * k) for t in th))
+        rate = norm_sq.log_mag / k
+        rows.append((k, norm_sq, rate, log_cap_sq, log_cap_sq - rate))
     return ConvergenceReport(
         columns=("k", "log_norm_sq", "rate", "log_cap_sq", "gap"),
         rows=rows,
@@ -337,7 +319,7 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
         raise ValueError("prefactor sequence of the zero vector is undefined")
     if abs(v.norm_sq - 1.0) > 1e-10:
         raise ValueError("prefactor sequence expects a unit vector")
-    mu_inf = float(np.max(np.abs(_moment(v))))
+    mu_inf = float(np.max(np.abs(moment_map(v))))
     if mu_inf > 1e-10:
         raise ValueError(f"moment map must vanish, |mu|_inf = {mu_inf}")
     d, m = difference_lattice(v)
@@ -364,14 +346,6 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
         val = 0.0 if lv.sign == 0 else math.exp(lv.log_mag + 0.5 * d * math.log(k))
         out.append((k, val))
     return out
-
-
-def _moment(v: WeightedVector) -> np.ndarray:
-    born = v.born()
-    mu = np.zeros(v.n)
-    for w, p in born.items():
-        mu += p * np.array(w.coords, dtype=float)
-    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +414,7 @@ def laurent_cst_power(f: LaurentPoly, k: int):
         kk >>= 1
         if kk:
             base = _laurent_mul(base, base)
-    zero = acc.get(0, Fraction(0) if f.is_rational else complex(0))
-    return zero
+    return acc.get(0, Fraction(0) if f.is_rational else complex(0))
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,8 @@ def _unscalable_certificate(state: ScalingState) -> dict | None:
     cols = sorted(u - n for u in reach if n <= u < n + state.M.shape[1])
     row_mass = sum((state.r[i] for i in rows), Fraction(0))
     col_mass = sum((state.c[j] for j in cols), Fraction(0))
-    assert row_mass > col_mass  # min cut of a flow strictly below 1
+    if row_mass <= col_mass:  # min cut of a flow strictly below 1
+        raise RuntimeError("Hall blocking set failed its mass check")
     return {
         "rows": rows,
         "cols": cols,

@@ -5,6 +5,9 @@ P(lambda) = f^lambda s_lambda(q) on partitions of k, its rate function
 (sorted relative entropy), and the full-state rate through principal minors.
 Second, rank-1 tensor powers: exact multiplicities n_{k,lambda} and the
 Legendre-transform rate of the associated dimension-weighted measure.
+The measure and the Schur-Weyl report take P(lambda) from one helper; all
+rank-1 families (SU(2) tables, weight multisets, the Duffield report) share
+one incremental generator of weight counts and one multiplicity step.
 
 Schur polynomials are evaluated in exact integer arithmetic: q is cleared to
 integers by its common denominator and the Jacobi-Trudi determinant is taken
@@ -136,6 +139,15 @@ def _cleared_spectrum(q: Sequence) -> tuple[list[int], int]:
     return [int(t * D) for t in qs], D
 
 
+def _schur_weyl_prob(lam: Sequence[int], a: Sequence[int], denom: int,
+                     h: list[int] | None = None) -> tuple[int, int, LogValue]:
+    """(f^lam, s_lam(a), P(lam) = f^lam s_lam(a) / denom) for the cleared
+    spectrum a and denom = D^k."""
+    f = hook_length_count(lam)
+    s_int = _schur_int(lam, a, h)
+    return f, s_int, fraction_log(Fraction(f * s_int, denom))
+
+
 @dataclass(frozen=True)
 class SchurWeylRow:
     lam: Partition
@@ -149,7 +161,7 @@ def schur_weyl_measure(q, k: int) -> list[SchurWeylRow]:
     at most len(q) parts, rows in descending lexicographic order.
 
     q must be sorted nonincreasing. The normalization sum_lambda P = 1 is
-    asserted exactly in integer arithmetic before returning.
+    checked exactly in integer arithmetic; RuntimeError if it fails.
     """
     q = list(q.entries) if isinstance(q, ProbVector) else list(q)
     if len(q) > SCHUR_N_MAX:
@@ -167,13 +179,12 @@ def schur_weyl_measure(q, k: int) -> list[SchurWeylRow]:
     rows = []
     check = 0
     for lam in partitions_bounded(k, len(q)):
-        f = hook_length_count(lam)
-        s_int = _schur_int(lam, nz, h) if len(lam) <= len(nz) else 0
+        f, s_int, p_lv = _schur_weyl_prob(lam, nz, denom, h)
         check += f * s_int
-        s_lv = fraction_log(Fraction(s_int, denom)) if s_int else LogValue.zero()
-        p_lv = fraction_log(Fraction(f * s_int, denom)) if s_int else LogValue.zero()
+        s_lv = fraction_log(Fraction(s_int, denom))
         rows.append(SchurWeylRow(Partition(lam), f, s_lv, p_lv))
-    assert check == denom, "Schur-Weyl weights failed the exact normalization"
+    if check != denom:
+        raise RuntimeError("Schur-Weyl weights failed the exact normalization")
     return rows
 
 
@@ -320,24 +331,44 @@ class SU2MultTable:
         return self.entries.items()
 
 
+def _weight_counts(ws: Sequence[int], k_max: int) -> Iterator[dict[int, int]]:
+    """Weight counts of the k-th tensor power for k = 1..k_max, one step each."""
+    counts = {0: 1}
+    for _ in range(k_max):
+        nxt: dict[int, int] = {}
+        for s, cnt in counts.items():
+            for w in ws:
+                nxt[s + w] = nxt.get(s + w, 0) + cnt
+        counts = nxt
+        yield counts
+
+
+def _multiplicities(counts: dict[int, int]) -> dict[int, int]:
+    """n_lambda = w_lambda - w_{lambda+2} over lambda >= 0; a negative one
+    means the weights are not a character."""
+    mult = {}
+    for lam in range(0, max(abs(s) for s in counts) + 1):
+        n = counts.get(lam, 0) - counts.get(lam + 2, 0)
+        if n < 0:
+            raise ValueError("weight multiset is not a character of the group")
+        if n:
+            mult[lam] = n
+    return mult
+
+
 def su2_mult_tables(k_max: int) -> Iterator[SU2MultTable]:
-    """Tables for k = 1..k_max by the Clebsch-Gordan recursion
-    n_{k+1,l} = n_{k,l-1} + n_{k,l+1}."""
+    """Tables for k = 1..k_max: the rank-1 multiplicities of the weights
+    (-1, 1), one tensor power at a time."""
     if not 1 <= k_max <= SU2_K_MAX:
         raise ValueError(f"k_max must be in 1..{SU2_K_MAX}")
-    row = {1: 1}
-    yield SU2MultTable(1, row)
-    for k in range(2, k_max + 1):
-        row = {lam: row.get(lam - 1, 0) + row.get(lam + 1, 0)
-               for lam in range(k % 2, k + 1, 2)}
-        yield SU2MultTable(k, row)
+    for k, counts in enumerate(_weight_counts((-1, 1), k_max), start=1):
+        yield SU2MultTable(k, _multiplicities(counts))
 
 
 def su2_multiplicities(k: int) -> SU2MultTable:
-    for table in su2_mult_tables(k):
-        if table.k == k:
-            return table
-    raise AssertionError("unreachable")
+    if not 1 <= k <= SU2_K_MAX:
+        raise ValueError(f"k must be in 1..{SU2_K_MAX}")
+    return SU2MultTable(k, rank1_multiplicities((-1, 1), k))
 
 
 def rank1_multiplicities(weights: Sequence[int], k: int) -> dict[int, int]:
@@ -352,20 +383,9 @@ def rank1_multiplicities(weights: Sequence[int], k: int) -> dict[int, int]:
     if not ws:
         raise ValueError("weight multiset must be nonempty")
     counts = {0: 1}
-    for _ in range(k):
-        nxt: dict[int, int] = {}
-        for s, cnt in counts.items():
-            for w in ws:
-                nxt[s + w] = nxt.get(s + w, 0) + cnt
-        counts = nxt
-    mult = {}
-    for lam in range(0, max(abs(s) for s in counts) + 1):
-        n = counts.get(lam, 0) - counts.get(lam + 2, 0)
-        if n < 0:
-            raise ValueError("weight multiset is not a character of the group")
-        if n:
-            mult[lam] = n
-    return mult
+    for counts in _weight_counts(ws, k):
+        pass
+    return _multiplicities(counts)
 
 
 def duffield_rate(weights: Sequence[int], theta: float) -> float:
@@ -441,14 +461,18 @@ class DuffieldFamily:
     weights: tuple[int, ...]
 
 
-def _round_partition(theta: Sequence[float], k: int) -> tuple[int, ...]:
-    """Nearest partition of k to k*theta: round each coordinate half-up, then
-    absorb the remaining defect into the first part."""
-    parts = [math.floor(k * t + 0.5) for t in theta]
-    parts[0] += k - sum(parts)
+def _round_partition(theta: Sequence[Fraction], k: int) -> tuple[int, ...]:
+    """Largest-remainder rounding of k*theta (exact, summing to 1): floors,
+    then one unit each to the largest fractional parts, ties to the earlier
+    index. Sorted theta gives a partition of k within 1 of k*theta."""
+    scaled = [k * t for t in theta]
+    parts = [math.floor(x) for x in scaled]
+    by_remainder = sorted(range(len(parts)), key=lambda i: (parts[i] - scaled[i], i))
+    for i in by_remainder[:k - sum(parts)]:
+        parts[i] += 1
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or parts[-1] < 0:
         raise ValueError(f"k*theta does not round to a partition at k={k}")
-    return tuple(p for p in parts)
+    return tuple(parts)
 
 
 def ldp_report(family, theta, k_max: int) -> ConvergenceReport:
@@ -461,23 +485,19 @@ def ldp_report(family, theta, k_max: int) -> ConvergenceReport:
     if isinstance(family, SchurWeylFamily):
         if k_max > SCHUR_K_MAX:
             raise ValueError(f"k_max must be at most {SCHUR_K_MAX}")
-        th = [float(as_fraction(t)) for t in (theta if isinstance(theta, Iterable) else [theta])]
+        th = [as_fraction(t) for t in (theta if isinstance(theta, Iterable) else [theta])]
         if len(th) != len(family.q):
             raise ValueError("theta must match the spectrum length")
-        analytic = kw_rate(sorted(th, reverse=True), family.q)
+        if sum(th) != 1:
+            raise ValueError("theta must sum to 1")
+        analytic = kw_rate(sorted(map(float, th), reverse=True), family.q)
         a, D = _cleared_spectrum(family.q)
         nz = [v for v in a if v > 0]
         for k in range(1, k_max + 1):
-            lam = _round_partition(th, k)
-            f = hook_length_count(lam)
-            s_int = _schur_int(lam, nz) if len([p for p in lam if p]) <= len(nz) else 0
-            if s_int:
-                log_p = fraction_log(Fraction(f * s_int, D**k)).log_mag
-            else:
-                log_p = -math.inf
+            log_p = _schur_weyl_prob(_round_partition(th, k), nz, D**k)[2].log_mag
             emp = -log_p / k
             rows.append((k, log_p, emp, analytic, abs(emp - analytic)))
-        meta = {"family": family, "theta": tuple(th), "analytic_rate": analytic}
+        meta = {"family": family, "theta": tuple(map(float, th)), "analytic_rate": analytic}
     elif isinstance(family, DuffieldFamily):
         if k_max > SU2_K_MAX:
             raise ValueError(f"k_max must be at most {SU2_K_MAX}")
@@ -485,21 +505,8 @@ def ldp_report(family, theta, k_max: int) -> ConvergenceReport:
         analytic = duffield_rate(family.weights, th)
         d = len(family.weights)
         ws = [int(w) for w in family.weights]
-        counts = {0: 1}
-        for k in range(1, k_max + 1):
-            nxt: dict[int, int] = {}
-            for s, cnt in counts.items():
-                for w in ws:
-                    nxt[s + w] = nxt.get(s + w, 0) + cnt
-            counts = nxt
-            mult = {}
-            top = max(abs(s) for s in counts)
-            for lam in range(0, top + 1):
-                n = counts.get(lam, 0) - counts.get(lam + 2, 0)
-                if n < 0:
-                    raise ValueError("weight multiset is not a character of the group")
-                if n:
-                    mult[lam] = n
+        for k, counts in enumerate(_weight_counts(ws, k_max), start=1):
+            mult = _multiplicities(counts)
             target = k * th
             lam_k = min(mult, key=lambda l: (abs(l - target), -l))
             log_p = fraction_log(Fraction((lam_k + 1) * mult[lam_k], d**k)).log_mag

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capdual.cli import EXPERIMENT_ORDER, main
 
@@ -170,3 +175,63 @@ def test_laurent_exact_column(tmp_path):
     # row k=4: cst((z/2+1/(2z))^4) = 6/16 = 3/8 held exactly
     k4 = [ln for ln in lines[1:] if ln.startswith("4,")][0]
     assert k4.endswith("3/8")
+
+
+MC_INSTANCES = {
+    "torus": {"vector": {"n": 1, "terms": [{"weight": [-1], "amplitude": "3/5"},
+                                           {"weight": [1], "amplitude": "4/5"}]}},
+    "su2": {"amplitudes": ["3/5", [0.0, 0.8]]},
+    "u2": {"matrix": [["3/5", 0], [0, "4/5"]]},
+}
+
+
+def mc_config(out_dir, group, k, lam, samples=20_000):
+    case = {"group": group, "k": k, "lam": lam, **MC_INSTANCES[group]}
+    return {"experiment": "mc-check", "instance": {"cases": [case]},
+            "samples": samples, "seed": 3, "output": str(out_dir)}
+
+
+@pytest.mark.parametrize("group", ["su2", "u2"])
+def test_mc_empty_label_is_an_input_error(tmp_path, capsys, group):
+    cfg = write_config(tmp_path, "mc.json", mc_config(tmp_path / "out", group, 2, []))
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_mc_u2_rational_string_matrix(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "mc.json", mc_config(out, "u2", 2, [1, 1]))
+    assert main(["run", str(cfg)]) == 0
+    row = (out / "report.csv").read_text().splitlines()[1].split(",")
+    # f^(1,1) s_(1,1)(16/25, 9/25) = 144/625
+    assert float(row[6]) == pytest.approx(144 / 625, rel=1e-12)
+
+
+def test_mc_u2_integer_label_means_one_row(tmp_path):
+    reports = []
+    for name, lam in (("int", 2), ("pair", [2, 0])):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, f"{name}.json", mc_config(out, "u2", 2, lam))
+        assert main(["run", str(cfg)]) == 0
+        reports.append((out / "report.csv").read_text())
+    assert reports[0] == reports[1]
+    # exact side: h_2(16/25, 9/25) = 481/625
+    assert float(reports[0].splitlines()[1].split(",")[6]) == pytest.approx(481 / 625)
+
+
+_LABELS = st.none() | st.integers() | st.lists(st.integers(), max_size=3)
+
+
+@pytest.mark.parametrize("group", sorted(MC_INSTANCES))
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 3), lam=_LABELS)
+def test_mc_schema_valid_labels_never_crash(group, k, lam):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), "mc.json", mc_config(Path(tmp) / "out", group, k,
+                                                            lam, samples=64))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -57,6 +57,9 @@ def test_completeness():
     for k in (1, 3, 6):
         total = table.total(k).to_float()
         assert math.isclose(total, v.norm_sq**k, rel_tol=1e-8)
+    for k in (0, 7):
+        with pytest.raises(ValueError):
+            table.total(k)
 
 
 @settings(max_examples=30, deadline=None)
@@ -106,6 +109,25 @@ def test_duality_report_theta_outside():
     # capacity zero: the gap column is NaN and log_cap_sq is -inf
     assert all(math.isnan(r[4]) for r in rep.rows)
     assert all(r[3] == -math.inf for r in rep.rows)
+
+
+def test_duality_report_rows_match_table():
+    # the report streams the rows the table keeps: identical floats
+    for seed in range(4):
+        rng = np.random.default_rng(40 + seed)
+        v = random_weighted_vector(rng, n=2, n_terms=4, box=2)
+        table = projection_norm_table(v, 12)
+        w = v.support[0].coords
+        thetas = [tuple(F(c) for c in w),
+                  (F(1, 3), F(-1, 4)),
+                  tuple(F(c + 3) for c in w)]  # outside the polytope
+        for theta in thetas:
+            rep = duality_report(v, theta, 12)
+            assert rep.rows
+            for k, norm_sq, rate, _, _ in rep.rows:
+                expected = table.get(k, tuple(int(t * k) for t in theta))
+                assert norm_sq == expected
+                assert rate == expected.log_mag / k
 
 
 def test_difference_lattice_examples():

@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capdual.core import Partition
+from capdual.core import Partition, fraction_log
 from capdual.spectrum import (DuffieldFamily, HermitianState, SchurWeylFamily,
-                              duffield_rate, hook_length_count, keyl_rate,
+                              _round_partition, duffield_rate,
+                              hook_length_count, keyl_rate,
                               kw_minimization_check, kw_rate, ldp_report,
                               partitions_bounded, rank1_multiplicities,
                               schur_weyl_measure, su2_mult_tables,
@@ -233,7 +239,7 @@ def test_su2_dimension_count_exact():
 
 
 def test_rank1_matches_su2():
-    for k in (1, 2, 5, 9, 16):
+    for k in range(1, 61):
         assert rank1_multiplicities((-1, 1), k) == dict(su2_multiplicities(k).items())
 
 
@@ -300,6 +306,56 @@ def test_duffield_ldp_report():
     assert by_k[200][4] < 0.05
     expected = 0.75 * math.log(3) - math.log(2)
     assert math.isclose(rep.metadata["analytic_rate"], expected, rel_tol=1e-10)
+
+
+def test_duffield_rows_match_rank1_multiplicities():
+    for weights, theta in (((-1, 1), F(1, 2)), ((-2, 0, 2), F(3, 2)),
+                           ((-3, -1, 1, 3), F(7, 10))):
+        rows = {r[0]: r for r in ldp_report(DuffieldFamily(weights), theta, 40).rows}
+        for k in (1, 2, 7, 20, 40):
+            mult = rank1_multiplicities(weights, k)
+            lam = min(mult, key=lambda l: (abs(l - k * theta), -l))
+            p = F((lam + 1) * mult[lam], len(weights) ** k)
+            assert rows[k][1] == fraction_log(p).log_mag
+
+
+def test_round_partition_regressions():
+    assert _round_partition((F(2, 5), F(3, 10), F(1, 5), F(1, 10)), 5) == (2, 2, 1, 0)
+    for k in (1, 3, 5, 99):
+        assert _round_partition((F(1, 2), F(1, 2)), k) == ((k + 1) // 2, k // 2)
+    q4 = (F(2, 5), F(3, 10), F(1, 5), F(1, 10))
+    assert len(ldp_report(SchurWeylFamily(tuple(map(float, q4))), q4, 10).rows) == 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=5).filter(any))
+def test_round_partition_is_a_nearby_partition(raw):
+    theta = sorted((F(x, sum(raw)) for x in raw), reverse=True)
+    for k in range(1, 401):
+        parts = _round_partition(theta, k)
+        assert sum(parts) == k
+        assert all(a >= b for a, b in zip(parts, parts[1:]))
+        assert all(abs(p - k * t) <= 1 for p, t in zip(parts, theta))
+
+
+def test_normalization_check_survives_python_O():
+    code = textwrap.dedent("""
+        from capdual import spectrum
+        real = spectrum.hook_length_count
+        spectrum.hook_length_count = lambda lam: real(lam) + 1
+        print("debug", __debug__)
+        try:
+            spectrum.schur_weyl_measure((0.5, 0.5), 3)
+        except RuntimeError as exc:
+            print("raised", exc)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert "debug False" in out
+    assert "raised Schur-Weyl weights failed the exact normalization" in out
 
 
 def test_ldp_report_caps():
