@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .capacity import capacity_kl_form, theta_capacity
 from .core import LogValue, WeightVector, WeightedVector, as_fraction
-from .haarmc import (UnitaryOrbitVector, _label_pair, mc_invariant_norm,
-                     mc_isotypic_norm)
+from .haarmc import (UnitaryOrbitVector, _label_pair, _torus_label,
+                     mc_invariant_norm, mc_isotypic_norm)
 from .projection import (LaurentPoly, critical_values, duality_report,
                          laurent_cst_power, prefactor_sequence,
                          projection_norm_table)
@@ -432,7 +432,7 @@ def _run_duffield_ldp(config: dict):
 def _mc_case_exact(instance, k: int, lam) -> float:
     """Exact counterpart of one mc-check case."""
     if isinstance(instance, WeightedVector):
-        coords = tuple(lam) if lam is not None else (0,) * instance.n
+        coords = (0,) * instance.n if lam is None else _torus_label(lam, instance.n)
         return projection_norm_table(instance, k).get(k, coords).to_float()
     pair = (0, 0) if lam is None else _label_pair(lam)
     if instance.group == "su2":

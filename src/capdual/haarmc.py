@@ -8,15 +8,13 @@ independent check on the exact dynamic-programming and Schur-Weyl values.
 
 Sampling is counter-based: block b of a run with seed s draws from a
 generator keyed by (s, b), so estimates are bit-identical for a given seed
-regardless of how blocks are scheduled. CAPDUAL_THREADS > 1 evaluates blocks
-in a thread pool; the reduction is ordered by block index either way.
+regardless of how blocks are scheduled, and the reduction is ordered by
+block index.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -180,17 +178,11 @@ def _run_blocks(block_fn: Callable[[np.random.Generator, int], np.ndarray],
     if samples % BLOCK:
         sizes.append(samples % BLOCK)
 
-    def one(block: int) -> tuple[float, float, float]:
-        z = block_fn(_block_rng(seed, block), sizes[block])
-        return (float(z.real.sum()), float(z.imag.sum()),
-                float((np.abs(z) ** 2).sum()))
-
-    threads = int(os.environ.get("CAPDUAL_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, range(len(sizes))))
-    else:
-        parts = [one(b) for b in range(len(sizes))]
+    parts = []
+    for block, size in enumerate(sizes):
+        z = block_fn(_block_rng(seed, block), size)
+        parts.append((float(z.real.sum()), float(z.imag.sum()),
+                      float((np.abs(z) ** 2).sum())))
     mean = complex(math.fsum(p[0] for p in parts) / samples,
                    math.fsum(p[1] for p in parts) / samples)
     msq = math.fsum(p[2] for p in parts) / samples
@@ -211,6 +203,15 @@ def _label_pair(lam) -> tuple[int, int]:
     return pair
 
 
+def _torus_label(lam, n: int) -> tuple:
+    """The weight named by a torus label: its n coordinates, or an integer l
+    read as (l,), which names a weight of a rank-1 torus only."""
+    coords = (lam,) if isinstance(lam, int) else tuple(getattr(lam, "coords", lam))
+    if len(coords) != n:
+        raise ValueError(f"label {list(coords)} does not match the torus rank {n}")
+    return coords
+
+
 def _dispatch(instance, k: int, lam) -> Callable[[np.random.Generator, int], np.ndarray]:
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}")
@@ -218,18 +219,20 @@ def _dispatch(instance, k: int, lam) -> Callable[[np.random.Generator, int], np.
         v = instance.pruned()
         if v.is_zero:
             raise ValueError("zero vector has no Haar estimate")
-        coords = None
-        if lam is not None:
-            coords = tuple(lam.coords) if hasattr(lam, "coords") else tuple(lam)
-            if len(coords) != v.n:
-                raise ValueError("lambda must match the torus rank")
+        coords = None if lam is None else _torus_label(lam, v.n)
         return lambda rng, size: _torus_block(v, k, coords, rng, size)
     if isinstance(instance, UnitaryOrbitVector):
+        # a label that does not occur in (C^2)^{tensor k} has isotypic norm
+        # exactly 0, and sampling would only add noise (or overflow)
         pair = None if lam is None else _label_pair(lam)
         if instance.group == "su2":
             m = None if pair is None else pair[0] - pair[1]
+            if m is not None and (m > k or (k - m) % 2):
+                return lambda rng, size: np.zeros(size, dtype=complex)
             v = np.array(instance.data, dtype=complex)
             return lambda rng, size: _su2_block(v, k, m, rng, size)
+        if pair is not None and (pair[1] < 0 or sum(pair) != k):
+            return lambda rng, size: np.zeros(size, dtype=complex)
         A = instance.matrix()
         return lambda rng, size: _u2_block(A, k, pair, rng, size)
     raise TypeError(f"unsupported instance {type(instance).__name__}")

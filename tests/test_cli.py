@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capdual.cli import EXPERIMENT_ORDER, main
+from capdual.haarmc import UnitaryOrbitVector, mc_isotypic_norm
 
 
 def write_config(tmp_path, name, body):
@@ -208,16 +209,33 @@ def test_mc_u2_rational_string_matrix(tmp_path):
     assert float(row[6]) == pytest.approx(144 / 625, rel=1e-12)
 
 
-def test_mc_u2_integer_label_means_one_row(tmp_path):
+@pytest.mark.parametrize("group, label, parts, exact", [
+    ("u2", 2, [2, 0], 481 / 625),  # h_2(16/25, 9/25)
+    ("torus", 2, [2], 256 / 625),  # |(4/5)^2|^2, the weight-2 term of v^{tensor 2}
+], ids=["u2", "torus"])
+def test_mc_integer_label_means_one_row(tmp_path, group, label, parts, exact):
     reports = []
-    for name, lam in (("int", 2), ("pair", [2, 0])):
+    for name, lam in (("int", label), ("list", parts)):
         out = tmp_path / name
-        cfg = write_config(tmp_path, f"{name}.json", mc_config(out, "u2", 2, lam))
+        cfg = write_config(tmp_path, f"{name}.json", mc_config(out, group, 2, lam))
         assert main(["run", str(cfg)]) == 0
         reports.append((out / "report.csv").read_text())
     assert reports[0] == reports[1]
-    # exact side: h_2(16/25, 9/25) = 481/625
-    assert float(reports[0].splitlines()[1].split(",")[6]) == pytest.approx(481 / 625)
+    assert float(reports[0].splitlines()[1].split(",")[6]) == pytest.approx(exact)
+
+
+@pytest.mark.parametrize("group, lam", [
+    ("u2", [10**30, 5]),  # |lambda| != k
+    ("u2", [3, -1]),      # a negative part
+    ("su2", 10**30),      # highest weight above k
+    ("su2", 1),           # highest weight of the wrong parity
+], ids=["u2-size", "u2-negative-part", "su2-above-k", "su2-parity"])
+def test_mc_labels_absent_from_the_tensor_power_give_exact_zero(tmp_path, group, lam):
+    data = ((0.6, 0.8j) if group == "su2" else ((0.6, 0), (0, 0.8)))
+    est = mc_isotypic_norm(UnitaryOrbitVector(group, data), 2, lam, samples=1000, seed=3)
+    assert (est.mean, est.stderr) == (0, 0)
+    cfg = write_config(tmp_path, "mc.json", mc_config(tmp_path / "out", group, 2, lam))
+    assert main(["run", str(cfg)]) == 0
 
 
 _LABELS = st.none() | st.integers() | st.lists(st.integers(), max_size=3)

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -106,18 +105,6 @@ def test_reproducibility_bitwise():
     assert a.stderr == b.stderr
     c = mc_isotypic_norm(v, 2, (1,), samples=30_000, seed=124)
     assert c.mean != a.mean
-
-
-def test_thread_pool_reduction_is_deterministic():
-    v = binomial_vector()
-    serial = mc_isotypic_norm(v, 2, (1,), samples=200_000, seed=31)
-    os.environ["CAPDUAL_THREADS"] = "3"
-    try:
-        pooled = mc_isotypic_norm(v, 2, (1,), samples=200_000, seed=31)
-    finally:
-        del os.environ["CAPDUAL_THREADS"]
-    assert pooled.mean == serial.mean
-    assert pooled.stderr == serial.stderr
 
 
 def test_estimate_validation():

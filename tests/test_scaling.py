@@ -46,6 +46,31 @@ def test_triangular_boundary_case_converges():
     assert res.iterations > 10**6
 
 
+def test_boundary_case_stops_at_max_iter():
+    # the marginal error after t sweeps is about 1/(2t), far above tol here
+    r, c = UNIFORM2
+    res = sinkhorn_scale(ScalingState([[F(1), F(1)], [F(0), F(1)]], r, c),
+                         tol=1e-8, max_iter=1000)
+    assert res.status == "max_iter"
+    assert res.iterations == 1000
+    assert res.marginal_error > 1e-8
+    assert res.marginal_error == pytest.approx(res.state.marginal_error(), rel=1e-9)
+
+
+def test_rectangular_zero_entry_rational_margins():
+    # [[1/10, 3/10, 0], [1/10, 1/5, 3/10]] has these margins on the support,
+    # so the instance is strictly scalable
+    r = (F(2, 5), F(3, 5))
+    c = (F(1, 5), F(1, 2), F(3, 10))
+    res = sinkhorn_scale(ScalingState([[F(1), F(2), F(0)], [F(3), F(1), F(1)]], r, c),
+                         tol=1e-12)
+    assert res.status == "converged"
+    scaled = res.state.scaled
+    assert scaled[0, 2] == 0
+    assert np.allclose(scaled.sum(axis=1), [0.4, 0.6], rtol=0, atol=1e-12)
+    assert np.allclose(scaled.sum(axis=0), [0.2, 0.5, 0.3], rtol=0, atol=1e-12)
+
+
 def test_sinkhorn_stationarity_bound():
     # after an exact column step the potential gradient is twice the row
     # defect, so convergence in marginals certifies near-stationarity
