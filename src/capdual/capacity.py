@@ -6,11 +6,24 @@ is the infimum of exp(F(x)/2) over x in R^n, where
     F(x) = -2 <theta, x> + log sum_w |c_w|^2 exp(2 <w, x>).
 
 The infimum is positive exactly when theta lies in the moment polytope, i.e.
-the convex hull of the occupied weights; membership is decided by an exact
-rational LP which also produces a certificate either way. When theta sits on
-a proper face of the polytope the minimization is restricted to the weights
-of the minimal face containing theta (the infimum is then attained there but
-not on the original orbit, which the `diverging` flag records).
+the convex hull of the occupied weights. One exact rational routine,
+`_face_search`, decides membership and finds the minimal face containing
+theta. It solves the membership LP {p >= 0, sum p = 1, sum p_w w = theta}
+once, which yields a certificate either way. Inside, it seeds the face set S
+with the support of that solution and then repeats "maximize the mass of p
+off S", adding each solution's support to S, until the optimum is 0. No
+feasible p then puts mass off S, so S is the minimal face. The average of the
+collected solutions is a feasible point positive exactly on S. When theta sits
+on a proper face the minimization is restricted to the face weights (the
+infimum is then attained there but not on the original orbit, which the
+`diverging` flag records).
+
+Damped Newton minimizes F on the face. It stops when the gradient is at most
+grad_tol, or at the floating-point resolution of F: when the Newton decrement
+-g.d is at most 8 eps max(1, |F|), or when 60 step halvings find no Armijo
+step (the current point is then kept). Below that resolution the Armijo test
+cannot tell a decrease from rounding. `CapacityResult.status` records which
+stop was taken.
 
 An independent cross-check solves the equivalent relative-entropy program
 
@@ -65,12 +78,22 @@ class MembershipCertificate:
 
 @dataclass(frozen=True)
 class CapacityResult:
+    """A theta-capacity and how Newton reached it.
+
+    status is "converged" (gradient norm at most grad_tol, or theta a
+    vertex), "precision" (stopped at the floating-point resolution of F with
+    the gradient above grad_tol), "max_iter" (ran out of iterations) or
+    "outside" (theta is not in the moment polytope). iterations counts the
+    Newton steps taken.
+    """
+
     log_cap: LogValue
     minimizer_x: np.ndarray | None
     diverging: bool
     iterations: int
     gradient_norm: float
     certificate: MembershipCertificate
+    status: str
 
 
 def moment_map(v: WeightedVector) -> np.ndarray:
@@ -84,21 +107,41 @@ def moment_map(v: WeightedVector) -> np.ndarray:
     return mu
 
 
-def _membership_lp(support: Sequence[WeightVector],
-                   theta: tuple[Fraction, ...]) -> MembershipCertificate:
+def _face_search(support: Sequence[WeightVector], theta: tuple[Fraction, ...]
+                 ) -> tuple[MembershipCertificate, list[int], list[Fraction]]:
+    """Membership certificate for theta, and when theta is inside, the
+    indices of the weights on the minimal face containing theta plus a
+    feasible point of the membership LP that is positive exactly on them.
+    Outside, the face and the point are empty."""
     n = len(theta)
     s = len(support)
     A = [[Fraction(w.coords[i]) for w in support] for i in range(n)]
     A.append([Fraction(1)] * s)
     b = [*theta, Fraction(1)]
     res = simplex_max([Fraction(0)] * s, A, b)
-    if res.status == "optimal":
-        coeffs = tuple((w, p) for w, p in zip(support, res.x) if p != 0)
-        return MembershipCertificate(inside=True, coefficients=coeffs)
-    y = res.farkas
-    a = tuple(y[:n])
-    offset = -y[n]
-    return MembershipCertificate(inside=False, separator=(a, offset))
+    if res.status != "optimal":
+        y = res.farkas
+        cert = MembershipCertificate(inside=False, separator=(tuple(y[:n]), -y[n]))
+        return cert, [], []
+    cert = MembershipCertificate(
+        inside=True, coefficients=tuple((w, p) for w, p in zip(support, res.x) if p != 0))
+    face = {j for j in range(s) if res.x[j] > 0}
+    combos = [res.x]
+    while len(face) < s:
+        off_face = [Fraction(0) if j in face else Fraction(1) for j in range(s)]
+        res = simplex_max(off_face, A, b)
+        if res.status != "optimal":
+            raise RuntimeError(f"face LP on a feasible target ended {res.status}")
+        if res.objective == 0:
+            break
+        face.update(j for j in range(s) if res.x[j] > 0)
+        combos.append(res.x)
+    interior = [sum(x[j] for x in combos) / len(combos) for j in range(s)]
+    if not all(interior[j] > 0 if j in face else interior[j] == 0 for j in range(s)):
+        raise RuntimeError("face interior point failed its support check")
+    if any(sum(a * p for a, p in zip(row, interior)) != bi for row, bi in zip(A, b)):
+        raise RuntimeError("face interior point failed its feasibility check")
+    return cert, sorted(face), interior
 
 
 def moment_polytope_contains(v: WeightedVector, theta) -> MembershipCertificate:
@@ -107,38 +150,17 @@ def moment_polytope_contains(v: WeightedVector, theta) -> MembershipCertificate:
     if v.is_zero:
         raise ValueError("the zero vector has an empty moment polytope")
     th = rational_vector(theta, v.n)
-    return _membership_lp(v.support, th)
-
-
-def _minimal_face(support: Sequence[WeightVector], theta: tuple[Fraction, ...]
-                  ) -> tuple[list[int], list[Fraction]]:
-    """Indices of weights on the minimal face containing theta, plus a point
-    of the feasible set that is strictly positive on that face."""
-    n = len(theta)
-    s = len(support)
-    A = [[Fraction(w.coords[i]) for w in support] for i in range(n)]
-    A.append([Fraction(1)] * s)
-    b = [*theta, Fraction(1)]
-    face: list[int] = []
-    combos: list[list[Fraction]] = []
-    for j in range(s):
-        c = [Fraction(0)] * s
-        c[j] = Fraction(1)
-        res = simplex_max(c, A, b)
-        if res.status != "optimal":
-            raise ValueError("face query on an infeasible target")
-        if res.objective > 0:
-            face.append(j)
-            combos.append(res.x)
-    interior = [sum(x[j] for x in combos) / len(combos) for j in range(s)]
-    if not all(interior[j] > 0 if j in face else interior[j] == 0 for j in range(s)):
-        raise RuntimeError("face interior point failed its support check")
-    return face, interior
+    return _face_search(v.support, th)[0]
 
 
 def _newton_logsumexp(W: np.ndarray, logq: np.ndarray, theta: np.ndarray,
-                      grad_tol: float, max_iter: int) -> tuple[np.ndarray, float, float, int]:
-    """Damped Newton minimization of F(x) = -2 theta.x + LSE(logq + 2 W x)."""
+                      grad_tol: float, max_iter: int
+                      ) -> tuple[np.ndarray, float, float, int, str]:
+    """Damped Newton minimization of F(x) = -2 theta.x + LSE(logq + 2 W x).
+
+    Returns (x, F(x), gradient norm, steps taken, status); the stop rule is
+    the one in the module docstring.
+    """
 
     def fgh(x):
         a = logq + 2.0 * (W @ x)
@@ -156,8 +178,9 @@ def _newton_logsumexp(W: np.ndarray, logq: np.ndarray, theta: np.ndarray,
     x = np.zeros(W.shape[1])
     f, g, h = fgh(x)
     iters = 0
-    while np.max(np.abs(g)) > grad_tol and iters < max_iter:
-        iters += 1
+    while np.max(np.abs(g)) > grad_tol:
+        if iters >= max_iter:
+            return x, f, float(np.max(np.abs(g))), iters, "max_iter"
         try:
             d = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
@@ -172,8 +195,14 @@ def _newton_logsumexp(W: np.ndarray, logq: np.ndarray, theta: np.ndarray,
             if fn <= f + 0.25 * step * slope:
                 break
             step *= 0.5
+        else:
+            return x, f, float(np.max(np.abs(g))), iters, "precision"
+        iters += 1
         x, f, g, h = xn, fn, gn, hn
-    return x, f, float(np.max(np.abs(g))), iters
+        if -slope <= 8.0 * np.finfo(float).eps * max(1.0, abs(f)):
+            break
+    gnorm = float(np.max(np.abs(g)))
+    return x, f, gnorm, iters, "converged" if gnorm <= grad_tol else "precision"
 
 
 def theta_capacity(v: WeightedVector, theta, *, grad_tol: float = GRAD_TOL,
@@ -181,32 +210,32 @@ def theta_capacity(v: WeightedVector, theta, *, grad_tol: float = GRAD_TOL,
     """Capacity of v relative to a rational target theta.
 
     Returns a CapacityResult whose log_cap has sign 0 exactly when theta lies
-    outside the moment polytope (the unstable case), in which case the
-    certificate carries a separating functional. Otherwise log_cap encodes
-    cap > 0 and the reported gradient norm refers to the minimization
-    restricted to the minimal face of the polytope containing theta.
+    outside the moment polytope (the unstable case, status "outside"), in
+    which case the certificate carries a separating functional. Otherwise
+    log_cap encodes cap > 0 and the reported gradient norm and status refer
+    to the minimization restricted to the minimal face of the polytope
+    containing theta.
     """
     v = v.pruned()
     if v.is_zero:
         raise ValueError("capacity of the zero vector is undefined")
     th = rational_vector(theta, v.n)
-    cert = _membership_lp(v.support, th)
+    cert, face, _ = _face_search(v.support, th)
     if not cert.inside:
-        return CapacityResult(LogValue.zero(), None, True, 0, math.inf, cert)
+        return CapacityResult(LogValue.zero(), None, True, 0, math.inf, cert, "outside")
 
     qs = v.amplitudes_sq()
     support = v.support
-    face, _ = _minimal_face(support, th)
     W = np.array([support[j].coords for j in face], dtype=float)
     logq = np.array([math.log(qs[support[j]]) for j in face])
     theta_f = np.array([float(t) for t in th])
+    diverging = len(face) < len(support)
     if len(face) == 1:
         # theta is a vertex; F is constant on the face, log q is the value.
         return CapacityResult(LogValue(1, 0.5 * float(logq[0])), np.zeros(v.n),
-                              len(face) < len(support), 0, 0.0, cert)
-    x, fstar, gnorm, iters = _newton_logsumexp(W, logq, theta_f, grad_tol, max_iter)
-    return CapacityResult(LogValue(1, 0.5 * fstar), x,
-                          len(face) < len(support), iters, gnorm, cert)
+                              diverging, 0, 0.0, cert, "converged")
+    x, fstar, gnorm, iters, status = _newton_logsumexp(W, logq, theta_f, grad_tol, max_iter)
+    return CapacityResult(LogValue(1, 0.5 * fstar), x, diverging, iters, gnorm, cert, status)
 
 
 def _min_kl(q: np.ndarray, W: np.ndarray, theta: np.ndarray,
@@ -269,10 +298,9 @@ def capacity_kl_form(v: WeightedVector, theta) -> LogValue:
     if abs(v.norm_sq - 1.0) > 1e-10:
         raise ValueError(f"capacity_kl_form expects a unit vector, norm^2 = {v.norm_sq}")
     th = rational_vector(theta, v.n)
-    cert = _membership_lp(v.support, th)
+    cert, face, interior = _face_search(v.support, th)
     if not cert.inside:
         return LogValue.zero()
-    face, interior = _minimal_face(v.support, th)
     qs = v.amplitudes_sq()
     support = v.support
     q = np.array([qs[support[j]] for j in face])

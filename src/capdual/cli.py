@@ -515,6 +515,7 @@ def _run_capacity(config: dict):
         "inside": inside,
         "diverging": bool(cap.diverging),
         "iterations": cap.iterations,
+        "status": cap.status,
     }
     return (("log_cap_ln", "kl_log_cap_sq_ln", "cross_check_diff",
              "diverging", "inside"), rows, headline, bool(passed))

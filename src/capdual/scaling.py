@@ -231,8 +231,11 @@ def sinkhorn_scale(state: ScalingState, tol: float = 1e-8,
 
     Stops when the combined l1 marginal error drops to tol. Margins that are
     unachievable on the support are detected exactly up front and returned as
-    certified-unscalable with the blocking row set.
+    certified-unscalable with the blocking row set. With max_iter = 0 the
+    untouched state is returned with its own marginal error.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     if not np.any(state.M > 0):
         raise ValueError("cannot scale the zero matrix")
     cert = _unscalable_certificate(state)
@@ -242,6 +245,8 @@ def sinkhorn_scale(state: ScalingState, tol: float = 1e-8,
     x, y, it, err = _sinkhorn_kernel(state.M, state.r, state.c, state.x.tolist(),
                                      state.y.tolist(), float(tol), int(max_iter))
     out = ScalingState(state.M, state.r, state.c, x, y)
+    if it == 0:
+        err = out.marginal_error()  # no sweep ran, so the kernel measured nothing
     status = "converged" if err <= tol else "max_iter"
     return SinkhornResult(out, status, it, err)
 

@@ -241,7 +241,7 @@ def test_criterion_7_haar_oracle(capsys):
 
 def test_criterion_8_property_suites(capsys):
     t0 = time.monotonic()
-    weak_bad = supmul_bad = complete_bad = concave_bad = member_bad = 0
+    weak_bad = supmul_bad = complete_bad = concave_bad = member_bad = stalled = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
         v = random_weighted_vector(rng, n=2, n_terms=3 + seed % 3,
@@ -272,9 +272,8 @@ def test_criterion_8_property_suites(capsys):
         res = theta_capacity(v, theta)
         t2 = random_feasible_theta(np.random.default_rng(seed + 900), v)
         mid = tuple((a + b) / 2 for a, b in zip(theta, t2))
-        c0 = res.log_cap
-        c1 = theta_capacity(v, t2).log_cap
-        cm = theta_capacity(v, mid).log_cap
+        r1, rm = theta_capacity(v, t2), theta_capacity(v, mid)
+        c0, c1, cm = res.log_cap, r1.log_cap, rm.log_cap
         if c0.sign and c1.sign:
             if not cm.sign or cm.log_mag < 0.5 * (c0.log_mag + c1.log_mag) - 1e-8:
                 concave_bad += 1
@@ -285,11 +284,14 @@ def test_criterion_8_property_suites(capsys):
         out = theta_capacity(v, outside)
         if bool(out.certificate.inside) != (out.log_cap.sign == 1):
             member_bad += 1
-    bad = weak_bad + supmul_bad + complete_bad + concave_bad + member_bad
+        # no Newton solve may run out of iterations
+        stalled += sum(r.status == "max_iter" for r in (res, r1, rm, out))
+    bad = weak_bad + supmul_bad + complete_bad + concave_bad + member_bad + stalled
     ok = bad == 0
     report(capsys, 8, "duality property suites on 200 seeds", ok, t0,
            f"violations: weak={weak_bad} supmul={supmul_bad} "
-           f"complete={complete_bad} concave={concave_bad} member={member_bad}")
+           f"complete={complete_bad} concave={concave_bad} member={member_bad} "
+           f"max_iter={stalled}")
 
 
 def test_criterion_9_rank1_critical_values(capsys):

@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from capdual.capacity import (capacity_kl_form, moment_map,
+from capdual.capacity import (_face_search, capacity_kl_form, moment_map,
                               moment_polytope_contains, theta_capacity)
 from capdual.core import WeightedVector, WeightVector
 
-from util import random_feasible_theta, random_weighted_vector
+from util import (per_weight_minimal_face, random_feasible_theta,
+                  random_weighted_vector)
 
 F = Fraction
 
@@ -56,8 +57,10 @@ def test_single_weight_vector():
     v = WeightedVector.from_terms(2, {(1, 2): 0.7})
     hit = theta_capacity(v, (F(1), F(2)))
     assert math.isclose(hit.log_cap.to_float(), 0.7, rel_tol=1e-12)
+    assert hit.status == "converged"
     missed = theta_capacity(v, (F(0), F(2)))
     assert missed.log_cap.sign == 0
+    assert missed.status == "outside"
     cert = missed.certificate
     assert not cert.inside
     a, offset = cert.separator
@@ -171,6 +174,70 @@ def test_gradient_norm_reported_small():
     res = theta_capacity(v, (F(1, 2),))
     assert res.gradient_norm <= 1e-10
     assert res.iterations > 0
+    assert res.status == "converged"
+
+
+def test_max_iter_stop_is_reported():
+    res = theta_capacity(binomial_vector(0.3, 0.7), (F(1, 2),), max_iter=1)
+    assert res.status == "max_iter"
+    assert res.iterations == 1
+    assert res.gradient_norm > 1e-10
+
+
+def test_stalling_instance_stops_at_float_resolution():
+    # criterion-8 seed 53: the Armijo test fails below the resolution of F
+    # after a few steps, where the solver used to run to max_iter
+    v = random_weighted_vector(np.random.default_rng(53), n=2, n_terms=5,
+                               box=2).normalized()
+    theta = random_feasible_theta(np.random.default_rng(553), v,
+                                  denominator_bound=4)
+    res = theta_capacity(v, theta)
+    assert res.status != "max_iter"
+    assert res.iterations < 20
+    assert not res.diverging
+    mu = moment_map(v.scaled_by_character(res.minimizer_x).normalized())
+    assert np.allclose(mu, [float(t) for t in theta], rtol=0, atol=1e-7)
+    assert abs(2 * res.log_cap.log_mag - capacity_kl_form(v, theta).log_mag) <= 1e-8
+
+
+def _face_targets(rng, v):
+    """An interior point, a random sub-combination, a vertex (the
+    lexicographic maximum) and a point outside the hull of v's weights."""
+    ws = [w.coords for w in v.support]
+    coeffs = [int(c) for c in rng.integers(1, 6, size=len(ws))]
+    interior = tuple(sum(F(c * w[i], sum(coeffs)) for c, w in zip(coeffs, ws))
+                     for i in range(v.n))
+    top = max(ws)
+    outside = (top[0] + F(1, int(rng.integers(1, 4))), *map(F, top[1:]))
+    return [interior, random_feasible_theta(rng, v), tuple(map(F, top)), outside]
+
+
+def test_face_search_matches_per_weight_oracle():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for i in range(80):
+        n = 1 + i % 4
+        v = random_weighted_vector(rng, n=n, n_terms=2 + (i // 4) % 7,
+                                   box={1: 4, 2: 2, 3: 1, 4: 1}[n]).pruned()
+        support = [w.coords for w in v.support]
+        for theta in _face_targets(rng, v):
+            cert, face, interior = _face_search(v.support, theta)
+            oracle = per_weight_minimal_face(support, theta)
+            assert cert.inside == (oracle is not None)
+            assert cert.inside == moment_polytope_contains(v, theta).inside
+            if not cert.inside:
+                a, offset = cert.separator
+                assert all(sum(x * y for x, y in zip(a, w)) <= offset for w in support)
+                assert sum(x * y for x, y in zip(a, theta)) > offset
+                assert face == [] and interior == []
+                continue
+            assert face == oracle
+            assert [j for j, p in enumerate(interior) if p > 0] == face
+            assert all(p >= 0 for p in interior) and sum(interior) == 1
+            assert all(sum(p * w[k] for p, w in zip(interior, support)) == theta[k]
+                       for k in range(n))
+            checked += 1
+    assert checked == 240  # the interior, sub-combination and vertex targets
 
 
 def test_zero_vector_rejected():

@@ -158,8 +158,12 @@ def test_capacity_experiment_row(tmp_path):
     assert main(["run", str(cfg)]) == 0
     lines = (out / "report.csv").read_text().splitlines()
     assert len(lines) == 2  # header plus the single summary row
-    summary = json.loads((out / "summary.json").read_text())
+    first = (out / "summary.json").read_text()
+    summary = json.loads(first)
     assert summary["cross_check_diff"] <= 1e-8
+    assert summary["status"] == "converged" and summary["iterations"] > 0
+    assert main(["run", str(cfg)]) == 0
+    assert (out / "summary.json").read_text() == first
 
 
 def test_laurent_exact_column(tmp_path):

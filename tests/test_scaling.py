@@ -57,6 +57,17 @@ def test_boundary_case_stops_at_max_iter():
     assert res.marginal_error == pytest.approx(res.state.marginal_error(), rel=1e-9)
 
 
+def test_zero_sweeps_report_the_untouched_state():
+    r, c = UNIFORM2
+    state = ScalingState([[F(1), F(1)], [F(0), F(1)]], r, c)
+    res = sinkhorn_scale(state, max_iter=0)
+    assert res.status == "max_iter"
+    assert res.iterations == 0
+    assert res.marginal_error == state.marginal_error() == 4.0
+    with pytest.raises(ValueError):
+        sinkhorn_scale(state, max_iter=-1)
+
+
 def test_rectangular_zero_entry_rational_margins():
     # [[1/10, 3/10, 0], [1/10, 1/5, 3/10]] has these margins on the support,
     # so the instance is strictly scalable

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the library internals:
 projection norms by direct tensor-power expansion, Schur polynomials by
 tableau enumeration, feasible directions by explicit rational convex
-combinations. Slow is fine; these run at small sizes.
+combinations, minimal faces by one exact LP per weight. Slow is fine;
+these run at small sizes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from capdual.core import WeightVector, WeightedVector
+from capdual.exactlp import simplex_max
 
 
 def brute_projection_norm(v: WeightedVector, k: int, lam) -> float:
@@ -131,6 +133,27 @@ def random_feasible_theta(rng: np.random.Generator, v: WeightedVector,
         for j, wj in enumerate(weights[int(i)]):
             theta[j] += Fraction(c * wj, denom)
     return tuple(theta)
+
+
+def per_weight_minimal_face(support, theta) -> list[int] | None:
+    """Indices of the weights on the minimal face of conv(support) that
+    contains theta, or None when theta lies outside the hull.
+
+    One exact LP per weight: j is on the face exactly when some convex
+    combination equal to theta puts positive mass on it. Shares only the
+    rational simplex with the library's face search.
+    """
+    n, s = len(theta), len(support)
+    A = [[Fraction(w[i]) for w in support] for i in range(n)] + [[Fraction(1)] * s]
+    b = [*map(Fraction, theta), Fraction(1)]
+    face = []
+    for j in range(s):
+        res = simplex_max([Fraction(int(i == j)) for i in range(s)], A, b)
+        if res.status != "optimal":
+            return None
+        if res.objective > 0:
+            face.append(j)
+    return face
 
 
 def normalized(v: WeightedVector) -> WeightedVector:
