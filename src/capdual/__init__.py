@@ -18,7 +18,7 @@ from .haarmc import (McEstimate, UnitaryOrbitVector, mc_invariant_norm,
                      mc_isotypic_norm, sample_haar_unitary)
 from .projection import (CriticalValues, LaurentPoly, ProjectionTable,
                          critical_values, difference_lattice, duality_report,
-                         laurent_cst_power, prefactor_sequence,
+                         laurent_cst_powers, prefactor_sequence,
                          projection_norm_table)
 from .scaling import (PermExact, ScalingState, SinkhornResult,
                       matrix_from_csv, matrix_from_json, perm_dual_report,
@@ -42,7 +42,7 @@ __all__ = [
     "McEstimate", "UnitaryOrbitVector", "mc_invariant_norm",
     "mc_isotypic_norm", "sample_haar_unitary",
     "CriticalValues", "LaurentPoly", "ProjectionTable", "critical_values",
-    "difference_lattice", "duality_report", "laurent_cst_power",
+    "difference_lattice", "duality_report", "laurent_cst_powers",
     "prefactor_sequence", "projection_norm_table",
     "PermExact", "ScalingState", "SinkhornResult", "matrix_from_csv",
     "matrix_from_json", "perm_dual_report", "perm_rc_exact", "rc_capacity",

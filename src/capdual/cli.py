@@ -32,7 +32,7 @@ from .core import LogValue, WeightVector, WeightedVector, as_fraction
 from .haarmc import (UnitaryOrbitVector, _label_pair, _torus_label,
                      mc_invariant_norm, mc_isotypic_norm)
 from .projection import (LaurentPoly, critical_values, duality_report,
-                         laurent_cst_power, prefactor_sequence,
+                         laurent_cst_powers, prefactor_sequence,
                          projection_norm_table)
 from .scaling import perm_dual_report
 from .spectrum import (DuffieldFamily, SchurWeylFamily, ldp_report,
@@ -503,7 +503,7 @@ def _run_capacity(config: dict):
         diff = 0.0 if kl.sign == 0 else math.inf
     check_tol = tol.get("cross_check_tol", 1e-8)
     passed = diff <= check_tol
-    inside = bool(cap.certificate.inside) if cap.certificate else True
+    inside = cap.certificate.inside
     rows = [(cap.log_cap.log_mag, kl.log_mag, diff,
              "true" if cap.diverging else "false",
              "true" if inside else "false")]
@@ -534,8 +534,7 @@ def _run_laurent(config: dict):
     crit = critical_values(f)
     rows = []
     final_root = math.nan
-    for k in range(1, k_max + 1):
-        cst = laurent_cst_power(f, k)
+    for k, cst in enumerate(laurent_cst_powers(f, k_max)[1:], start=1):
         mag = abs(complex(cst))
         root = mag ** (1.0 / k) if mag > 0 else 0.0
         exact = str(cst) if isinstance(cst, Fraction) else ""
@@ -550,11 +549,10 @@ def _run_laurent(config: dict):
     if crit.positive_real_value is not None:
         headline["positive_real_value"] = crit.positive_real_value
         if "cap_match_tol" in tol:
-            qs = {e: complex(c) for e, c in f.terms.items()}
-            if any(abs(c.imag) > 0 or c.real < 0 for c in qs.values()):
-                raise ConfigError("cap_match_tol needs nonnegative coefficients")
+            # positive_real_value is set only for real nonnegative coefficients
             v = WeightedVector.from_terms(
-                1, {WeightVector((e,)): math.sqrt(c.real) for e, c in qs.items()})
+                1, {WeightVector((e,)): math.sqrt(complex(c).real)
+                    for e, c in f.terms.items()})
             cap = theta_capacity(v, (Fraction(0),))
             cap_sq = math.exp(2 * cap.log_cap.log_mag) if cap.log_cap.sign else 0.0
             diff = abs(cap_sq - crit.positive_real_value)

@@ -2,8 +2,8 @@
 
 Quantities that decay or grow exponentially in the tensor power k are carried
 as LogValue (a sign together with the natural log of the magnitude) so that
-runs with k up to 10^4 neither underflow nor overflow IEEE doubles. All types
-here are immutable value types and safe to share across threads.
+runs with k up to 10^4 neither underflow nor overflow IEEE doubles. The value
+types are frozen dataclasses; ConvergenceReport is a mutable record.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "MAX_WEIGHT_COORD",
@@ -28,6 +30,7 @@ __all__ = [
     "as_fraction",
     "rational_vector",
     "fraction_log",
+    "power_rows",
 ]
 
 # Largest admissible absolute value of a weight coordinate.
@@ -412,3 +415,22 @@ class ConvergenceReport:
 
     def check_weak_duality(self, gap_column: str = "gap", tol: float = 1e-10) -> bool:
         return all(g >= -tol for g in self.column(gap_column) if not math.isnan(g))
+
+
+def power_rows(coeffs: Mapping[int, int | complex],
+               k_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, row) for k = 1 .. k_max: row[i] is the coefficient of z^(lo + i)
+    in (sum_e c_e z^e)^k, one convolution per power from the unit row of
+    k = 0. This is the one path to Laurent constant terms and rank-1 weight
+    counts. coeffs needs a term; integer coefficients give exact rows of
+    Python ints (dtype object), any other puts every row in complex128.
+    """
+    lo = min(coeffs)
+    exact = all(isinstance(c, int) for c in coeffs.values())
+    base = np.zeros(max(coeffs) - lo + 1, dtype=object if exact else complex)
+    for e, c in coeffs.items():
+        base[e - lo] = c
+    row = np.ones(1, dtype=base.dtype)
+    for k in range(1, k_max + 1):
+        row = np.convolve(row, base)
+        yield k * lo, row

@@ -9,6 +9,8 @@ The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 instead uses a
 scaled linear representation with a relative truncation floor, which keeps
 array extents O(sqrt(k log(1/floor))) per axis and makes k = 10^4 cheap; the
 introduced relative bias is far below 1e-6 and is documented inline.
+Laurent constant terms cst f^k, for every k <= k_max, come from one pass
+over core.power_rows, the row stream rank-1 multiplicities also read.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .capacity import moment_map, theta_capacity
-from .core import ConvergenceReport, LogValue, WeightedVector, rational_vector
+from .core import (ConvergenceReport, LogValue, WeightedVector, power_rows,
+                   rational_vector)
 
 __all__ = [
     "ProjectionTable",
@@ -30,7 +33,7 @@ __all__ = [
     "prefactor_sequence",
     "difference_lattice",
     "LaurentPoly",
-    "laurent_cst_power",
+    "laurent_cst_powers",
     "CriticalValues",
     "critical_values",
 ]
@@ -371,10 +374,6 @@ class LaurentPoly:
         self.terms = dict(sorted(cleaned.items()))
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_rational(self) -> bool:
         return all(isinstance(c, (int, Fraction)) for c in self.terms.values())
 
@@ -382,39 +381,29 @@ class LaurentPoly:
         return sum(complex(c) * z ** e for e, c in self.terms.items())
 
 
-def _laurent_mul(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
-    out: dict[int, Coeff] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
+def laurent_cst_powers(f: LaurentPoly, k_max: int) -> list:
+    """The constant terms of f^k for k = 0 .. k_max, in one pass over the
+    power rows of f.
 
-
-def laurent_cst_power(f: LaurentPoly, k: int):
-    """The constant term of f^k, exact.
-
-    Rational coefficients stay exact Fractions; otherwise complex arithmetic
-    is used. k = 0 gives 1.
+    Rational coefficients are cleared once to integers over their common
+    denominator D, so cst f^k is the z^0 entry of the exact integer row over
+    D^k, an exact Fraction; any other coefficient gives complex values read
+    from complex128 rows. k = 0 gives 1.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return Fraction(1) if f.is_rational else complex(1)
-    if f.is_rational:
-        base = {e: Fraction(c) for e, c in f.terms.items()}
-        acc = {0: Fraction(1)}
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    rational = f.is_rational
+    if rational:
+        denom = math.lcm(*(Fraction(c).denominator for c in f.terms.values()))
+        coeffs = {e: int(c * denom) for e, c in f.terms.items()}
     else:
-        base = {e: complex(c) for e, c in f.terms.items()}
-        acc = {0: complex(1)}
-    kk = k
-    while kk:
-        if kk & 1:
-            acc = _laurent_mul(acc, base)
-        kk >>= 1
-        if kk:
-            base = _laurent_mul(base, base)
-    return acc.get(0, Fraction(0) if f.is_rational else complex(0))
+        coeffs = {e: complex(c) for e, c in f.terms.items()}
+    csts = [Fraction(1) if rational else complex(1)]
+    # the zero polynomial (rational, D = 1) runs as the single term 0 z^0
+    for k, (lo, row) in enumerate(power_rows(coeffs or {0: 0}, k_max), start=1):
+        cst = row[-lo] if 0 <= -lo < len(row) else 0
+        csts.append(Fraction(cst, denom**k) if rational else complex(cst))
+    return csts
 
 
 @dataclass(frozen=True)

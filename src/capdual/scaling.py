@@ -10,6 +10,7 @@ permanent sandwich for uniform margins.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -313,10 +314,10 @@ def perm_rc_exact(M, r: Sequence[int], c: Sequence[int],
                   budget: int = TABLE_BUDGET) -> PermExact:
     """Exact rational perm_{r,c}(M) with margins r (rows) and c (columns).
 
-    The number of contingency tables is counted first by a memoized DP over
-    remaining column sums; enumeration only starts when it fits the budget.
-    The outer sum runs over first-row compositions in lexicographic order,
-    the natural axis for parallel evaluation, reduced deterministically.
+    One forward DP over remaining column sums carries, per state, the count
+    and exact summed weight of the partial tables reaching it. Every partial
+    fill extends to a full table, so the DP raises RuntimeError as soon as
+    the partial tables it has met exceed the budget.
     """
     rows = [list(map(as_fraction, row)) for row in M]
     n = len(rows)
@@ -332,29 +333,7 @@ def perm_rc_exact(M, r: Sequence[int], c: Sequence[int],
     if sum(r) != sum(c):
         raise ValueError(f"margin sums differ: {sum(r)} != {sum(c)}")
 
-    def count_tables() -> int:
-        # forward DP over remaining column sums; every partial fill extends
-        # to a full table (margins rebalance row by row), so the partial
-        # count is a lower bound on the table count and aborting once it
-        # passes the budget is sound
-        layer: dict[tuple[int, ...], int] = {c: 1}
-        for i in range(n):
-            nxt: dict[tuple[int, ...], int] = {}
-            partials = 0
-            for rem, ways in layer.items():
-                for comp in _compositions(r[i], rem):
-                    partials += ways
-                    if partials > budget:
-                        raise RuntimeError(
-                            "contingency-table enumeration needs more than "
-                            f"{budget} tables, budget is {budget}")
-                    key = tuple(a - b for a, b in zip(rem, comp))
-                    nxt[key] = nxt.get(key, 0) + ways
-            layer = nxt
-        return layer.get((0,) * m, 0)
-
-    total_tables = count_tables()
-
+    @functools.cache
     def row_weight(i: int, comp: tuple[int, ...]) -> Fraction:
         w = Fraction(1)
         for j, b in enumerate(comp):
@@ -364,19 +343,23 @@ def perm_rc_exact(M, r: Sequence[int], c: Sequence[int],
                 w *= rows[i][j] ** b / math.factorial(b)
         return w
 
-    def branch(i: int, rem: tuple[int, ...]) -> Fraction:
-        if i == n:
-            return Fraction(1) if not any(rem) else Fraction(0)
-        acc = Fraction(0)
-        for comp in _compositions(r[i], rem):
-            w = row_weight(i, comp)
-            if w:
-                sub = branch(i + 1, tuple(a - b for a, b in zip(rem, comp)))
-                if sub:
-                    acc += w * sub
-        return acc
-
-    value = branch(0, c)
+    # remaining column sums -> (partial tables, their summed weight)
+    layer: dict[tuple[int, ...], tuple[int, Fraction]] = {c: (1, Fraction(1))}
+    for i in range(n):
+        nxt: dict[tuple[int, ...], tuple[int, Fraction]] = {}
+        partials = 0
+        for rem, (ways, weight) in layer.items():
+            for comp in _compositions(r[i], rem):
+                partials += ways
+                if partials > budget:
+                    raise RuntimeError(
+                        "contingency-table enumeration needs more than "
+                        f"{budget} tables, budget is {budget}")
+                key = tuple(a - b for a, b in zip(rem, comp))
+                count, acc = nxt.get(key, (0, Fraction(0)))
+                nxt[key] = (count + ways, acc + weight * row_weight(i, comp))
+        layer = nxt
+    total_tables, value = layer.get((0,) * m, (0, Fraction(0)))
     lv = fraction_log(value) if value else LogValue.zero()
     return PermExact(value, lv, total_tables)
 

@@ -6,8 +6,9 @@ P(lambda) = f^lambda s_lambda(q) on partitions of k, its rate function
 Second, rank-1 tensor powers: exact multiplicities n_{k,lambda} and the
 Legendre-transform rate of the associated dimension-weighted measure.
 The measure and the Schur-Weyl report take P(lambda) from one helper; all
-rank-1 families (SU(2) tables, weight multisets, the Duffield report) share
-one incremental generator of weight counts and one multiplicity step.
+rank-1 families (SU(2) tables, weight multisets, the Duffield report) read
+weight counts from core.power_rows of {w: multiplicity of w}, the row stream
+of the Laurent constant terms, and take n_lambda as one slice difference.
 
 Schur polynomials are evaluated in exact integer arithmetic: q is cleared to
 integers by its common denominator and the Jacobi-Trudi determinant is taken
@@ -20,6 +21,7 @@ bearing, not a luxury.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -27,7 +29,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import LogValue, Partition, ProbVector, ConvergenceReport, as_fraction, fraction_log
+from .core import (ConvergenceReport, LogValue, Partition, ProbVector, as_fraction,
+                   fraction_log, power_rows)
 from .haarmc import sample_haar_unitary
 
 __all__ = [
@@ -331,29 +334,35 @@ class SU2MultTable:
         return self.entries.items()
 
 
-def _weight_counts(ws: Sequence[int], k_max: int) -> Iterator[dict[int, int]]:
-    """Weight counts of the k-th tensor power for k = 1..k_max, one step each."""
-    counts = {0: 1}
-    for _ in range(k_max):
-        nxt: dict[int, int] = {}
-        for s, cnt in counts.items():
-            for w in ws:
-                nxt[s + w] = nxt.get(s + w, 0) + cnt
-        counts = nxt
-        yield counts
+def _multiplicities(lo: int, row: np.ndarray) -> dict[int, int]:
+    """n_lambda = w_lambda - w_{lambda+2} for lambda >= 0, one slice
+    difference over the weight-count row of a symmetric weight system whose
+    lowest weight is lo."""
+    w = row[-lo:]
+    n = w.copy()
+    n[:-2] -= w[2:]
+    return {lam: x for lam, x in enumerate(n) if x}
 
 
-def _multiplicities(counts: dict[int, int]) -> dict[int, int]:
-    """n_lambda = w_lambda - w_{lambda+2} over lambda >= 0; a negative one
-    means the weights are not a character."""
-    mult = {}
-    for lam in range(0, max(abs(s) for s in counts) + 1):
-        n = counts.get(lam, 0) - counts.get(lam + 2, 0)
+def _character_rows(weights: Sequence[int],
+                    k_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Weight-count rows (lowest weight, row) of the tensor powers k = 1 ..
+    k_max of the rank-1 representation with the given weight multiset.
+
+    The weights are checked once, before any power: a character is symmetric
+    under w -> -w and has every n_lambda >= 0, and its tensor powers are
+    characters again. ValueError names the first failed condition.
+    """
+    counts = Counter(int(w) for w in weights)
+    if not counts:
+        raise ValueError("weight multiset must be nonempty")
+    bad = f"weight multiset {tuple(weights)} is not a character of the group: "
+    if any(counts[-w] != c for w, c in counts.items()):
+        raise ValueError(bad + "it is not symmetric under w -> -w")
+    for lam, n in _multiplicities(*next(power_rows(counts, 1))).items():
         if n < 0:
-            raise ValueError("weight multiset is not a character of the group")
-        if n:
-            mult[lam] = n
-    return mult
+            raise ValueError(bad + f"n_{lam} = w_{lam} - w_{lam + 2} = {n} is negative")
+    return power_rows(counts, k_max)
 
 
 def su2_mult_tables(k_max: int) -> Iterator[SU2MultTable]:
@@ -361,8 +370,8 @@ def su2_mult_tables(k_max: int) -> Iterator[SU2MultTable]:
     (-1, 1), one tensor power at a time."""
     if not 1 <= k_max <= SU2_K_MAX:
         raise ValueError(f"k_max must be in 1..{SU2_K_MAX}")
-    for k, counts in enumerate(_weight_counts((-1, 1), k_max), start=1):
-        yield SU2MultTable(k, _multiplicities(counts))
+    for k, row in enumerate(_character_rows((-1, 1), k_max), start=1):
+        yield SU2MultTable(k, _multiplicities(*row))
 
 
 def su2_multiplicities(k: int) -> SU2MultTable:
@@ -376,16 +385,13 @@ def rank1_multiplicities(weights: Sequence[int], k: int) -> dict[int, int]:
     with the given weight multiset, via weight counts w and
     n_lambda = w_lambda - w_{lambda+2}.
 
-    Raises when some difference is negative: the multiset is then not the
-    weight system of a genuine representation of the rank-1 group.
+    Raises ValueError when the multiset is not the weight system of a
+    genuine representation of the rank-1 group.
     """
-    ws = [int(w) for w in weights]
-    if not ws:
-        raise ValueError("weight multiset must be nonempty")
-    counts = {0: 1}
-    for counts in _weight_counts(ws, k):
+    row = (0, np.ones(1, dtype=object))  # k = 0: the trivial representation
+    for row in _character_rows(weights, k):
         pass
-    return _multiplicities(counts)
+    return _multiplicities(*row)
 
 
 def duffield_rate(weights: Sequence[int], theta: float) -> float:
@@ -501,12 +507,12 @@ def ldp_report(family, theta, k_max: int) -> ConvergenceReport:
     elif isinstance(family, DuffieldFamily):
         if k_max > SU2_K_MAX:
             raise ValueError(f"k_max must be at most {SU2_K_MAX}")
+        rows_k = _character_rows(family.weights, k_max)
         th = float(as_fraction(theta))
         analytic = duffield_rate(family.weights, th)
         d = len(family.weights)
-        ws = [int(w) for w in family.weights]
-        for k, counts in enumerate(_weight_counts(ws, k_max), start=1):
-            mult = _multiplicities(counts)
+        for k, row in enumerate(rows_k, start=1):
+            mult = _multiplicities(*row)
             target = k * th
             lam_k = min(mult, key=lambda l: (abs(l - target), -l))
             log_p = fraction_log(Fraction((lam_k + 1) * mult[lam_k], d**k)).log_mag

@@ -13,10 +13,10 @@ from fractions import Fraction
 import numpy as np
 
 from capdual.capacity import capacity_kl_form, theta_capacity
-from capdual.core import WeightedVector
+from capdual.core import WeightedVector, fraction_log
 from capdual.haarmc import UnitaryOrbitVector, mc_isotypic_norm
 from capdual.projection import (LaurentPoly, critical_values, duality_report,
-                                laurent_cst_power, prefactor_sequence,
+                                laurent_cst_powers, prefactor_sequence,
                                 projection_norm_table)
 from capdual.scaling import (ScalingState, perm_dual_report, rc_capacity,
                              sinkhorn_scale)
@@ -299,18 +299,25 @@ def test_criterion_9_rank1_critical_values(capsys):
     walk = LaurentPoly({1: F(1), -1: F(1)})
     cv = critical_values(walk)
     max_ok = math.isclose(cv.max_modulus, 2.0, abs_tol=1e-9)
-    cst = laurent_cst_power(walk, 60)
+    csts = laurent_cst_powers(walk, 2000)
+    cst = csts[60]
     root = abs(cst) ** (1 / 60)
     # the exact root is 1.925518..., i.e. 1.93 at two-decimal precision,
     # approaching the critical-value bound 2 from below
     root_ok = cst == math.comb(60, 30) and round(root, 2) == 1.93 and root <= 2.0
+    # |cst|^{1/k} = C(k, k/2)^{1/k} rises over even k toward 2 and stays
+    # below it; read in log scale, since C(2000, 1000) overflows a float
+    roots = [math.exp(fraction_log(csts[k]).log_mag / k) for k in range(2, 2001, 2)]
+    rise_ok = (all(a < b for a, b in zip(roots, roots[1:])) and roots[-1] < 2.0
+               and round(roots[-1], 4) == 1.9960)
     half = LaurentPoly({1: F(1, 2), -1: F(1, 2)})
     cvh = critical_values(half)
     v = balanced_qubit()
     cap = theta_capacity(v, (F(0),))
     cap_sq = math.exp(2 * cap.log_cap.log_mag)
     cap_ok = abs(cvh.positive_real_value - cap_sq) <= 1e-9
-    ok = max_ok and root_ok and cap_ok
+    ok = max_ok and root_ok and rise_ok and cap_ok
     report(capsys, 9, "walk critical values vs constant-term growth", ok, t0,
            f"max|crit|={cv.max_modulus:.6f}, root@60={root:.4f}, "
+           f"root@2000={roots[-1]:.4f}, "
            f"pos-real vs cap^2 diff={abs(cvh.positive_real_value - cap_sq):.1e}")

@@ -166,6 +166,38 @@ def test_capacity_experiment_row(tmp_path):
     assert (out / "summary.json").read_text() == first
 
 
+def test_capacity_experiment_outside_target(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cap.json", {
+        "experiment": "capacity",
+        "instance": {
+            "vector": {"n": 1, "terms": [{"weight": [0], "amplitude": 0.6},
+                                         {"weight": [1], "amplitude": 0.8}]},
+            "theta": [2],
+        },
+        "output": str(out),
+    })
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "outside" and summary["inside"] is False
+    header, row = (out / "report.csv").read_text().splitlines()
+    assert header.endswith(",inside") and row.endswith(",false")
+
+
+def test_duffield_non_character_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "duf.json", {
+        "experiment": "duffield-ldp",
+        "instance": {"weights": [-1, -1], "theta": 0},
+        "k_max": 3,
+        "output": str(out),
+    })
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "not a character" in err and "not symmetric" in err
+    assert not out.exists()
+
+
 def test_laurent_exact_column(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "l.json", {

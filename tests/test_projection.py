@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,10 +10,10 @@ from capdual.capacity import theta_capacity
 from capdual.core import LogValue, WeightedVector, WeightVector
 from capdual.projection import (LaurentPoly, critical_values,
                                 difference_lattice, duality_report,
-                                laurent_cst_power, prefactor_sequence,
+                                laurent_cst_powers, prefactor_sequence,
                                 projection_norm_table)
 
-from util import brute_invariant_norms, random_weighted_vector
+from util import brute_invariant_norms, gaussian_cst_powers, random_weighted_vector
 
 F = Fraction
 
@@ -180,27 +181,70 @@ def test_projection_agrees_with_constant_term():
     v = balanced_vector()
     f = LaurentPoly({-1: F(1, 2), 1: F(1, 2)})
     table = projection_norm_table(v, 12)
+    csts = laurent_cst_powers(f, 12)
     for k in (2, 4, 8, 12):
-        exact = laurent_cst_power(f, k)
+        exact = csts[k]
         got = table.get(k, (0,)).to_float()
         assert math.isclose(got, float(exact), rel_tol=1e-10)
 
 
 def test_laurent_cst_exact_values():
     f = LaurentPoly({1: F(1), -1: F(1)})
-    assert laurent_cst_power(f, 0) == F(1)
-    assert laurent_cst_power(f, 1) == F(0)
-    assert laurent_cst_power(f, 4) == F(6)
-    assert laurent_cst_power(f, 60) == F(math.comb(60, 30))
+    csts = laurent_cst_powers(f, 60)
+    assert all(type(c) is F for c in csts)
+    assert csts == [F(math.comb(k, k // 2)) if k % 2 == 0 else F(0)
+                    for k in range(61)]
+    assert laurent_cst_powers(f, 0) == [F(1)]
     with pytest.raises(ValueError):
-        laurent_cst_power(f, -1)
+        laurent_cst_powers(f, -1)
+
+
+# four terms with denominators 3, 5, 7 and 11 and one negative coefficient
+RATIONAL_4 = {-2: F(1, 3), -1: F(-2, 5), 1: F(3, 7), 3: F(4, 11)}
+
+
+def test_laurent_cst_rational_matches_brute_force():
+    csts = laurent_cst_powers(LaurentPoly(RATIONAL_4), 8)
+    terms = list(RATIONAL_4.items())
+    for k in range(9):
+        want = F(0)
+        for combo in itertools.product(terms, repeat=k):
+            if sum(e for e, _ in combo) == 0:
+                want += math.prod((c for _, c in combo), start=F(1))
+        assert csts[k] == want and type(csts[k]) is F
+
+
+def test_laurent_cst_zero_and_constant_polynomials():
+    assert laurent_cst_powers(LaurentPoly({}), 3) == [F(1), F(0), F(0), F(0)]
+    assert laurent_cst_powers(LaurentPoly({0: F(2, 3)}), 3) == [
+        F(1), F(2, 3), F(4, 9), F(8, 27)]
+    # one-sided f: no power has a constant term
+    assert laurent_cst_powers(LaurentPoly({1: F(1), 2: F(1)}), 2) == [F(1), F(0), F(0)]
+    got = laurent_cst_powers(LaurentPoly({0: 1 + 1j}), 3)
+    assert got == [1, 1 + 1j, 2j, -2 + 2j]
+    assert all(type(c) is complex for c in got)
 
 
 def test_laurent_cst_complex_coefficients():
     f = LaurentPoly({1: 1.0 + 1.0j, -1: 0.5})
     # cst(f^2) = 2 * (1+i) * 0.5
-    got = laurent_cst_power(f, 2)
+    got = laurent_cst_powers(f, 2)[2]
     assert abs(got - (1.0 + 1.0j)) < 1e-12
+
+
+@pytest.mark.parametrize("terms", [
+    {1: 1.0, -1: 1.0, 0: 2j},
+    {1: 1 + 1j, -1: 0.5},
+    {2: 1.5 - 0.25j, 0: -1.0, -1: 0.75j},
+], ids=["walk-plus-2i", "tilted", "mixed-sign"])
+def test_laurent_cst_complex_matches_gaussian_oracle(terms):
+    k_max = 200
+    got = laurent_cst_powers(LaurentPoly(terms), k_max)
+    exact = gaussian_cst_powers(terms, k_max)
+    for k in range(k_max + 1):
+        re, im = exact[k]
+        err_sq = (F(got[k].real) - re) ** 2 + (F(got[k].imag) - im) ** 2
+        assert err_sq <= F(1, 10**28) * (re * re + im * im), k
 
 
 def test_critical_values_symmetric_walk():
@@ -215,7 +259,7 @@ def test_critical_values_symmetric_walk():
 
 def test_critical_values_match_growth_rate():
     f = LaurentPoly({1: F(1), -1: F(1)})
-    root = abs(laurent_cst_power(f, 60)) ** (1 / 60)
+    root = abs(laurent_cst_powers(f, 60)[60]) ** (1 / 60)
     assert abs(root - 2.0) < 0.08  # C(60,30)^{1/60}, slow sqrt(k) correction
 
 

@@ -243,15 +243,32 @@ def test_rank1_matches_su2():
         assert rank1_multiplicities((-1, 1), k) == dict(su2_multiplicities(k).items())
 
 
+NON_CHARACTERS = [
+    ((0, 1), "not symmetric"), ((1, 2), "not symmetric"),
+    ((-1, -1), "not symmetric"), ((-4, -2, 0), "not symmetric"),
+    ((-2, 2), "n_0 = w_0 - w_2 = -1 is negative"),
+]
+
+
 def test_rank1_rejects_non_characters():
-    with pytest.raises(ValueError):
-        rank1_multiplicities((0, 1), 3)
+    # the base row is checked before any power, so k = 0 and k = 3 both fail
+    for weights, problem in NON_CHARACTERS:
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="not a character") as err:
+                rank1_multiplicities(weights, k)
+            assert problem in str(err.value)
+        with pytest.raises(ValueError, match=problem):
+            ldp_report(DuffieldFamily(weights), 0, 3)
 
 
 def test_rank1_spin1_weights():
     # weights (-2, 0, 2): tensor square contains spins 0, 1, 2
     mult = rank1_multiplicities((-2, 0, 2), 2)
     assert mult == {0: 1, 2: 1, 4: 1}
+    # (-1, 0, 1) = V_1 + V_0; its square holds V_2 once, V_1 twice, V_0 twice
+    assert rank1_multiplicities((-1, 0, 1), 2) == {0: 2, 1: 2, 2: 1}
+    assert rank1_multiplicities((0,), 5) == {0: 1}
+    assert rank1_multiplicities((-1, 1), 0) == {0: 1}
 
 
 # -- Legendre rates ----------------------------------------------------------

@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the library internals:
 projection norms by direct tensor-power expansion, Schur polynomials by
 tableau enumeration, feasible directions by explicit rational convex
-combinations, minimal faces by one exact LP per weight. Slow is fine;
-these run at small sizes.
+combinations, minimal faces by one exact LP per weight, Laurent constant
+terms in exact Gaussian-integer arithmetic. Slow is fine; these run at
+small sizes.
 """
 
 from __future__ import annotations
@@ -154,6 +155,33 @@ def per_weight_minimal_face(support, theta) -> list[int] | None:
         if res.objective > 0:
             face.append(j)
     return face
+
+
+def gaussian_cst_powers(terms: dict[int, complex],
+                        k_max: int) -> list[tuple[Fraction, Fraction]]:
+    """(Re, Im) of the constant term of f^k, exactly, for k = 0 .. k_max.
+
+    Every float coefficient is a dyadic rational, so f = g / D with g a
+    Gaussian-integer Laurent polynomial and D a power of two. g^k is
+    expanded one factor at a time as a dict {exponent: (re, im)} of Python
+    integers, and its constant term is divided by D^k at the end.
+    """
+    parts = {e: (Fraction(complex(c).real), Fraction(complex(c).imag))
+             for e, c in terms.items()}
+    denom = math.lcm(*(x.denominator for pair in parts.values() for x in pair))
+    base = {e: (int(a * denom), int(b * denom)) for e, (a, b) in parts.items()}
+    acc = {0: (1, 0)}
+    out = [(Fraction(1), Fraction(0))]
+    for k in range(1, k_max + 1):
+        nxt: dict[int, tuple[int, int]] = {}
+        for e1, (a, b) in acc.items():
+            for e2, (c, d) in base.items():
+                re, im = nxt.get(e1 + e2, (0, 0))
+                nxt[e1 + e2] = (re + a * c - b * d, im + a * d + b * c)
+        acc = nxt
+        re, im = acc.get(0, (0, 0))
+        out.append((Fraction(re, denom**k), Fraction(im, denom**k)))
+    return out
 
 
 def normalized(v: WeightedVector) -> WeightedVector:
