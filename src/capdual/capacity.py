@@ -30,7 +30,7 @@ An independent cross-check solves the equivalent relative-entropy program
     -log cap_theta(v)^2 = min { D(p || q) : sum_w p_w w = theta }
 
 with q the squared amplitudes, by a damped Newton method in the probability
-simplex rather than in the torus variable x.
+simplex rather than in the torus variable x, with the same stop rule.
 """
 
 from __future__ import annotations
@@ -238,10 +238,15 @@ def theta_capacity(v: WeightedVector, theta, *, grad_tol: float = GRAD_TOL,
     return CapacityResult(LogValue(1, 0.5 * fstar), x, diverging, iters, gnorm, cert, status)
 
 
-def _min_kl(q: np.ndarray, W: np.ndarray, theta: np.ndarray,
-            p0: np.ndarray, grad_tol: float = 1e-11, max_iter: int = 200) -> float:
+def _min_kl(q: np.ndarray, W: np.ndarray, theta: np.ndarray, p0: np.ndarray,
+            grad_tol: float = 1e-11, max_iter: int = 200) -> tuple[float, int]:
     """Minimize D(p || q) over {p >= 0, sum p = 1, W^T p = theta} by Newton
-    steps inside the affine feasible set, starting from interior point p0."""
+    steps inside the affine feasible set, starting from interior point p0.
+
+    Returns (minimum, steps taken). It stops like Newton on F: at gradient
+    grad_tol, at a decrement -g.d of at most 8 eps max(1, |f|), or when 60
+    step halvings find no Armijo step, keeping the current point.
+    """
     s = len(q)
     A = np.vstack([W.T, np.ones(s)])
     # Orthonormal basis of the null space of the constraint matrix.
@@ -253,10 +258,9 @@ def _min_kl(q: np.ndarray, W: np.ndarray, theta: np.ndarray,
     def kl(p):
         return float(np.sum(p * (np.log(p) - np.log(q))))
 
-    if N.shape[1] == 0:
-        return kl(p)
     f = kl(p)
-    for _ in range(max_iter):
+    iters = 0
+    while N.shape[1] and iters < max_iter:
         g = N.T @ (np.log(p / q) + 1.0)
         if np.max(np.abs(g)) <= grad_tol:
             break
@@ -281,8 +285,13 @@ def _min_kl(q: np.ndarray, W: np.ndarray, theta: np.ndarray,
                 if fn <= f + 0.25 * step * slope:
                     break
             step *= 0.5
+        else:
+            break
+        iters += 1
         p, f = pn, fn
-    return f
+        if -slope <= 8.0 * np.finfo(float).eps * max(1.0, abs(f)):
+            break
+    return f, iters
 
 
 def capacity_kl_form(v: WeightedVector, theta) -> LogValue:
@@ -307,5 +316,5 @@ def capacity_kl_form(v: WeightedVector, theta) -> LogValue:
     W = np.array([support[j].coords for j in face], dtype=float)
     theta_f = np.array([float(t) for t in th])
     p0 = np.array([float(interior[j]) for j in face])
-    val = _min_kl(q, W, theta_f, p0)
+    val, _ = _min_kl(q, W, theta_f, p0)
     return LogValue(1, -val)

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .capacity import capacity_kl_form, theta_capacity
-from .core import LogValue, WeightVector, WeightedVector, as_fraction
+from .core import (LogValue, WeightVector, WeightedVector, as_fraction,
+                   fraction_log)
 from .haarmc import (UnitaryOrbitVector, _label_pair, _torus_label,
                      mc_invariant_norm, mc_isotypic_norm)
 from .projection import (LaurentPoly, critical_values, duality_report,
@@ -535,10 +536,19 @@ def _run_laurent(config: dict):
     rows = []
     final_root = math.nan
     for k, cst in enumerate(laurent_cst_powers(f, k_max)[1:], start=1):
-        mag = abs(complex(cst))
-        root = mag ** (1.0 / k) if mag > 0 else 0.0
+        try:
+            z = complex(cst)
+        except OverflowError:  # an exact cst past the float range
+            z = complex(math.inf if cst > 0 else -math.inf)
+        mag = abs(z)
+        if isinstance(cst, Fraction) and cst != 0 and mag in (0.0, math.inf):
+            # the float columns over- or underflowed; the exact value keeps
+            # the root, read in log scale
+            root = math.exp(fraction_log(cst).log_mag / k)
+        else:
+            root = mag ** (1.0 / k) if mag > 0 else 0.0
         exact = str(cst) if isinstance(cst, Fraction) else ""
-        rows.append((k, complex(cst).real, complex(cst).imag, root, exact))
+        rows.append((k, z.real, z.imag, root, exact))
         final_root = root
     passed = True
     headline = {

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from capdual import capacity
 from capdual.capacity import (_face_search, capacity_kl_form, moment_map,
                               moment_polytope_contains, theta_capacity)
 from capdual.core import WeightedVector, WeightVector
@@ -198,6 +199,33 @@ def test_stalling_instance_stops_at_float_resolution():
     mu = moment_map(v.scaled_by_character(res.minimizer_x).normalized())
     assert np.allclose(mu, [float(t) for t in theta], rtol=0, atol=1e-7)
     assert abs(2 * res.log_cap.log_mag - capacity_kl_form(v, theta).log_mag) <= 1e-8
+
+
+def test_kl_stalling_instance_stops_at_float_resolution(monkeypatch):
+    # a pool instance of the capacity benchmark on which the relative-entropy
+    # solver ran to max_iter = 200 with its gradient stuck near 1e-11
+    v = WeightedVector.from_terms(2, {
+        (-2, -1): complex(-0.06740718300484444, -0.3737008411909257),
+        (0, -2): complex(0.46586000186031823, -0.03196047396440114),
+        (0, 1): complex(-0.5018903658011546, -0.11429730824030138),
+        (1, 0): complex(-0.13904338815618528, -0.4242082298204889),
+        (1, 2): complex(-0.23396992724681948, -0.34463243157741197)})
+    theta = (F(-51, 154), F(-9, 154))
+    solves = []
+    min_kl = capacity._min_kl
+
+    def recording(*args, **kwargs):
+        out = min_kl(*args, **kwargs)
+        solves.append(out)
+        return out
+
+    monkeypatch.setattr(capacity, "_min_kl", recording)
+    kl = capacity_kl_form(v, theta)
+    assert len(solves) == 1
+    assert 0 < solves[0][1] < 200
+    # the value the solver reached after 200 steps
+    assert abs(kl.log_mag - -0.09088753487859574) <= 1e-12
+    assert abs(2 * theta_capacity(v, theta).log_cap.log_mag - kl.log_mag) <= 1e-8
 
 
 def _face_targets(rng, v):

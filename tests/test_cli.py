@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -212,6 +214,38 @@ def test_laurent_exact_column(tmp_path):
     # row k=4: cst((z/2+1/(2z))^4) = 6/16 = 3/8 held exactly
     k4 = [ln for ln in lines[1:] if ln.startswith("4,")][0]
     assert k4.endswith("3/8")
+
+
+def test_laurent_past_the_float_range(tmp_path):
+    # cst (z + 1/z)^k = C(k, k/2) passes the float range near k = 1030
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "walk.json", {
+        "experiment": "laurent",
+        "instance": {"terms": [[1, 1], [-1, 1]]},
+        "k_max": 2000,
+        "output": str(out),
+    })
+    assert main(["run", str(cfg)]) == 0
+    lines = (out / "report.csv").read_text().splitlines()
+    k, re, im, root, exact = lines[-1].split(",")
+    assert (k, re, im) == ("2000", "inf", "0.0000000000000000e+00")
+    assert round(float(root), 4) == 1.9960
+    assert json.loads((out / "summary.json").read_text())["final_root"] == float(root)
+    assert int(exact) == math.comb(2000, 1000)
+    k, re, im, root, exact = lines[1000].split(",")  # still within range
+    assert k == "1000" and float(re) == float(math.comb(1000, 500))
+    # (z/4 + 1/(4z))^k: cst = C(k, k/2) / 4^k underflows near k = 1075
+    cfg = write_config(tmp_path, "quarter.json", {
+        "experiment": "laurent",
+        "instance": {"terms": [[1, "1/4"], [-1, "1/4"]]},
+        "k_max": 1100,
+        "output": str(out),
+    })
+    assert main(["run", str(cfg)]) == 0
+    k, re, im, root, exact = (out / "report.csv").read_text().splitlines()[-1].split(",")
+    assert float(re) == 0.0 and Fraction(exact) == Fraction(math.comb(1100, 550), 4**1100)
+    assert float(root) == pytest.approx(
+        math.exp((math.log(math.comb(1100, 550)) - 1100 * math.log(4)) / 1100), rel=1e-14)
 
 
 MC_INSTANCES = {

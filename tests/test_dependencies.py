@@ -1,0 +1,75 @@
+"""The runtime dependencies in pyproject.toml are exactly what capdual imports."""
+
+import ast
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import capdual
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs the FFT-powered prefactor rows, the log-domain DP (streamed and
+# tabulated) and the CLI, then prints every scipy module that got imported.
+SCRIPT = r"""
+import json, sys, tempfile
+from pathlib import Path
+
+from capdual.cli import main
+from capdual.core import WeightedVector
+from capdual.projection import (duality_report, prefactor_sequence,
+                                projection_norm_table)
+
+cross = WeightedVector.from_terms(
+    2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}).normalized()
+prefactor_sequence(cross, ks=[40, 42, 100])
+duality_report(cross, ("1/2", 0), 20)
+projection_norm_table(cross, 10)
+config = {
+    "experiment": "prefactor",
+    "instance": {"vector": {"n": 1, "terms": [
+        {"weight": [-1], "amplitude": 0.7071067811865476},
+        {"weight": [1], "amplitude": 0.7071067811865476}]}},
+    "ks": [100, 1000],
+    "tolerances": {"target": 0.7978845608, "abs_tol": 1e-3},
+}
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "prefactor.json"
+    path.write_text(json.dumps(config))
+    code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
+print(json.dumps({"exit": code, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_no_scipy_module_is_imported():
+    env = dict(os.environ, PYTHONPATH=str(Path(capdual.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"exit": 0, "scipy": []}
+
+
+def _third_party_imports(package: Path) -> set[str]:
+    names = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "capdual"}
+
+
+def test_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    assert _third_party_imports(ROOT / "src" / "capdual") == declared

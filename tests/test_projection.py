@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from capdual.capacity import theta_capacity
 from capdual.core import LogValue, WeightedVector, WeightVector
-from capdual.projection import (LaurentPoly, critical_values,
-                                difference_lattice, duality_report,
-                                laurent_cst_powers, prefactor_sequence,
-                                projection_norm_table)
+from capdual.projection import (LaurentPoly, _fft_len, _row_conv, _ScaledRow,
+                                critical_values, difference_lattice,
+                                duality_report, laurent_cst_powers,
+                                prefactor_sequence, projection_norm_table)
 
 from util import brute_invariant_norms, gaussian_cst_powers, random_weighted_vector
 
@@ -154,6 +154,53 @@ def test_prefactor_balanced_binomial():
         exact = math.sqrt(k) * math.comb(k, k // 2) / 2**k
         assert math.isclose(val, exact, rel_tol=1e-9)
     assert abs(vals[1000] - math.sqrt(2 / math.pi)) < 2e-4
+
+
+def _direct_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution by shift-and-add."""
+    out = np.zeros(tuple(x + y - 1 for x, y in zip(a.shape, b.shape)))
+    for idx in np.ndindex(*b.shape):
+        out[tuple(slice(i, i + m) for i, m in zip(idx, a.shape))] += b[idx] * a
+    return out
+
+
+@pytest.mark.parametrize("shapes", [
+    ((1,), (1,)), ((7,), (13,)), ((101,), (97,)), ((1,), (31,)),
+    ((5, 3), (7, 11)), ((13, 1), (3, 17)), ((3, 5, 7), (5, 3, 3))])
+def test_row_conv_matches_direct_convolution(shapes):
+    rng = np.random.default_rng(sum(map(sum, shapes)))
+    a, b = (rng.random(s) for s in shapes)
+    a.flat[0] = b.flat[-1] = 1.0  # rows are normalized to maximum 1
+    n = a.ndim
+    ra = _ScaledRow(0.5, a, np.arange(n, dtype=np.int64))
+    rb = _ScaledRow(-1.25, b, -np.ones(n, dtype=np.int64))
+    out = _row_conv(ra, rb)
+    want = _direct_conv(a, b)
+    m = want.max()
+    # _row_normalize rescales to maximum 1 and crops zero margins, which
+    # random positive rows do not have
+    assert out.arr.shape == want.shape
+    assert np.array_equal(out.offset, np.arange(n) - 1)
+    assert out.log_scale == pytest.approx(-0.75 + math.log(m), abs=1e-13)
+    assert np.max(np.abs(out.arr - want / m)) <= 1e-13
+    if n == 1:
+        assert np.max(np.abs(out.arr - np.convolve(a, b) / m)) <= 1e-13
+
+
+def test_fft_len_is_the_smallest_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    want = 10**4 + 1
+    while not smooth(want):
+        want += 1
+    for n in range(10**4, 0, -1):
+        if smooth(n):
+            want = n
+        assert _fft_len(n) == want, n
 
 
 def test_prefactor_zero_dimensional_lattice():
