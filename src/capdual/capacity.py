@@ -115,20 +115,22 @@ def _face_search(support: Sequence[WeightVector], theta: tuple[Fraction, ...]
     Outside, the face and the point are empty."""
     n = len(theta)
     s = len(support)
-    A = [[Fraction(w.coords[i]) for w in support] for i in range(n)]
-    A.append([Fraction(1)] * s)
+    A = [[w.coords[i] for w in support] for i in range(n)]
+    A.append([1] * s)
     b = [*theta, Fraction(1)]
-    res = simplex_max([Fraction(0)] * s, A, b)
+    res = simplex_max([0] * s, A, b)
     if res.status != "optimal":
         y = res.farkas
         cert = MembershipCertificate(inside=False, separator=(tuple(y[:n]), -y[n]))
         return cert, [], []
     cert = MembershipCertificate(
         inside=True, coefficients=tuple((w, p) for w, p in zip(support, res.x) if p != 0))
+    # The LPs are exact, so "x_j > 0" and "the optimum is 0" are decided
+    # without a tolerance; a floating-point LP would need one for each.
     face = {j for j in range(s) if res.x[j] > 0}
     combos = [res.x]
     while len(face) < s:
-        off_face = [Fraction(0) if j in face else Fraction(1) for j in range(s)]
+        off_face = [0 if j in face else 1 for j in range(s)]
         res = simplex_max(off_face, A, b)
         if res.status != "optimal":
             raise RuntimeError(f"face LP on a feasible target ended {res.status}")
@@ -136,12 +138,16 @@ def _face_search(support: Sequence[WeightVector], theta: tuple[Fraction, ...]
             break
         face.update(j for j in range(s) if res.x[j] > 0)
         combos.append(res.x)
-    interior = [sum(x[j] for x in combos) / len(combos) for j in range(s)]
-    if not all(interior[j] > 0 if j in face else interior[j] == 0 for j in range(s)):
+    # The average of the solutions is N / den, checked on the integers N.
+    den = math.lcm(*[p.denominator for x in combos for p in x])
+    N = [sum(x[j].numerator * (den // x[j].denominator) for x in combos) for j in range(s)]
+    den *= len(combos)
+    if not all(N[j] > 0 if j in face else N[j] == 0 for j in range(s)):
         raise RuntimeError("face interior point failed its support check")
-    if any(sum(a * p for a, p in zip(row, interior)) != bi for row, bi in zip(A, b)):
+    if any(sum(a * v for a, v in zip(row, N)) * bi.denominator != bi.numerator * den
+           for row, bi in zip(A, b)):
         raise RuntimeError("face interior point failed its feasibility check")
-    return cert, sorted(face), interior
+    return cert, sorted(face), [Fraction(v, den) for v in N]
 
 
 def moment_polytope_contains(v: WeightedVector, theta) -> MembershipCertificate:

@@ -1,21 +1,31 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over the rationals, pivoting on integers.
 
 A dense two-phase tableau simplex with Bland's anti-cycling rule, used for
-moment-polytope membership and minimal-face detection. Problem sizes here are
-tiny (a handful of constraints and variables), so clarity and exactness win
-over sparsity. Certificates are verified exactly before being returned.
+moment-polytope membership and minimal-face detection. The tableau is
+fraction-free, in the spirit of Edmonds (1967) and Bareiss (1968), but with
+a gcd per row instead of a common divisor: each row is a list of Python
+integers, a positive multiple of the row a `Fraction` tableau would hold,
+divided by its gcd whenever a pivot changes it. A row of the rational
+tableau has a 1 in its basic column, so the integer row's entry there is
+its multiple. The reduced costs are integers over one positive denominator.
+Bland's entering rule reads signs, and the ratio test cross-multiplies with
+the same tie-break, so the pivots are exactly those of the `Fraction`
+tableau.
+`Fraction`s appear only in the result: `x`, `objective` and `farkas`.
+Certificates are verified exactly, in integers, before being returned, and
+a failed check raises `RuntimeError` (not `assert`, so it also runs under
+`python -O`). Problem sizes here are tiny (a handful of constraints and
+variables), so clarity and exactness win over sparsity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 __all__ = ["LPResult", "simplex_max"]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -26,96 +36,127 @@ class LPResult:
     # Farkas certificate for infeasibility of {Ax = b, x >= 0}:
     # y with y^T A <= 0 componentwise and y^T b > 0.
     farkas: list[Fraction] | None = None
+    # Pivots taken: phase 1, driving artificials out, and phase 2.
+    pivots: int = 0
 
 
-def _pivot(T: list[list[Fraction]], zrow: list[Fraction], basis: list[int],
-           r: int, s: int) -> None:
-    piv = T[r][s]
-    T[r] = [v / piv for v in T[r]]
-    for i in range(len(T)):
-        if i != r and T[i][s] != 0:
-            f = T[i][s]
-            T[i] = [a - f * b for a, b in zip(T[i], T[r])]
-    if zrow[s] != 0:
-        f = zrow[s]
-        zrow[:] = [a - f * b for a, b in zip(zrow, T[r])]
+def _rational(v) -> int | Fraction:
+    """v when it is an int or a Fraction (both carry numerator and
+    denominator), else Fraction(v)."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _reduced(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return row if g == 1 else [v // g for v in row]
+
+
+def _pivot(T: list[list[int]], basis: list[int], r: int, s: int) -> int:
+    """Pivot on T[r][s] != 0 and return the pivot row's entry in column s,
+    made positive (the row is negated when it was negative)."""
+    row = T[r]
+    p = row[s]
+    if p < 0:
+        row = T[r] = [-v for v in row]
+        p = -p
+    for i, other in enumerate(T):
+        f = other[s]
+        if f and i != r:
+            T[i] = _reduced([p * a - f * v for a, v in zip(other, row)])
     basis[r] = s
+    return p
 
 
-def _run_simplex(T: list[list[Fraction]], zrow: list[Fraction],
-                 basis: list[int], ncols: int) -> str:
-    """Maximize with reduced costs in zrow (enter where zrow < 0). Bland's rule."""
+def _run_simplex(T: list[list[int]], z: list[int], zden: int, basis: list[int]
+                 ) -> tuple[str, list[int], int, int]:
+    """Maximize with reduced costs z / zden (enter where z < 0). Bland's rule.
+
+    Returns (status, z, zden, pivots taken)."""
+    ncols = len(z)
+    pivots = 0
     while True:
-        enter = -1
-        for j in range(ncols):
-            if zrow[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if z[j] < 0), -1)
         if enter < 0:
-            return "optimal"
+            return "optimal", z, zden, pivots
         leave = -1
-        best = None
-        for i in range(len(T)):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+        for i, row in enumerate(T):
+            a = row[enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                # row[-1] / a against the best ratio, both denominators positive.
+                lhs = row[-1] * T[leave][enter]
+                rhs = T[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            return "unbounded"
-        _pivot(T, zrow, basis, leave, enter)
+            return "unbounded", z, zden, pivots
+        p = _pivot(T, basis, leave, enter)
+        f = z[enter]
+        row = T[leave]
+        z = [p * a - f * v for a, v in zip(z, row)]
+        zden *= p
+        g = math.gcd(zden, *z)
+        if g > 1:
+            z = [v // g for v in z]
+            zden //= g
+        pivots += 1
 
 
-def _make_zrow(T: list[list[Fraction]], basis: list[int],
-               cost: list[Fraction], ncols: int) -> tuple[list[Fraction], Fraction]:
-    zrow = []
-    for j in range(ncols + 1):
-        v = sum((cost[basis[i]] * T[i][j] for i in range(len(T))), _ZERO)
-        if j < ncols:
-            v -= cost[j]
-        zrow.append(v)
-    zval = zrow.pop()
-    zrow.append(_ZERO)  # placeholder for rhs column alignment in _pivot
-    return zrow, zval
+def _zrow(T: list[list[int]], basis: list[int], cost: list[int]) -> tuple[list[int], int]:
+    """Reduced costs c_B B^{-1} A - c of integer costs, as (z, zden)."""
+    rows = [(cost[bi], row[bi], row) for bi, row in zip(basis, T) if cost[bi]]
+    zden = math.lcm(*[d for _, d, _ in rows])
+    z = [-cj * zden for cj in cost]
+    for cb, d, row in rows:
+        f = cb * (zden // d)
+        z = [a + f * v for a, v in zip(z, row)]
+    g = math.gcd(zden, *z)
+    return [v // g for v in z], zden // g
 
 
 def simplex_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
                 b: Sequence[Fraction]) -> LPResult:
-    """Maximize c.x subject to A x = b, x >= 0, everything exact Fractions."""
+    """Maximize c.x subject to A x = b, x >= 0, everything exact rationals
+    (ints and Fractions as they are, anything else through Fraction())."""
     m = len(A)
     n = len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
-    # Sign-adjust rows so the right hand side is nonnegative.
-    signs = [(-_ONE if b[i] < 0 else _ONE) for i in range(m)]
-    T = [[signs[i] * Fraction(A[i][j]) for j in range(n)] for i in range(m)]
-    bb = [signs[i] * Fraction(b[i]) for i in range(m)]
+    # M = L [A | b] and C = cden c, with L and cden common denominators.
+    fr = [[_rational(v) for v in (*A[i], b[i])] for i in range(m)]
+    L = math.lcm(*[v.denominator for row in fr for v in row])
+    M = [[v.numerator * (L // v.denominator) for v in row] for row in fr]
+    cf = [_rational(cj) for cj in c]
+    cden = math.lcm(*[v.denominator for v in cf])
+    C = [v.numerator * (cden // v.denominator) for v in cf]
 
-    # Phase 1: append artificial identity columns and drive their sum to zero.
-    ncols = n + m
-    for i in range(m):
-        T[i].extend(_ONE if j == i else _ZERO for j in range(m))
-        T[i].append(bb[i])
+    # Phase 1: sign-adjust rows so the right hand side is nonnegative, append
+    # artificial identity columns and drive their sum to zero. Row i is L
+    # times the rational row, so its artificial entry is L, not 1.
+    signs = [-1 if row[-1] < 0 else 1 for row in M]
+    T = [_reduced([*(s * v for v in row[:n]), *(L if j == i else 0 for j in range(m)),
+                   s * row[-1]])
+         for i, (s, row) in enumerate(zip(signs, M))]
     basis = [n + i for i in range(m)]
-    cost1 = [_ZERO] * n + [-_ONE] * m
-    zrow, _ = _make_zrow(T, basis, cost1, ncols)
-    status = _run_simplex(T, zrow, basis, ncols)
+    z, zden = _zrow(T, basis, [0] * n + [-1] * m)
+    status, z, zden, pivots = _run_simplex(T, z, zden, basis)
     if status != "optimal":
         raise RuntimeError(f"phase 1 ended {status}, but it is always bounded")
-    art_value = sum((T[i][-1] for i in range(m) if basis[i] >= n), _ZERO)
 
-    if art_value > 0:
+    if any(row[-1] > 0 for row, bi in zip(T, basis) if bi >= n):
         # Infeasible; extract the Farkas vector from the multipliers.
-        # zrow over artificial column i equals y_i + 1 where y = c_B B^{-1}.
-        y_adj = [zrow[n + i] - 1 for i in range(m)]
-        y = [-(signs[i] * y_adj[i]) for i in range(m)]
+        # z / zden over artificial column i equals y_i + 1 where y = c_B B^{-1},
+        # so y = Y / zden, and y.A, y.b have the signs of Y.M.
+        Y = [-s * (z[n + i] - zden) for i, s in enumerate(signs)]
         for j in range(n):
-            col = sum((y[i] * Fraction(A[i][j]) for i in range(m)), _ZERO)
-            if col > 0:
+            if sum(y * row[j] for y, row in zip(Y, M)) > 0:
                 raise RuntimeError("Farkas certificate failed column check")
-        if sum((y[i] * Fraction(b[i]) for i in range(m)), _ZERO) <= 0:
+        if sum(y * row[-1] for y, row in zip(Y, M)) <= 0:
             raise RuntimeError("Farkas certificate failed objective check")
-        return LPResult(status="infeasible", farkas=y)
+        return LPResult(status="infeasible", farkas=[Fraction(y, zden) for y in Y],
+                        pivots=pivots)
 
     # Drive any residual artificial variables out of the basis.
     rows_to_drop = []
@@ -125,29 +166,30 @@ def simplex_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
             if piv < 0:
                 rows_to_drop.append(i)
             else:
-                _pivot(T, zrow, basis, i, piv)
+                _pivot(T, basis, i, piv)
+                pivots += 1
     for i in sorted(rows_to_drop, reverse=True):
         del T[i]
         del basis[i]
 
-    # Phase 2 on the real columns only.
-    for row in T:
-        del row[n:n + m]
-    ncols = n
-    cost2 = [Fraction(cj) for cj in c]
-    zrow, _ = _make_zrow(T, basis, cost2, ncols)
-    status = _run_simplex(T, zrow, basis, ncols)
+    # Phase 2 on the real columns only, with costs C = cden c.
+    T = [_reduced([*row[:n], row[-1]]) for row in T]
+    z, zden = _zrow(T, basis, C)
+    status, _, _, phase2 = _run_simplex(T, z, zden, basis)
+    pivots += phase2
     if status == "unbounded":
-        return LPResult(status="unbounded")
+        return LPResult(status="unbounded", pivots=pivots)
 
-    x = [_ZERO] * n
-    for i, bi in enumerate(basis):
-        x[bi] = T[i][-1]
-    for i in range(m):
-        lhs = sum((Fraction(A[i][j]) * x[j] for j in range(n)), _ZERO)
-        if lhs != Fraction(b[i]):
+    # x = X / xden; row i gives x at its basic column as rhs / T[i][basis[i]].
+    xden = math.lcm(*[row[bi] for row, bi in zip(T, basis)])
+    X = [0] * n
+    for row, bi in zip(T, basis):
+        X[bi] = row[-1] * (xden // row[bi])
+    for row in M:
+        if sum(a * xj for a, xj in zip(row, X)) != row[-1] * xden:
             raise RuntimeError("primal solution failed exact feasibility check")
-    if any(v < 0 for v in x):
+    if any(v < 0 for v in X):
         raise RuntimeError("primal solution failed nonnegativity")
-    obj = sum((Fraction(c[j]) * x[j] for j in range(n)), _ZERO)
-    return LPResult(status="optimal", x=x, objective=obj)
+    return LPResult(status="optimal", x=[Fraction(v, xden) for v in X],
+                    objective=Fraction(sum(cj * xj for cj, xj in zip(C, X)), cden * xden),
+                    pivots=pivots)

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from capdual.exactlp import simplex_max
+from util import fraction_simplex_max
 
 F = Fraction
 
@@ -72,3 +79,145 @@ def test_membership_lp_agrees_with_float_solver(seed):
     for i in range(m):
         assert sum(A[i][j] * res.x[j] for j in range(n)) == b[i]
     assert all(xj >= 0 for xj in res.x)
+
+
+def _rational(rng, lo: int, hi: int, max_den: int) -> Fraction:
+    return F(int(rng.integers(lo, hi + 1)), int(rng.integers(1, max_den + 1)))
+
+
+def _general_lp(rng):
+    """Random small LP: any status, negative and rational right hand sides
+    with denominators up to 10^4, sometimes no constraints at all."""
+    m, n = int(rng.integers(0, 5)), int(rng.integers(1, 7))
+    A = [[_rational(rng, -3, 3, 3) for _ in range(n)] for _ in range(m)]
+    b = [_rational(rng, -9, 9, 10**4) for _ in range(m)]
+    c = [F(int(rng.integers(-2, 3))) for _ in range(n)]
+    return c, A, b
+
+
+def _feasible_lp(rng, redundant: bool):
+    """b = A x0 with x0 >= 0; redundant adds a duplicated row, a sign-flipped
+    copy or a sum of two rows. With rank(A) < m some artificial stays basic
+    at zero after phase 1 with an all-zero real row, so its row is dropped."""
+    m, n = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+    A = [[F(int(rng.integers(-3, 4))) for _ in range(n)] for _ in range(m)]
+    x0 = [_rational(rng, 0, 5, 10**4) if rng.random() < 0.7 else F(0) for _ in range(n)]
+    b = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in A]
+    if redundant:
+        for _ in range(int(rng.integers(1, 3))):
+            i, k = (int(v) for v in rng.integers(0, len(A), size=2))
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                row, rhs = list(A[i]), b[i]
+            elif kind == 1:
+                row, rhs = [-a for a in A[i]], -b[i]
+            else:
+                row, rhs = [a + a2 for a, a2 in zip(A[i], A[k])], b[i] + b[k]
+            pos = int(rng.integers(0, len(A) + 1))
+            A.insert(pos, row)
+            b.insert(pos, rhs)
+    c = [F(int(rng.integers(-3, 4))) for _ in range(n)]
+    return c, A, b
+
+
+def _face_lp(rng):
+    """Shaped like capacity._face_search: weight coordinates over a
+    sum-to-one row, theta inside or outside the hull, 0/1 costs."""
+    n, s = int(rng.integers(1, 4)), int(rng.integers(2, 8))
+    ws = [tuple(int(v) for v in rng.integers(-2, 3, size=n)) for _ in range(s)]
+    coeffs = [int(rng.integers(0, 6)) for _ in range(s)]
+    if not any(coeffs):
+        coeffs[0] = 1
+    theta = [F(sum(cf * w[i] for cf, w in zip(coeffs, ws)), sum(coeffs)) for i in range(n)]
+    if rng.random() < 0.25:
+        theta[0] += F(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    A = [[w[i] for w in ws] for i in range(n)] + [[1] * s]
+    b = [*theta, F(1)]
+    c = [int(rng.integers(0, 2)) for _ in range(s)]
+    return c, A, b
+
+
+def test_integer_tableau_matches_fraction_tableau():
+    """simplex_max returns what the Fraction-tableau oracle returns, to the
+    last pivot, on 600 seeded LPs of every shape the library meets."""
+    rng = np.random.default_rng(20260)
+    lps = ([_general_lp(rng) for _ in range(250)]
+           + [_feasible_lp(rng, redundant=False) for _ in range(80)]
+           + [_feasible_lp(rng, redundant=True) for _ in range(120)]
+           + [_face_lp(rng) for _ in range(150)])
+    seen = Counter()
+    for c, A, b in lps:
+        got, want = simplex_max(c, A, b), fraction_simplex_max(c, A, b)
+        assert (got.status, got.x, got.objective, got.farkas, got.pivots) == (
+            want.status, want.x, want.objective, want.farkas, want.pivots), (c, A, b)
+        seen[got.status] += 1
+        seen["m = 0"] += not A
+        seen["negative b"] += any(bi < 0 for bi in b)
+    assert min(seen[k] for k in ("optimal", "infeasible", "unbounded",
+                                 "m = 0", "negative b")) >= 20, seen
+
+
+def test_pivots_counts_both_phases():
+    # phase 1 pivots x1 in for the artificial; phase 2 is already optimal
+    assert simplex_max([F(2), F(1)], [[F(1), F(1)]], [F(1)]).pivots == 1
+    # phase 1 pivots x1 in; phase 2 then swaps x1 for x2
+    assert simplex_max([F(1), F(3)], [[F(3), F(1)]], [F(1)]).pivots == 2
+    # the duplicated row keeps its artificial, which cannot be driven out
+    assert simplex_max([F(1), F(3)], [[F(1), F(1)], [F(1), F(1)]],
+                       [F(1), F(1)]).pivots == 2
+    assert simplex_max([F(1)], [], []).pivots == 0
+
+
+def test_certificate_checks_survive_python_O():
+    """Corrupt the kernel's solution and its Farkas multipliers, and the
+    solutions the face search averages, under -O: the exact checks must
+    still raise."""
+    code = textwrap.dedent("""
+        from fractions import Fraction as F
+        from capdual import exactlp
+        real = exactlp._run_simplex
+        print("debug", __debug__)
+
+        def shift_solution(T, z, zden, basis):
+            out = real(T, z, zden, basis)
+            if len(z) == 2:  # phase 2: move x at row 0's basic column by 1
+                T[0][-1] += T[0][basis[0]]
+            return out
+
+        def flip_farkas(T, z, zden, basis):
+            status, z, zden, pivots = real(T, z, zden, basis)
+            return status, [2 * zden - v for v in z], zden, pivots
+
+        for name, patch, lp in (
+                ("solution", shift_solution, ([F(1), F(1)], [[F(1), F(1)]], [F(1)])),
+                ("farkas", flip_farkas, ([F(0)], [[F(1)], [F(1)]], [F(1), F(2)]))):
+            exactlp._run_simplex = patch
+            try:
+                print(name, "returned", exactlp.simplex_max(*lp).status)
+            except RuntimeError as exc:
+                print(name, "raised", exc)
+        exactlp._run_simplex = real
+
+        from capdual import capacity
+        from capdual.core import WeightVector
+        solve = capacity.simplex_max
+        def doubled(c, A, b):
+            res = solve(c, A, b)
+            res.x = [2 * p for p in res.x]
+            return res
+        capacity.simplex_max = doubled
+        try:
+            capacity._face_search([WeightVector((j,)) for j in range(3)], (F(1),))
+            print("face returned")
+        except RuntimeError as exc:
+            print("face raised", exc)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert "debug False" in out
+    assert "solution raised primal solution failed exact feasibility check" in out
+    assert "farkas raised Farkas certificate failed" in out
+    assert "face raised face interior point failed its feasibility check" in out

@@ -3,9 +3,9 @@
 Everything here is deliberately independent of the library internals:
 projection norms by direct tensor-power expansion, Schur polynomials by
 tableau enumeration, feasible directions by explicit rational convex
-combinations, minimal faces by one exact LP per weight, Laurent constant
-terms in exact Gaussian-integer arithmetic. Slow is fine; these run at
-small sizes.
+combinations, exact LPs on a `Fraction` tableau, minimal faces by one such
+LP per weight, Laurent constant terms in exact Gaussian-integer arithmetic.
+Slow is fine; these run at small sizes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from capdual.core import WeightVector, WeightedVector
-from capdual.exactlp import simplex_max
+from capdual.exactlp import LPResult
 
 
 def brute_projection_norm(v: WeightedVector, k: int, lam) -> float:
@@ -136,20 +136,158 @@ def random_feasible_theta(rng: np.random.Generator, v: WeightedVector,
     return tuple(theta)
 
 
+# -- Fraction-tableau simplex: the exact-LP oracle -----------------------------
+#
+# A dense two-phase tableau over `Fraction` with Bland's rule, written
+# independently of `capdual.exactlp` (which pivots on a fraction-free integer
+# tableau). It takes the same pivots, so `status`, `x`, `objective`, `farkas`
+# and `pivots` must agree exactly.
+
+
+def _frac_pivot(T: list[list[Fraction]], zrow: list[Fraction], basis: list[int],
+                r: int, s: int) -> None:
+    piv = T[r][s]
+    T[r] = [v / piv for v in T[r]]
+    for i in range(len(T)):
+        if i != r and T[i][s] != 0:
+            f = T[i][s]
+            T[i] = [a - f * b for a, b in zip(T[i], T[r])]
+    if zrow[s] != 0:
+        f = zrow[s]
+        zrow[:] = [a - f * b for a, b in zip(zrow, T[r])]
+    basis[r] = s
+
+
+def _frac_run_simplex(T: list[list[Fraction]], zrow: list[Fraction],
+                      basis: list[int], ncols: int) -> tuple[str, int]:
+    """Maximize with reduced costs in zrow (enter where zrow < 0). Bland's
+    rule. Returns the status and the number of pivots taken."""
+    pivots = 0
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if zrow[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal", pivots
+        leave = -1
+        best = None
+        for i in range(len(T)):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded", pivots
+        _frac_pivot(T, zrow, basis, leave, enter)
+        pivots += 1
+
+
+def _frac_make_zrow(T: list[list[Fraction]], basis: list[int],
+                    cost: list[Fraction], ncols: int) -> tuple[list[Fraction], Fraction]:
+    zrow = []
+    for j in range(ncols + 1):
+        v = sum((cost[basis[i]] * T[i][j] for i in range(len(T))), Fraction(0))
+        if j < ncols:
+            v -= cost[j]
+        zrow.append(v)
+    zval = zrow.pop()
+    zrow.append(Fraction(0))  # placeholder for rhs column alignment in _frac_pivot
+    return zrow, zval
+
+
+def fraction_simplex_max(c, A, b) -> LPResult:
+    """Maximize c.x subject to A x = b, x >= 0 on a `Fraction` tableau.
+
+    Same contract as `capdual.exactlp.simplex_max`, certificate checks
+    included; `pivots` counts phase 1, driving artificials out and phase 2.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    m = len(A)
+    n = len(c)
+    if any(len(row) != n for row in A) or len(b) != m:
+        raise ValueError("inconsistent LP dimensions")
+    # Sign-adjust rows so the right hand side is nonnegative.
+    signs = [(-one if b[i] < 0 else one) for i in range(m)]
+    T = [[signs[i] * Fraction(A[i][j]) for j in range(n)] for i in range(m)]
+    bb = [signs[i] * Fraction(b[i]) for i in range(m)]
+
+    # Phase 1: append artificial identity columns and drive their sum to zero.
+    ncols = n + m
+    for i in range(m):
+        T[i].extend(one if j == i else zero for j in range(m))
+        T[i].append(bb[i])
+    basis = [n + i for i in range(m)]
+    cost1 = [zero] * n + [-one] * m
+    zrow, _ = _frac_make_zrow(T, basis, cost1, ncols)
+    status, pivots = _frac_run_simplex(T, zrow, basis, ncols)
+    if status != "optimal":
+        raise RuntimeError(f"phase 1 ended {status}, but it is always bounded")
+    art_value = sum((T[i][-1] for i in range(m) if basis[i] >= n), zero)
+
+    if art_value > 0:
+        # Infeasible; extract the Farkas vector from the multipliers.
+        # zrow over artificial column i equals y_i + 1 where y = c_B B^{-1}.
+        y = [-(signs[i] * (zrow[n + i] - 1)) for i in range(m)]
+        for j in range(n):
+            if sum((y[i] * Fraction(A[i][j]) for i in range(m)), zero) > 0:
+                raise RuntimeError("Farkas certificate failed column check")
+        if sum((y[i] * Fraction(b[i]) for i in range(m)), zero) <= 0:
+            raise RuntimeError("Farkas certificate failed objective check")
+        return LPResult(status="infeasible", farkas=y, pivots=pivots)
+
+    # Drive any residual artificial variables out of the basis.
+    rows_to_drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            piv = next((j for j in range(n) if T[i][j] != 0), -1)
+            if piv < 0:
+                rows_to_drop.append(i)
+            else:
+                _frac_pivot(T, zrow, basis, i, piv)
+                pivots += 1
+    for i in sorted(rows_to_drop, reverse=True):
+        del T[i]
+        del basis[i]
+
+    # Phase 2 on the real columns only.
+    for row in T:
+        del row[n:n + m]
+    zrow, _ = _frac_make_zrow(T, basis, [Fraction(cj) for cj in c], n)
+    status, phase2 = _frac_run_simplex(T, zrow, basis, n)
+    pivots += phase2
+    if status == "unbounded":
+        return LPResult(status="unbounded", pivots=pivots)
+
+    x = [zero] * n
+    for i, bi in enumerate(basis):
+        x[bi] = T[i][-1]
+    for i in range(m):
+        if sum((Fraction(A[i][j]) * x[j] for j in range(n)), zero) != Fraction(b[i]):
+            raise RuntimeError("primal solution failed exact feasibility check")
+    if any(v < 0 for v in x):
+        raise RuntimeError("primal solution failed nonnegativity")
+    obj = sum((Fraction(c[j]) * x[j] for j in range(n)), zero)
+    return LPResult(status="optimal", x=x, objective=obj, pivots=pivots)
+
+
 def per_weight_minimal_face(support, theta) -> list[int] | None:
     """Indices of the weights on the minimal face of conv(support) that
     contains theta, or None when theta lies outside the hull.
 
     One exact LP per weight: j is on the face exactly when some convex
-    combination equal to theta puts positive mass on it. Shares only the
-    rational simplex with the library's face search.
+    combination equal to theta puts positive mass on it. The LPs run on
+    `fraction_simplex_max`, so nothing is shared with the library's face
+    search, whose LPs pivot on integers.
     """
     n, s = len(theta), len(support)
     A = [[Fraction(w[i]) for w in support] for i in range(n)] + [[Fraction(1)] * s]
     b = [*map(Fraction, theta), Fraction(1)]
     face = []
     for j in range(s):
-        res = simplex_max([Fraction(int(i == j)) for i in range(s)], A, b)
+        res = fraction_simplex_max([Fraction(int(i == j)) for i in range(s)], A, b)
         if res.status != "optimal":
             return None
         if res.objective > 0:
