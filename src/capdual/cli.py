@@ -125,13 +125,15 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+_VECTOR_THETA_SCHEMA = {
+    "type": "object",
+    "properties": {"vector": _VECTOR_SCHEMA, "theta": _THETA_SCHEMA},
+    "required": ["vector", "theta"],
+    "additionalProperties": False,
+}
+
 INSTANCE_SCHEMAS = {
-    "duality": {
-        "type": "object",
-        "properties": {"vector": _VECTOR_SCHEMA, "theta": _THETA_SCHEMA},
-        "required": ["vector", "theta"],
-        "additionalProperties": False,
-    },
+    "duality": _VECTOR_THETA_SCHEMA,
     "prefactor": {
         "type": "object",
         "properties": {"vector": _VECTOR_SCHEMA},
@@ -166,12 +168,7 @@ INSTANCE_SCHEMAS = {
         "required": ["cases"],
         "additionalProperties": False,
     },
-    "capacity": {
-        "type": "object",
-        "properties": {"vector": _VECTOR_SCHEMA, "theta": _THETA_SCHEMA},
-        "required": ["vector", "theta"],
-        "additionalProperties": False,
-    },
+    "capacity": _VECTOR_THETA_SCHEMA,
     "laurent": {
         "type": "object",
         "properties": {"terms": {"type": "array", "minItems": 1,
@@ -687,10 +684,8 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         out_dir = args.out or Path(config.get("output", "capdual-out"))
         return run(config, out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, RuntimeError, MemoryError, OverflowError) as exc:
+    except (ConfigError, ValueError, TypeError, RuntimeError, MemoryError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

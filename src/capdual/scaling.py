@@ -4,7 +4,10 @@ The (r,c)-scaling instance of the capacity duality: Sinkhorn iteration toward
 prescribed margins, the (r,c)-capacity via the torus solver on the weight
 system {e_i + e_j}, exact contingency-table permanents, and the report that
 compares (k! perm_{kr,kc})^{1/k} against cap^2 together with the classic
-permanent sandwich for uniform margins.
+permanent sandwich for uniform margins. Whether (r,c) is reachable on supp(M)
+at all is one exact max-flow LP on `exactlp`, the engine behind the
+capacity's membership test; when it is not, the LP's optimum yields the
+Hall blocking set that certifies it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import functools
 import io
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -24,6 +26,7 @@ import numpy as np
 from .capacity import CapacityResult, theta_capacity
 from .core import (ConvergenceReport, LogValue, WeightVector, WeightedVector,
                    as_fraction, fraction_log, rational_vector)
+from .exactlp import simplex_max
 
 __all__ = [
     "ScalingState",
@@ -104,71 +107,35 @@ class SinkhornResult:
 
 # ---------------------------------------------------------------------------
 # Exact feasibility of the support pattern: the margins (r,c) are achievable
-# by a nonnegative matrix supported on supp(M) iff the bipartite max flow
-# equals 1. Edmonds-Karp over Fractions is exact and polynomial.
-
-def _support_flow(pattern: np.ndarray, r: Sequence[Fraction],
-                  c: Sequence[Fraction]) -> tuple[Fraction, set[int]]:
-    n, m = pattern.shape
-    src, snk = n + m, n + m + 1
-    cap: dict[tuple[int, int], Fraction] = {}
-    adj: dict[int, list[int]] = {u: [] for u in range(n + m + 2)}
-
-    def add(u: int, v: int, w: Fraction) -> None:
-        cap[(u, v)] = cap.get((u, v), Fraction(0)) + w
-        cap.setdefault((v, u), Fraction(0))
-        if v not in adj[u]:
-            adj[u].append(v)
-        if u not in adj[v]:
-            adj[v].append(u)
-
-    big = Fraction(2)  # exceeds the total supply of 1
-    for i in range(n):
-        add(src, i, Fraction(r[i]))
-    for j in range(m):
-        add(n + j, snk, Fraction(c[j]))
-    for i in range(n):
-        for j in range(m):
-            if pattern[i, j]:
-                add(i, n + j, big)
-
-    flow = Fraction(0)
-    while True:
-        prev = {src: src}
-        queue = deque([src])
-        while queue and snk not in prev:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in prev and cap[(u, v)] > 0:
-                    prev[v] = u
-                    queue.append(v)
-        if snk not in prev:
-            return flow, set(prev)
-        bottleneck = big
-        v = snk
-        while v != src:
-            u = prev[v]
-            bottleneck = min(bottleneck, cap[(u, v)])
-            v = u
-        v = snk
-        while v != src:
-            u = prev[v]
-            cap[(u, v)] -= bottleneck
-            cap[(v, u)] += bottleneck
-            v = u
-        flow += bottleneck
-
+# by a nonnegative matrix supported on supp(M) iff the exact LP
+#   max sum B_ij  s.t.  sum_j B_ij + s_i = r_i,  sum_i B_ij + t_j = c_j,
+# with one column per support entry and a slack per row and per column, has
+# optimum 1. The optimum is the bipartite max flow. Short of 1, the rows and
+# columns reachable from the rows with slack (a row reaches its support
+# columns, a column reaches the rows that send it mass) are the source side
+# of the minimal min cut, the same for every maximum flow.
 
 def _unscalable_certificate(state: ScalingState) -> dict | None:
     """None when the margins are achievable on supp(M); otherwise a Hall-type
     blocking set of rows whose mass exceeds that of every column they meet."""
-    pattern = state.M > 0
-    flow, reach = _support_flow(pattern, state.r, state.c)
-    if flow == 1:
+    n, m = state.M.shape
+    support = [(int(i), int(j)) for i, j in zip(*np.nonzero(state.M > 0))]
+    A = [[int(i == a) for a, _ in support] + [int(i == a) for a in range(n)] + [0] * m
+         for i in range(n)]
+    A += [[int(j == b) for _, b in support] + [0] * n + [int(j == b) for b in range(m)]
+          for j in range(m)]
+    lp = simplex_max([1] * len(support) + [0] * (n + m), A, [*state.r, *state.c])
+    if lp.objective == 1:
         return None
-    n = state.M.shape[0]
-    rows = sorted(u for u in reach if u < n)
-    cols = sorted(u - n for u in reach if n <= u < n + state.M.shape[1])
+    rows = {i for i in range(n) if lp.x[len(support) + i] > 0}
+    cols: set[int] = set()
+    while True:
+        new_cols = {j for i, j in support if i in rows} - cols
+        if not new_cols:
+            break
+        cols |= new_cols
+        rows |= {i for (i, j), b in zip(support, lp.x) if j in new_cols and b > 0}
+    rows, cols = sorted(rows), sorted(cols)
     row_mass = sum((state.r[i] for i in rows), Fraction(0))
     col_mass = sum((state.c[j] for j in cols), Fraction(0))
     if row_mass <= col_mass:  # min cut of a flow strictly below 1
@@ -178,7 +145,7 @@ def _unscalable_certificate(state: ScalingState) -> dict | None:
         "cols": cols,
         "row_mass": row_mass,
         "col_mass": col_mass,
-        "deficiency": 1 - flow,
+        "deficiency": 1 - lp.objective,
     }
 
 
@@ -237,6 +204,8 @@ def sinkhorn_scale(state: ScalingState, tol: float = 1e-8,
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    if not tol >= 0:  # a NaN or negative tol is never met
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     if not np.any(state.M > 0):
         raise ValueError("cannot scale the zero matrix")
     cert = _unscalable_certificate(state)

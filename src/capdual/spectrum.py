@@ -385,9 +385,11 @@ def rank1_multiplicities(weights: Sequence[int], k: int) -> dict[int, int]:
     with the given weight multiset, via weight counts w and
     n_lambda = w_lambda - w_{lambda+2}.
 
-    Raises ValueError when the multiset is not the weight system of a
-    genuine representation of the rank-1 group.
+    Raises ValueError when k is negative, or when the multiset is not the
+    weight system of a genuine representation of the rank-1 group.
     """
+    if k < 0:
+        raise ValueError(f"tensor power k must be nonnegative, got {k}")
     row = (0, np.ones(1, dtype=object))  # k = 0: the trivial representation
     for row in _character_rows(weights, k):
         pass

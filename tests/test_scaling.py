@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from capdual.capacity import capacity_kl_form
+from capdual.capacity import capacity_kl_form, moment_polytope_contains
 from capdual.scaling import (ScalingState, matrix_from_csv, matrix_from_json,
                              perm_dual_report, perm_rc_exact, rc_capacity,
                              rc_weighted_vector, sinkhorn_scale)
+from util import hall_blocking_set
 
 F = Fraction
 UNIFORM2 = ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
@@ -33,6 +34,45 @@ def test_rank_one_corner_certified_unscalable():
     # they can reach provide
     assert cert["row_mass"] > cert["col_mass"]
     assert cert["deficiency"] == cert["row_mass"] - cert["col_mass"]
+
+
+def _random_margins(rng, k: int) -> tuple[Fraction, ...]:
+    """Nonnegative rationals summing to 1, about a third of them zero."""
+    while True:
+        v = [int(x) if rng.random() > 0.3 else 0 for x in rng.integers(0, 6, size=k)]
+        if sum(v):
+            return tuple(F(x, sum(v)) for x in v)
+
+
+def test_hall_certificate_matches_brute_force_oracle():
+    # the certificate is the smallest Hall blocking set; the status and the
+    # (r,c) membership in the support polytope must agree with its deficiency
+    rng = np.random.default_rng(29)
+    seen = {"unscalable": 0, "scalable": 0, "zero_margin": 0, "zero_row": 0}
+    while sum(seen[s] for s in ("unscalable", "scalable")) < 600:
+        n, m = (int(t) for t in rng.integers(1, 6, size=2))
+        M = (rng.random((n, m)) < rng.random()) * rng.integers(1, 10, size=(n, m))
+        if rng.random() < 0.2:
+            M[int(rng.integers(n))] = 0
+        if not M.any():
+            continue
+        r, c = _random_margins(rng, n), _random_margins(rng, m)
+        res = sinkhorn_scale(ScalingState(M.tolist(), r, c), max_iter=0)
+        deficiency, rows, cols = hall_blocking_set(M > 0, r, c)
+        unscalable = res.status == "certified-unscalable"
+        assert unscalable == (deficiency > 0)
+        if unscalable:
+            cert = res.certificate
+            assert cert["deficiency"] == deficiency
+            assert cert["rows"] == rows and cert["cols"] == cols
+            assert cert["row_mass"] - cert["col_mass"] == deficiency
+        else:
+            assert res.certificate is None
+        assert moment_polytope_contains(rc_weighted_vector(M), r + c).inside != unscalable
+        seen["unscalable" if unscalable else "scalable"] += 1
+        seen["zero_margin"] += 0 in r + c
+        seen["zero_row"] += not M.any(axis=1).all()
+    assert min(seen.values()) >= 50, seen
 
 
 def test_triangular_boundary_case_converges():
@@ -66,6 +106,17 @@ def test_zero_sweeps_report_the_untouched_state():
     assert res.marginal_error == state.marginal_error() == 4.0
     with pytest.raises(ValueError):
         sinkhorn_scale(state, max_iter=-1)
+
+
+def test_unreachable_tol_rejected():
+    # no marginal error is <= a NaN or negative tol, so the kernel would run
+    # all max_iter sweeps; max_iter=1000 keeps a missing check quick to see
+    r, c = UNIFORM2
+    state = ScalingState([[F(1), F(1)], [F(0), F(1)]], r, c)
+    for tol in (math.nan, -1e-8, -math.inf):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            sinkhorn_scale(state, tol=tol, max_iter=1000)
+    assert sinkhorn_scale(state, tol=0.0, max_iter=10).status == "max_iter"
 
 
 def test_rectangular_zero_entry_rational_margins():

@@ -271,6 +271,14 @@ def test_rank1_spin1_weights():
     assert rank1_multiplicities((-1, 1), 0) == {0: 1}
 
 
+def test_rank1_rejects_negative_powers():
+    # a negative k is not a tensor power; it must not read as the trivial rep
+    for weights in ((-1, 1), (0,), (-2, 0, 2)):
+        for k in (-1, -3):
+            with pytest.raises(ValueError, match=f"got {k}"):
+                rank1_multiplicities(weights, k)
+
+
 # -- Legendre rates ----------------------------------------------------------
 
 def test_duffield_closed_form_binary():

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the library internals:
 projection norms by direct tensor-power expansion, Schur polynomials by
 tableau enumeration, feasible directions by explicit rational convex
 combinations, exact LPs on a `Fraction` tableau, minimal faces by one such
-LP per weight, Laurent constant terms in exact Gaussian-integer arithmetic.
+LP per weight, Hall deficiencies by enumerating row subsets, Laurent
+constant terms in exact Gaussian-integer arithmetic.
 Slow is fine; these run at small sizes.
 """
 
@@ -293,6 +294,32 @@ def per_weight_minimal_face(support, theta) -> list[int] | None:
         if res.objective > 0:
             face.append(j)
     return face
+
+
+def hall_blocking_set(pattern, r, c) -> tuple[Fraction, list[int], list[int]]:
+    """Brute-force Hall deficiency of margins (r, c) on a 0/1 support pattern.
+
+    Enumerates every row subset R and returns (d, rows, cols) with
+    d = max_R r(R) - c(N(R)), where N(R) is the set of columns R meets, rows
+    the smallest maximizing R and cols = N(rows). R -> r(R) - c(N(R)) is
+    supermodular, so the maximizers are closed under intersection and the
+    smallest one is their intersection. d > 0 exactly when no nonnegative
+    matrix on the pattern has margins (r, c).
+    """
+    n, m = len(pattern), len(pattern[0])
+
+    def neighbours(R):
+        return {j for i in R for j in range(m) if pattern[i][j]}
+
+    best, smallest = Fraction(0), set()
+    for size in range(1, n + 1):
+        for R in itertools.combinations(range(n), size):
+            d = sum(r[i] for i in R) - sum(c[j] for j in neighbours(R))
+            if d > best:
+                best, smallest = d, set(R)
+            elif d == best:
+                smallest &= set(R)
+    return best, sorted(smallest), sorted(neighbours(smallest))
 
 
 def gaussian_cst_powers(terms: dict[int, complex],
