@@ -84,7 +84,9 @@ class CapacityResult:
     vertex), "precision" (stopped at the floating-point resolution of F with
     the gradient above grad_tol), "max_iter" (ran out of iterations) or
     "outside" (theta is not in the moment polytope). iterations counts the
-    Newton steps taken.
+    Newton steps taken. face lists the indices into v.pruned().support of the
+    weights on the minimal face containing theta, to which the minimization
+    is restricted; it is empty outside.
     """
 
     log_cap: LogValue
@@ -94,6 +96,7 @@ class CapacityResult:
     gradient_norm: float
     certificate: MembershipCertificate
     status: str
+    face: tuple[int, ...]
 
 
 def moment_map(v: WeightedVector) -> np.ndarray:
@@ -228,7 +231,7 @@ def theta_capacity(v: WeightedVector, theta, *, grad_tol: float = GRAD_TOL,
     th = rational_vector(theta, v.n)
     cert, face, _ = _face_search(v.support, th)
     if not cert.inside:
-        return CapacityResult(LogValue.zero(), None, True, 0, math.inf, cert, "outside")
+        return CapacityResult(LogValue.zero(), None, True, 0, math.inf, cert, "outside", ())
 
     qs = v.amplitudes_sq()
     support = v.support
@@ -239,9 +242,10 @@ def theta_capacity(v: WeightedVector, theta, *, grad_tol: float = GRAD_TOL,
     if len(face) == 1:
         # theta is a vertex; F is constant on the face, log q is the value.
         return CapacityResult(LogValue(1, 0.5 * float(logq[0])), np.zeros(v.n),
-                              diverging, 0, 0.0, cert, "converged")
+                              diverging, 0, 0.0, cert, "converged", tuple(face))
     x, fstar, gnorm, iters, status = _newton_logsumexp(W, logq, theta_f, grad_tol, max_iter)
-    return CapacityResult(LogValue(1, 0.5 * fstar), x, diverging, iters, gnorm, cert, status)
+    return CapacityResult(LogValue(1, 0.5 * fstar), x, diverging, iters, gnorm, cert, status,
+                          tuple(face))
 
 
 def _min_kl(q: np.ndarray, W: np.ndarray, theta: np.ndarray, p0: np.ndarray,

@@ -318,6 +318,7 @@ def _run_duality(config: dict):
         "min_gap": min_gap,
         "rows": len(rows),
         "period": report.metadata["period"],
+        "dropped_mass": report.metadata["dropped_mass"],
     }
     return (("k", "log_norm_sq_ln", "rate_ln", "log_cap_sq_ln", "gap_ln"),
             rows, headline, passed)

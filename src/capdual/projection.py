@@ -2,15 +2,27 @@
 
 For a torus vector v with squared amplitudes q_w, the squared norm of the
 weight-lambda component of v^{tensor k} is the coefficient of t^lambda in
-(sum_w q_w t^w)^k. One generator runs this convolution exactly in log
-domain, one row per k; the table builder keeps its rows and the duality
-report streams them, reading single coefficients through the same lookup.
-The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 instead uses a
-scaled linear representation with a relative truncation floor, which keeps
-array extents O(sqrt(k log(1/floor))) per axis and makes k = 10^4 cheap; the
-introduced relative bias is far below 1e-6 and is documented inline. Those
-rows are powered by binary squaring, each product a real FFT convolution on
-numpy.fft with every axis padded to a 5-smooth length.
+(sum_w q_w t^w)^k. Two engines compute these coefficients.
+
+The table builder runs the convolution exactly in log domain over the whole
+k-fold bounding box, one row per k; it is the oracle the other engine is
+judged against. Everything else uses scaled linear rows, nonnegative arrays
+normalized to maximum 1 with a relative truncation floor, which keeps array
+extents O(sqrt(k log(1/floor))) per axis:
+
+- The duality report reads one coefficient per k, at k theta. It tilts q by
+  the capacity minimizer x*, p_w proportional to q_w e^{2<w, x*>} on the
+  minimal face of theta, and uses the identity, exact for every x and k,
+
+      |Pi_{k theta} v^{tensor k}|^2 = e^{k F(x)} P_p(S_k = k theta),
+
+  where S_k is a sum of k draws from p and F(x*) = log cap_theta(v)^2. Under
+  p the mean of S_k is k theta, so the floor only removes far tails. The
+  rows of the law of S_k are streamed with one shift-and-add step per k.
+- The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 powers rows by binary
+  squaring, each product a real FFT convolution on numpy.fft with every axis
+  padded to a 5-smooth length, so k = 10^4 is cheap.
+
 Laurent constant terms cst f^k, for every k <= k_max, come from one pass
 over core.power_rows, the row stream rank-1 multiplicities also read.
 """
@@ -18,6 +30,7 @@ over core.power_rows, the row stream rank-1 multiplicities also read.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -42,10 +55,20 @@ __all__ = [
 
 MAX_DP_BYTES = 2 << 30  # 2 GiB guard for dense convolution tables
 
-# Entries below max * _TRUNC_FLOOR are dropped in the scaled linear DP. Mass
-# lost per convolution is below (array size) * floor relative to the total,
-# around 1e-7 at the largest supported extents, and reported central values
-# sit at or near the array maximum, so their relative bias stays under 1e-6.
+# Entries below max * _TRUNC_FLOOR are set to zero each time a scaled row is
+# normalized: after every FFT product of the prefactor sequence and after
+# every shift-and-add step of the duality report's tilted stream. The row
+# records the mass it removed (_ScaledRow.dropped).
+# - Tilted stream: every row is the law of S_k and every step a convolution
+#   with p, which sums to 1, so mass removed at one step removes exactly
+#   that much from all later rows. The sum of the removed masses, the
+#   report's metadata["dropped_mass"], is therefore an absolute bound on the
+#   error of P_p(S_k = k theta) at every row; the value read there, at the
+#   mean, is of order k^{-d/2}.
+# - Prefactor rows: mass lost per convolution is below (array size) * floor
+#   relative to the total, around 1e-7 at the largest supported extents, and
+#   the central values read sit at or near the array maximum, so their
+#   relative bias stays under 1e-6.
 _TRUNC_FLOOR = 1e-12
 
 
@@ -83,15 +106,6 @@ def _log_rows(v: WeightedVector, k_max: int) -> Iterator[tuple[np.ndarray, np.nd
         yield offset, arr
 
 
-def _row_value(offset: np.ndarray, arr: np.ndarray, lam) -> LogValue:
-    """The coefficient at weight lam of one log-domain row."""
-    idx = tuple(int(c) - int(o) for c, o in zip(lam, offset, strict=True))
-    if any(i < 0 or i >= s for i, s in zip(idx, arr.shape)):
-        return LogValue.zero()
-    val = float(arr[idx])
-    return LogValue.zero() if val == -math.inf else LogValue(1, val)
-
-
 class ProjectionTable:
     """Exact log-domain squared projection norms for k = 1 .. k_max."""
 
@@ -111,7 +125,12 @@ class ProjectionTable:
 
     def get(self, k: int, lam) -> LogValue:
         """Squared norm of the weight-lam component of v^{tensor k}."""
-        return _row_value(*self._row(k), tuple(lam))
+        offset, arr = self._row(k)
+        idx = tuple(int(c) - int(o) for c, o in zip(lam, offset, strict=True))
+        if any(i < 0 or i >= s for i, s in zip(idx, arr.shape)):
+            return LogValue.zero()
+        val = float(arr[idx])
+        return LogValue.zero() if val == -math.inf else LogValue(1, val)
 
     def total(self, k: int) -> LogValue:
         """log of the sum over all weights; equals 2k log |v| exactly in math."""
@@ -122,6 +141,11 @@ class ProjectionTable:
         return LogValue(1, m + math.log(float(np.exp(flat - m).sum())))
 
 
+def _check_k_max(k_max) -> None:
+    if not isinstance(k_max, numbers.Integral) or k_max < 1:
+        raise ValueError(f"k_max must be an integer at least 1, got {k_max!r}")
+
+
 def projection_norm_table(v: WeightedVector, k_max: int,
                           max_bytes: int = MAX_DP_BYTES) -> ProjectionTable:
     """Tabulate |Pi_{k,lam} v^{tensor k}|^2 for all k <= k_max, all lam, exactly.
@@ -129,8 +153,7 @@ def projection_norm_table(v: WeightedVector, k_max: int,
     Raises MemoryError naming the offending extent if the dense bounding-box
     arrays would exceed max_bytes in total.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    _check_k_max(k_max)
     v = v.pruned()
     if v.is_zero:
         return ProjectionTable(v.n, 0.0, [])
@@ -151,29 +174,43 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
 
     Rows cover every k <= k_max with k theta integral. Columns:
     k, log_norm_sq (LogValue), rate (log_norm_sq / k), log_cap_sq, gap
-    where gap = log_cap_sq - rate is nonnegative up to round-off. The
-    log-domain rows are streamed, so only the current one is held.
+    where gap = -(1/k) log P_p(S_k = k theta) >= 0 is log_cap_sq - rate,
+    read from the tilted row stream (module docstring). metadata["dropped_mass"]
+    is the probability mass the truncation floor removed over the stream, an
+    absolute bound on the error of every P_p(S_k = k theta). Outside the
+    moment polytope every row is an exact zero with a NaN gap.
     """
+    _check_k_max(k_max)
     v = v.pruned()
     if v.is_zero:
         raise ValueError("duality report of the zero vector is undefined")
     th = rational_vector(theta, v.n)
     ell = math.lcm(*(t.denominator for t in th))
     cap = theta_capacity(v, th)
-    log_cap_sq = 2.0 * cap.log_cap.log_mag if cap.log_cap.sign else -math.inf
+    metadata = {"theta": th, "period": ell, "capacity": cap, "dropped_mass": 0.0}
+    columns = ("k", "log_norm_sq", "rate", "log_cap_sq", "gap")
+    if not cap.log_cap.sign:
+        rows = [(k, LogValue.zero(), -math.inf, -math.inf, math.nan)
+                for k in range(ell, k_max + 1, ell)]
+        return ConvergenceReport(columns=columns, rows=rows, metadata=metadata)
 
+    log_cap_sq = 2.0 * cap.log_cap.log_mag
+    qs = v.amplitudes_sq()
+    face = [v.support[j] for j in cap.face]
+    W = np.array([w.coords for w in face], dtype=np.int64)
+    a = np.log([qs[w] for w in face]) + 2.0 * (W @ cap.minimizer_x)
+    p = np.exp(a - a.max())
+    p /= p.sum()
+    step = [int(t * ell) for t in th]  # k theta = (k / ell) * step
     rows = []
-    for k, (offset, arr) in enumerate(_log_rows(v, k_max), start=1):
+    for k, (row, dropped) in enumerate(_tilted_rows(W, p, k_max), start=1):
         if k % ell:
             continue
-        norm_sq = _row_value(offset, arr, tuple(int(t * k) for t in th))
-        rate = norm_sq.log_mag / k
-        rows.append((k, norm_sq, rate, log_cap_sq, log_cap_sq - rate))
-    return ConvergenceReport(
-        columns=("k", "log_norm_sq", "rate", "log_cap_sq", "gap"),
-        rows=rows,
-        metadata={"theta": th, "period": ell, "capacity": cap},
-    )
+        prob = row.value_at([k // ell * c for c in step])
+        norm_sq = LogValue(1, k * log_cap_sq + prob.log_mag) if prob.sign else prob
+        rows.append((k, norm_sq, norm_sq.log_mag / k, log_cap_sq, 0.0 - prob.log_mag / k))
+    metadata["dropped_mass"] = dropped
+    return ConvergenceReport(columns=columns, rows=rows, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +285,15 @@ def difference_lattice(v: WeightedVector) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Scaled linear rows for the prefactor sequence.
+# Scaled linear rows: the tilted stream of the duality report and the FFT
+# powers of the prefactor sequence.
 
 @dataclass
 class _ScaledRow:
     log_scale: float
     arr: np.ndarray          # nonnegative, max normalized to 1
     offset: np.ndarray       # integer lower corner of the bounding box
+    dropped: float = 0.0     # mass the floor removed, in units of e^log_scale
 
     def value_at(self, lam: Sequence[int]) -> LogValue:
         idx = tuple(int(c - o) for c, o in zip(lam, self.offset, strict=True))
@@ -267,16 +306,47 @@ class _ScaledRow:
 
 
 def _row_normalize(arr: np.ndarray, offset: np.ndarray, log_scale: float) -> _ScaledRow:
+    """Scale arr, in place, to maximum 1, zero the entries below the floor and
+    crop the zero margins."""
     m = float(arr.max())
     if m <= 0:
         raise ValueError("projection row collapsed to zero")
-    arr = arr / m
-    arr[arr < _TRUNC_FLOOR] = 0.0
-    nz = np.nonzero(arr)
-    lo = np.array([int(ix.min()) for ix in nz])
-    hi = np.array([int(ix.max()) for ix in nz])
-    sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-    return _ScaledRow(log_scale + math.log(m), np.ascontiguousarray(arr[sl]), offset + lo)
+    arr /= m
+    low = arr < _TRUNC_FLOOR
+    cut = arr * low
+    arr -= cut  # exact: x - x = 0 below the floor, x - 0 = x above it
+    dropped = float(cut.sum())
+    del cut  # as large as the uncropped row: free it before the cropped copy
+    lo, hi = [], []
+    for ax in range(arr.ndim):
+        others = tuple(i for i in range(arr.ndim) if i != ax)
+        kept = np.flatnonzero(~low.all(axis=others))
+        lo.append(int(kept[0]))
+        hi.append(int(kept[-1]) + 1)
+    return _ScaledRow(log_scale + math.log(m), np.ascontiguousarray(arr[tuple(map(slice, lo, hi))]),
+                      offset + lo, dropped)
+
+
+def _tilted_rows(W: np.ndarray, p: np.ndarray, k_max: int
+                 ) -> Iterator[tuple[_ScaledRow, float]]:
+    """The law of S_k, a sum of k independent draws from p on the integer
+    weights W, as a scaled row for k = 1 .. k_max, with the probability mass
+    the floor has removed up to that row. Each step shifts the previous row
+    by every weight and adds it weighted by p; the steps start from k = 0,
+    the point mass at the origin."""
+    lo = W.min(axis=0)
+    extent = W.max(axis=0) - lo
+    shifts = [tuple(int(c) for c in w - lo) for w in W]
+    row = _ScaledRow(0.0, np.ones((1,) * W.shape[1]), np.zeros(W.shape[1], dtype=np.int64))
+    dropped = 0.0
+    for _ in range(k_max):
+        shape = row.arr.shape
+        out = np.zeros(tuple(int(m + e) for m, e in zip(shape, extent)))
+        for w, pw in zip(shifts, p):
+            out[tuple(slice(c, c + m) for c, m in zip(w, shape))] += pw * row.arr
+        row = _row_normalize(out, row.offset + lo, row.log_scale)
+        dropped += row.dropped * math.exp(row.log_scale)
+        yield row, dropped
 
 
 def _row_base(v: WeightedVector) -> _ScaledRow:

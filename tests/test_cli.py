@@ -45,6 +45,8 @@ def test_run_duality_passes(tmp_path):
     assert summary["experiment"] == "duality"
     assert 0.985 <= summary["final_ratio"] <= 1.0
     assert summary["min_gap"] >= 0
+    # the truncation floor's total removed mass bounds the error of every row
+    assert 0 <= summary["dropped_mass"] < 1e-9
     assert len(summary["config_sha256"]) == 64
 
 

@@ -14,8 +14,9 @@ import capdual
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs the FFT-powered prefactor rows, the log-domain DP (streamed and
-# tabulated) and the CLI, then prints every scipy module that got imported.
+# Runs the FFT-powered prefactor rows, the tilted duality rows, the
+# log-domain table and the CLI, then prints every scipy module that got
+# imported.
 SCRIPT = r"""
 import json, sys, tempfile
 from pathlib import Path

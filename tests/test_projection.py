@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from capdual.capacity import theta_capacity
 from capdual.core import LogValue, WeightedVector, WeightVector
 from capdual.projection import (LaurentPoly, _fft_len, _row_conv, _ScaledRow,
-                                critical_values, difference_lattice,
+                                _tilted_rows, critical_values, difference_lattice,
                                 duality_report, laurent_cst_powers,
                                 prefactor_sequence, projection_norm_table)
 
@@ -112,23 +112,104 @@ def test_duality_report_theta_outside():
     assert all(r[3] == -math.inf for r in rep.rows)
 
 
-def test_duality_report_rows_match_table():
-    # the report streams the rows the table keeps: identical floats
+def _oracle_vector(seed: int, n: int) -> WeightedVector:
+    """A random vector with 4 weights in [-2, 2]^n; for n >= 2 two more
+    weights with first coordinate 3 span an edge of its polytope."""
+    rng = np.random.default_rng(40 + seed)
+    v = random_weighted_vector(rng, n=n, n_terms=4, box=2)
+    if n == 1:
+        return v
+    edge = [(3,) + (0,) * (n - 1), (3, 1) + (0,) * (n - 2)]
+    return WeightedVector.from_terms(n, [*v.terms, *((WeightVector(w), complex(
+        1.0 + abs(rng.normal()), rng.normal())) for w in edge)])
+
+
+@pytest.mark.parametrize("n, k_max", [(1, 300), (2, 60), (3, 12)])
+def test_duality_report_matches_log_dp_oracle(n, k_max):
+    # The tilted stream against the exact log-domain table: the same exact
+    # zeros and log norms within 1e-10 on every row, with the minimal face
+    # of each target pinned. A segment has no face beyond its end points,
+    # so n = 1 has no edge target.
     for seed in range(4):
-        rng = np.random.default_rng(40 + seed)
-        v = random_weighted_vector(rng, n=2, n_terms=4, box=2)
-        table = projection_norm_table(v, 12)
-        w = v.support[0].coords
-        thetas = [tuple(F(c) for c in w),
-                  (F(1, 3), F(-1, 4)),
-                  tuple(F(c + 3) for c in w)]  # outside the polytope
-        for theta in thetas:
-            rep = duality_report(v, theta, 12)
-            assert rep.rows
-            for k, norm_sq, rate, _, _ in rep.rows:
-                expected = table.get(k, tuple(int(t * k) for t in theta))
-                assert norm_sq == expected
-                assert rate == expected.log_mag / k
+        v = _oracle_vector(seed, n)
+        W = [w.coords for w in v.support]
+        top = max(W)  # the lexicographic maximum is a vertex
+        targets = [(tuple(F(c) for c in top), 1),
+                   (tuple(F(sum(w[i] for w in W), len(W)) for i in range(n)), len(W)),
+                   (tuple(F(c + 3) for c in top), 0)]
+        if n >= 2:
+            targets.append(((F(3), F(1, 2), *[F(0)] * (n - 2)), 2))
+        if n == 2:
+            targets.append(((F(1, 3), F(-1, 4)), None))
+        table = projection_norm_table(v, k_max)
+        for theta, face_size in targets:
+            rep = duality_report(v, theta, k_max)
+            face = rep.metadata["capacity"].face
+            assert face_size is None or len(face) == face_size, (seed, theta)
+            ell = rep.metadata["period"]
+            assert [r[0] for r in rep.rows] == list(range(ell, k_max + 1, ell))
+            for k, norm_sq, rate, log_cap_sq, gap in rep.rows:
+                want = table.get(k, tuple(int(t * k) for t in theta))
+                assert norm_sq.sign == want.sign, (seed, theta, k)
+                if want.sign:
+                    assert abs(norm_sq.log_mag - want.log_mag) <= 1e-10, (seed, theta, k)
+                    assert rate == norm_sq.log_mag / k
+                    assert gap >= 0
+                elif face:
+                    assert gap == math.inf
+                else:
+                    assert math.isnan(gap)
+            assert 0.0 <= rep.metadata["dropped_mass"] < 1e-9
+
+
+@pytest.mark.parametrize("terms, theta, ks", [
+    ({(0,): 0.3, (1,): 1.1, (3,): 0.6}, (F(1),), (300, 1200)),
+    ({(0, 0): 0.5, (1, 0): 0.9, (0, 1): 0.7, (1, 1): 0.4, (-1, -1): 0.8},
+     (F(1, 4), F(1, 5)), (100, 400)),
+], ids=["n1", "n2"])
+def test_duality_gap_second_order_local_clt(terms, theta, ks):
+    # log P_p(S_k = k theta) = log covol(L) - (d/2) log(2 pi k)
+    #                          - (1/2) log det Sigma + O(1/k),
+    # with Sigma the covariance of the tilted law p. The weight differences
+    # generate Z^d here, so covol(L) = 1.
+    v = WeightedVector.from_terms(len(theta), terms)
+    d = len(theta)
+    assert difference_lattice(v) == (d, 1)
+    rep = duality_report(v, theta, ks[-1])
+    x = rep.metadata["capacity"].minimizer_x
+    W = np.array([w.coords for w in v.support], dtype=float)
+    a = np.log([abs(c) ** 2 for _, c in v.terms]) + 2.0 * (W @ x)
+    p = np.exp(a - a.max())
+    p /= p.sum()
+    mean = W.T @ p
+    sigma = (W.T * p) @ W - np.outer(mean, mean)
+    gaps = {r[0]: r[4] for r in rep.rows}
+    errs = [abs(-k * gaps[k] + 0.5 * d * math.log(2 * math.pi * k)
+                + 0.5 * math.log(np.linalg.det(sigma))) for k in ks]
+    assert errs[1] <= errs[0] / 3, errs
+
+
+@pytest.mark.parametrize("W, p, k_max", [
+    ([[-2], [1], [2]], [0.2, 0.5, 0.3], 2000),
+    ([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [0.3, 0.1, 0.2, 0.15, 0.25], 200),
+], ids=["n1", "n2"])
+def test_tilted_rows_account_for_the_dropped_mass(W, p, k_max):
+    # Each step convolves with p, which sums to 1, so the mass of the last
+    # row is 1 minus everything the floor removed, up to k rounding errors.
+    for row, dropped in _tilted_rows(np.array(W), np.array(p), k_max):
+        pass
+    mass = float(row.arr.sum()) * math.exp(row.log_scale)
+    assert dropped > 1e-11
+    assert abs(1.0 - mass - dropped) <= 4 * k_max * np.finfo(float).eps
+
+
+def test_k_max_below_one_or_fractional_rejected():
+    v = binomial_vector()
+    for k_max in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="k_max must be an integer at least 1"):
+            duality_report(v, (F(1, 2),), k_max)
+        with pytest.raises(ValueError, match="k_max must be an integer at least 1"):
+            projection_norm_table(v, k_max)
 
 
 def test_difference_lattice_examples():
