@@ -319,6 +319,8 @@ def _run_duality(config: dict):
         "rows": len(rows),
         "period": report.metadata["period"],
         "dropped_mass": report.metadata["dropped_mass"],
+        "crops": report.metadata["crops"],
+        "max_row_cells": report.metadata["max_row_cells"],
     }
     return (("k", "log_norm_sq_ln", "rate_ln", "log_cap_sq_ln", "gap_ln"),
             rows, headline, passed)

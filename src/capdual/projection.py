@@ -6,9 +6,10 @@ weight-lambda component of v^{tensor k} is the coefficient of t^lambda in
 
 The table builder runs the convolution exactly in log domain over the whole
 k-fold bounding box, one row per k; it is the oracle the other engine is
-judged against. Everything else uses scaled linear rows, nonnegative arrays
-normalized to maximum 1 with a relative truncation floor, which keeps array
-extents O(sqrt(k log(1/floor))) per axis:
+judged against. Everything else reads one object, the law of S_k, a sum of
+k independent draws from a distribution p on integer weights, held as
+linear rows with a relative truncation floor, which keeps array extents
+O(sqrt(k log(1/floor))) per axis:
 
 - The duality report reads one coefficient per k, at k theta. It tilts q by
   the capacity minimizer x*, p_w proportional to q_w e^{2<w, x*>} on the
@@ -16,12 +17,14 @@ extents O(sqrt(k log(1/floor))) per axis:
 
       |Pi_{k theta} v^{tensor k}|^2 = e^{k F(x)} P_p(S_k = k theta),
 
-  where S_k is a sum of k draws from p and F(x*) = log cap_theta(v)^2. Under
-  p the mean of S_k is k theta, so the floor only removes far tails. The
-  rows of the law of S_k are streamed with one shift-and-add step per k.
-- The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 powers rows by binary
+  where F(x*) = log cap_theta(v)^2. Under p the mean of S_k is k theta, so
+  the floor only removes far tails. The rows come from a stream that
+  convolves with p once per k and crops lazily (_RowStream).
+- The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 is the theta = 0,
+  x* = 0 case, p = q, read at 0. The first target is powered by binary
   squaring, each product a real FFT convolution on numpy.fft with every axis
-  padded to a 5-smooth length, so k = 10^4 is cheap.
+  padded to a 5-smooth length, so k = 10^4 is cheap; later targets walk the
+  same stream from that anchor and read one dot product.
 
 Laurent constant terms cst f^k, for every k <= k_max, come from one pass
 over core.power_rows, the row stream rank-1 multiplicities also read.
@@ -55,20 +58,19 @@ __all__ = [
 
 MAX_DP_BYTES = 2 << 30  # 2 GiB guard for dense convolution tables
 
-# Entries below max * _TRUNC_FLOOR are set to zero each time a scaled row is
-# normalized: after every FFT product of the prefactor sequence and after
-# every shift-and-add step of the duality report's tilted stream. The row
-# records the mass it removed (_ScaledRow.dropped).
-# - Tilted stream: every row is the law of S_k and every step a convolution
-#   with p, which sums to 1, so mass removed at one step removes exactly
+# Entries below max * _TRUNC_FLOOR are set to zero at every crop (_crop):
+# after every FFT product of the prefactor anchors, and each time a row of
+# the stream (_RowStream) has doubled its cells since its last crop.
+# - Stream rows: every row is the law of S_k and every step a convolution
+#   with p, which sums to 1, so mass removed at one crop removes exactly
 #   that much from all later rows. The sum of the removed masses, the
 #   report's metadata["dropped_mass"], is therefore an absolute bound on the
 #   error of P_p(S_k = k theta) at every row; the value read there, at the
 #   mean, is of order k^{-d/2}.
-# - Prefactor rows: mass lost per convolution is below (array size) * floor
-#   relative to the total, around 1e-7 at the largest supported extents, and
-#   the central values read sit at or near the array maximum, so their
-#   relative bias stays under 1e-6.
+# - FFT rows: mass lost per product is below (array size) * floor relative
+#   to the total, around 1e-7 at the largest supported extents, and the
+#   central values read sit at or near the array maximum, so their relative
+#   bias stays under 1e-6.
 _TRUNC_FLOOR = 1e-12
 
 
@@ -177,8 +179,10 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     where gap = -(1/k) log P_p(S_k = k theta) >= 0 is log_cap_sq - rate,
     read from the tilted row stream (module docstring). metadata["dropped_mass"]
     is the probability mass the truncation floor removed over the stream, an
-    absolute bound on the error of every P_p(S_k = k theta). Outside the
-    moment polytope every row is an exact zero with a NaN gap.
+    absolute bound on the error of every P_p(S_k = k theta);
+    metadata["crops"] and metadata["max_row_cells"] count the stream's crops
+    and the cells of the largest row it held. Outside the moment polytope
+    every row is an exact zero with a NaN gap and the counts are 0.
     """
     _check_k_max(k_max)
     v = v.pruned()
@@ -187,7 +191,8 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     th = rational_vector(theta, v.n)
     ell = math.lcm(*(t.denominator for t in th))
     cap = theta_capacity(v, th)
-    metadata = {"theta": th, "period": ell, "capacity": cap, "dropped_mass": 0.0}
+    metadata = {"theta": th, "period": ell, "capacity": cap, "dropped_mass": 0.0,
+                "crops": 0, "max_row_cells": 0}
     columns = ("k", "log_norm_sq", "rate", "log_cap_sq", "gap")
     if not cap.log_cap.sign:
         rows = [(k, LogValue.zero(), -math.inf, -math.inf, math.nan)
@@ -202,14 +207,21 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     p = np.exp(a - a.max())
     p /= p.sum()
     step = [int(t * ell) for t in th]  # k theta = (k / ell) * step
+    stream = _RowStream(W, p)
     rows = []
-    for k, (row, dropped) in enumerate(_tilted_rows(W, p, k_max), start=1):
+    for k in range(1, k_max + 1):
+        stream.step()
         if k % ell:
             continue
-        prob = row.value_at([k // ell * c for c in step])
-        norm_sq = LogValue(1, k * log_cap_sq + prob.log_mag) if prob.sign else prob
-        rows.append((k, norm_sq, norm_sq.log_mag / k, log_cap_sq, 0.0 - prob.log_mag / k))
-    metadata["dropped_mass"] = dropped
+        prob = stream.row.cell([k // ell * c for c in step])
+        if prob > 0:
+            log_p = math.log(prob)
+            norm_sq = LogValue(1, k * log_cap_sq + log_p)
+        else:
+            log_p, norm_sq = -math.inf, LogValue.zero()
+        rows.append((k, norm_sq, norm_sq.log_mag / k, log_cap_sq, 0.0 - log_p / k))
+    metadata.update(dropped_mass=stream.dropped, crops=stream.crops,
+                    max_row_cells=stream.max_row_cells)
     return ConvergenceReport(columns=columns, rows=rows, metadata=metadata)
 
 
@@ -285,34 +297,29 @@ def difference_lattice(v: WeightedVector) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Scaled linear rows: the tilted stream of the duality report and the FFT
-# powers of the prefactor sequence.
+# Scaled linear rows: the row stream of the duality report and the prefactor
+# walk, and the FFT powers of the prefactor anchors.
 
 @dataclass
 class _ScaledRow:
     log_scale: float
-    arr: np.ndarray          # nonnegative, max normalized to 1
+    arr: np.ndarray          # nonnegative; the row's values are e^log_scale * arr
     offset: np.ndarray       # integer lower corner of the bounding box
-    dropped: float = 0.0     # mass the floor removed, in units of e^log_scale
 
-    def value_at(self, lam: Sequence[int]) -> LogValue:
+    def cell(self, lam: Sequence[int]) -> float:
+        """The entry of arr at the weight lam, 0 outside the box."""
         idx = tuple(int(c - o) for c, o in zip(lam, self.offset, strict=True))
         if any(i < 0 or i >= s for i, s in zip(idx, self.arr.shape)):
-            return LogValue.zero()
-        val = float(self.arr[idx])
-        if val <= 0:
-            return LogValue.zero()
-        return LogValue(1, self.log_scale + math.log(val))
+            return 0.0
+        return float(self.arr[idx])
 
 
-def _row_normalize(arr: np.ndarray, offset: np.ndarray, log_scale: float) -> _ScaledRow:
-    """Scale arr, in place, to maximum 1, zero the entries below the floor and
-    crop the zero margins."""
-    m = float(arr.max())
-    if m <= 0:
-        raise ValueError("projection row collapsed to zero")
-    arr /= m
-    low = arr < _TRUNC_FLOOR
+def _crop(arr: np.ndarray, offset: np.ndarray, floor: float
+          ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Zero the entries of arr below floor, in place, and crop the zero
+    margins: (cropped copy, its lower corner, the sum of the zeroed
+    entries)."""
+    low = arr < floor
     cut = arr * low
     arr -= cut  # exact: x - x = 0 below the floor, x - 0 = x above it
     dropped = float(cut.sum())
@@ -323,39 +330,79 @@ def _row_normalize(arr: np.ndarray, offset: np.ndarray, log_scale: float) -> _Sc
         kept = np.flatnonzero(~low.all(axis=others))
         lo.append(int(kept[0]))
         hi.append(int(kept[-1]) + 1)
-    return _ScaledRow(log_scale + math.log(m), np.ascontiguousarray(arr[tuple(map(slice, lo, hi))]),
-                      offset + lo, dropped)
+    return (np.ascontiguousarray(arr[tuple(map(slice, lo, hi))]), offset + lo, dropped)
 
 
-def _tilted_rows(W: np.ndarray, p: np.ndarray, k_max: int
-                 ) -> Iterator[tuple[_ScaledRow, float]]:
+class _RowStream:
     """The law of S_k, a sum of k independent draws from p on the integer
-    weights W, as a scaled row for k = 1 .. k_max, with the probability mass
-    the floor has removed up to that row. Each step shifts the previous row
-    by every weight and adds it weighted by p; the steps start from k = 0,
-    the point mass at the origin."""
-    lo = W.min(axis=0)
-    extent = W.max(axis=0) - lo
-    shifts = [tuple(int(c) for c in w - lo) for w in W]
-    row = _ScaledRow(0.0, np.ones((1,) * W.shape[1]), np.zeros(W.shape[1], dtype=np.int64))
-    dropped = 0.0
-    for _ in range(k_max):
-        shape = row.arr.shape
-        out = np.zeros(tuple(int(m + e) for m, e in zip(shape, extent)))
-        for w, pw in zip(shifts, p):
-            out[tuple(slice(c, c + m) for c, m in zip(w, shape))] += pw * row.arr
-        row = _row_normalize(out, row.offset + lo, row.log_scale)
-        dropped += row.dropped * math.exp(row.log_scale)
-        yield row, dropped
+    weights W: `row` after k calls of `step`, from the point mass at the
+    origin at k = 0.
+
+    A step convolves the row with p: it shifts the row by every weight and
+    adds it weighted by p, in one numpy.convolve call on a line. p sums to 1
+    (the prefactor walk's q to |v|^2 = 1 within 1e-10), so no row can under-
+    or overflow and rows are never rescaled. A row is cropped at the floor
+    (_crop) only once it holds twice the cells it kept at the last crop.
+    Every later step convolves with p, so `dropped`, the mass all crops
+    removed, is an absolute bound on the error of every row. `crops` and
+    `max_row_cells`, the largest row held, count the work.
+    """
+
+    def __init__(self, W: np.ndarray, p: np.ndarray):
+        lo = W.min(axis=0)
+        self.terms = [(tuple(int(c) for c in w - lo), float(pw)) for w, pw in zip(W, p)]
+        kernel = np.zeros(W.max(axis=0) - lo + 1)
+        for w, pw in self.terms:
+            kernel[w] = pw
+        self.kernel = _ScaledRow(0.0, kernel, lo)  # p as a row: the law of S_1
+        self.reset()
+
+    def reset(self) -> None:
+        """Go back to k = 0, the point mass at the origin, with zero counts."""
+        n = self.kernel.arr.ndim
+        self.k = 0
+        self.row = _ScaledRow(0.0, np.ones((1,) * n), np.zeros(n, dtype=np.int64))
+        self.dropped = 0.0
+        self.crops = 0
+        self.max_row_cells = 1
+        self._crop_at = 2
+
+    def step(self) -> None:
+        arr = self.row.arr
+        if arr.ndim == 1:
+            out = np.convolve(arr, self.kernel.arr)
+        else:
+            out = np.zeros([m + e - 1 for m, e in zip(arr.shape, self.kernel.arr.shape)])
+            term = np.empty(arr.shape)
+            for w, pw in self.terms:
+                out[tuple(slice(c, c + m) for c, m in zip(w, arr.shape))] += np.multiply(
+                    arr, pw, out=term)
+        offset = self.row.offset + self.kernel.offset
+        self.k += 1
+        self.max_row_cells = max(self.max_row_cells, out.size)
+        if out.size >= self._crop_at:
+            out, offset, cut = _crop(out, offset, float(out.max()) * _TRUNC_FLOOR)
+            self.dropped += cut
+            self.crops += 1
+            self._crop_at = 2 * out.size
+        self.row = _ScaledRow(0.0, out, offset)
 
 
-def _row_base(v: WeightedVector) -> _ScaledRow:
-    W, q = _weight_arrays(v)
-    lo = W.min(axis=0)
-    arr = np.zeros(tuple(W.max(axis=0) - lo + 1))
-    for w, qq in zip(W, q):
-        arr[tuple(int(c) for c in (w - lo))] = qq
-    return _row_normalize(arr, lo.copy(), 0.0)
+def _cst_of_product(a: _ScaledRow, b: _ScaledRow) -> LogValue:
+    """The coefficient of t^0 in the product of two rows, sum_x a[x] b[-x]:
+    one dot product of nonnegative terms over the boxes' overlap."""
+    sa, sb = [], []
+    for ao, an, bo, bn in zip(a.offset.tolist(), a.arr.shape, b.offset.tolist(), b.arr.shape):
+        lo = max(ao, 1 - bo - bn)  # x ranges over [lo, hi]
+        hi = min(ao + an - 1, -bo)
+        if lo > hi:
+            return LogValue.zero()
+        sa.append(slice(lo - ao, hi - ao + 1))
+        sb.append(slice(-hi - bo, -lo - bo + 1))
+    val = float(np.vdot(a.arr[tuple(sa)], np.flip(b.arr[tuple(sb)])))
+    if val <= 0:
+        return LogValue.zero()
+    return LogValue(1, a.log_scale + b.log_scale + math.log(val))
 
 
 def _fft_len(n: int) -> int:
@@ -384,7 +431,12 @@ def _row_conv(a: _ScaledRow, b: _ScaledRow) -> _ScaledRow:
     spec = np.fft.rfftn(a.arr, fshape, axes) * np.fft.rfftn(b.arr, fshape, axes)
     arr = np.fft.irfftn(spec, fshape, axes)[tuple(slice(m) for m in shape)]
     np.clip(arr, 0.0, None, out=arr)
-    return _row_normalize(arr, a.offset + b.offset, a.log_scale + b.log_scale)
+    m = float(arr.max())
+    if m <= 0:
+        raise ValueError("projection row collapsed to zero")
+    arr /= m
+    arr, offset, _ = _crop(arr, a.offset + b.offset, _TRUNC_FLOOR)
+    return _ScaledRow(a.log_scale + b.log_scale + math.log(m), arr, offset)
 
 
 def _row_power(base: _ScaledRow, k: int, cache: dict[int, _ScaledRow]) -> _ScaledRow:
@@ -409,7 +461,15 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
 
     d and m come from the difference lattice of the support. Pass either
     k_max (report every multiple of m up to it) or an explicit list ks,
-    which is filtered to the subsemigroup.
+    which is filtered to the subsemigroup, not both.
+
+    |Pi_k v^{tensor k}|^2 is the t^0 coefficient of the law of S_k, a sum of
+    k draws from q_w = |c_w|^2 (the duality report's row at theta = 0,
+    x* = 0). The first target a is powered by FFT; a later target k reads
+    sum_x A[x] S_g[-x] from the anchor row A of S_a and the row stream of
+    S_g, g = k - a. The anchor moves to k with one FFT product when g > a,
+    or when the steps to k cost more cell updates (steps * |W| a cell) than
+    an FFT product does (about 3 log2 of the anchor's cells a cell).
     """
     v = v.pruned()
     if v.is_zero:
@@ -419,27 +479,31 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
     mu_inf = float(np.max(np.abs(moment_map(v))))
     if mu_inf > 1e-10:
         raise ValueError(f"moment map must vanish, |mu|_inf = {mu_inf}")
+    if (k_max is None) == (ks is None):
+        raise ValueError("pass k_max or an explicit list of powers ks, not both")
     d, m = difference_lattice(v)
     if ks is None:
-        if k_max is None:
-            raise ValueError("pass k_max or an explicit list of powers ks")
         targets = list(range(m, k_max + 1, m))
     else:
         targets = sorted({int(k) for k in ks if k >= 1 and k % m == 0})
     if not targets:
         return []
 
-    base = _row_base(v)
+    walk = _RowStream(*_weight_arrays(v))
     cache: dict[int, _ScaledRow] = {}
-    zero = (0,) * v.n
+    anchor_k = targets[0]
+    anchor = _row_power(walk.kernel, anchor_k, cache)
     out: list[tuple[int, float]] = []
-    cur_k = targets[0]
-    cur = _row_power(base, cur_k, cache)
     for k in targets:
-        if k != cur_k:
-            cur = _row_conv(cur, _row_power(base, k - cur_k, cache))
-            cur_k = k
-        lv = cur.value_at(zero)
+        steps = k - anchor_k - walk.k
+        if k - anchor_k > anchor_k or steps * len(walk.terms) > 3 * math.log2(anchor.arr.size):
+            anchor = _row_conv(anchor, _row_power(walk.kernel, k - anchor_k, cache))
+            anchor_k = k
+            walk.reset()
+        else:
+            for _ in range(steps):
+                walk.step()
+        lv = _cst_of_product(anchor, walk.row)
         val = 0.0 if lv.sign == 0 else math.exp(lv.log_mag + 0.5 * d * math.log(k))
         out.append((k, val))
     return out

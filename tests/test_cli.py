@@ -60,6 +60,26 @@ def test_run_is_byte_identical(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+def test_duality_stream_counters_are_byte_identical(tmp_path):
+    # the row stream's counters are deterministic, so they belong in
+    # summary.json next to dropped_mass
+    cfg = duality_config(tmp_path / "a", k_max=300, min_ratio=0.9)
+    cfg["instance"] = {
+        "vector": {"n": 2, "terms": [
+            {"weight": w, "amplitude": 0.5}
+            for w in ([1, 0], [-1, 0], [0, 1], [0, -1])]},
+        "theta": ["1/2", "0"]}
+    path = write_config(tmp_path, "d.json", cfg)
+    assert main(["run", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "b")]) == 0
+    first = (tmp_path / "a" / "summary.json").read_bytes()
+    assert first == (tmp_path / "b" / "summary.json").read_bytes()
+    summary = json.loads(first)
+    assert 0 < summary["crops"] < 300
+    assert summary["max_row_cells"] > 1
+    assert 0 <= summary["dropped_mass"] < 1e-9
+
+
 def test_tolerance_failure_exits_2(tmp_path):
     out = tmp_path / "out"
     # at k_max = 20 the normalized root is still far below 0.999
@@ -68,6 +88,22 @@ def test_tolerance_failure_exits_2(tmp_path):
     assert main(["run", str(cfg)]) == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["pass"] is False
+
+
+def test_prefactor_with_k_max_and_ks_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "p.json", {
+        "experiment": "prefactor",
+        "instance": {"vector": {"n": 1, "terms": [
+            {"weight": [-1], "amplitude": 0.7071067811865476},
+            {"weight": [1], "amplitude": 0.7071067811865476}]}},
+        "k_max": 20,
+        "ks": [10, 20],
+        "output": str(out),
+    })
+    assert main(["run", str(cfg)]) == 1
+    assert "not both" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_experiment_exits_1_without_files(tmp_path, capsys):

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from capdual.capacity import theta_capacity
 from capdual.core import LogValue, WeightedVector, WeightVector
-from capdual.projection import (LaurentPoly, _fft_len, _row_conv, _ScaledRow,
-                                _tilted_rows, critical_values, difference_lattice,
-                                duality_report, laurent_cst_powers,
-                                prefactor_sequence, projection_norm_table)
+from capdual.projection import (LaurentPoly, _cst_of_product, _fft_len, _row_conv,
+                                _RowStream, _ScaledRow, critical_values,
+                                difference_lattice, duality_report,
+                                laurent_cst_powers, prefactor_sequence,
+                                projection_norm_table)
 
 from util import brute_invariant_norms, gaussian_cst_powers, random_weighted_vector
 
@@ -162,45 +163,61 @@ def test_duality_report_matches_log_dp_oracle(n, k_max):
             assert 0.0 <= rep.metadata["dropped_mass"] < 1e-9
 
 
-@pytest.mark.parametrize("terms, theta, ks", [
-    ({(0,): 0.3, (1,): 1.1, (3,): 0.6}, (F(1),), (300, 1200)),
+@pytest.mark.parametrize("terms, theta, ks, d, covol", [
+    ({(0,): 0.3, (1,): 1.1, (3,): 0.6}, (F(1),), (300, 1200), 1, 1.0),
     ({(0, 0): 0.5, (1, 0): 0.9, (0, 1): 0.7, (1, 1): 0.4, (-1, -1): 0.8},
-     (F(1, 4), F(1, 5)), (100, 400)),
-], ids=["n1", "n2"])
-def test_duality_gap_second_order_local_clt(terms, theta, ks):
+     (F(1, 4), F(1, 5)), (100, 400), 2, 1.0),
+    ({(0, 0): 0.6, (2, 1): 1.0, (4, 2): 0.5, (0, 2): 0.7, (3, 3): 0.9},
+     (F(1), F(1, 2)), (100, 400), 1, math.sqrt(5)),
+], ids=["n1", "n2", "edge"])
+def test_duality_gap_second_order_local_clt(terms, theta, ks, d, covol):
     # log P_p(S_k = k theta) = log covol(L) - (d/2) log(2 pi k)
-    #                          - (1/2) log det Sigma + O(1/k),
-    # with Sigma the covariance of the tilted law p. The weight differences
-    # generate Z^d here, so covol(L) = 1.
+    #                          - (1/2) log pdet Sigma + O(1/k),
+    # with Sigma the covariance of the tilted law p on the minimal face,
+    # pdet the product of its d nonzero eigenvalues, and covol(L) the
+    # covolume of the lattice L of face-weight differences in its own span.
+    # n1, n2: theta interior and L = Z^n. edge: theta inside the edge
+    # {(0,0), (2,1), (4,2)} of a 2-D polygon, so d = 1 < n = 2 and
+    # L = Z (2, 1), of covolume |(2, 1)| = sqrt 5.
     v = WeightedVector.from_terms(len(theta), terms)
-    d = len(theta)
-    assert difference_lattice(v) == (d, 1)
     rep = duality_report(v, theta, ks[-1])
-    x = rep.metadata["capacity"].minimizer_x
-    W = np.array([w.coords for w in v.support], dtype=float)
-    a = np.log([abs(c) ** 2 for _, c in v.terms]) + 2.0 * (W @ x)
+    cap = rep.metadata["capacity"]
+    face = [v.support[j].coords for j in cap.face]
+    face_vector = WeightedVector.from_terms(len(theta), {w: 1.0 for w in face})
+    assert difference_lattice(face_vector) == (d, 1)
+    W = np.array(face, dtype=float)
+    a = np.log([abs(terms[w]) ** 2 for w in face]) + 2.0 * (W @ cap.minimizer_x)
     p = np.exp(a - a.max())
     p /= p.sum()
     mean = W.T @ p
     sigma = (W.T * p) @ W - np.outer(mean, mean)
+    eig = np.linalg.eigvalsh(sigma)  # ascending
+    assert np.all(np.abs(eig[:-d]) <= 1e-12 * eig[-1])  # Sigma has rank d
+    log_pdet = float(np.sum(np.log(eig[-d:])))
     gaps = {r[0]: r[4] for r in rep.rows}
-    errs = [abs(-k * gaps[k] + 0.5 * d * math.log(2 * math.pi * k)
-                + 0.5 * math.log(np.linalg.det(sigma))) for k in ks]
+    errs = [abs(-k * gaps[k] - math.log(covol) + 0.5 * d * math.log(2 * math.pi * k)
+                + 0.5 * log_pdet) for k in ks]
     assert errs[1] <= errs[0] / 3, errs
 
 
 @pytest.mark.parametrize("W, p, k_max", [
-    ([[-2], [1], [2]], [0.2, 0.5, 0.3], 2000),
     ([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [0.3, 0.1, 0.2, 0.15, 0.25], 200),
-], ids=["n1", "n2"])
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [0.4, 0.3, 0.2, 0.1], 60),
+], ids=["n2", "n3"])
 def test_tilted_rows_account_for_the_dropped_mass(W, p, k_max):
     # Each step convolves with p, which sums to 1, so the mass of the last
-    # row is 1 minus everything the floor removed, up to k rounding errors.
-    for row, dropped in _tilted_rows(np.array(W), np.array(p), k_max):
-        pass
-    mass = float(row.arr.sum()) * math.exp(row.log_scale)
-    assert dropped > 1e-11
-    assert abs(1.0 - mass - dropped) <= 4 * k_max * np.finfo(float).eps
+    # row is 1 minus everything the crops removed, up to k rounding errors.
+    # The walks are chosen so that the crops remove more than ten times
+    # that tolerance.
+    stream = _RowStream(np.array(W), np.array(p))
+    for _ in range(k_max):
+        stream.step()
+    tol = 4 * k_max * np.finfo(float).eps
+    assert stream.dropped > 10 * tol
+    assert abs(1.0 - float(stream.row.arr.sum()) - stream.dropped) <= tol
+    # rows are cropped only after doubling: far fewer crops than steps
+    assert 0 < stream.crops < k_max // 2
+    assert stream.max_row_cells >= stream.row.arr.size
 
 
 def test_k_max_below_one_or_fractional_rejected():
@@ -258,7 +275,7 @@ def test_row_conv_matches_direct_convolution(shapes):
     out = _row_conv(ra, rb)
     want = _direct_conv(a, b)
     m = want.max()
-    # _row_normalize rescales to maximum 1 and crops zero margins, which
+    # _row_conv rescales to maximum 1 and crops zero margins, which
     # random positive rows do not have
     assert out.arr.shape == want.shape
     assert np.array_equal(out.offset, np.arange(n) - 1)
@@ -266,6 +283,58 @@ def test_row_conv_matches_direct_convolution(shapes):
     assert np.max(np.abs(out.arr - want / m)) <= 1e-13
     if n == 1:
         assert np.max(np.abs(out.arr - np.convolve(a, b) / m)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (1, 1), (2, 2), (2, 3)])
+def test_cst_of_product_matches_direct_convolution(n, seed):
+    # sum_x a[x] b[-x] is the t^0 entry of the full product a * b; boxes
+    # that do not overlap at 0 give an exact zero
+    rng = np.random.default_rng(70 + seed)
+    for trial in range(20):
+        a, b = (rng.random(tuple(rng.integers(1, 9, n))) for _ in range(2))
+        oa, ob = (rng.integers(-12, 6, n) for _ in range(2))
+        ra = _ScaledRow(float(rng.normal()), a, oa)
+        rb = _ScaledRow(float(rng.normal()), b, ob)
+        got = _cst_of_product(ra, rb)
+        full = _direct_conv(a, b)
+        idx = tuple(-(oa + ob))  # 0 - (lower corner of the product)
+        if any(i < 0 or i >= m for i, m in zip(idx, full.shape)):
+            assert got.sign == 0, trial
+            continue
+        want = full[idx] * math.exp(ra.log_scale + rb.log_scale)
+        assert got.sign == 1
+        assert math.isclose(got.to_float(), want, rel_tol=1e-13), trial
+    far = _ScaledRow(0.0, np.ones((3,) * n), np.full(n, 5))
+    assert _cst_of_product(far, far).sign == 0
+
+
+def _cross() -> WeightedVector:
+    return WeightedVector.from_terms(
+        2, {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.5, (0, -1): 0.5})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"ks": list(range(200, 301, 2))},   # anchor at 200, walk to 300
+    {"ks": [100, 4000]},                # one FFT jump
+    {"k_max": 200},                     # every even k from m = 2
+], ids=["walk", "jump", "dense"])
+def test_prefactor_cross_matches_closed_form(kwargs):
+    # the 4-weight cross +-e1, +-e2 projects to the product of two
+    # independent balanced walks: k |Pi_k v^{tensor k}|^2 = k C(k, k/2)^2 / 4^k
+    seq = prefactor_sequence(_cross(), **kwargs)
+    ks = kwargs.get("ks") or list(range(2, kwargs.get("k_max", 0) + 1, 2))
+    assert [k for k, _ in seq] == ks
+    for k, val in seq:
+        want = math.exp(math.log(k) + 2 * (math.lgamma(k + 1) - 2 * math.lgamma(k // 2 + 1))
+                        - k * math.log(4))
+        assert math.isclose(val, want, rel_tol=1e-9), k
+
+
+def test_prefactor_rejects_k_max_with_ks():
+    with pytest.raises(ValueError, match="not both"):
+        prefactor_sequence(balanced_vector(), k_max=10, ks=[4, 6])
+    with pytest.raises(ValueError, match="pass k_max or"):
+        prefactor_sequence(balanced_vector())
 
 
 def test_fft_len_is_the_smallest_5_smooth_length():
