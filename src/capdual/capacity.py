@@ -153,6 +153,40 @@ def _face_search(support: Sequence[WeightVector], theta: tuple[Fraction, ...]
     return cert, sorted(face), [Fraction(v, den) for v in N]
 
 
+def _face_normal(support: Sequence[WeightVector], face: Sequence[int]
+                 ) -> tuple[list[Fraction], Fraction]:
+    """An exact normal (ell, gamma) of a face found by `_face_search`:
+    <ell, w> = gamma on the face weights and <ell, w> <= gamma - 1 on the
+    others, so exp(t (<ell, w> - gamma)) keeps the face and shrinks the rest
+    by at least e^-t.
+
+    One feasibility LP in ell and gamma, both split into nonnegative parts,
+    with a slack on each off-face row. Faces of a polytope are exposed, so
+    the LP is feasible for every face; the normal is checked in integers.
+    """
+    n = len(support[0].coords)
+    on = set(face)
+    off = [j for j in range(len(support)) if j not in on]
+    A = [[*w.coords, *(-v for v in w.coords), -1, 1, *(int(j == k) for k in off)]
+         for j, w in enumerate(support)]
+    b = [0 if j in on else -1 for j in range(len(support))]
+    res = simplex_max([0] * len(A[0]), A, b)
+    if res.status != "optimal":
+        raise RuntimeError(f"face normal LP ended {res.status}")
+    x = res.x
+    ell = [p - q for p, q in zip(x[:n], x[n:2 * n])]
+    gamma = x[2 * n] - x[2 * n + 1]
+    # (ell, gamma) = (L, G) / den, checked on the integers L and G.
+    den = math.lcm(gamma.denominator, *[a.denominator for a in ell])
+    L = [a.numerator * (den // a.denominator) for a in ell]
+    G = gamma.numerator * (den // gamma.denominator)
+    for j, w in enumerate(support):
+        gap = sum(a * v for a, v in zip(L, w.coords)) - G
+        if (gap != 0) if j in on else (gap > -den):
+            raise RuntimeError("face normal failed its check")
+    return ell, gamma
+
+
 def moment_polytope_contains(v: WeightedVector, theta) -> MembershipCertificate:
     """Exact test of whether theta lies in conv{w : c_w != 0}, with certificate."""
     v = v.pruned()

@@ -16,6 +16,7 @@ integers in decimal in columns suffixed "_exact".
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -591,6 +592,25 @@ HANDLERS = {
 # ---------------------------------------------------------------------------
 # Orchestration.
 
+@functools.cache
+def _validator(part: str, name: str = ""):
+    """The validator of one schema, built once a process: building one checks
+    its schema against the metaschema, which costs more than validating."""
+    schema = {"config": {"": CONFIG_SCHEMA}, "instance": INSTANCE_SCHEMAS,
+              "tolerances": TOLERANCE_SCHEMAS}[part][name]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(instance, part: str, name: str = "") -> None:
+    """jsonschema.validate on a prebuilt validator: raises the same best
+    match among the errors."""
+    error = jsonschema.exceptions.best_match(_validator(part, name).iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 def _load_config(path: Path) -> dict:
     try:
         text = path.read_text()
@@ -602,10 +622,10 @@ def _load_config(path: Path) -> dict:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
+        _validate(config, "config")
         name = config["experiment"]
-        jsonschema.validate(config["instance"], INSTANCE_SCHEMAS[name])
-        jsonschema.validate(config.get("tolerances", {}), TOLERANCE_SCHEMAS[name])
+        _validate(config["instance"], "instance", name)
+        _validate(config.get("tolerances", {}), "tolerances", name)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"{path}: {exc.json_path}: {exc.message}") from exc
     return config

@@ -8,6 +8,14 @@ permanent sandwich for uniform margins. Whether (r,c) is reachable on supp(M)
 at all is one exact max-flow LP on `exactlp`, the engine behind the
 capacity's membership test; when it is not, the LP's optimum yields the
 Hall blocking set that certifies it.
+
+When (r,c) is reachable only in the limit, that is when its minimal face
+(found exactly by the capacity's face search) is smaller than supp(M), plain
+Sinkhorn's marginal error decays like 1/(2t) in t sweeps. Sinkhorn then
+scales M restricted to the face, where it converges linearly, and drives the
+off-face entries below tol along an exact face normal, the move
+`theta_capacity` makes on the torus side, before a polish of plain sweeps.
+Instances whose face is all of supp(M) run the plain sweeps alone.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .capacity import CapacityResult, theta_capacity
+from .capacity import CapacityResult, _face_normal, _face_search, theta_capacity
 from .core import (ConvergenceReport, LogValue, WeightVector, WeightedVector,
                    as_fraction, fraction_log, rational_vector)
 from .exactlp import simplex_max
@@ -98,11 +106,20 @@ class ScalingState:
 
 @dataclass(frozen=True)
 class SinkhornResult:
+    """How Sinkhorn ended. marginal_error is recomputed from the returned x
+    and y, and status is "converged" exactly when it is at most tol.
+    iterations counts every sweep, those on the face included. off_face
+    lists the support entries (i, j) that every plan with margins (r, c) on
+    supp(M) leaves at 0, so the scaling drives them to 0; it is empty when
+    the minimal face of (r, c) is all of supp(M), and on unscalable input.
+    """
+
     state: ScalingState
     status: str  # converged | max_iter | certified-unscalable
     iterations: int
     marginal_error: float
     certificate: dict | None = None
+    off_face: tuple[tuple[int, int], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +167,14 @@ def _unscalable_certificate(state: ScalingState) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# Sinkhorn kernel. On boundary instances the marginal error decays like 1/t,
-# so tol 1e-8 takes ~5e7 sweeps and the cost of one sweep is the run time.
-# The loop runs on Python lists: indexing numpy arrays one scalar at a time
-# costs several times more. Each row and column is summed once a sweep: the
-# row sums of the stop test are the divisors of the next row step, and each
-# column residual reuses the sum its column step just took.
+# Sinkhorn kernel. Plain sweeps on a boundary instance have a marginal error
+# that decays like 1/(2t): the 2 x 2 triangular instance needs ~5e7 sweeps
+# for tol 1e-8, so `sinkhorn_scale` runs the kernel there only on the face
+# and for a polish. The loop runs on Python lists: indexing numpy arrays one
+# scalar at a time costs several times more. Each row and column is summed
+# once a sweep: the row sums of the stop test are the divisors of the next
+# row step, and each column residual reuses the sum its column step just
+# took.
 
 def _sinkhorn_kernel(M, r, c, x, y, tol, max_iter):
     rows = [(i, float(ri), list(enumerate(row)))
@@ -193,14 +212,81 @@ def _sinkhorn_kernel(M, r, c, x, y, tol, max_iter):
     return x, y, it, err
 
 
+# ---------------------------------------------------------------------------
+# Face-aware start. A scalable (r,c) whose minimal face is smaller than
+# supp(M) is scalable only in the limit: every plan with margins (r,c) on
+# supp(M) vanishes off the face. M restricted to the face is exactly
+# scalable, so plain sweeps there converge linearly. An exact normal (ell,
+# gamma) of the face, ell = (a, b), has a_i + b_j = gamma on the face and
+# a_i + b_j <= gamma - 1 off it, so x_i e^{t(a_i - gamma)}, y_j e^{t b_j}
+# keeps the face entries and shrinks the others by at least e^-t: the limit
+# is reached along t instead of along 1/(2t) sweeps.
+
+def _rc_weight(n: int, m: int, i: int, j: int) -> WeightVector:
+    """e_i + e_{n+j} in Z^{n+m}, the weight of entry (i, j)."""
+    coords = [0] * (n + m)
+    coords[i] = 1
+    coords[n + j] = 1
+    return WeightVector(tuple(coords))
+
+
+def _rc_face(state: ScalingState
+             ) -> tuple[list[tuple[int, int]], list[WeightVector], list[int]]:
+    """The support entries of M, their weights and the indices of those on
+    the minimal face of (r, c). When the product plan r c^T is positive
+    exactly on supp(M) the face is the whole support and no LP runs."""
+    pos = state.M > 0
+    n, m = pos.shape
+    entries = [(int(i), int(j)) for i, j in zip(*np.nonzero(pos))]
+    if np.array_equal(pos, np.outer([t > 0 for t in state.r], [t > 0 for t in state.c])):
+        return entries, [], list(range(len(entries)))
+    weights = [_rc_weight(n, m, i, j) for i, j in entries]
+    _, face, _ = _face_search(weights, (*state.r, *state.c))
+    return entries, weights, face
+
+
+def _face_start(state: ScalingState, entries, weights, face, tol: float, max_iter: int
+                ) -> tuple[list[float], list[float], int]:
+    """Scale M restricted to the face to tol/4, then push the off-face
+    entries down along the face normal by the smallest t in 0, 1, 2, 4, ...
+    that leaves them less than tol/4 of scaled mass. Returns x, y and the
+    sweeps taken. When no t meets that before x or y leaves the float range
+    (always so at tol 0), the face scaling is returned unpushed and the
+    polish sweeps start from it."""
+    M = state.M
+    n = M.shape[0]
+    on = np.zeros(M.shape, dtype=bool)
+    on[tuple(zip(*(entries[k] for k in face)))] = True
+    x, y, it, _ = _sinkhorn_kernel(np.where(on, M, 0.0), state.r, state.c, state.x.tolist(),
+                                   state.y.tolist(), tol / 4, max_iter)
+    ell, gamma = _face_normal(weights, face)
+    u = np.array([float(a - gamma) for a in ell[:n]])
+    v = np.array([float(b) for b in ell[n:]])
+    rows, cols = np.nonzero((M > 0) & ~on)
+    x, y = np.array(x), np.array(y)
+    with np.errstate(all="ignore"):
+        for t in (0, *(2 ** k for k in range(11))):
+            xt, yt = x * np.exp(t * u), y * np.exp(t * v)
+            if not (np.all(np.isfinite(xt) & ((xt > 0) == (x > 0)))
+                    and np.all(np.isfinite(yt) & ((yt > 0) == (y > 0)))):
+                break
+            if float(np.sum(xt[rows] * M[rows, cols] * yt[cols])) < tol / 4:
+                return xt.tolist(), yt.tolist(), it
+    return x.tolist(), y.tolist(), it
+
+
 def sinkhorn_scale(state: ScalingState, tol: float = 1e-8,
                    max_iter: int = DEFAULT_MAX_ITER) -> SinkhornResult:
     """Alternate row/column normalization of diag(x) M diag(y) toward (r,c).
 
-    Stops when the combined l1 marginal error drops to tol. Margins that are
-    unachievable on the support are detected exactly up front and returned as
-    certified-unscalable with the blocking row set. With max_iter = 0 the
-    untouched state is returned with its own marginal error.
+    Stops when the combined l1 marginal error, recomputed from the returned
+    x and y, is at most tol; status is "converged" then and "max_iter"
+    otherwise. Margins that are unachievable on the support are detected
+    exactly up front and returned as certified-unscalable with the blocking
+    row set. Margins reachable only in the limit are scaled on their minimal
+    face and pushed off it along an exact face normal before the plain
+    sweeps; off_face lists the entries driven to 0. max_iter bounds all
+    sweeps; with max_iter = 0 the untouched state is returned.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
@@ -212,13 +298,18 @@ def sinkhorn_scale(state: ScalingState, tol: float = 1e-8,
     if cert is not None:
         return SinkhornResult(state, "certified-unscalable", 0,
                               state.marginal_error(), cert)
-    x, y, it, err = _sinkhorn_kernel(state.M, state.r, state.c, state.x.tolist(),
-                                     state.y.tolist(), float(tol), int(max_iter))
+    tol, max_iter = float(tol), int(max_iter)
+    entries, weights, face = _rc_face(state)
+    on = set(face)
+    off = tuple(e for k, e in enumerate(entries) if k not in on)
+    x, y, it = state.x.tolist(), state.y.tolist(), 0
+    if off and max_iter:
+        x, y, it = _face_start(state, entries, weights, face, tol, max_iter)
+    x, y, polish, _ = _sinkhorn_kernel(state.M, state.r, state.c, x, y, tol, max_iter - it)
     out = ScalingState(state.M, state.r, state.c, x, y)
-    if it == 0:
-        err = out.marginal_error()  # no sweep ran, so the kernel measured nothing
-    status = "converged" if err <= tol else "max_iter"
-    return SinkhornResult(out, status, it, err)
+    err = out.marginal_error()
+    return SinkhornResult(out, "converged" if err <= tol else "max_iter", it + polish, err,
+                          off_face=off)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +320,9 @@ def sinkhorn_scale(state: ScalingState, tol: float = 1e-8,
 def rc_weighted_vector(M: np.ndarray) -> WeightedVector:
     M = np.asarray(M, dtype=float)
     n, m = M.shape
-    terms = {}
-    for i in range(n):
-        for j in range(m):
-            if M[i, j] > 0:
-                coords = [0] * (n + m)
-                coords[i] = 1
-                coords[n + j] = 1
-                terms[WeightVector(tuple(coords))] = math.sqrt(M[i, j])
-    return WeightedVector.from_terms(n + m, terms)
+    return WeightedVector.from_terms(n + m, {
+        _rc_weight(n, m, i, j): math.sqrt(M[i, j])
+        for i in range(n) for j in range(m) if M[i, j] > 0})
 
 
 def rc_capacity_result(M, r, c) -> CapacityResult:

@@ -6,9 +6,11 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capdual import cli
 from capdual.cli import EXPERIMENT_ORDER, main
 from capdual.haarmc import UnitaryOrbitVector, mc_isotypic_norm
 
@@ -132,6 +134,34 @@ def test_schema_violation_names_json_path(tmp_path, capsys):
     })
     assert main(["run", str(cfg)]) == 1
     assert "terms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    {"experiment": "frobnicate", "instance": {}},
+    {"experiment": "duality", "instance": {}, "k_max": 0, "extra": 1},
+    {"instance": {}},
+    {"experiment": "duality",
+     "instance": {"vector": {"n": 1, "terms": []}, "theta": ["1/2"]}},
+    {"experiment": "perm-dual", "instance": {"matrix": [[1, "x"]], "r": [1], "c": []}},
+    {"experiment": "laurent", "instance": {"terms": [[1, 1]]},
+     "tolerances": {"cap_match_tol": "tight"}},
+    {"experiment": "duality", "instance": {"vector": {"n": 1, "terms": [
+        {"weight": [0], "amplitude": 1.0}]}, "theta": ["1/2"]},
+     "tolerances": {"min_final_ratio": 1, "nope": 2}},
+])
+def test_schema_errors_match_jsonschema_validate(tmp_path, body):
+    # the prebuilt validators report the error jsonschema.validate reports
+    path = write_config(tmp_path, "bad.json", body)
+    try:
+        jsonschema.validate(body, cli.CONFIG_SCHEMA)
+        name = body["experiment"]
+        jsonschema.validate(body["instance"], cli.INSTANCE_SCHEMAS[name])
+        jsonschema.validate(body.get("tolerances", {}), cli.TOLERANCE_SCHEMAS[name])
+    except jsonschema.ValidationError as exc:
+        want = f"{path}: {exc.json_path}: {exc.message}"
+    with pytest.raises(cli.ConfigError) as got:
+        cli._load_config(path)
+    assert str(got.value) == want
 
 
 def test_duplicate_weight_rejected(tmp_path, capsys):

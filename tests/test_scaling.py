@@ -1,14 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capdual.capacity import capacity_kl_form, moment_polytope_contains
-from capdual.scaling import (ScalingState, matrix_from_csv, matrix_from_json,
-                             perm_dual_report, perm_rc_exact, rc_capacity,
-                             rc_weighted_vector, sinkhorn_scale)
-from util import hall_blocking_set
+from capdual.scaling import (ScalingState, _sinkhorn_kernel, matrix_from_csv,
+                             matrix_from_json, perm_dual_report, perm_rc_exact,
+                             rc_capacity, rc_weighted_vector, sinkhorn_scale)
+from util import hall_blocking_set, hall_off_face
 
 F = Fraction
 UNIFORM2 = ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
@@ -68,6 +73,7 @@ def test_hall_certificate_matches_brute_force_oracle():
             assert cert["row_mass"] - cert["col_mass"] == deficiency
         else:
             assert res.certificate is None
+            assert list(res.off_face) == hall_off_face(M > 0, r, c)
         assert moment_polytope_contains(rc_weighted_vector(M), r + c).inside != unscalable
         seen["unscalable" if unscalable else "scalable"] += 1
         seen["zero_margin"] += 0 in r + c
@@ -75,26 +81,170 @@ def test_hall_certificate_matches_brute_force_oracle():
     assert min(seen.values()) >= 50, seen
 
 
-def test_triangular_boundary_case_converges():
-    # scalable only in the limit: entries drift to the boundary, and the
-    # marginal error decays like 1/t, so this takes tens of millions of
-    # sweeps at tol = 1e-8
+TRIANGULAR = [[F(1), F(1)], [F(0), F(1)]]
+
+
+def _recomputed_error(res) -> float:
+    """The l1 marginal error of diag(x) M diag(y), summed entry by entry."""
+    M, x, y = res.state.M, res.state.x, res.state.y
+    n, m = M.shape
+    S = [[x[i] * M[i, j] * y[j] for j in range(m)] for i in range(n)]
+    err = sum(abs(sum(S[i]) - float(res.state.r[i])) for i in range(n))
+    return err + sum(abs(sum(S[i][j] for i in range(n)) - float(res.state.c[j]))
+                     for j in range(m))
+
+
+@pytest.mark.parametrize("sweeps", [10**3, 10**4])
+def test_plain_kernel_error_law_and_max_iter_stop(sweeps):
+    # on the triangular instance, scalable only in the limit, plain sweeps
+    # leave a marginal error of about 1/(2t) after t sweeps
+    M = np.array([[1.0, 1.0], [0.0, 1.0]])
     r, c = UNIFORM2
-    res = sinkhorn_scale(ScalingState([[F(1), F(1)], [F(0), F(1)]], r, c))
+    x, y, it, err = _sinkhorn_kernel(M, r, c, [1.0, 1.0], [1.0, 1.0], 1e-8, sweeps)
+    assert it == sweeps
+    assert err == pytest.approx(1 / (2 * sweeps), rel=1e-3)
+    assert err == pytest.approx(ScalingState(M, r, c, x, y).marginal_error(), rel=1e-9)
+
+
+def test_triangular_boundary_case_converges():
+    # the face is the diagonal; the off-diagonal entry is pushed below tol
+    # along the face normal instead of decaying like 1/(2t) over ~5e7 sweeps
+    r, c = UNIFORM2
+    res = sinkhorn_scale(ScalingState(TRIANGULAR, r, c))
     assert res.status == "converged"
     assert res.marginal_error <= 1e-8
-    assert res.iterations > 10**6
+    assert _recomputed_error(res) <= 1e-8
+    assert res.off_face == ((0, 1),)
+    assert res.iterations <= 10
+    assert np.allclose(res.state.scaled, [[0.5, 0], [0, 0.5]], rtol=0, atol=1e-8)
 
 
 def test_boundary_case_stops_at_max_iter():
-    # the marginal error after t sweeps is about 1/(2t), far above tol here
+    # 1000 sweeps are far more than the face-aware path needs; at a tol no
+    # push can reach within the float range it runs every one of them
     r, c = UNIFORM2
-    res = sinkhorn_scale(ScalingState([[F(1), F(1)], [F(0), F(1)]], r, c),
-                         tol=1e-8, max_iter=1000)
+    state = ScalingState(TRIANGULAR, r, c)
+    res = sinkhorn_scale(state, tol=1e-8, max_iter=1000)
+    assert res.status == "converged"
+    assert res.iterations <= 10
+    res = sinkhorn_scale(state, tol=1e-300, max_iter=1000)
     assert res.status == "max_iter"
     assert res.iterations == 1000
-    assert res.marginal_error > 1e-8
-    assert res.marginal_error == pytest.approx(res.state.marginal_error(), rel=1e-9)
+    assert res.marginal_error > 1e-300
+    assert res.marginal_error == pytest.approx(_recomputed_error(res), rel=1e-9)
+
+
+def test_boundary_instances_match_plain_kernel_limit():
+    # margins from a positive plan on a sub-pattern Q of a random pattern P,
+    # every row and column of Q occupied: the minimal face holds Q and is
+    # often smaller than P. The face-aware result must converge, find the
+    # off-face entries of the Hall oracle, leave them below tol and agree on
+    # the face with a long plain-kernel run, which is still far from tol.
+    rng = np.random.default_rng(41)
+    tol = 1e-9
+    seen = 0
+    while seen < 15:
+        n, m = (int(t) for t in rng.integers(2, 5, size=2))
+        P = rng.random((n, m)) < 0.75
+        Q = P & (rng.random((n, m)) < 0.5)
+        if not (Q.any(axis=1).all() and Q.any(axis=0).all()) or (Q == P).all():
+            continue
+        B = Q * rng.integers(1, 6, size=(n, m))
+        total = int(B.sum())
+        r = tuple(F(int(v), total) for v in B.sum(axis=1))
+        c = tuple(F(int(v), total) for v in B.sum(axis=0))
+        M = (P * rng.integers(1, 10, size=(n, m))).astype(float)
+        res = sinkhorn_scale(ScalingState(M.tolist(), r, c), tol=tol)
+        assert list(res.off_face) == hall_off_face(P, r, c)
+        if not res.off_face:
+            continue
+        seen += 1
+        assert res.status == "converged"
+        assert _recomputed_error(res) <= tol
+        S = res.state.scaled
+        off = tuple(zip(*res.off_face))
+        assert np.all(S[off] <= tol)
+        x, y, _, plain_err = _sinkhorn_kernel(M, r, c, [1.0] * n, [1.0] * m, 0.0, 10**4)
+        assert plain_err > 1000 * tol
+        on = P.copy()
+        on[off] = False
+        plain = np.array(x)[:, None] * M * np.array(y)[None, :]
+        assert np.all(np.abs(S - plain)[on] <= plain_err + tol)
+
+
+def test_full_support_takes_the_plain_kernel_bit_for_bit():
+    # when the minimal face is all of supp(M) nothing but plain sweeps run;
+    # positive margins, and a zero entry in about one matrix in three
+    rng = np.random.default_rng(13)
+    seen = 0
+    for _ in range(40):
+        n, m = (int(t) for t in rng.integers(1, 5, size=2))
+        M = rng.integers(0 if rng.random() < 0.3 else 1, 10, size=(n, m)).astype(float)
+        r, c = (tuple(F(int(v), int(w.sum())) for v in w)
+                for w in (rng.integers(1, 9, size=n), rng.integers(1, 9, size=m)))
+        if not M.any():
+            continue
+        res = sinkhorn_scale(ScalingState(M.tolist(), r, c), tol=1e-10)
+        if res.status == "certified-unscalable" or res.off_face:
+            continue
+        seen += 1
+        x, y, it, _ = _sinkhorn_kernel(M, r, c, [1.0] * n, [1.0] * m, 1e-10, 10**6)
+        assert res.state.x.tobytes() == np.array(x).tobytes()
+        assert res.state.y.tobytes() == np.array(y).tobytes()
+        assert res.iterations == it
+    assert seen >= 20, seen
+
+
+def test_face_normal_checks_survive_python_O():
+    """Flip the sign of the face normal the LP returns, move it by one on a
+    face weight alone, and halve it so the off-face gap is 1/2: under -O the
+    exact check must still raise."""
+    code = textwrap.dedent("""
+        from fractions import Fraction as F
+        from capdual import capacity
+        from capdual.core import WeightVector
+        print("debug", __debug__)
+        # the triangular instance: entries (0,0), (0,1), (1,1); face {0, 2}
+        weights = [WeightVector(w) for w in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1))]
+        print("normal", capacity._face_normal(weights, [0, 2]))
+        solve = capacity.simplex_max
+
+        def flipped(c, A, b):
+            res = solve(c, A, b)
+            n = 4
+            x = res.x
+            res.x = [*x[n:2 * n], *x[:n], x[2 * n + 1], x[2 * n], *x[2 * n + 2:]]
+            return res
+
+        def shifted(c, A, b):  # row 1 meets only the face entry (1, 1)
+            res = solve(c, A, b)
+            res.x = [res.x[0], res.x[1] + 1, *res.x[2:]]
+            return res
+
+        def halved(c, A, b):
+            res = solve(c, A, b)
+            res.x = [p / 2 for p in res.x]
+            return res
+
+        for name, patch in (("flipped", flipped), ("shifted", shifted), ("halved", halved)):
+            capacity.simplex_max = patch
+            try:
+                capacity._face_normal(weights, [0, 2])
+                print(name, "returned")
+            except RuntimeError as exc:
+                print(name, "raised", exc)
+        capacity.simplex_max = solve
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert "debug False" in out
+    assert "normal" in out
+    assert "flipped raised face normal failed its check" in out
+    assert "shifted raised face normal failed its check" in out
+    assert "halved raised face normal failed its check" in out
 
 
 def test_zero_sweeps_report_the_untouched_state():

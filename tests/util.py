@@ -4,8 +4,8 @@ Everything here is deliberately independent of the library internals:
 projection norms by direct tensor-power expansion, Schur polynomials by
 tableau enumeration, feasible directions by explicit rational convex
 combinations, exact LPs on a `Fraction` tableau, minimal faces by one such
-LP per weight, Hall deficiencies by enumerating row subsets, Laurent
-constant terms in exact Gaussian-integer arithmetic.
+LP per weight, Hall deficiencies and off-face entries by enumerating row
+subsets, Laurent constant terms in exact Gaussian-integer arithmetic.
 Slow is fine; these run at small sizes.
 """
 
@@ -320,6 +320,29 @@ def hall_blocking_set(pattern, r, c) -> tuple[Fraction, list[int], list[int]]:
             elif d == best:
                 smallest &= set(R)
     return best, sorted(smallest), sorted(neighbours(smallest))
+
+
+def hall_off_face(pattern, r, c) -> list[tuple[int, int]]:
+    """Brute-force off-face entries of achievable margins (r, c) on a 0/1
+    support pattern: the entries (i, j) that every nonnegative matrix on the
+    pattern with these margins leaves at 0.
+
+    (i, j) carries mass in some such matrix exactly when the margins
+    r - eps e_i, c - eps e_j stay nonnegative and achievable for small
+    eps > 0. That fails when r_i or c_j is 0, and by Hall's condition exactly
+    when a tight row subset R, r(R) = c(N(R)), has j in N(R) but not i in R:
+    the columns N(R) then take all their mass from R.
+    """
+    n, m = len(pattern), len(pattern[0])
+    off = {(i, j) for i in range(n) for j in range(m)
+           if pattern[i][j] and (r[i] == 0 or c[j] == 0)}
+    for size in range(1, n + 1):
+        for R in itertools.combinations(range(n), size):
+            cols = {j for i in R for j in range(m) if pattern[i][j]}
+            if sum(r[i] for i in R) == sum(c[j] for j in cols):
+                off |= {(i, j) for i in range(n) if i not in R for j in cols
+                        if pattern[i][j]}
+    return sorted(off)
 
 
 def gaussian_cst_powers(terms: dict[int, complex],
