@@ -25,11 +25,10 @@ from .scaling import (PermExact, ScalingState, SinkhornResult,
                       perm_rc_exact, rc_capacity, rc_capacity_result,
                       rc_weighted_vector, sinkhorn_scale)
 from .spectrum import (DuffieldFamily, HermitianState, SchurWeylFamily,
-                       SchurWeylRow, SU2MultTable, duffield_rate,
-                       hook_length_count, keyl_rate, kw_minimization_check,
-                       kw_rate, ldp_report, partitions_bounded,
-                       rank1_multiplicities, schur_weyl_measure,
-                       su2_mult_tables, su2_multiplicities)
+                       SchurWeylRow, duffield_rate, hook_length_count,
+                       keyl_rate, kw_minimization_check, kw_rate, ldp_report,
+                       partitions_bounded, rank1_mult_tables,
+                       rank1_multiplicities, schur_weyl_measure)
 
 __all__ = [
     "__version__",
@@ -48,8 +47,7 @@ __all__ = [
     "matrix_from_json", "perm_dual_report", "perm_rc_exact", "rc_capacity",
     "rc_capacity_result", "rc_weighted_vector", "sinkhorn_scale",
     "DuffieldFamily", "HermitianState", "SchurWeylFamily", "SchurWeylRow",
-    "SU2MultTable", "duffield_rate", "hook_length_count", "keyl_rate",
+    "duffield_rate", "hook_length_count", "keyl_rate",
     "kw_minimization_check", "kw_rate", "ldp_report", "partitions_bounded",
-    "rank1_multiplicities", "schur_weyl_measure", "su2_mult_tables",
-    "su2_multiplicities",
+    "rank1_mult_tables", "rank1_multiplicities", "schur_weyl_measure",
 ]

@@ -5,9 +5,11 @@ prescribed margins, the (r,c)-capacity via the torus solver on the weight
 system {e_i + e_j}, exact contingency-table permanents, and the report that
 compares (k! perm_{kr,kc})^{1/k} against cap^2 together with the classic
 permanent sandwich for uniform margins. Whether (r,c) is reachable on supp(M)
-at all is one exact max-flow LP on `exactlp`, the engine behind the
-capacity's membership test; when it is not, the LP's optimum yields the
-Hall blocking set that certifies it.
+at all is decided once, by the face search below: the product plan r c^T
+proves it when it is positive exactly on supp(M), and otherwise the
+capacity's exact membership LP on `exactlp` decides it. Only when (r,c) is
+unreachable does one exact max-flow LP run, whose optimum yields the Hall
+blocking set that certifies it.
 
 When (r,c) is reachable only in the limit, that is when its minimal face
 (found exactly by the capacity's face search) is smaller than supp(M), plain
@@ -233,8 +235,9 @@ def _rc_weight(n: int, m: int, i: int, j: int) -> WeightVector:
 def _rc_face(state: ScalingState
              ) -> tuple[list[tuple[int, int]], list[WeightVector], list[int]]:
     """The support entries of M, their weights and the indices of those on
-    the minimal face of (r, c). When the product plan r c^T is positive
-    exactly on supp(M) the face is the whole support and no LP runs."""
+    the minimal face of (r, c), empty exactly when (r, c) is unreachable on
+    supp(M). When the product plan r c^T is positive exactly on supp(M) the
+    face is the whole support and no LP runs."""
     pos = state.M > 0
     n, m = pos.shape
     entries = [(int(i), int(j)) for i, j in zip(*np.nonzero(pos))]
@@ -294,12 +297,14 @@ def sinkhorn_scale(state: ScalingState, tol: float = 1e-8,
         raise ValueError(f"tol must be nonnegative, got {tol}")
     if not np.any(state.M > 0):
         raise ValueError("cannot scale the zero matrix")
-    cert = _unscalable_certificate(state)
-    if cert is not None:
+    entries, weights, face = _rc_face(state)
+    if not face:
+        cert = _unscalable_certificate(state)
+        if cert is None:
+            raise RuntimeError("face search and max-flow LP disagree on scalability")
         return SinkhornResult(state, "certified-unscalable", 0,
                               state.marginal_error(), cert)
     tol, max_iter = float(tol), int(max_iter)
-    entries, weights, face = _rc_face(state)
     on = set(face)
     off = tuple(e for k, e in enumerate(entries) if k not in on)
     x, y, it = state.x.tolist(), state.y.tolist(), 0

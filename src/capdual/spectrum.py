@@ -5,10 +5,13 @@ P(lambda) = f^lambda s_lambda(q) on partitions of k, its rate function
 (sorted relative entropy), and the full-state rate through principal minors.
 Second, rank-1 tensor powers: exact multiplicities n_{k,lambda} and the
 Legendre-transform rate of the associated dimension-weighted measure.
-The measure and the Schur-Weyl report take P(lambda) from one helper; all
-rank-1 families (SU(2) tables, weight multisets, the Duffield report) read
-weight counts from core.power_rows of {w: multiplicity of w}, the row stream
-of the Laurent constant terms, and take n_lambda as one slice difference.
+The measure and the Schur-Weyl report take P(lambda) from one helper. Every
+rank-1 table (SU(2)'s are those of the weights (-1, 1)) reads weight counts
+from core.power_rows of {w: multiplicity of w}, the row stream of the Laurent
+constant terms, takes n_lambda as one slice difference and checks
+sum (lambda + 1) n_lambda = d^k exactly. The Duffield rate is a
+theta-capacity, -log cap_theta(v)^2 of a 1-D unit vector, so
+`capacity.theta_capacity` is its one solver.
 
 Schur polynomials are evaluated in exact integer arithmetic: q is cleared to
 integers by its common denominator and the Jacobi-Trudi determinant is taken
@@ -29,14 +32,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import (ConvergenceReport, LogValue, Partition, ProbVector, as_fraction,
-                   fraction_log, power_rows)
+from .capacity import theta_capacity
+from .core import (ConvergenceReport, LogValue, Partition, ProbVector,
+                   WeightedVector, as_fraction, fraction_log, power_rows)
 from .haarmc import sample_haar_unitary
 
 __all__ = [
     "HermitianState",
     "SchurWeylRow",
-    "SU2MultTable",
     "SchurWeylFamily",
     "DuffieldFamily",
     "partitions_bounded",
@@ -45,8 +48,7 @@ __all__ = [
     "keyl_rate",
     "kw_rate",
     "kw_minimization_check",
-    "su2_multiplicities",
-    "su2_mult_tables",
+    "rank1_mult_tables",
     "rank1_multiplicities",
     "duffield_rate",
     "ldp_report",
@@ -54,7 +56,7 @@ __all__ = [
 
 SCHUR_K_MAX = 400
 SCHUR_N_MAX = 4
-SU2_K_MAX = 10**3
+RANK1_K_MAX = 10**3
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +319,6 @@ def kw_minimization_check(p, sigma, samples: int = 1000,
 # ---------------------------------------------------------------------------
 # Rank-1 tensor-power multiplicities.
 
-class SU2MultTable:
-    """Exact multiplicities n_{k,lambda} of V_lambda inside V_1^{tensor k}."""
-
-    def __init__(self, k: int, entries: dict[int, int]) -> None:
-        self.k = k
-        self.entries = {lam: n for lam, n in sorted(entries.items()) if n}
-        dim = sum((lam + 1) * n for lam, n in self.entries.items())
-        if dim != 2**k:
-            raise ValueError(f"multiplicity table violates the dimension count at k={k}")
-
-    def __getitem__(self, lam: int) -> int:
-        return self.entries.get(lam, 0)
-
-    def items(self):
-        return self.entries.items()
-
-
 def _multiplicities(lo: int, row: np.ndarray) -> dict[int, int]:
     """n_lambda = w_lambda - w_{lambda+2} for lambda >= 0, one slice
     difference over the weight-count row of a symmetric weight system whose
@@ -365,25 +350,33 @@ def _character_rows(weights: Sequence[int],
     return power_rows(counts, k_max)
 
 
-def su2_mult_tables(k_max: int) -> Iterator[SU2MultTable]:
-    """Tables for k = 1..k_max: the rank-1 multiplicities of the weights
-    (-1, 1), one tensor power at a time."""
-    if not 1 <= k_max <= SU2_K_MAX:
-        raise ValueError(f"k_max must be in 1..{SU2_K_MAX}")
-    for k, row in enumerate(_character_rows((-1, 1), k_max), start=1):
-        yield SU2MultTable(k, _multiplicities(*row))
+def _dimension_checked(mult: dict[int, int], d: int, k: int) -> dict[int, int]:
+    """mult, or RuntimeError unless sum (lambda + 1) n_lambda = d^k exactly."""
+    if sum((lam + 1) * n for lam, n in mult.items()) != d**k:
+        raise RuntimeError(f"multiplicities failed the exact dimension count at k={k}")
+    return mult
 
 
-def su2_multiplicities(k: int) -> SU2MultTable:
-    if not 1 <= k <= SU2_K_MAX:
-        raise ValueError(f"k must be in 1..{SU2_K_MAX}")
-    return SU2MultTable(k, rank1_multiplicities((-1, 1), k))
+def rank1_mult_tables(weights: Sequence[int], k_max: int) -> Iterator[dict[int, int]]:
+    """n_{k,lambda} for k = 1..k_max, one dict per tensor power, from one
+    stream of weight-count rows; the weights (-1, 1) give the SU(2) tables.
+
+    Every row feeds the next, so the exact dimension count is taken once,
+    on the last table. Raises ValueError as `rank1_multiplicities` does.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    mult = {0: 1}  # k = 0: the trivial representation
+    for row in _character_rows(weights, k_max):
+        mult = _multiplicities(*row)
+        yield mult
+    _dimension_checked(mult, len(weights), k_max)
 
 
 def rank1_multiplicities(weights: Sequence[int], k: int) -> dict[int, int]:
     """n_{k,lambda} for the k-th tensor power of the rank-1 representation
     with the given weight multiset, via weight counts w and
-    n_lambda = w_lambda - w_{lambda+2}.
+    n_lambda = w_lambda - w_{lambda+2}, checked by the exact dimension count.
 
     Raises ValueError when k is negative, or when the multiset is not the
     weight system of a genuine representation of the rank-1 group.
@@ -393,65 +386,34 @@ def rank1_multiplicities(weights: Sequence[int], k: int) -> dict[int, int]:
     row = (0, np.ones(1, dtype=object))  # k = 0: the trivial representation
     for row in _character_rows(weights, k):
         pass
-    return _multiplicities(*row)
+    return _dimension_checked(_multiplicities(*row), len(weights), k)
 
 
 def duffield_rate(weights: Sequence[int], theta: float) -> float:
     """Legendre-transform rate I(theta) = sup_{h>=0} (theta h - log(chi(e^h)/d))
     for the rank-1 representation with character chi(e^h) = sum_w e^{w h}.
 
-    theta above the largest weight gives +inf; at the largest weight the
-    supremum is log(d / multiplicity of that weight); below the mean weight
-    it is 0.
+    With h = 2x it is -log cap_theta(v)^2, v the 1-D unit vector with
+    amplitudes sqrt(multiplicity of w / d): 0 up to the mean weight,
+    log(d / multiplicity) at the largest weight (a vertex), +inf past it.
+    theta is taken exactly, a float as its binary value.
     """
-    ws = sorted(int(w) for w in weights)
-    if not ws:
+    counts = Counter(int(w) for w in weights)
+    if not counts:
         raise ValueError("weight multiset must be nonempty")
-    theta = float(theta)
-    if theta < 0:
+    th = Fraction(theta)
+    if th < 0:
         raise ValueError("theta must be nonnegative")
-    d = len(ws)
-    wmax = ws[-1]
-    if theta > wmax:
-        return math.inf
-    if theta == wmax:
-        return math.log(d / ws.count(wmax))
-
-    def moments(h: float) -> tuple[float, float, float]:
-        # log-partition shifted by wmax for overflow safety
-        es = [math.exp((w - wmax) * h) for w in ws]
-        z = sum(es)
-        g = wmax * h + math.log(z) - math.log(d)
-        mean = sum(w * e for w, e in zip(ws, es)) / z
-        var = sum(w * w * e for w, e in zip(ws, es)) / z - mean * mean
-        return g, mean, var
-
-    _, mean0, _ = moments(0.0)
-    if theta <= mean0:
+    d = sum(counts.values())
+    if th <= Fraction(sum(w * c for w, c in counts.items()), d):
         return 0.0
-
-    lo, hi = 0.0, 1.0
-    while moments(hi)[1] < theta:
-        lo = hi
-        hi *= 2
-        if hi > 1e6:
-            return math.inf  # theta numerically indistinguishable from wmax
-    h = 0.5 * (lo + hi)
-    for _ in range(200):
-        g, mean, var = moments(h)
-        if mean < theta:
-            lo = h
-        else:
-            hi = h
-        if var <= 0:
-            break
-        step = (theta - mean) / var
-        nh = h + step
-        h = nh if lo < nh < hi else 0.5 * (lo + hi)
-        if abs(mean - theta) <= 1e-14 * max(1.0, abs(theta)):
-            break
-    g, _, _ = moments(h)
-    return max(theta * h - g, 0.0)
+    v = WeightedVector.from_terms(1, {(w,): math.sqrt(c / d) for w, c in counts.items()})
+    cap = theta_capacity(v, (th,))
+    if cap.status == "outside":
+        return math.inf
+    if cap.status == "max_iter":
+        raise RuntimeError(f"capacity solve for the rate at theta={theta} hit max_iter")
+    return max(-2.0 * float(cap.log_cap.log_mag), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +469,12 @@ def ldp_report(family, theta, k_max: int) -> ConvergenceReport:
             rows.append((k, log_p, emp, analytic, abs(emp - analytic)))
         meta = {"family": family, "theta": tuple(map(float, th)), "analytic_rate": analytic}
     elif isinstance(family, DuffieldFamily):
-        if k_max > SU2_K_MAX:
-            raise ValueError(f"k_max must be at most {SU2_K_MAX}")
-        rows_k = _character_rows(family.weights, k_max)
+        if k_max > RANK1_K_MAX:
+            raise ValueError(f"k_max must be at most {RANK1_K_MAX}")
         th = float(as_fraction(theta))
         analytic = duffield_rate(family.weights, th)
         d = len(family.weights)
-        for k, row in enumerate(rows_k, start=1):
-            mult = _multiplicities(*row)
+        for k, mult in enumerate(rank1_mult_tables(family.weights, k_max), start=1):
             target = k * th
             lam_k = min(mult, key=lambda l: (abs(l - target), -l))
             log_p = fraction_log(Fraction((lam_k + 1) * mult[lam_k], d**k)).log_mag

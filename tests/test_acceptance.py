@@ -21,8 +21,8 @@ from capdual.projection import (LaurentPoly, critical_values, duality_report,
 from capdual.scaling import (ScalingState, perm_dual_report, rc_capacity,
                              sinkhorn_scale)
 from capdual.spectrum import (DuffieldFamily, HermitianState, SchurWeylFamily,
-                              keyl_rate, ldp_report, schur_weyl_measure,
-                              su2_mult_tables)
+                              keyl_rate, ldp_report, rank1_mult_tables,
+                              schur_weyl_measure)
 
 from util import (kl_divergence, quantum_relative_entropy,
                   random_density_matrix, random_feasible_theta,
@@ -170,12 +170,11 @@ def test_criterion_5_keyl_werner(capsys):
 def test_criterion_6_su2_multiplicities(capsys):
     t0 = time.monotonic()
     closed_ok = True
-    for table in su2_mult_tables(1000):
-        k = table.k
+    for k, table in enumerate(rank1_mult_tables((-1, 1), 1000), start=1):
         # closed form C(k,j) - C(k,j-1) at j = (k-lam)/2, with the binomial
         # computed by the exact Pascal recurrence along ascending j
         c_prev, c, j = 0, 1, 0
-        for lam in sorted((lam for lam, _ in table.items()), reverse=True):
+        for lam in sorted(table, reverse=True):
             while j < (k - lam) // 2:
                 j += 1
                 c_prev, c = c, c * (k - j + 1) // j

@@ -1,8 +1,10 @@
 """The runtime dependencies in pyproject.toml are exactly what capdual imports."""
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -74,3 +76,14 @@ def test_imports_match_declared_dependencies():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
                 for dep in project["dependencies"]}
     assert _third_party_imports(ROOT / "src" / "capdual") == declared
+
+
+def test_public_names_resolve():
+    # the benchmark's tracer wraps what __all__ names, so a stale entry left
+    # behind by a deletion must fail here, not as an AttributeError there
+    mods = [capdual] + [importlib.import_module(f"capdual.{info.name}")
+                        for info in pkgutil.iter_modules(capdual.__path__)]
+    missing = [f"{mod.__name__}.{name}" for mod in mods
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert len(mods) >= 8
+    assert missing == []

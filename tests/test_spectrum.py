@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capdual import spectrum
 from capdual.core import Partition, fraction_log
 from capdual.spectrum import (DuffieldFamily, HermitianState, SchurWeylFamily,
                               _round_partition, duffield_rate,
                               hook_length_count, keyl_rate,
                               kw_minimization_check, kw_rate, ldp_report,
-                              partitions_bounded, rank1_multiplicities,
-                              schur_weyl_measure, su2_mult_tables,
-                              su2_multiplicities)
+                              partitions_bounded, rank1_mult_tables,
+                              rank1_multiplicities, schur_weyl_measure)
 
 from util import (kl_divergence, quantum_relative_entropy,
                   random_density_matrix, ssyt_schur)
@@ -213,34 +213,60 @@ def test_kw_minimization_diagonal():
 # -- rank-1 multiplicities ---------------------------------------------------
 
 def test_su2_closed_form_small():
-    for k in range(1, 30):
-        table = su2_multiplicities(k)
-        for lam, n in table.items():
-            j = (k - lam) // 2
-            assert n == math.comb(k, j) - (math.comb(k, j - 1) if j else 0)
+    # C(k, j) - C(k, j-1) at lambda = k - 2j, from the stream and at one k
+    for k, table in enumerate(rank1_mult_tables((-1, 1), 60), start=1):
+        want = {k - 2 * j: math.comb(k, j) - (math.comb(k, j - 1) if j else 0)
+                for j in range(k // 2 + 1)}
+        assert table == want
+        assert rank1_multiplicities((-1, 1), k) == want
 
 
 def test_su2_recursion_consistency():
-    tables = list(su2_mult_tables(40))
+    tables = list(rank1_mult_tables((-1, 1), 40))
     for prev, cur in zip(tables, tables[1:]):
         for lam, n in cur.items():
-            left = prev[lam - 1] if lam >= 1 else 0
-            right = prev[lam + 1]
             if lam == 0:
                 assert n == prev[1]
             else:
-                assert n == left + right
+                assert n == prev.get(lam - 1, 0) + prev.get(lam + 1, 0)
 
 
 def test_su2_dimension_count_exact():
-    for table in su2_mult_tables(60):
+    for k, table in enumerate(rank1_mult_tables((-1, 1), 60), start=1):
         total = sum((lam + 1) * n for lam, n in table.items())
-        assert total == 2 ** table.k
+        assert total == 2 ** k
 
 
-def test_rank1_matches_su2():
-    for k in range(1, 61):
-        assert rank1_multiplicities((-1, 1), k) == dict(su2_multiplicities(k).items())
+def test_dimension_check_survives_python_O():
+    code = textwrap.dedent("""
+        from capdual import spectrum
+        real = spectrum.power_rows
+
+        def corrupted(coeffs, k_max):  # one extra top-weight count at k_max
+            for k, (lo, row) in enumerate(real(coeffs, k_max), start=1):
+                if k == k_max > 1:
+                    row = row.copy()
+                    row[-1] += 1
+                yield lo, row
+
+        spectrum.power_rows = corrupted
+        print("debug", __debug__)
+        for name, call in (("single", lambda: spectrum.rank1_multiplicities((-1, 1), 5)),
+                           ("stream", lambda: list(spectrum.rank1_mult_tables((-1, 1), 5)))):
+            try:
+                call()
+                print(name, "returned")
+            except RuntimeError as exc:
+                print(name, "raised", exc)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert "debug False" in out
+    for name in ("single", "stream"):
+        assert f"{name} raised multiplicities failed the exact dimension count at k=5" in out
 
 
 NON_CHARACTERS = [
@@ -307,8 +333,31 @@ def test_duffield_matches_kw_binary():
 
 
 def test_duffield_spin1_rate_positive():
-    rate = duffield_rate((-2, 0, 2), F(3, 2))
-    assert 0 < rate < math.log(3)
+    # (-2, 0, 2): the stationary point of theta h - log((e^{2h} + 1 + e^{-2h})/3)
+    # is u = e^{2h} = (theta + sqrt(16 - 3 theta^2)) / (2 (2 - theta))
+    for theta in (F(1, 2), F(3, 2), F(19, 10)):
+        t = float(theta)
+        u = (t + math.sqrt(16 - 3 * t * t)) / (2 * (2 - t))
+        expected = t * math.log(u) / 2 - math.log((u + 1 + 1 / u) / 3)
+        rate = duffield_rate((-2, 0, 2), theta)
+        assert 0 < rate < math.log(3)
+        assert math.isclose(rate, expected, rel_tol=0, abs_tol=1e-12)
+
+
+def test_duffield_vertex_and_outside():
+    # at the largest weight the rate is log(d / its multiplicity), past it +inf
+    assert math.isclose(duffield_rate((-3, -1, 1, 3), 3), math.log(4), rel_tol=0,
+                        abs_tol=1e-15)
+    assert duffield_rate((-3, -1, 1, 3), F(7, 2)) == math.inf
+    assert math.isclose(duffield_rate((-1, -1, 0, 1, 1), 1), math.log(F(5, 2)),
+                        rel_tol=0, abs_tol=1e-15)
+
+
+def test_duffield_rate_refuses_an_unconverged_solve(monkeypatch):
+    real = spectrum.theta_capacity
+    monkeypatch.setattr(spectrum, "theta_capacity", lambda v, th: real(v, th, max_iter=0))
+    with pytest.raises(RuntimeError, match="hit max_iter"):
+        duffield_rate((-1, 1), F(1, 2))
 
 
 # -- LDP reports -------------------------------------------------------------
