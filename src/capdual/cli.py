@@ -481,12 +481,13 @@ def _run_mc_check(config: dict):
         ok = sigmas <= max_sigmas
         within += ok
         rows.append((idx, group, k, est.mean.real, est.mean.imag, est.stderr,
-                     exact, err, sigmas, "true" if ok else "false"))
+                     exact, err, sigmas, "true" if ok else "false", est.seed, est.blocks))
     fraction = within / len(rows)
     passed = fraction >= min_fraction
-    headline = {"cases": len(rows), "within": within, "fraction_within": fraction}
+    headline = {"cases": len(rows), "within": within, "fraction_within": fraction,
+                "blocks": [row[-1] for row in rows]}
     return (("case", "group", "k", "mean_re", "mean_im", "stderr",
-             "exact", "abs_error", "sigmas", "within_tolerance"),
+             "exact", "abs_error", "sigmas", "within_tolerance", "seed", "blocks"),
             rows, headline, bool(passed))
 
 

@@ -6,6 +6,14 @@ character picks out one isotypic component instead. This module estimates
 both by plain Monte Carlo for the torus U(1)^n, SU(2), and U(2), as an
 independent check on the exact dynamic-programming and Schur-Weyl values.
 
+SU(2) Haar measure is uniform on the unit quaternions, and U(2) Haar measure
+is the image of U(1) x SU(2) under (z, s) -> z s, so one SU(2) sampler
+serves both groups. The central phase z is integrated exactly: it multiplies
+the integrand by z^{k - |lambda|}, whose average is 1 on the labels that
+occur in (C^2)^{tensor k} and 0 on the rest. Characters come from the
+Chebyshev recurrence, and the per-sample path is elementwise ufuncs with no
+BLAS call.
+
 Sampling is counter-based: block b of a run with seed s draws from a
 generator keyed by (s, b), so estimates are bit-identical for a given seed
 regardless of how blocks are scheduled, and the reduction is ordered by
@@ -42,6 +50,7 @@ class McEstimate:
     stderr: float
     samples: int
     seed: int
+    blocks: int
 
 
 @dataclass(frozen=True)
@@ -93,17 +102,26 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # Per-block integrand evaluation. Each returns the complex array of
-# d_lambda * conj(chi_lambda(u)) * <v, u v>^k over the block's samples.
+# d_lambda * conj(chi_lambda(u)) * <v, u v>^k over the block's samples, by
+# elementwise ufuncs only.
 
-def _torus_block(v: WeightedVector, k: int, lam, rng, size: int) -> np.ndarray:
-    W = np.array([w.coords for w in v.support], dtype=float)
-    qs = v.amplitudes_sq()
-    q = np.array([qs[w] for w in v.support])
-    x = rng.uniform(0.0, 2.0 * math.pi, (size, v.n))
-    f = np.exp(1j * (x @ W.T)) @ q
-    z = f**k
-    if lam is not None:
-        z = z * np.exp(-1j * (x @ np.array(lam, dtype=float)))
+def _torus_block(W: list[tuple[int, ...]], q: list[float], k: int, lam,
+                 rng, size: int) -> np.ndarray:
+    x = rng.uniform(0.0, 2.0 * math.pi, (size, len(W[0]))).T
+
+    def phase(w):  # <w, x>, one elementwise pass
+        return sum(wj * xj for wj, xj in zip(w, x) if wj)
+
+    re = np.zeros(size)
+    im = np.zeros(size)
+    for w, qw in zip(W, q):
+        t = phase(w)
+        re += qw * np.cos(t)
+        im += qw * np.sin(t)
+    z = (re + 1j * im) ** k
+    if lam is not None and any(lam):
+        t = phase(lam)
+        z *= np.cos(t) - 1j * np.sin(t)
     return z
 
 
@@ -111,60 +129,29 @@ def _su2_samples(rng, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) of Haar SU(2) elements [[a, b], [-conj b, conj a]],
     uniform on the unit quaternions."""
     g = rng.standard_normal((size, 4))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g /= np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
     return g[:, 0] + 1j * g[:, 1], g[:, 2] + 1j * g[:, 3]
 
 
-def _su2_block(v: np.ndarray, k: int, m: int | None, rng, size: int) -> np.ndarray:
+def _chebyshev_u(m: int, c: np.ndarray) -> np.ndarray:
+    """U_m(c) = sin((m + 1) phi) / sin(phi) at c = cos(phi), the SU(2)
+    character of highest weight m, by U_{j+1} = 2c U_j - U_{j-1} from
+    U_{-1} = 0 and U_0 = 1."""
+    prev, cur = np.zeros_like(c), np.ones_like(c)
+    for _ in range(m):
+        prev, cur = cur, 2.0 * c * cur - prev
+    return cur
+
+
+def _su2_block(sigma: np.ndarray, k: int, m: int | None, rng, size: int) -> np.ndarray:
+    """tr(s sigma)^k, times (m + 1) U_m(Re a) when m is given, over Haar
+    s in SU(2); sigma = v v^* gives <v, s v>^k."""
     a, b = _su2_samples(rng, size)
-    v0, v1 = v
-    f = (np.conj(v0) * (a * v0 + b * v1)
-         + np.conj(v1) * (-np.conj(b) * v0 + np.conj(a) * v1))
+    f = (a * sigma[0, 0] + b * sigma[1, 0]
+         - np.conj(b) * sigma[0, 1] + np.conj(a) * sigma[1, 1])
     z = f**k
     if m is not None:
-        # chi_m at eigenphases exp(+-i phi), cos phi = Re alpha
-        cosphi = np.clip(a.real, -1.0, 1.0)
-        sinphi = np.sqrt(np.clip(1.0 - cosphi**2, 0.0, None))
-        phi = np.arccos(cosphi)
-        safe = sinphi > 1e-8
-        chi = np.where(safe, np.sin((m + 1) * phi) / np.where(safe, sinphi, 1.0),
-                       (m + 1.0) * np.sign(cosphi) ** m)
-        z = z * ((m + 1) * chi)
-    return z
-
-
-def _u2_haar(rng, size: int) -> np.ndarray:
-    """Batch of Haar 2x2 unitaries by Gram-Schmidt on Ginibre columns; the
-    triangular diagonal comes out real positive, which is exactly the phase
-    convention that makes Q Haar."""
-    g = (rng.standard_normal((size, 2, 2)) + 1j * rng.standard_normal((size, 2, 2)))
-    c0 = g[:, :, 0]
-    q0 = c0 / np.linalg.norm(c0, axis=1, keepdims=True)
-    r01 = np.sum(np.conj(q0) * g[:, :, 1], axis=1, keepdims=True)
-    c1 = g[:, :, 1] - q0 * r01
-    q1 = c1 / np.linalg.norm(c1, axis=1, keepdims=True)
-    return np.stack([q0, q1], axis=2)
-
-
-def _u2_block(A: np.ndarray, k: int, lam, rng, size: int) -> np.ndarray:
-    sigma = A @ A.conj().T
-    u = _u2_haar(rng, size)
-    f = np.einsum("bij,ji->b", u, sigma)
-    z = f**k
-    if lam is not None:
-        l1, l2 = lam
-        t = u[:, 0, 0] + u[:, 1, 1]
-        dt = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
-        disc = np.sqrt(t * t - 4.0 * dt + 0j)
-        z1 = (t + disc) / 2.0
-        z2 = (t - disc) / 2.0
-        dlam = l1 - l2 + 1
-        gap = z1 - z2
-        safe = np.abs(gap) > 1e-8
-        num = z1 ** (l1 + 1) * z2**l2 - z2 ** (l1 + 1) * z1**l2
-        chi = np.where(safe, num / np.where(safe, gap, 1.0),
-                       dlam * ((z1 + z2) / 2.0) ** (l1 + l2))
-        z = z * (dlam * np.conj(chi))
+        z *= (m + 1) * _chebyshev_u(m, a.real)
     return z
 
 
@@ -187,7 +174,7 @@ def _run_blocks(block_fn: Callable[[np.random.Generator, int], np.ndarray],
                    math.fsum(p[1] for p in parts) / samples)
     msq = math.fsum(p[2] for p in parts) / samples
     var = max(msq - abs(mean) ** 2, 0.0)
-    return McEstimate(mean, math.sqrt(var / samples), samples, seed)
+    return McEstimate(mean, math.sqrt(var / samples), samples, seed, len(sizes))
 
 
 def _label_pair(lam) -> tuple[int, int]:
@@ -220,21 +207,33 @@ def _dispatch(instance, k: int, lam) -> Callable[[np.random.Generator, int], np.
         if v.is_zero:
             raise ValueError("zero vector has no Haar estimate")
         coords = None if lam is None else _torus_label(lam, v.n)
-        return lambda rng, size: _torus_block(v, k, coords, rng, size)
+        qs = v.amplitudes_sq()
+        W = [w.coords for w in v.support]
+        q = [qs[w] for w in v.support]
+        return lambda rng, size: _torus_block(W, q, k, coords, rng, size)
     if isinstance(instance, UnitaryOrbitVector):
-        # a label that does not occur in (C^2)^{tensor k} has isotypic norm
-        # exactly 0, and sampling would only add noise (or overflow)
+        # su2: sigma = v v^*. u2: u = z s with z in U(1), s in SU(2), and
+        # d_lambda conj chi_lambda(z s) tr(z s sigma)^k equals
+        # z^{k - |lambda|} (m + 1) U_m(Re a) tr(s sigma)^k with m = l1 - l2,
+        # so on every label with |lambda| = k the central phase is 1 and
+        # sigma = A A^*. A label that does not occur in (C^2)^{tensor k}
+        # (u2 with no label is (0, 0)) has isotypic norm exactly 0, and
+        # sampling would only add noise (or overflow).
         pair = None if lam is None else _label_pair(lam)
         if instance.group == "su2":
             m = None if pair is None else pair[0] - pair[1]
-            if m is not None and (m > k or (k - m) % 2):
-                return lambda rng, size: np.zeros(size, dtype=complex)
+            absent = m is not None and (m > k or (k - m) % 2)
             v = np.array(instance.data, dtype=complex)
-            return lambda rng, size: _su2_block(v, k, m, rng, size)
-        if pair is not None and (pair[1] < 0 or sum(pair) != k):
+            sigma = np.outer(v, v.conj())
+        else:
+            l1, l2 = pair or (0, 0)
+            m = l1 - l2
+            absent = l2 < 0 or l1 + l2 != k
+            A = instance.matrix()
+            sigma = A @ A.conj().T
+        if absent:
             return lambda rng, size: np.zeros(size, dtype=complex)
-        A = instance.matrix()
-        return lambda rng, size: _u2_block(A, k, pair, rng, size)
+        return lambda rng, size: _su2_block(sigma, k, m, rng, size)
     raise TypeError(f"unsupported instance {type(instance).__name__}")
 
 

@@ -319,13 +319,17 @@ def kw_minimization_check(p, sigma, samples: int = 1000,
 # ---------------------------------------------------------------------------
 # Rank-1 tensor-power multiplicities.
 
-def _multiplicities(lo: int, row: np.ndarray) -> dict[int, int]:
-    """n_lambda = w_lambda - w_{lambda+2} for lambda >= 0, one slice
+def _multiplicity_row(lo: int, row: np.ndarray) -> np.ndarray:
+    """n_lambda = w_lambda - w_{lambda+2} at index lambda >= 0, one slice
     difference over the weight-count row of a symmetric weight system whose
     lowest weight is lo."""
     w = row[-lo:]
     n = w.copy()
     n[:-2] -= w[2:]
+    return n
+
+
+def _nonzero(n: np.ndarray) -> dict[int, int]:
     return {lam: x for lam, x in enumerate(n) if x}
 
 
@@ -344,33 +348,41 @@ def _character_rows(weights: Sequence[int],
     bad = f"weight multiset {tuple(weights)} is not a character of the group: "
     if any(counts[-w] != c for w, c in counts.items()):
         raise ValueError(bad + "it is not symmetric under w -> -w")
-    for lam, n in _multiplicities(*next(power_rows(counts, 1))).items():
+    for lam, n in enumerate(_multiplicity_row(*next(power_rows(counts, 1)))):
         if n < 0:
             raise ValueError(bad + f"n_{lam} = w_{lam} - w_{lam + 2} = {n} is negative")
     return power_rows(counts, k_max)
 
 
-def _dimension_checked(mult: dict[int, int], d: int, k: int) -> dict[int, int]:
-    """mult, or RuntimeError unless sum (lambda + 1) n_lambda = d^k exactly."""
-    if sum((lam + 1) * n for lam, n in mult.items()) != d**k:
+def _dimension_checked(n: np.ndarray, d: int, k: int) -> np.ndarray:
+    """n, or RuntimeError unless sum (lambda + 1) n_lambda = d^k exactly."""
+    if sum((lam + 1) * x for lam, x in enumerate(n)) != d**k:
         raise RuntimeError(f"multiplicities failed the exact dimension count at k={k}")
-    return mult
+    return n
+
+
+def _multiplicity_rows(weights: Sequence[int], k_max: int) -> Iterator[np.ndarray]:
+    """n_{k,lambda} at index lambda for k = 1..k_max, from one stream of
+    weight-count rows. Every row feeds the next, so the exact dimension
+    count is taken once, on the last row (k = 0's when k_max = 0)."""
+    n = np.ones(1, dtype=object)  # k = 0: the trivial representation
+    for row in _character_rows(weights, k_max):
+        n = _multiplicity_row(*row)
+        yield n
+    _dimension_checked(n, len(weights), k_max)
 
 
 def rank1_mult_tables(weights: Sequence[int], k_max: int) -> Iterator[dict[int, int]]:
     """n_{k,lambda} for k = 1..k_max, one dict per tensor power, from one
     stream of weight-count rows; the weights (-1, 1) give the SU(2) tables.
 
-    Every row feeds the next, so the exact dimension count is taken once,
-    on the last table. Raises ValueError as `rank1_multiplicities` does.
+    The exact dimension count is taken on the last table. Raises ValueError
+    as `rank1_multiplicities` does.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    mult = {0: 1}  # k = 0: the trivial representation
-    for row in _character_rows(weights, k_max):
-        mult = _multiplicities(*row)
-        yield mult
-    _dimension_checked(mult, len(weights), k_max)
+    for n in _multiplicity_rows(weights, k_max):
+        yield _nonzero(n)
 
 
 def rank1_multiplicities(weights: Sequence[int], k: int) -> dict[int, int]:
@@ -383,10 +395,10 @@ def rank1_multiplicities(weights: Sequence[int], k: int) -> dict[int, int]:
     """
     if k < 0:
         raise ValueError(f"tensor power k must be nonnegative, got {k}")
-    row = (0, np.ones(1, dtype=object))  # k = 0: the trivial representation
-    for row in _character_rows(weights, k):
+    n = np.ones(1, dtype=object)  # k = 0: the trivial representation
+    for n in _multiplicity_rows(weights, k):
         pass
-    return _dimension_checked(_multiplicities(*row), len(weights), k)
+    return _nonzero(n)
 
 
 def duffield_rate(weights: Sequence[int], theta: float) -> float:
@@ -413,7 +425,13 @@ def duffield_rate(weights: Sequence[int], theta: float) -> float:
         return math.inf
     if cap.status == "max_iter":
         raise RuntimeError(f"capacity solve for the rate at theta={theta} hit max_iter")
-    return max(-2.0 * float(cap.log_cap.log_mag), 0.0)
+    if len(cap.face) == 1:
+        return -2.0 * float(cap.log_cap.log_mag)
+    # the rate at the minimizer h = 2x, as a difference from log(chi(1)/d) = 0,
+    # so it keeps its relative accuracy near the mean weight
+    h = 2.0 * float(cap.minimizer_x[0])
+    log_chi = math.log1p(math.fsum(c / d * math.expm1(w * h) for w, c in counts.items()))
+    return max(float(th) * h - log_chi, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +463,17 @@ def _round_partition(theta: Sequence[Fraction], k: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
+def _nearest_nonzero(n: np.ndarray, target: float) -> int:
+    """The lambda with n_lambda != 0 nearest to target, the larger on a tie."""
+    nz = np.flatnonzero(n)
+    i = int(np.searchsorted(nz, target))
+    if i == len(nz):
+        return int(nz[-1])
+    if i == 0 or abs(nz[i] - target) <= abs(nz[i - 1] - target):
+        return int(nz[i])
+    return int(nz[i - 1])
+
+
 def ldp_report(family, theta, k_max: int) -> ConvergenceReport:
     """Empirical decay rates -(1/k) log P(lambda_k = round(k theta)) against
     the analytic rate, one row per k.
@@ -474,10 +503,9 @@ def ldp_report(family, theta, k_max: int) -> ConvergenceReport:
         th = float(as_fraction(theta))
         analytic = duffield_rate(family.weights, th)
         d = len(family.weights)
-        for k, mult in enumerate(rank1_mult_tables(family.weights, k_max), start=1):
-            target = k * th
-            lam_k = min(mult, key=lambda l: (abs(l - target), -l))
-            log_p = fraction_log(Fraction((lam_k + 1) * mult[lam_k], d**k)).log_mag
+        for k, n in enumerate(_multiplicity_rows(family.weights, k_max), start=1):
+            lam_k = _nearest_nonzero(n, k * th)
+            log_p = fraction_log(Fraction((lam_k + 1) * n[lam_k], d**k)).log_mag
             emp = -log_p / k
             rows.append((k, log_p, emp, analytic, abs(emp - analytic)))
         meta = {"family": family, "theta": th, "analytic_rate": analytic}

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from capdual import cli
 from capdual.cli import EXPERIMENT_ORDER, main
-from capdual.haarmc import UnitaryOrbitVector, mc_isotypic_norm
+from capdual.haarmc import (BLOCK, UnitaryOrbitVector, mc_invariant_norm,
+                            mc_isotypic_norm)
 
 
 def write_config(tmp_path, name, body):
@@ -330,6 +331,25 @@ def mc_config(out_dir, group, k, lam, samples=20_000):
             "samples": samples, "seed": 3, "output": str(out_dir)}
 
 
+def test_mc_check_counters_are_byte_identical(tmp_path):
+    # each case's seed and block count are deterministic, so they go into
+    # report.csv and summary.json; row[6] stays the exact value
+    cfg = mc_config(tmp_path / "a", "su2", 2, 2, samples=BLOCK + 1)
+    cfg["instance"]["cases"].append({"group": "u2", "k": 2, "lam": [1, 1],
+                                     **MC_INSTANCES["u2"]})
+    path = write_config(tmp_path, "mc.json", cfg)
+    assert main(["run", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "b")]) == 0
+    for name in ("summary.json", "report.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+    assert json.loads((tmp_path / "a" / "summary.json").read_text())["blocks"] == [2, 2]
+    lines = (tmp_path / "a" / "report.csv").read_text().splitlines()
+    assert lines[0].endswith(",exact,abs_error,sigmas,within_tolerance,seed,blocks")
+    assert [line.split(",")[-2:] for line in lines[1:]] == [["3", "2"], ["4", "2"]]
+    assert float(lines[2].split(",")[6]) == pytest.approx(144 / 625, rel=1e-12)
+
+
 @pytest.mark.parametrize("group", ["su2", "u2"])
 def test_mc_empty_label_is_an_input_error(tmp_path, capsys, group):
     cfg = write_config(tmp_path, "mc.json", mc_config(tmp_path / "out", group, 2, []))
@@ -365,12 +385,15 @@ def test_mc_integer_label_means_one_row(tmp_path, group, label, parts, exact):
 @pytest.mark.parametrize("group, lam", [
     ("u2", [10**30, 5]),  # |lambda| != k
     ("u2", [3, -1]),      # a negative part
+    ("u2", None),         # the invariant part: the trivial label (0, 0)
     ("su2", 10**30),      # highest weight above k
     ("su2", 1),           # highest weight of the wrong parity
-], ids=["u2-size", "u2-negative-part", "su2-above-k", "su2-parity"])
+], ids=["u2-size", "u2-negative-part", "u2-invariant", "su2-above-k", "su2-parity"])
 def test_mc_labels_absent_from_the_tensor_power_give_exact_zero(tmp_path, group, lam):
     data = ((0.6, 0.8j) if group == "su2" else ((0.6, 0), (0, 0.8)))
-    est = mc_isotypic_norm(UnitaryOrbitVector(group, data), 2, lam, samples=1000, seed=3)
+    inst = UnitaryOrbitVector(group, data)
+    est = (mc_invariant_norm(inst, 2, samples=1000, seed=3) if lam is None else
+           mc_isotypic_norm(inst, 2, lam, samples=1000, seed=3))
     assert (est.mean, est.stderr) == (0, 0)
     cfg = write_config(tmp_path, "mc.json", mc_config(tmp_path / "out", group, 2, lam))
     assert main(["run", str(cfg)]) == 0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from capdual.core import WeightedVector
-from capdual.haarmc import (UnitaryOrbitVector, mc_invariant_norm,
-                            mc_isotypic_norm, sample_haar_unitary)
+from capdual.haarmc import (MAX_K, UnitaryOrbitVector, _chebyshev_u, _dispatch,
+                            mc_invariant_norm, mc_isotypic_norm, sample_haar_unitary)
 from capdual.projection import projection_norm_table
 from capdual.spectrum import schur_weyl_measure
 
@@ -121,3 +121,98 @@ def test_estimate_validation():
         UnitaryOrbitVector("su2", (1.0, 1.0))  # not unit norm
     with pytest.raises(ValueError):
         UnitaryOrbitVector("so3", (1.0, 0.0))
+
+
+class FixedDraws:
+    """Stands in for a block generator: every draw returns one fixed batch."""
+
+    def __init__(self, batch):
+        self.batch = np.asarray(batch, dtype=float)
+
+    def standard_normal(self, shape):
+        assert shape == self.batch.shape
+        return self.batch.copy()
+
+    def uniform(self, low, high, shape):
+        assert shape == self.batch.shape
+        return self.batch.copy()
+
+
+def quaternion_batch() -> np.ndarray:
+    """4-normal draws: random rows, rows at Re a = +-1 exactly, and rows
+    with |Re a| within 1e-9 of 1, where sin(phi) all but vanishes."""
+    edge = [[1, 0, 0, 0], [-1, 0, 0, 0], [2.5, 0, 0, 0], [1, 1e-5, 0, 0],
+            [-1, 0, 3e-5, -2e-5], [0.3, 0, 0, 1e-6], [0, 1, 0, 0], [0, 0, 1, 0]]
+    return np.vstack([edge, np.random.default_rng(31).standard_normal((24, 4))])
+
+
+def explicit_su2(g: np.ndarray) -> np.ndarray:
+    a = (g[:, 0] + 1j * g[:, 1]) / np.linalg.norm(g, axis=1)
+    b = (g[:, 2] + 1j * g[:, 3]) / np.linalg.norm(g, axis=1)
+    return np.array([[[x, y], [-np.conj(y), np.conj(x)]] for x, y in zip(a, b)])
+
+
+def schur_from_eigenvalues(u: np.ndarray, l1: int, l2: int) -> complex:
+    """chi_(l1, l2)(u) = (z1 z2)^l2 h_{l1 - l2}(z1, z2) on the eigenvalues of
+    u, with no division, so coincident eigenvalues need no special case."""
+    z1, z2 = np.linalg.eigvals(u)
+    m = l1 - l2
+    return (z1 * z2) ** l2 * sum(z1**j * z2 ** (m - j) for j in range(m + 1))
+
+
+def su2_labels(k):
+    return [None] + [m for m in range(k + 1) if (k - m) % 2 == 0]
+
+
+def u2_labels(k):
+    return [(l1, k - l1) for l1 in range((k + 1) // 2, k + 1)]
+
+
+@pytest.mark.parametrize("group", ["su2", "u2"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, MAX_K])
+def test_su2_kernel_matches_explicit_matrices(group, k):
+    g = quaternion_batch()
+    s = explicit_su2(g)
+    rng = np.random.default_rng(5)
+    if group == "su2":
+        v = np.array([0.6, 0.8j])
+        inst = UnitaryOrbitVector("su2", tuple(v))
+        u = s
+        f = np.einsum("i,bij,j->b", v.conj(), u, v)  # <v, u v>
+        labels = [(lam, (lam, 0)) for lam in su2_labels(k)]
+    else:
+        A = np.array([[0.8 + 0.1j, 0.2 - 0.3j], [0.1, 0.5 + 0.2j]])
+        A /= np.linalg.norm(A)
+        inst = UnitaryOrbitVector("u2", tuple(map(tuple, A.tolist())))
+        u = np.exp(2j * math.pi * rng.random(len(g)))[:, None, None] * s
+        f = np.einsum("bij,jl,li->b", u, A, A.conj().T)  # tr(u A A^*)
+        labels = [(lam, lam) for lam in u2_labels(k)]
+    for lam, (l1, l2) in labels:
+        if lam is None:
+            want = f**k
+        else:
+            chi = np.array([schur_from_eigenvalues(x, l1, l2) for x in u])
+            want = (l1 - l2 + 1) * np.conj(chi) * f**k
+        got = _dispatch(inst, k, lam)(FixedDraws(g), len(g))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_torus_kernel_matches_explicit_phases():
+    v = WeightedVector.from_terms(2, {(1, 0): 0.5, (-1, 2): 0.5j,
+                                      (0, -3): 0.5, (2, 1): -0.5}).normalized()
+    x = np.random.default_rng(8).uniform(0.0, 2 * math.pi, (32, 2))
+    q = v.amplitudes_sq()
+    f = sum(q[w] * np.exp(1j * (x @ np.array(w.coords))) for w in v.support)
+    for lam in (None, (0, 0), (1, -2), (3, 4)):
+        want = f**3 if lam is None else f**3 * np.exp(-1j * (x @ np.array(lam)))
+        got = _dispatch(v, 3, lam)(FixedDraws(x), len(x))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_chebyshev_u_is_the_su2_character():
+    phi = np.linspace(0.01, math.pi - 0.01, 201)
+    for m in range(MAX_K + 1):
+        np.testing.assert_allclose(_chebyshev_u(m, np.cos(phi)),
+                                   np.sin((m + 1) * phi) / np.sin(phi),
+                                   rtol=1e-12, atol=1e-12)
+        assert _chebyshev_u(m, np.array([1.0, -1.0])).tolist() == [m + 1, (m + 1) * (-1) ** m]

@@ -353,6 +353,15 @@ def test_duffield_vertex_and_outside():
                         rel_tol=0, abs_tol=1e-15)
 
 
+@pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2])
+def test_duffield_rate_near_the_mean_weight(t):
+    # on (-1, 1) the rate is t atanh t + log(1 - t^2) / 2, whose series is
+    # t^2/2 + t^4/12 + t^6/30 + O(t^8); near t = 0 it is a small difference
+    # and must keep its relative accuracy
+    series = t**2 / 2 + t**4 / 12 + t**6 / 30
+    assert math.isclose(duffield_rate((-1, 1), t), series, rel_tol=1e-11)
+
+
 def test_duffield_rate_refuses_an_unconverged_solve(monkeypatch):
     real = spectrum.theta_capacity
     monkeypatch.setattr(spectrum, "theta_capacity", lambda v, th: real(v, th, max_iter=0))
@@ -437,3 +446,24 @@ def test_ldp_report_caps():
         ldp_report(SchurWeylFamily((0.5, 0.5)), [F(1, 2), F(1, 2)], 401)
     with pytest.raises(ValueError):
         ldp_report(DuffieldFamily((-1, 1)), F(1, 2), 1001)
+
+
+@pytest.mark.parametrize("weights, thetas", [
+    ((-1, 1), (F(3, 10), F(1, 2), F(7, 10))),
+    ((-2, 0, 2), (F(1, 2), F(1), F(3, 2))),
+    ((-1, -1, 0, 1, 1), (F(1, 4), F(1, 2), F(9, 10))),
+])
+def test_duffield_rows_match_the_dict_path(weights, thetas):
+    # one multiplicity dict per k and the nearest nonzero lambda by min(),
+    # nearer first and then the larger lambda, exactly as floats
+    d = len(weights)
+    for theta in thetas:
+        rep = ldp_report(DuffieldFamily(weights), theta, 80)
+        th = float(theta)
+        rate = rep.metadata["analytic_rate"]
+        want = []
+        for k, mult in enumerate(rank1_mult_tables(weights, 80), start=1):
+            lam = min(mult, key=lambda l: (abs(l - k * th), -l))
+            log_p = fraction_log(F((lam + 1) * mult[lam], d**k)).log_mag
+            want.append((k, log_p, -log_p / k, rate, abs(-log_p / k - rate)))
+        assert rep.rows == want
