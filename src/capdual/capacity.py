@@ -7,16 +7,24 @@ is the infimum of exp(F(x)/2) over x in R^n, where
 
 The infimum is positive exactly when theta lies in the moment polytope, i.e.
 the convex hull of the occupied weights. One exact rational routine,
-`_face_search`, decides membership and finds the minimal face containing
-theta. It solves the membership LP {p >= 0, sum p = 1, sum p_w w = theta}
-once, which yields a certificate either way. Inside, it seeds the face set S
-with the support of that solution and then repeats "maximize the mass of p
-off S", adding each solution's support to S, until the optimum is 0. No
-feasible p then puts mass off S, so S is the minimal face. The average of the
-collected solutions is a feasible point positive exactly on S. When theta sits
+`_face_search`, is the only code that knows the minimal face containing
+theta; it is memoised on the last (support, theta), since the face depends
+on neither the amplitudes nor the normalisation, so the capacity and its KL
+cross-check share one search, and the duality report reads the record the
+capacity carries. It solves the membership LP {p >= 0, sum p = 1,
+sum p_w w = theta} once, which yields a certificate either way. Inside, it
+seeds the face set S with the support of that solution and then repeats
+"maximize the mass of p off S", adding each solution's support to S, until
+the optimum is 0. No feasible p then puts mass off S, so S is the minimal
+face. The average of the collected solutions is a feasible point positive
+exactly on S; it is optimal for the last LP, so complementary slackness
+turns that LP's duals into an exact face normal, with no LP of its own. The
+face weights span an affine lattice w0 + B Z^d, B a Hermite basis
+(`_chart`), whose coordinates carry the row streams of `projection`. The
+whole record, `MembershipCertificate`, is checked exactly. When theta sits
 on a proper face the minimization is restricted to the face weights (the
 infimum is then attained there but not on the original orbit, which the
-`diverging` flag records).
+`diverging` flag, read from the normal, records).
 
 Damped Newton minimizes F on the face. It stops when the gradient is at most
 grad_tol, or at the floating-point resolution of F: when the Newton decrement
@@ -35,6 +43,7 @@ simplex rather than in the torus variable x, with the same stop rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,20 +69,40 @@ MAX_ITER = 500
 
 @dataclass(frozen=True)
 class MembershipCertificate:
-    """Outcome of an exact moment-polytope membership test.
+    """Outcome of an exact moment-polytope membership test: the face record
+    of theta (module docstring).
 
-    For inside points, coefficients is a convex combination of support
-    weights equal to theta. For outside points, separator = (a, offset) is a
-    rational functional with <a, w> <= offset on the support but
-    <a, theta> > offset.
+    Outside, separator = (a, offset) is a rational functional with
+    <a, w> <= offset on the support but <a, theta> > offset. Inside,
+    coefficients is a convex combination of support weights equal to theta,
+    positive exactly on the weights of the minimal face, whose indices are
+    face. normal = (ell, gamma) has <ell, w> = gamma on the face and
+    <ell, w> <= gamma - 1 off it ((0, 0) when the face is the whole
+    support). The chart: face weight w = base + basis c_w with c_w in
+    face_coords (face order) and theta = base + basis theta_coords, basis the
+    n x d Hermite basis of the lattice the face differences span. lps and
+    pivots count the search's exact LPs and their pivots.
     """
 
     inside: bool
     coefficients: tuple[tuple[WeightVector, Fraction], ...] | None = None
     separator: tuple[tuple[Fraction, ...], Fraction] | None = None
+    face: tuple[int, ...] = ()
+    normal: tuple[tuple[Fraction, ...], Fraction] | None = None
+    base: tuple[int, ...] = ()
+    basis: tuple[tuple[int, ...], ...] = ()
+    face_coords: tuple[tuple[int, ...], ...] = ()
+    theta_coords: tuple[Fraction, ...] = ()
+    lps: int = 0
+    pivots: int = 0
 
     def __bool__(self) -> bool:
         return self.inside
+
+    @property
+    def dim(self) -> int:
+        """d, the dimension of the minimal face (0 outside)."""
+        return len(self.theta_coords)
 
 
 @dataclass(frozen=True)
@@ -86,7 +115,8 @@ class CapacityResult:
     "outside" (theta is not in the moment polytope). iterations counts the
     Newton steps taken. face lists the indices into v.pruned().support of the
     weights on the minimal face containing theta, to which the minimization
-    is restricted; it is empty outside.
+    is restricted; it is empty outside. certificate is the face record, and
+    diverging is read from its normal.
     """
 
     log_cap: LogValue
@@ -110,34 +140,115 @@ def moment_map(v: WeightedVector) -> np.ndarray:
     return mu
 
 
-def _face_search(support: Sequence[WeightVector], theta: tuple[Fraction, ...]
-                 ) -> tuple[MembershipCertificate, list[int], list[Fraction]]:
-    """Membership certificate for theta, and when theta is inside, the
-    indices of the weights on the minimal face containing theta plus a
-    feasible point of the membership LP that is positive exactly on them.
-    Outside, the face and the point are empty."""
+# ---------------------------------------------------------------------------
+# Integer charts: the affine lattice spanned by a set of integer weights, in
+# coordinates of a fully reduced column Hermite basis (Schrijver, Theory of
+# Linear and Integer Programming, ch. 4).
+
+def _column_hnf(cols: list[list[int]]) -> list[list[int]]:
+    """Fully reduced column-style Hermite form of the lattice spanned by the
+    given columns: each returned column's first nonzero entry is positive
+    and sits strictly below the previous column's, and each earlier column
+    lies in [-pivot/2, pivot/2) in a later column's pivot row. The form is
+    unique, so Z^n gets the identity. Centred residues shear the chart less
+    than [0, pivot) would, so chart rows span fewer cells.
+    """
+    cols = [list(c) for c in cols if any(c)]
+    out: list[list[int]] = []
+    for row in range(len(cols[0]) if cols else 0):
+        # Euclid on the entries in this row, until one column is left there
+        while len(active := [c for c in cols if c[row]]) > 1:
+            a = min(active, key=lambda c: abs(c[row]))
+            for b in active:
+                if b is not a:
+                    f = b[row] // a[row]
+                    b[:] = [x - f * y for x, y in zip(b, a)]
+        if active:
+            cols.remove(active[0])
+            piv = active[0] if active[0][row] > 0 else [-x for x in active[0]]
+            for col in out:
+                f = (2 * col[row] + piv[row]) // (2 * piv[row])
+                col[:] = [x - f * y for x, y in zip(col, piv)]
+            out.append(piv)
+    return out
+
+
+def _lattice_solve(hnf: list[list[int]], x: Sequence) -> list[int | Fraction] | None:
+    """Rational y with (hnf columns) y = x, or None when x is outside the span.
+    Integer x stays in integers as long as its coordinates are integral."""
+    res = list(x)
+    y: list[int | Fraction] = []
+    for col in hnf:
+        pr = next(i for i, c in enumerate(col) if c != 0)
+        q, r = divmod(res[pr], col[pr])
+        coef = q if r == 0 else Fraction(res[pr]) / col[pr]
+        y.append(coef)
+        for i in range(len(res)):
+            res[i] -= coef * col[i]
+    if any(r != 0 for r in res):
+        return None
+    return y
+
+
+def _chart(weights: Sequence[Sequence[int]], point: Sequence
+           ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                      tuple[tuple[int, ...], ...], tuple[Fraction, ...] | None]:
+    """The integer chart of the affine lattice the weights span.
+
+    Returns (w0, B, C, c): the base w0 = weights[0]; the Hermite basis B of
+    the lattice of differences w - w0, as n rows of d entries; the integer
+    coordinates C of the weights, w = w0 + B c_w, checked exactly; and the
+    rational coordinates c of point, point = w0 + B c, or None when point is
+    off the weights' affine span.
+    """
+    w0 = tuple(weights[0])
+    hnf = _column_hnf([[a - b for a, b in zip(w, w0)] for w in weights[1:]])
+    coords = []
+    for w in weights:
+        c = _lattice_solve(hnf, [a - b for a, b in zip(w, w0)])
+        if c is None or any(t.denominator != 1 for t in c):
+            raise RuntimeError("lattice chart failed its check")
+        coords.append(tuple(int(t) for t in c))
+    c = _lattice_solve(hnf, [a - b for a, b in zip(point, w0)])
+    basis = tuple(tuple(col[i] for col in hnf) for i in range(len(w0)))
+    return w0, basis, tuple(coords), None if c is None else tuple(c)
+
+
+# ---------------------------------------------------------------------------
+# The face search: membership, the minimal face, its normal and its chart.
+
+@functools.lru_cache(maxsize=1)
+def _face_search(support: tuple[WeightVector, ...], theta: tuple[Fraction, ...]
+                 ) -> MembershipCertificate:
+    """The membership certificate of theta, with the minimal face record
+    when theta is inside (module docstring). Memoised on the last (support,
+    theta): the face depends on neither the amplitudes nor the
+    normalisation, and the calls that share a target are adjacent
+    (theta_capacity, then capacity_kl_form)."""
     n = len(theta)
     s = len(support)
     A = [[w.coords[i] for w in support] for i in range(n)]
     A.append([1] * s)
     b = [*theta, Fraction(1)]
     res = simplex_max([0] * s, A, b)
+    lps, pivots = 1, res.pivots
     if res.status != "optimal":
         y = res.farkas
-        cert = MembershipCertificate(inside=False, separator=(tuple(y[:n]), -y[n]))
-        return cert, [], []
-    cert = MembershipCertificate(
-        inside=True, coefficients=tuple((w, p) for w, p in zip(support, res.x) if p != 0))
+        return MembershipCertificate(inside=False, separator=(tuple(y[:n]), -y[n]),
+                                     lps=lps, pivots=pivots)
     # The LPs are exact, so "x_j > 0" and "the optimum is 0" are decided
     # without a tolerance; a floating-point LP would need one for each.
     face = {j for j in range(s) if res.x[j] > 0}
     combos = [res.x]
+    duals = [Fraction(0)] * (n + 1)  # stays 0 when the face is the whole support
     while len(face) < s:
         off_face = [0 if j in face else 1 for j in range(s)]
         res = simplex_max(off_face, A, b)
+        lps, pivots = lps + 1, pivots + res.pivots
         if res.status != "optimal":
             raise RuntimeError(f"face LP on a feasible target ended {res.status}")
         if res.objective == 0:
+            duals = res.duals
             break
         face.update(j for j in range(s) if res.x[j] > 0)
         combos.append(res.x)
@@ -150,41 +261,26 @@ def _face_search(support: Sequence[WeightVector], theta: tuple[Fraction, ...]
     if any(sum(a * v for a, v in zip(row, N)) * bi.denominator != bi.numerator * den
            for row, bi in zip(A, b)):
         raise RuntimeError("face interior point failed its feasibility check")
-    return cert, sorted(face), [Fraction(v, den) for v in N]
-
-
-def _face_normal(support: Sequence[WeightVector], face: Sequence[int]
-                 ) -> tuple[list[Fraction], Fraction]:
-    """An exact normal (ell, gamma) of a face found by `_face_search`:
-    <ell, w> = gamma on the face weights and <ell, w> <= gamma - 1 on the
-    others, so exp(t (<ell, w> - gamma)) keeps the face and shrinks the rest
-    by at least e^-t.
-
-    One feasibility LP in ell and gamma, both split into nonnegative parts,
-    with a slack on each off-face row. Faces of a polytope are exposed, so
-    the LP is feasible for every face; the normal is checked in integers.
-    """
-    n = len(support[0].coords)
-    on = set(face)
-    off = [j for j in range(len(support)) if j not in on]
-    A = [[*w.coords, *(-v for v in w.coords), -1, 1, *(int(j == k) for k in off)]
-         for j, w in enumerate(support)]
-    b = [0 if j in on else -1 for j in range(len(support))]
-    res = simplex_max([0] * len(A[0]), A, b)
-    if res.status != "optimal":
-        raise RuntimeError(f"face normal LP ended {res.status}")
-    x = res.x
-    ell = [p - q for p, q in zip(x[:n], x[n:2 * n])]
-    gamma = x[2 * n] - x[2 * n + 1]
-    # (ell, gamma) = (L, G) / den, checked on the integers L and G.
-    den = math.lcm(gamma.denominator, *[a.denominator for a in ell])
-    L = [a.numerator * (den // a.denominator) for a in ell]
-    G = gamma.numerator * (den // gamma.denominator)
+    # It is optimal for the last LP (optimum 0), so by complementary
+    # slackness that LP's duals (a, g) have <a, w> + g = 0 on the face, and
+    # dual feasibility gives <a, w> + g >= 1 off it: (ell, gamma) = (-a, g),
+    # checked as (L, G) / dden on the integers L and G.
+    ell, gamma = tuple(-y for y in duals[:n]), duals[n]
+    dden = math.lcm(gamma.denominator, *[a.denominator for a in ell])
+    L = [a.numerator * (dden // a.denominator) for a in ell]
+    G = gamma.numerator * (dden // gamma.denominator)
     for j, w in enumerate(support):
         gap = sum(a * v for a, v in zip(L, w.coords)) - G
-        if (gap != 0) if j in on else (gap > -den):
+        if (gap != 0) if j in face else (gap > -dden):
             raise RuntimeError("face normal failed its check")
-    return ell, gamma
+    face = sorted(face)
+    w0, basis, coords, c_theta = _chart([support[j].coords for j in face], theta)
+    if c_theta is None:
+        raise RuntimeError("theta is off the affine span of its face")
+    return MembershipCertificate(
+        inside=True, coefficients=tuple((support[j], Fraction(N[j], den)) for j in face),
+        face=tuple(face), normal=(ell, gamma), base=w0, basis=basis, face_coords=coords,
+        theta_coords=c_theta, lps=lps, pivots=pivots)
 
 
 def moment_polytope_contains(v: WeightedVector, theta) -> MembershipCertificate:
@@ -192,8 +288,7 @@ def moment_polytope_contains(v: WeightedVector, theta) -> MembershipCertificate:
     v = v.pruned()
     if v.is_zero:
         raise ValueError("the zero vector has an empty moment polytope")
-    th = rational_vector(theta, v.n)
-    return _face_search(v.support, th)[0]
+    return _face_search(v.support, rational_vector(theta, v.n))
 
 
 def _newton_logsumexp(W: np.ndarray, logq: np.ndarray, theta: np.ndarray,
@@ -248,6 +343,18 @@ def _newton_logsumexp(W: np.ndarray, logq: np.ndarray, theta: np.ndarray,
     return x, f, gnorm, iters, "converged" if gnorm <= grad_tol else "precision"
 
 
+def _on_face(v: WeightedVector, theta
+             ) -> tuple[MembershipCertificate, np.ndarray, np.ndarray, np.ndarray]:
+    """The face record of theta for a pruned nonzero v, and the face weights
+    W, their squared amplitudes q and theta, as float arrays."""
+    th = rational_vector(theta, v.n)
+    cert = _face_search(v.support, th)
+    qs = v.amplitudes_sq()
+    face = [v.support[j] for j in cert.face]
+    W = np.array([w.coords for w in face], dtype=float).reshape(len(face), v.n)
+    return cert, W, np.array([qs[w] for w in face]), np.array([float(t) for t in th])
+
+
 def theta_capacity(v: WeightedVector, theta, *, grad_tol: float = GRAD_TOL,
                    max_iter: int = MAX_ITER) -> CapacityResult:
     """Capacity of v relative to a rational target theta.
@@ -262,24 +369,18 @@ def theta_capacity(v: WeightedVector, theta, *, grad_tol: float = GRAD_TOL,
     v = v.pruned()
     if v.is_zero:
         raise ValueError("capacity of the zero vector is undefined")
-    th = rational_vector(theta, v.n)
-    cert, face, _ = _face_search(v.support, th)
+    cert, W, q, theta_f = _on_face(v, theta)
     if not cert.inside:
         return CapacityResult(LogValue.zero(), None, True, 0, math.inf, cert, "outside", ())
-
-    qs = v.amplitudes_sq()
-    support = v.support
-    W = np.array([support[j].coords for j in face], dtype=float)
-    logq = np.array([math.log(qs[support[j]]) for j in face])
-    theta_f = np.array([float(t) for t in th])
-    diverging = len(face) < len(support)
-    if len(face) == 1:
+    logq = np.array([math.log(x) for x in q])
+    diverging = any(cert.normal[0])
+    if len(q) == 1:
         # theta is a vertex; F is constant on the face, log q is the value.
         return CapacityResult(LogValue(1, 0.5 * float(logq[0])), np.zeros(v.n),
-                              diverging, 0, 0.0, cert, "converged", tuple(face))
+                              diverging, 0, 0.0, cert, "converged", cert.face)
     x, fstar, gnorm, iters, status = _newton_logsumexp(W, logq, theta_f, grad_tol, max_iter)
     return CapacityResult(LogValue(1, 0.5 * fstar), x, diverging, iters, gnorm, cert, status,
-                          tuple(face))
+                          cert.face)
 
 
 def _min_kl(q: np.ndarray, W: np.ndarray, theta: np.ndarray, p0: np.ndarray,
@@ -350,15 +451,8 @@ def capacity_kl_form(v: WeightedVector, theta) -> LogValue:
         raise ValueError("capacity of the zero vector is undefined")
     if abs(v.norm_sq - 1.0) > 1e-10:
         raise ValueError(f"capacity_kl_form expects a unit vector, norm^2 = {v.norm_sq}")
-    th = rational_vector(theta, v.n)
-    cert, face, interior = _face_search(v.support, th)
+    cert, W, q, theta_f = _on_face(v, theta)
     if not cert.inside:
         return LogValue.zero()
-    qs = v.amplitudes_sq()
-    support = v.support
-    q = np.array([qs[support[j]] for j in face])
-    W = np.array([support[j].coords for j in face], dtype=float)
-    theta_f = np.array([float(t) for t in th])
-    p0 = np.array([float(interior[j]) for j in face])
-    val, _ = _min_kl(q, W, theta_f, p0)
+    val, _ = _min_kl(q, W, theta_f, np.array([float(p) for _, p in cert.coefficients]))
     return LogValue(1, -val)

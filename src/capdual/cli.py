@@ -519,6 +519,9 @@ def _run_capacity(config: dict):
         "diverging": bool(cap.diverging),
         "iterations": cap.iterations,
         "status": cap.status,
+        "face_dim": cap.certificate.dim,
+        "face_lps": cap.certificate.lps,
+        "face_pivots": cap.certificate.pivots,
     }
     return (("log_cap_ln", "kl_log_cap_sq_ln", "cross_check_diff",
              "diverging", "inside"), rows, headline, bool(passed))

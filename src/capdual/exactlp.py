@@ -11,7 +11,10 @@ its multiple. The reduced costs are integers over one positive denominator.
 Bland's entering rule reads signs, and the ratio test cross-multiplies with
 the same tie-break, so the pivots are exactly those of the `Fraction`
 tableau.
-`Fraction`s appear only in the result: `x`, `objective` and `farkas`.
+`Fraction`s appear only in the result: `x`, `objective`, `farkas` and
+`duals`. The artificial columns of phase 1 stay in the tableau through
+phase 2, where they never enter: the reduced costs over them are the dual
+solution, as the phase-1 ones are the Farkas vector.
 Certificates are verified exactly, in integers, before being returned, and
 a failed check raises `RuntimeError` (not `assert`, so it also runs under
 `python -O`). Problem sizes here are tiny (a handful of constraints and
@@ -36,6 +39,9 @@ class LPResult:
     # Farkas certificate for infeasibility of {Ax = b, x >= 0}:
     # y with y^T A <= 0 componentwise and y^T b > 0.
     farkas: list[Fraction] | None = None
+    # Optimal dual solution: y with y^T A >= c componentwise and
+    # y^T b = objective, so y^T A_j = c_j wherever x_j > 0.
+    duals: list[Fraction] | None = None
     # Pivots taken: phase 1, driving artificials out, and phase 2.
     pivots: int = 0
 
@@ -67,12 +73,12 @@ def _pivot(T: list[list[int]], basis: list[int], r: int, s: int) -> int:
     return p
 
 
-def _run_simplex(T: list[list[int]], z: list[int], zden: int, basis: list[int]
-                 ) -> tuple[str, list[int], int, int]:
-    """Maximize with reduced costs z / zden (enter where z < 0). Bland's rule.
+def _run_simplex(T: list[list[int]], z: list[int], zden: int, basis: list[int],
+                 ncols: int) -> tuple[str, list[int], int, int]:
+    """Maximize with reduced costs z / zden (enter where z < 0, among the
+    first ncols columns). Bland's rule.
 
     Returns (status, z, zden, pivots taken)."""
-    ncols = len(z)
     pivots = 0
     while True:
         enter = next((j for j in range(ncols) if z[j] < 0), -1)
@@ -141,7 +147,7 @@ def simplex_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
          for i, (s, row) in enumerate(zip(signs, M))]
     basis = [n + i for i in range(m)]
     z, zden = _zrow(T, basis, [0] * n + [-1] * m)
-    status, z, zden, pivots = _run_simplex(T, z, zden, basis)
+    status, z, zden, pivots = _run_simplex(T, z, zden, basis, n + m)
     if status != "optimal":
         raise RuntimeError(f"phase 1 ended {status}, but it is always bounded")
 
@@ -172,10 +178,11 @@ def simplex_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
         del T[i]
         del basis[i]
 
-    # Phase 2 on the real columns only, with costs C = cden c.
-    T = [_reduced([*row[:n], row[-1]]) for row in T]
-    z, zden = _zrow(T, basis, C)
-    status, _, _, phase2 = _run_simplex(T, z, zden, basis)
+    # Phase 2 with costs C = cden c, entering real columns only. Over
+    # artificial column i, z / zden is s_i y_i with y the dual solution of
+    # costs C, as in phase 1, so y = Y / (zden cden) for costs c.
+    z, zden = _zrow(T, basis, [*C, *[0] * m])
+    status, z, zden, phase2 = _run_simplex(T, z, zden, basis, n)
     pivots += phase2
     if status == "unbounded":
         return LPResult(status="unbounded", pivots=pivots)
@@ -190,6 +197,14 @@ def simplex_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
             raise RuntimeError("primal solution failed exact feasibility check")
     if any(v < 0 for v in X):
         raise RuntimeError("primal solution failed nonnegativity")
+    # y^T A >= c and y^T b = c^T x, times L zden cden (and xden), as M = L A.
+    Y = [s * z[n + i] for i, s in enumerate(signs)]
+    CX = sum(cj * xj for cj, xj in zip(C, X))
+    for j in range(n):
+        if sum(y * row[j] for y, row in zip(Y, M)) < C[j] * zden * L:
+            raise RuntimeError("dual solution failed its feasibility check")
+    if sum(y * row[-1] for y, row in zip(Y, M)) * xden != CX * zden * L:
+        raise RuntimeError("dual solution failed its objective check")
     return LPResult(status="optimal", x=[Fraction(v, xden) for v in X],
-                    objective=Fraction(sum(cj * xj for cj, xj in zip(C, X)), cden * xden),
-                    pivots=pivots)
+                    objective=Fraction(CX, cden * xden),
+                    duals=[Fraction(y, zden * cden) for y in Y], pivots=pivots)

@@ -9,11 +9,16 @@ k-fold bounding box, one row per k; it is the oracle the other engine is
 judged against. Everything else reads one object, the law of S_k, a sum of
 k independent draws from a distribution p on integer weights, held as
 linear rows with a relative truncation floor, which keeps array extents
-O(sqrt(k log(1/floor))) per axis:
+O(sqrt(k log(1/floor))) per axis. Rows live in the integer chart w = w0 +
+B c of the weights (capacity._chart): d axes for a d-dimensional face, one
+cell per lattice point however far apart the weights are, on the axes of
+that lattice that hold the fewest cells (_lll_axes).
 
-- The duality report reads one coefficient per k, at k theta. It tilts q by
-  the capacity minimizer x*, p_w proportional to q_w e^{2<w, x*>} on the
-  minimal face of theta, and uses the identity, exact for every x and k,
+- The duality report reads one coefficient per k, at k theta, that is at
+  k c_theta in the chart of the face record; a k with k c_theta off the
+  lattice reads an exact 0. It tilts q by the capacity minimizer x*, p_w
+  proportional to q_w e^{2<w, x*>} on the minimal face of theta, and uses
+  the identity, exact for every x and k,
 
       |Pi_{k theta} v^{tensor k}|^2 = e^{k F(x)} P_p(S_k = k theta),
 
@@ -21,10 +26,11 @@ O(sqrt(k log(1/floor))) per axis:
   the floor only removes far tails. The rows come from a stream that
   convolves with p once per k and crops lazily (_RowStream).
 - The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 is the theta = 0,
-  x* = 0 case, p = q, read at 0. The first target is powered by binary
-  squaring, each product a real FFT convolution on numpy.fft with every axis
-  padded to a 5-smooth length, so k = 10^4 is cheap; later targets walk the
-  same stream from that anchor and read one dot product.
+  x* = 0 case, p = q, read at 0 (k c0 in the chart of the whole support).
+  The first target is powered by binary squaring, each product a real FFT
+  convolution on numpy.fft with every axis padded to a 5-smooth length, so
+  k = 10^4 is cheap; later targets walk the same stream from that anchor
+  and read one dot product.
 
 Laurent constant terms cst f^k, for every k <= k_max, come from one pass
 over core.power_rows, the row stream rank-1 multiplicities also read.
@@ -34,13 +40,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .capacity import moment_map, theta_capacity
+from .capacity import _chart, moment_map, theta_capacity
 from .core import (ConvergenceReport, LogValue, WeightedVector, power_rows,
                    rational_vector)
 
@@ -200,20 +206,22 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
         return ConvergenceReport(columns=columns, rows=rows, metadata=metadata)
 
     log_cap_sq = 2.0 * cap.log_cap.log_mag
+    chart = cap.certificate
     qs = v.amplitudes_sq()
-    face = [v.support[j] for j in cap.face]
+    face = [v.support[j] for j in chart.face]
     W = np.array([w.coords for w in face], dtype=np.int64)
     a = np.log([qs[w] for w in face]) + 2.0 * (W @ cap.minimizer_x)
     p = np.exp(a - a.max())
     p /= p.sum()
-    step = [int(t * ell) for t in th]  # k theta = (k / ell) * step
-    stream = _RowStream(W, p)
+    stream = _RowStream(np.array(chart.face_coords, dtype=np.int64), p)
+    m = math.lcm(*(c.denominator for c in chart.theta_coords))  # k c_theta integral iff m | k
+    step = stream.axes @ np.array([int(c * m) for c in chart.theta_coords], dtype=np.int64)
     rows = []
     for k in range(1, k_max + 1):
         stream.step()
         if k % ell:
             continue
-        prob = stream.row.cell([k // ell * c for c in step])
+        prob = 0.0 if k % m else stream.row.cell([k // m * c for c in step])
         if prob > 0:
             log_p = math.log(prob)
             norm_sq = LogValue(1, k * log_cap_sq + log_p)
@@ -227,73 +235,27 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
 
 # ---------------------------------------------------------------------------
 # Difference lattice: dimension d and the period m of the zero-weight
-# subsemigroup, via an exact integer Hermite normal form.
+# subsemigroup, read from the integer chart of the support.
 
-def _column_hnf(cols: list[list[int]]) -> list[list[int]]:
-    """Column-style Hermite form of the lattice spanned by the given columns.
-
-    Returns pivot columns (each column's first nonzero entry is positive and
-    sits strictly below the previous column's).
-    """
-    cols = [list(c) for c in cols if any(c)]
-    if not cols:
-        return []
-    n = len(cols[0])
-    out: list[list[int]] = []
-    row = 0
-    while row < n and cols:
-        active = [c for c in cols if c[row] != 0]
-        rest = [c for c in cols if c[row] == 0]
-        while len(active) > 1:
-            active.sort(key=lambda c: abs(c[row]))
-            a, b = active[0], active[1]
-            f = b[row] // a[row]
-            for i in range(n):
-                b[i] -= f * a[i]
-            if b[row] == 0:
-                rest.append(b)
-                active = [a] + active[2:]
-        if active:
-            piv = active[0]
-            if piv[row] < 0:
-                piv = [-x for x in piv]
-            out.append(piv)
-        cols = rest
-        row += 1
-    return out
-
-
-def _lattice_solve(hnf: list[list[int]], x: Sequence[int]) -> list[Fraction] | None:
-    """Rational y with (hnf columns) y = x, or None when x is outside the span."""
-    res = [Fraction(c) for c in x]
-    y: list[Fraction] = []
-    for col in hnf:
-        pr = next(i for i, c in enumerate(col) if c != 0)
-        coef = res[pr] / col[pr]
-        y.append(coef)
-        for i in range(len(res)):
-            res[i] -= coef * col[i]
-    if any(r != 0 for r in res):
-        return None
-    return y
+def _zero_chart(v: WeightedVector
+                ) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, ...], int]:
+    """The chart of the support of a pruned v (capacity._chart): the integer
+    coordinates of the weights, the coordinates c0 of the origin, B c0 =
+    -w0, and the least m >= 1 with m c0 integral. k c0 is a lattice point
+    exactly when m divides k."""
+    if not v.support:
+        raise ValueError("zero vector has no difference lattice")
+    _, _, coords, c0 = _chart([w.coords for w in v.support], (0,) * v.n)
+    if c0 is None:
+        raise ValueError("no tensor power of v meets the zero weight space")
+    return coords, c0, math.lcm(*(c.denominator for c in c0))
 
 
 def difference_lattice(v: WeightedVector) -> tuple[int, int]:
     """(d, m): rank of the lattice spanned by weight differences, and the
     smallest m >= 1 with m * w0 inside it for a fixed support weight w0."""
-    v = v.pruned()
-    support = v.support
-    if not support:
-        raise ValueError("zero vector has no difference lattice")
-    w0 = support[0]
-    diffs = [[a - b for a, b in zip(w.coords, w0.coords)] for w in support[1:]]
-    hnf = _column_hnf(diffs)
-    d = len(hnf)
-    y = _lattice_solve(hnf, list(w0.coords))
-    if y is None:
-        raise ValueError("no tensor power of v meets the zero weight space")
-    m = math.lcm(*(c.denominator for c in y)) if y else 1
-    return d, m
+    _, c0, m = _zero_chart(v.pruned())
+    return len(c0), m
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +295,59 @@ def _crop(arr: np.ndarray, offset: np.ndarray, floor: float
     return (np.ascontiguousarray(arr[tuple(map(slice, lo, hi))]), offset + lo, dropped)
 
 
+def _lll_axes(C: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A unimodular integer U: the axes U c on which the law of S_k, k draws
+    from p on the points C, is held.
+
+    Along an axis u, S_k spans at most k width_u + 1 cells, width_u the
+    range of u c over C, and once cropped at a relative floor about
+    sqrt(k u G u) times a constant, G the covariance of C under p. Rows
+    LLL-reduced (delta 0.99) in the metric G keep the product of the latter
+    within 2^{d(d-1)/4} of its least, sqrt(det G); at small k the widths
+    bind instead. U is that reduced basis when neither its product of widths
+    nor its product of variances exceeds the identity's, else the identity.
+    For d = 0, U is a 1 x 0 zero matrix: every point maps to the single
+    cell 0 on one axis.
+    """
+    d = C.shape[1]
+    if d == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    ident, U = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+    X = C - p @ C
+    G = X.T @ (X * p[:, None])
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:  # p underflowed to 0 on too many points
+        return ident
+    # Gram-Schmidt of the rows of U L through (U L)^T = Q R: mu_ji =
+    # R[i, j] / R[i, i] and |b*_j| = |R[j, j]|.
+    j = 1
+    while j < d:
+        for i in range(j - 1, -1, -1):
+            R = np.linalg.qr((U @ L).T, mode="r")
+            U[j] -= round(R[i, j] / R[i, i]) * U[i]
+        R = np.linalg.qr((U @ L).T, mode="r")
+        if R[j, j] ** 2 >= (0.99 - (R[j - 1, j] / R[j - 1, j - 1]) ** 2) * R[j - 1, j - 1] ** 2:
+            j += 1
+        else:
+            U[[j - 1, j]] = U[[j, j - 1]]
+            j = max(j - 1, 1)
+
+    def spans(V):
+        return np.prod(np.ptp(C @ V.T, axis=0)), np.prod(np.einsum("ij,jk,ik->i", V, G, V))
+
+    return U if all(a <= b for a, b in zip(spans(U), spans(ident))) else ident
+
+
 class _RowStream:
     """The law of S_k, a sum of k independent draws from p on the integer
-    weights W: `row` after k calls of `step`, from the point mass at the
-    origin at k = 0.
+    points C: `row` after k calls of `step`, from the point mass at the
+    origin at k = 0, held on the axes U c of `axes` = U (_lll_axes).
+
+    The reports pass C in chart coordinates c_w, w = w0 + B c_w, so a row
+    has d axes, not n. S_k in weights is k w0 + B (S_k in the chart), so a
+    target with nonintegral chart coordinates is off the lattice: exact 0.
+    An integral target c is read at the cell U c.
 
     A step convolves the row with p: it shifts the row by every weight and
     adds it weighted by p, in one numpy.convolve call on a line. p sums to 1
@@ -348,7 +359,9 @@ class _RowStream:
     `max_row_cells`, the largest row held, count the work.
     """
 
-    def __init__(self, W: np.ndarray, p: np.ndarray):
+    def __init__(self, C: np.ndarray, p: np.ndarray):
+        self.axes = _lll_axes(C, p)
+        W = C @ self.axes.T
         lo = W.min(axis=0)
         self.terms = [(tuple(int(c) for c in w - lo), float(pw)) for w, pw in zip(W, p)]
         kernel = np.zeros(W.max(axis=0) - lo + 1)
@@ -465,11 +478,14 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
 
     |Pi_k v^{tensor k}|^2 is the t^0 coefficient of the law of S_k, a sum of
     k draws from q_w = |c_w|^2 (the duality report's row at theta = 0,
-    x* = 0). The first target a is powered by FFT; a later target k reads
-    sum_x A[x] S_g[-x] from the anchor row A of S_a and the row stream of
-    S_g, g = k - a. The anchor moves to k with one FFT product when g > a,
-    or when the steps to k cost more cell updates (steps * |W| a cell) than
-    an FFT product does (about 3 log2 of the anchor's cells a cell).
+    x* = 0). In the chart of the whole support (capacity._chart) it is the
+    coefficient at k c0, where B c0 = -w0, a lattice point exactly when m
+    divides k; no LP runs. The first target a is powered by FFT; a later
+    target k reads sum_x A[x] S_g[k c0 - x] from the anchor row A of S_a and
+    the row stream of S_g, g = k - a. The anchor moves to k with one FFT
+    product when g > a, or when the steps to k cost more cell updates
+    (steps * |W| a cell) than an FFT product does (about 3 log2 of the
+    anchor's cells a cell).
     """
     v = v.pruned()
     if v.is_zero:
@@ -481,7 +497,8 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
         raise ValueError(f"moment map must vanish, |mu|_inf = {mu_inf}")
     if (k_max is None) == (ks is None):
         raise ValueError("pass k_max or an explicit list of powers ks, not both")
-    d, m = difference_lattice(v)
+    coords, c0, m = _zero_chart(v)
+    d = len(c0)
     if ks is None:
         targets = list(range(m, k_max + 1, m))
     else:
@@ -489,7 +506,7 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
     if not targets:
         return []
 
-    walk = _RowStream(*_weight_arrays(v))
+    walk = _RowStream(np.array(coords, dtype=np.int64), _weight_arrays(v)[1])
     cache: dict[int, _ScaledRow] = {}
     anchor_k = targets[0]
     anchor = _row_power(walk.kernel, anchor_k, cache)
@@ -503,7 +520,8 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
         else:
             for _ in range(steps):
                 walk.step()
-        lv = _cst_of_product(anchor, walk.row)
+        at = walk.axes @ np.array([int(k * c) for c in c0], dtype=np.int64)
+        lv = _cst_of_product(anchor, replace(walk.row, offset=walk.row.offset - at))
         val = 0.0 if lv.sign == 0 else math.exp(lv.log_mag + 0.5 * d * math.log(k))
         out.append((k, val))
     return out

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .capacity import CapacityResult, _face_normal, _face_search, theta_capacity
+from .capacity import CapacityResult, _face_search, theta_capacity
 from .core import (ConvergenceReport, LogValue, WeightVector, WeightedVector,
                    as_fraction, fraction_log, rational_vector)
 from .exactlp import simplex_max
@@ -233,22 +233,23 @@ def _rc_weight(n: int, m: int, i: int, j: int) -> WeightVector:
 
 
 def _rc_face(state: ScalingState
-             ) -> tuple[list[tuple[int, int]], list[WeightVector], list[int]]:
-    """The support entries of M, their weights and the indices of those on
-    the minimal face of (r, c), empty exactly when (r, c) is unreachable on
-    supp(M). When the product plan r c^T is positive exactly on supp(M) the
-    face is the whole support and no LP runs."""
+             ) -> tuple[list[tuple[int, int]], tuple[int, ...], tuple | None]:
+    """The support entries of M, the indices of those on the minimal face of
+    (r, c), empty exactly when (r, c) is unreachable on supp(M), and the
+    face normal of the face record. When the product plan r c^T is positive
+    exactly on supp(M) the face is the whole support, no LP runs and the
+    normal is None."""
     pos = state.M > 0
     n, m = pos.shape
     entries = [(int(i), int(j)) for i, j in zip(*np.nonzero(pos))]
     if np.array_equal(pos, np.outer([t > 0 for t in state.r], [t > 0 for t in state.c])):
-        return entries, [], list(range(len(entries)))
-    weights = [_rc_weight(n, m, i, j) for i, j in entries]
-    _, face, _ = _face_search(weights, (*state.r, *state.c))
-    return entries, weights, face
+        return entries, tuple(range(len(entries))), None
+    face = _face_search(tuple(_rc_weight(n, m, i, j) for i, j in entries),
+                        (*state.r, *state.c))
+    return entries, face.face, face.normal
 
 
-def _face_start(state: ScalingState, entries, weights, face, tol: float, max_iter: int
+def _face_start(state: ScalingState, entries, face, normal, tol: float, max_iter: int
                 ) -> tuple[list[float], list[float], int]:
     """Scale M restricted to the face to tol/4, then push the off-face
     entries down along the face normal by the smallest t in 0, 1, 2, 4, ...
@@ -262,7 +263,7 @@ def _face_start(state: ScalingState, entries, weights, face, tol: float, max_ite
     on[tuple(zip(*(entries[k] for k in face)))] = True
     x, y, it, _ = _sinkhorn_kernel(np.where(on, M, 0.0), state.r, state.c, state.x.tolist(),
                                    state.y.tolist(), tol / 4, max_iter)
-    ell, gamma = _face_normal(weights, face)
+    ell, gamma = normal
     u = np.array([float(a - gamma) for a in ell[:n]])
     v = np.array([float(b) for b in ell[n:]])
     rows, cols = np.nonzero((M > 0) & ~on)
@@ -297,7 +298,7 @@ def sinkhorn_scale(state: ScalingState, tol: float = 1e-8,
         raise ValueError(f"tol must be nonnegative, got {tol}")
     if not np.any(state.M > 0):
         raise ValueError("cannot scale the zero matrix")
-    entries, weights, face = _rc_face(state)
+    entries, face, normal = _rc_face(state)
     if not face:
         cert = _unscalable_certificate(state)
         if cert is None:
@@ -309,7 +310,7 @@ def sinkhorn_scale(state: ScalingState, tol: float = 1e-8,
     off = tuple(e for k, e in enumerate(entries) if k not in on)
     x, y, it = state.x.tolist(), state.y.tolist(), 0
     if off and max_iter:
-        x, y, it = _face_start(state, entries, weights, face, tol, max_iter)
+        x, y, it = _face_start(state, entries, face, normal, tol, max_iter)
     x, y, polish, _ = _sinkhorn_kernel(state.M, state.r, state.c, x, y, tol, max_iter - it)
     out = ScalingState(state.M, state.r, state.c, x, y)
     err = out.marginal_error()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -242,30 +243,57 @@ def _face_targets(rng, v):
 
 def test_face_search_matches_per_weight_oracle():
     rng = np.random.default_rng(2024)
-    checked = 0
+    checked = full_lattice = 0
     for i in range(80):
         n = 1 + i % 4
         v = random_weighted_vector(rng, n=n, n_terms=2 + (i // 4) % 7,
                                    box={1: 4, 2: 2, 3: 1, 4: 1}[n]).pruned()
         support = [w.coords for w in v.support]
         for theta in _face_targets(rng, v):
-            cert, face, interior = _face_search(v.support, theta)
+            cert = _face_search(v.support, theta)
             oracle = per_weight_minimal_face(support, theta)
             assert cert.inside == (oracle is not None)
             assert cert.inside == moment_polytope_contains(v, theta).inside
+            assert cert.lps >= 1 and cert.pivots >= 0
             if not cert.inside:
                 a, offset = cert.separator
                 assert all(sum(x * y for x, y in zip(a, w)) <= offset for w in support)
                 assert sum(x * y for x, y in zip(a, theta)) > offset
-                assert face == [] and interior == []
+                assert cert.face == () and cert.coefficients is None and cert.dim == 0
                 continue
+            face = list(cert.face)
+            interior = [0] * len(support)
+            for w, p in cert.coefficients:
+                interior[support.index(w.coords)] = p
             assert face == oracle
             assert [j for j, p in enumerate(interior) if p > 0] == face
             assert all(p >= 0 for p in interior) and sum(interior) == 1
             assert all(sum(p * w[k] for p, w in zip(interior, support)) == theta[k]
                        for k in range(n))
+            # the normal's exact gaps: 0 on the face, at most -1 off it
+            ell, gamma = cert.normal
+            for j, w in enumerate(support):
+                gap = sum(a * x for a, x in zip(ell, w)) - gamma
+                assert gap == 0 if j in face else gap <= -1, (i, theta, j)
+            # the chart: w0 + B c_w is every face weight, theta = w0 + B c_theta
+            B = np.array(cert.basis, dtype=object).reshape(n, cert.dim)
+            w0 = np.array(cert.base, dtype=object)
+            for j, c in zip(face, cert.face_coords):
+                assert tuple(w0 + B.dot(np.array(c, dtype=object))) == support[j]
+            assert tuple(w0 + B.dot(np.array(cert.theta_coords, dtype=object))) == theta
+            affine = np.array([support[j] for j in face]) - support[face[0]]
+            assert np.linalg.matrix_rank(B.astype(float)) == cert.dim == (
+                np.linalg.matrix_rank(affine) if len(face) > 1 else 0)
+            # a face whose differences span Z^n (the gcd of their n x n
+            # minors is 1) gets the identity
+            minors = [round(np.linalg.det(affine[list(rows)].astype(float)))
+                      for rows in itertools.combinations(range(len(affine)), n)]
+            if math.gcd(*minors) == 1:
+                assert np.array_equal(B.astype(int), np.eye(n, dtype=int)), (i, theta)
+                full_lattice += 1
             checked += 1
     assert checked == 240  # the interior, sub-combination and vertex targets
+    assert full_lattice >= 20, full_lattice
 
 
 def test_zero_vector_rejected():

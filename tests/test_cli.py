@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capdual import cli
+from capdual import capacity, cli
 from capdual.cli import EXPERIMENT_ORDER, main
 from capdual.haarmc import (BLOCK, UnitaryOrbitVector, mc_invariant_norm,
                             mc_isotypic_norm)
@@ -253,6 +253,28 @@ def test_capacity_experiment_outside_target(tmp_path):
     assert summary["status"] == "outside" and summary["inside"] is False
     header, row = (out / "report.csv").read_text().splitlines()
     assert header.endswith(",inside") and row.endswith(",false")
+
+
+def test_capacity_search_counters_are_byte_identical(tmp_path):
+    # the face search's LP and pivot counts and the face dimension are
+    # deterministic, so they belong in summary.json; the second run
+    # searches again instead of reading the face cache
+    cfg = {"experiment": "capacity",
+           "instance": {"vector": {"n": 2, "terms": [
+               {"weight": w, "amplitude": a} for w, a in (
+                   ([0, 0], 0.6), ([2, 1], 1.0), ([4, 2], 0.5), ([0, 2], 0.7), ([3, 3], 0.9))]},
+               "theta": ["1", "1/2"]},
+           "output": str(tmp_path / "a")}
+    path = write_config(tmp_path, "cap.json", cfg)
+    assert main(["run", str(path)]) == 0
+    capacity._face_search.cache_clear()
+    assert main(["run", str(path), "--out", str(tmp_path / "b")]) == 0
+    first = (tmp_path / "a" / "summary.json").read_bytes()
+    assert first == (tmp_path / "b" / "summary.json").read_bytes()
+    summary = json.loads(first)
+    assert summary["face_dim"] == 1  # theta lies on the edge {(0,0), (2,1), (4,2)}
+    assert summary["face_lps"] >= 2 and summary["face_pivots"] > 0
+    assert summary["diverging"] is True
 
 
 def test_duffield_non_character_is_an_input_error(tmp_path, capsys):

@@ -150,6 +150,13 @@ def test_integer_tableau_matches_fraction_tableau():
         got, want = simplex_max(c, A, b), fraction_simplex_max(c, A, b)
         assert (got.status, got.x, got.objective, got.farkas, got.pivots) == (
             want.status, want.x, want.objective, want.farkas, want.pivots), (c, A, b)
+        if got.status == "optimal":  # y^T A >= c and y^T b = c^T x
+            y = got.duals
+            assert all(sum((yi * row[j] for yi, row in zip(y, A)), F(0)) >= c[j]
+                       for j in range(len(c))), (c, A, b)
+            assert sum((yi * bi for yi, bi in zip(y, b)), F(0)) == got.objective, (c, A, b)
+        else:
+            assert got.duals is None
         seen[got.status] += 1
         seen["m = 0"] += not A
         seen["negative b"] += any(bi < 0 for bi in b)
@@ -169,28 +176,35 @@ def test_pivots_counts_both_phases():
 
 
 def test_certificate_checks_survive_python_O():
-    """Corrupt the kernel's solution and its Farkas multipliers, and the
-    solutions the face search averages, under -O: the exact checks must
-    still raise."""
+    """Corrupt the kernel's solution, its Farkas multipliers and its dual
+    solution, and the solutions the face search averages, under -O: the
+    exact checks must still raise."""
     code = textwrap.dedent("""
         from fractions import Fraction as F
         from capdual import exactlp
         real = exactlp._run_simplex
         print("debug", __debug__)
 
-        def shift_solution(T, z, zden, basis):
-            out = real(T, z, zden, basis)
-            if len(z) == 2:  # phase 2: move x at row 0's basic column by 1
+        def shift_solution(T, z, zden, basis, ncols):
+            out = real(T, z, zden, basis, ncols)
+            if ncols < len(z):  # phase 2: move x at row 0's basic column by 1
                 T[0][-1] += T[0][basis[0]]
             return out
 
-        def flip_farkas(T, z, zden, basis):
-            status, z, zden, pivots = real(T, z, zden, basis)
+        def flip_farkas(T, z, zden, basis, ncols):
+            status, z, zden, pivots = real(T, z, zden, basis, ncols)
             return status, [2 * zden - v for v in z], zden, pivots
+
+        def lower_duals(T, z, zden, basis, ncols):
+            status, z, zden, pivots = real(T, z, zden, basis, ncols)
+            if ncols < len(z):  # phase 2: lower each dual y_i by 1
+                z = [*z[:ncols], *(v - zden for v in z[ncols:])]
+            return status, z, zden, pivots
 
         for name, patch, lp in (
                 ("solution", shift_solution, ([F(1), F(1)], [[F(1), F(1)]], [F(1)])),
-                ("farkas", flip_farkas, ([F(0)], [[F(1)], [F(1)]], [F(1), F(2)]))):
+                ("farkas", flip_farkas, ([F(0)], [[F(1)], [F(1)]], [F(1), F(2)])),
+                ("duals", lower_duals, ([F(1), F(1)], [[F(1), F(1)]], [F(1)]))):
             exactlp._run_simplex = patch
             try:
                 print(name, "returned", exactlp.simplex_max(*lp).status)
@@ -205,9 +219,10 @@ def test_certificate_checks_survive_python_O():
             res = solve(c, A, b)
             res.x = [2 * p for p in res.x]
             return res
+        capacity._face_search.cache_clear()
         capacity.simplex_max = doubled
         try:
-            capacity._face_search([WeightVector((j,)) for j in range(3)], (F(1),))
+            capacity._face_search(tuple(WeightVector((j,)) for j in range(3)), (F(1),))
             print("face returned")
         except RuntimeError as exc:
             print("face raised", exc)
@@ -220,4 +235,5 @@ def test_certificate_checks_survive_python_O():
     assert "debug False" in out
     assert "solution raised primal solution failed exact feasibility check" in out
     assert "farkas raised Farkas certificate failed" in out
+    assert "duals raised dual solution failed its feasibility check" in out
     assert "face raised face interior point failed its feasibility check" in out

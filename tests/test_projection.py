@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from capdual.capacity import theta_capacity
 from capdual.core import LogValue, WeightedVector, WeightVector
-from capdual.projection import (LaurentPoly, _cst_of_product, _fft_len, _row_conv,
-                                _RowStream, _ScaledRow, critical_values,
+from capdual.projection import (LaurentPoly, _cst_of_product, _fft_len, _lll_axes,
+                                _row_conv, _RowStream, _ScaledRow, critical_values,
                                 difference_lattice, duality_report,
                                 laurent_cst_powers, prefactor_sequence,
                                 projection_norm_table)
@@ -163,27 +163,33 @@ def test_duality_report_matches_log_dp_oracle(n, k_max):
             assert 0.0 <= rep.metadata["dropped_mass"] < 1e-9
 
 
-@pytest.mark.parametrize("terms, theta, ks, d, covol", [
-    ({(0,): 0.3, (1,): 1.1, (3,): 0.6}, (F(1),), (300, 1200), 1, 1.0),
+@pytest.mark.parametrize("terms, theta, ks", [
+    ({(0,): 0.3, (1,): 1.1, (3,): 0.6}, (F(1),), (300, 1200)),
     ({(0, 0): 0.5, (1, 0): 0.9, (0, 1): 0.7, (1, 1): 0.4, (-1, -1): 0.8},
-     (F(1, 4), F(1, 5)), (100, 400), 2, 1.0),
+     (F(1, 4), F(1, 5)), (100, 400)),
     ({(0, 0): 0.6, (2, 1): 1.0, (4, 2): 0.5, (0, 2): 0.7, (3, 3): 0.9},
-     (F(1), F(1, 2)), (100, 400), 1, math.sqrt(5)),
+     (F(1), F(1, 2)), (100, 400)),
 ], ids=["n1", "n2", "edge"])
-def test_duality_gap_second_order_local_clt(terms, theta, ks, d, covol):
+def test_duality_gap_second_order_local_clt(terms, theta, ks):
     # log P_p(S_k = k theta) = log covol(L) - (d/2) log(2 pi k)
     #                          - (1/2) log pdet Sigma + O(1/k),
     # with Sigma the covariance of the tilted law p on the minimal face,
     # pdet the product of its d nonzero eigenvalues, and covol(L) the
-    # covolume of the lattice L of face-weight differences in its own span.
-    # n1, n2: theta interior and L = Z^n. edge: theta inside the edge
-    # {(0,0), (2,1), (4,2)} of a 2-D polygon, so d = 1 < n = 2 and
+    # covolume of the lattice L of face-weight differences in its own span,
+    # sqrt det(B^T B) for the chart basis B of the face record.
+    # n1, n2: theta interior and L = Z^n, so B = I. edge: theta inside the
+    # edge {(0,0), (2,1), (4,2)} of a 2-D polygon, so d = 1 < n = 2 and
     # L = Z (2, 1), of covolume |(2, 1)| = sqrt 5.
-    v = WeightedVector.from_terms(len(theta), terms)
+    n = len(theta)
+    v = WeightedVector.from_terms(n, terms)
     rep = duality_report(v, theta, ks[-1])
     cap = rep.metadata["capacity"]
+    d = cap.certificate.dim
+    B = np.array(cap.certificate.basis, dtype=float).reshape(n, d)
+    covol = math.sqrt(np.linalg.det(B.T @ B))
+    assert math.isclose(covol, 1.0 if d == n else math.sqrt(5), rel_tol=1e-15)
     face = [v.support[j].coords for j in cap.face]
-    face_vector = WeightedVector.from_terms(len(theta), {w: 1.0 for w in face})
+    face_vector = WeightedVector.from_terms(n, {w: 1.0 for w in face})
     assert difference_lattice(face_vector) == (d, 1)
     W = np.array(face, dtype=float)
     a = np.log([abs(terms[w]) ** 2 for w in face]) + 2.0 * (W @ cap.minimizer_x)
@@ -198,6 +204,67 @@ def test_duality_gap_second_order_local_clt(terms, theta, ks, d, covol):
     errs = [abs(-k * gaps[k] - math.log(covol) + 0.5 * d * math.log(2 * math.pi * k)
                 + 0.5 * log_pdet) for k in ks]
     assert errs[1] <= errs[0] / 3, errs
+
+
+def test_spaced_walk_streams_in_its_chart():
+    # The walk (-s, s) has the chart w = -s + 2s c with c in {0, 1} for
+    # every s, so s = 10^6 (inside MAX_WEIGHT_COORD; an ambient stream would
+    # hold about 4.6e8 cells there) gives the rows of s = 1 on as many cells.
+    r = math.sqrt(0.5)
+
+    def run(s):
+        v = WeightedVector.from_terms(1, {(-s,): r, (s,): r})
+        return duality_report(v, (F(0),), 400), prefactor_sequence(v, ks=[1000, 1002])
+
+    rep, pre = run(10**6)
+    want, want_pre = run(1)
+    assert rep.rows == want.rows and pre == want_pre
+    assert rep.metadata["max_row_cells"] == want.metadata["max_row_cells"]
+
+
+def test_edge_report_streams_like_its_image():
+    # A 2-D edge streams on its 1-D chart c in {0, 1, 2}: the cells, the
+    # exact zeros and the final gap of its image {0, 1, 2}.
+    amps = (0.5, 0.6, math.sqrt(0.39))
+    edge = WeightedVector.from_terms(2, dict(zip([(0, 0), (2, 1), (4, 2)], amps)))
+    image = WeightedVector.from_terms(1, dict(zip([(0,), (1,), (2,)], amps)))
+    rep = duality_report(edge, (F(1), F(1, 2)), 1000)
+    want = duality_report(image, (F(1, 2),), 1000)
+    assert [(r[0], r[1].sign) for r in rep.rows] == [(r[0], r[1].sign) for r in want.rows]
+    assert abs(rep.rows[-1][4] - want.rows[-1][4]) <= 1e-14
+    assert rep.metadata["max_row_cells"] == want.metadata["max_row_cells"]
+
+
+def test_sheared_chart_holds_no_more_cells_than_the_weight_box():
+    # The Hermite basis of this support's lattice (index 2 in Z^3) has the
+    # rows (1,0,0), (0,1,0), (0,-1,2); streamed on it, the report held
+    # 104,005 cells where the ambient box of the weights held 53,680. The
+    # axes reduced against the tilted covariance hold fewer than the box.
+    # The rows still match the log-domain oracle.
+    terms = {(-2, 2, 1): 1.88, (-1, -1, 0): 1.0, (-1, 0, 1): 3.1, (1, 2, 1): 1.63,
+             (2, -2, 1): 1.46, (2, -1, 0): 1.86}
+    v = WeightedVector.from_terms(3, terms)
+    theta = (F(-1, 10), F(4, 5), F(4, 5))
+    rep = duality_report(v, theta, 15)
+    assert rep.metadata["capacity"].certificate.basis == ((1, 0, 0), (0, 1, 0), (0, -1, 2))
+    assert 0 < rep.metadata["max_row_cells"] <= 53_680
+    table = projection_norm_table(v, 15)
+    for k, norm_sq, *_ in rep.rows:
+        want = table.get(k, tuple(int(t * k) for t in theta))
+        assert norm_sq.sign == want.sign == 1
+        assert abs(norm_sq.log_mag - want.log_mag) <= 1e-10, k
+
+
+def test_row_axes_reduce_against_the_law_unless_wider():
+    # Mass along the diagonal: the axes c2 - c1 and c2 hold it on fewer
+    # cells than c1 and c2, in width and in variance.
+    U = _lll_axes(np.array([[0, 0], [1, 1], [2, 2], [0, 1]]), np.array([0.3, 0.3, 0.3, 0.1]))
+    assert U.tolist() == [[-1, 1], [0, 1]]
+    # Here the reduced basis (0, 1), (1, 1) has the smaller variances but
+    # widths 3 and 6 against 4 and 3: the identity is kept.
+    C = np.array([[0, 0], [0, 3], [1, 3], [3, 2], [4, 2]])
+    assert _lll_axes(C, np.array([0.05, 0.45, 0.05, 0.05, 0.4])).tolist() == [[1, 0], [0, 1]]
+    assert _lll_axes(np.zeros((1, 0), dtype=np.int64), np.ones(1)).shape == (1, 0)
 
 
 @pytest.mark.parametrize("W, p, k_max", [

@@ -196,40 +196,37 @@ def test_full_support_takes_the_plain_kernel_bit_for_bit():
 
 
 def test_face_normal_checks_survive_python_O():
-    """Flip the sign of the face normal the LP returns, move it by one on a
-    face weight alone, and halve it so the off-face gap is 1/2: under -O the
-    exact check must still raise."""
+    """The face normal is read from the duals of the last face LP. Flip the
+    sign of those duals, move them by one on a face weight alone, and halve
+    them so the off-face gap is 1/2: under -O the exact check must still
+    raise."""
     code = textwrap.dedent("""
         from fractions import Fraction as F
         from capdual import capacity
         from capdual.core import WeightVector
         print("debug", __debug__)
         # the triangular instance: entries (0,0), (0,1), (1,1); face {0, 2}
-        weights = [WeightVector(w) for w in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1))]
-        print("normal", capacity._face_normal(weights, [0, 2]))
+        weights = tuple(WeightVector(w) for w in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)))
+        theta = (F(1, 2),) * 4
+        print("normal", capacity._face_search(weights, theta).normal)
         solve = capacity.simplex_max
 
-        def flipped(c, A, b):
-            res = solve(c, A, b)
-            n = 4
-            x = res.x
-            res.x = [*x[n:2 * n], *x[:n], x[2 * n + 1], x[2 * n], *x[2 * n + 2:]]
-            return res
+        def patched(change):
+            def run(c, A, b):
+                res = solve(c, A, b)
+                if res.duals is not None:
+                    res.duals = change(res.duals)
+                return res
+            return run
 
-        def shifted(c, A, b):  # row 1 meets only the face entry (1, 1)
-            res = solve(c, A, b)
-            res.x = [res.x[0], res.x[1] + 1, *res.x[2:]]
-            return res
-
-        def halved(c, A, b):
-            res = solve(c, A, b)
-            res.x = [p / 2 for p in res.x]
-            return res
-
-        for name, patch in (("flipped", flipped), ("shifted", shifted), ("halved", halved)):
-            capacity.simplex_max = patch
+        for name, change in (
+                ("flipped", lambda y: [-t for t in y]),
+                ("shifted", lambda y: [y[0], y[1] + 1, *y[2:]]),  # row 1 meets only (1, 1)
+                ("halved", lambda y: [t / 2 for t in y])):
+            capacity._face_search.cache_clear()
+            capacity.simplex_max = patched(change)
             try:
-                capacity._face_normal(weights, [0, 2])
+                capacity._face_search(weights, theta)
                 print(name, "returned")
             except RuntimeError as exc:
                 print(name, "raised", exc)
