@@ -26,19 +26,20 @@ on a proper face the minimization is restricted to the face weights (the
 infimum is then attained there but not on the original orbit, which the
 `diverging` flag, read from the normal, records).
 
-Damped Newton minimizes F on the face. It stops when the gradient is at most
-grad_tol, or at the floating-point resolution of F: when the Newton decrement
--g.d is at most 8 eps max(1, |F|), or when 60 step halvings find no Armijo
-step (the current point is then kept). Below that resolution the Armijo test
-cannot tell a decrease from rounding. `CapacityResult.status` records which
-stop was taken.
+On the face F depends on x only through y = B^T x in R^d: F(y) =
+-2 <c_theta, y> + log sum_w q_w exp(2 <c_w, y>) is strictly convex, with
+Hessian 4 Cov_p(c_w) for p the tilted law on the face. Damped Newton
+minimizes it from y = 0; a vertex is d = 0 and takes no step. It stops at
+gradient grad_tol, or at the floating-point resolution of F, where the
+Armijo test cannot tell a decrease from rounding: at a Newton decrement
+-g.d of at most 8 eps max(1, |F|), or when 60 step halvings find no Armijo
+step. While the gradient is above grad_tol, up to 3 full Newton steps then
+follow, each kept only while it cuts max |g|. `CapacityResult.status`
+records how it ended.
 
-An independent cross-check solves the equivalent relative-entropy program
-
-    -log cap_theta(v)^2 = min { D(p || q) : sum_w p_w w = theta }
-
-with q the squared amplitudes, by a damped Newton method in the probability
-simplex rather than in the torus variable x, with the same stop rule.
+An independent cross-check solves -log cap_theta(v)^2 = min { D(p || q) :
+sum_w p_w c_w = c_theta }, with q the squared amplitudes, by damped Newton
+in the probability simplex, with the same stop rule but no full steps.
 """
 
 from __future__ import annotations
@@ -109,14 +110,16 @@ class MembershipCertificate:
 class CapacityResult:
     """A theta-capacity and how Newton reached it.
 
-    status is "converged" (gradient norm at most grad_tol, or theta a
-    vertex), "precision" (stopped at the floating-point resolution of F with
-    the gradient above grad_tol), "max_iter" (ran out of iterations) or
+    status is "converged" (gradient norm at most grad_tol; a vertex has no
+    gradient), "precision" (stopped at the floating-point resolution of F,
+    the gradient above grad_tol after the full steps), "max_iter" or
     "outside" (theta is not in the moment polytope). iterations counts the
-    Newton steps taken. face lists the indices into v.pruned().support of the
-    weights on the minimal face containing theta, to which the minimization
-    is restricted; it is empty outside. certificate is the face record, and
-    diverging is read from its normal.
+    Newton steps taken. gradient_norm is max |dF/dy| in the face chart,
+    y = B^T x, and minimizer_x the least-norm x with B^T x = y*: every such
+    x tilts the face alike. face lists the indices into v.pruned().support
+    of the weights on the minimal face containing theta, to which the
+    minimization is restricted; it is empty outside. certificate is the face
+    record, and diverging is read from its normal.
     """
 
     log_cap: LogValue
@@ -291,68 +294,78 @@ def moment_polytope_contains(v: WeightedVector, theta) -> MembershipCertificate:
     return _face_search(v.support, rational_vector(theta, v.n))
 
 
-def _newton_logsumexp(W: np.ndarray, logq: np.ndarray, theta: np.ndarray,
+def _newton_logsumexp(C: np.ndarray, logq: np.ndarray, c_theta: np.ndarray,
                       grad_tol: float, max_iter: int
                       ) -> tuple[np.ndarray, float, float, int, str]:
-    """Damped Newton minimization of F(x) = -2 theta.x + LSE(logq + 2 W x).
+    """Damped Newton minimization of F(y) = -2 c_theta.y + LSE(logq + 2 C y).
 
-    Returns (x, F(x), gradient norm, steps taken, status); the stop rule is
-    the one in the module docstring.
+    Returns (y, F(y), max |g|, steps taken, status) by the stop rule in the
+    module docstring. A step whose Hessian is singular (p underflowed on the
+    face) or that does not descend goes along -g.
     """
 
-    def fgh(x):
-        a = logq + 2.0 * (W @ x)
+    def fgh(y):
+        a = logq + 2.0 * (C @ y)
         amax = a.max()
         e = np.exp(a - amax)
         z = e.sum()
         logz = amax + math.log(z)
         p = e / z
-        wp = W.T @ p
-        f = -2.0 * float(theta @ x) + logz
-        g = -2.0 * theta + 2.0 * wp
-        h = 4.0 * ((W.T * p) @ W - np.outer(wp, wp))
+        cp = C.T @ p
+        f = -2.0 * float(c_theta @ y) + logz
+        g = -2.0 * c_theta + 2.0 * cp
+        h = 4.0 * ((C.T * p) @ C - np.outer(cp, cp))
         return f, g, h
 
-    x = np.zeros(W.shape[1])
-    f, g, h = fgh(x)
-    iters = 0
-    while np.max(np.abs(g)) > grad_tol:
-        if iters >= max_iter:
-            return x, f, float(np.max(np.abs(g))), iters, "max_iter"
+    def newton(g, h):
         try:
             d = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(h, -g, rcond=None)[0]
-        if not np.all(np.isfinite(d)) or float(g @ d) >= 0:
-            d = -g
+            return -g
+        return d if np.all(np.isfinite(d)) and float(g @ d) < 0 else -g
+
+    y = np.zeros(C.shape[1])
+    f, g, h = fgh(y)
+    iters = 0
+    while (gnorm := float(np.max(np.abs(g), initial=0.0))) > grad_tol:
+        if iters >= max_iter:
+            return y, f, gnorm, iters, "max_iter"
+        d = newton(g, h)
         slope = float(g @ d)
         step = 1.0
         for _ in range(60):
-            xn = x + step * d
-            fn, gn, hn = fgh(xn)
+            yn = y + step * d
+            fn, gn, hn = fgh(yn)
             if fn <= f + 0.25 * step * slope:
                 break
             step *= 0.5
         else:
-            return x, f, float(np.max(np.abs(g))), iters, "precision"
+            break
         iters += 1
-        x, f, g, h = xn, fn, gn, hn
+        y, f, g, h = yn, fn, gn, hn
         if -slope <= 8.0 * np.finfo(float).eps * max(1.0, abs(f)):
             break
-    gnorm = float(np.max(np.abs(g)))
-    return x, f, gnorm, iters, "converged" if gnorm <= grad_tol else "precision"
+    # Above grad_tol at the resolution of F: full Newton steps while they cut |g|.
+    full = min(3, max_iter - iters)
+    while (gnorm := float(np.max(np.abs(g), initial=0.0))) > grad_tol and full > 0:
+        yn = y + newton(g, h)
+        fn, gn, hn = fgh(yn)
+        if not np.max(np.abs(gn)) < gnorm:
+            break
+        iters, full = iters + 1, full - 1
+        y, f, g, h = yn, fn, gn, hn
+    return y, f, gnorm, iters, "converged" if gnorm <= grad_tol else "precision"
 
 
 def _on_face(v: WeightedVector, theta
              ) -> tuple[MembershipCertificate, np.ndarray, np.ndarray, np.ndarray]:
-    """The face record of theta for a pruned nonzero v, and the face weights
-    W, their squared amplitudes q and theta, as float arrays."""
-    th = rational_vector(theta, v.n)
-    cert = _face_search(v.support, th)
+    """The face record of theta for a pruned nonzero v, and its chart arrays:
+    C (s x d), the squared amplitudes q of the face weights, and c_theta."""
+    cert = _face_search(v.support, rational_vector(theta, v.n))
     qs = v.amplitudes_sq()
-    face = [v.support[j] for j in cert.face]
-    W = np.array([w.coords for w in face], dtype=float).reshape(len(face), v.n)
-    return cert, W, np.array([qs[w] for w in face]), np.array([float(t) for t in th])
+    C = np.array(cert.face_coords, dtype=float).reshape(len(cert.face), cert.dim)
+    return (cert, C, np.array([qs[v.support[j]] for j in cert.face]),
+            np.array([float(t) for t in cert.theta_coords]))
 
 
 def theta_capacity(v: WeightedVector, theta, *, grad_tol: float = GRAD_TOL,
@@ -364,40 +377,34 @@ def theta_capacity(v: WeightedVector, theta, *, grad_tol: float = GRAD_TOL,
     which case the certificate carries a separating functional. Otherwise
     log_cap encodes cap > 0 and the reported gradient norm and status refer
     to the minimization restricted to the minimal face of the polytope
-    containing theta.
+    containing theta, in its chart coordinates.
     """
     v = v.pruned()
     if v.is_zero:
         raise ValueError("capacity of the zero vector is undefined")
-    cert, W, q, theta_f = _on_face(v, theta)
+    cert, C, q, c_theta = _on_face(v, theta)
     if not cert.inside:
         return CapacityResult(LogValue.zero(), None, True, 0, math.inf, cert, "outside", ())
     logq = np.array([math.log(x) for x in q])
-    diverging = any(cert.normal[0])
-    if len(q) == 1:
-        # theta is a vertex; F is constant on the face, log q is the value.
-        return CapacityResult(LogValue(1, 0.5 * float(logq[0])), np.zeros(v.n),
-                              diverging, 0, 0.0, cert, "converged", cert.face)
-    x, fstar, gnorm, iters, status = _newton_logsumexp(W, logq, theta_f, grad_tol, max_iter)
-    return CapacityResult(LogValue(1, 0.5 * fstar), x, diverging, iters, gnorm, cert, status,
-                          cert.face)
+    y, fstar, gnorm, iters, status = _newton_logsumexp(C, logq, c_theta, grad_tol, max_iter)
+    B = np.array(cert.basis, dtype=float).reshape(v.n, cert.dim)
+    x = B @ np.linalg.solve(B.T @ B, y)  # the least-norm x with B^T x = y
+    return CapacityResult(LogValue(1, 0.5 * fstar), x, any(cert.normal[0]), iters, gnorm,
+                          cert, status, cert.face)
 
 
-def _min_kl(q: np.ndarray, W: np.ndarray, theta: np.ndarray, p0: np.ndarray,
+def _min_kl(q: np.ndarray, C: np.ndarray, p0: np.ndarray,
             grad_tol: float = 1e-11, max_iter: int = 200) -> tuple[float, int]:
-    """Minimize D(p || q) over {p >= 0, sum p = 1, W^T p = theta} by Newton
+    """Minimize D(p || q) over {p >= 0, sum p = 1, C^T p = C^T p0} by Newton
     steps inside the affine feasible set, starting from interior point p0.
 
-    Returns (minimum, steps taken). It stops like Newton on F: at gradient
-    grad_tol, at a decrement -g.d of at most 8 eps max(1, |f|), or when 60
-    step halvings find no Armijo step, keeping the current point.
+    Returns (minimum, steps taken). It stops like Newton on F, without the
+    full steps: at gradient grad_tol, at a decrement -g.d of at most
+    8 eps max(1, |f|), or when 60 step halvings find no Armijo step, keeping
+    the current point.
     """
-    s = len(q)
-    A = np.vstack([W.T, np.ones(s)])
-    # Orthonormal basis of the null space of the constraint matrix.
-    u, sv, vh = np.linalg.svd(A)
-    rank = int(np.sum(sv > sv.max() * max(A.shape) * np.finfo(float).eps)) if len(sv) else 0
-    N = vh[rank:].T
+    # [C^T; 1] has rank d + 1, d = C.shape[1]: vh[d + 1:] spans its null space
+    N = np.linalg.svd(np.vstack([C.T, np.ones(len(q))]))[2][C.shape[1] + 1:].T
     p = p0.copy()
 
     def kl(p):
@@ -451,8 +458,8 @@ def capacity_kl_form(v: WeightedVector, theta) -> LogValue:
         raise ValueError("capacity of the zero vector is undefined")
     if abs(v.norm_sq - 1.0) > 1e-10:
         raise ValueError(f"capacity_kl_form expects a unit vector, norm^2 = {v.norm_sq}")
-    cert, W, q, theta_f = _on_face(v, theta)
+    cert, C, q, _ = _on_face(v, theta)
     if not cert.inside:
         return LogValue.zero()
-    val, _ = _min_kl(q, W, theta_f, np.array([float(p) for _, p in cert.coefficients]))
+    val, _ = _min_kl(q, C, np.array([float(p) for _, p in cert.coefficients]))
     return LogValue(1, -val)

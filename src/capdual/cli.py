@@ -518,6 +518,7 @@ def _run_capacity(config: dict):
         "inside": inside,
         "diverging": bool(cap.diverging),
         "iterations": cap.iterations,
+        "gradient_norm": cap.gradient_norm,
         "status": cap.status,
         "face_dim": cap.certificate.dim,
         "face_lps": cap.certificate.lps,

@@ -208,12 +208,12 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     log_cap_sq = 2.0 * cap.log_cap.log_mag
     chart = cap.certificate
     qs = v.amplitudes_sq()
-    face = [v.support[j] for j in chart.face]
-    W = np.array([w.coords for w in face], dtype=np.int64)
-    a = np.log([qs[w] for w in face]) + 2.0 * (W @ cap.minimizer_x)
+    C = np.array(chart.face_coords, dtype=np.int64).reshape(len(chart.face), chart.dim)
+    B = np.array(chart.basis, dtype=float).reshape(v.n, chart.dim)
+    a = np.log([qs[v.support[j]] for j in chart.face]) + 2.0 * (C @ (B.T @ cap.minimizer_x))
     p = np.exp(a - a.max())
     p /= p.sum()
-    stream = _RowStream(np.array(chart.face_coords, dtype=np.int64), p)
+    stream = _RowStream(C, p)
     m = math.lcm(*(c.denominator for c in chart.theta_coords))  # k c_theta integral iff m | k
     step = stream.axes @ np.array([int(c * m) for c in chart.theta_coords], dtype=np.int64)
     rows = []
@@ -259,13 +259,14 @@ def difference_lattice(v: WeightedVector) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Scaled linear rows: the row stream of the duality report and the prefactor
-# walk, and the FFT powers of the prefactor anchors.
+# Linear rows: the row stream of the duality report and the prefactor walk,
+# and the FFT powers of the prefactor anchors. Every row is a probability law
+# (p sums to 1, the prefactor's q to |v|^2 = 1 within 1e-10), so no row can
+# under- or overflow and none is ever rescaled.
 
 @dataclass
-class _ScaledRow:
-    log_scale: float
-    arr: np.ndarray          # nonnegative; the row's values are e^log_scale * arr
+class _Row:
+    arr: np.ndarray          # nonnegative values on the box
     offset: np.ndarray       # integer lower corner of the bounding box
 
     def cell(self, lam: Sequence[int]) -> float:
@@ -350,13 +351,11 @@ class _RowStream:
     An integral target c is read at the cell U c.
 
     A step convolves the row with p: it shifts the row by every weight and
-    adds it weighted by p, in one numpy.convolve call on a line. p sums to 1
-    (the prefactor walk's q to |v|^2 = 1 within 1e-10), so no row can under-
-    or overflow and rows are never rescaled. A row is cropped at the floor
-    (_crop) only once it holds twice the cells it kept at the last crop.
-    Every later step convolves with p, so `dropped`, the mass all crops
-    removed, is an absolute bound on the error of every row. `crops` and
-    `max_row_cells`, the largest row held, count the work.
+    adds it weighted by p, in one numpy.convolve call on a line. A row is
+    cropped at the floor (_crop) only once it holds twice the cells it kept
+    at the last crop. Every later step convolves with p, so `dropped`, the
+    mass all crops removed, is an absolute bound on the error of every row.
+    `crops` and `max_row_cells`, the largest row held, count the work.
     """
 
     def __init__(self, C: np.ndarray, p: np.ndarray):
@@ -367,14 +366,14 @@ class _RowStream:
         kernel = np.zeros(W.max(axis=0) - lo + 1)
         for w, pw in self.terms:
             kernel[w] = pw
-        self.kernel = _ScaledRow(0.0, kernel, lo)  # p as a row: the law of S_1
+        self.kernel = _Row(kernel, lo)  # p as a row: the law of S_1
         self.reset()
 
     def reset(self) -> None:
         """Go back to k = 0, the point mass at the origin, with zero counts."""
         n = self.kernel.arr.ndim
         self.k = 0
-        self.row = _ScaledRow(0.0, np.ones((1,) * n), np.zeros(n, dtype=np.int64))
+        self.row = _Row(np.ones((1,) * n), np.zeros(n, dtype=np.int64))
         self.dropped = 0.0
         self.crops = 0
         self.max_row_cells = 1
@@ -398,10 +397,10 @@ class _RowStream:
             self.dropped += cut
             self.crops += 1
             self._crop_at = 2 * out.size
-        self.row = _ScaledRow(0.0, out, offset)
+        self.row = _Row(out, offset)
 
 
-def _cst_of_product(a: _ScaledRow, b: _ScaledRow) -> LogValue:
+def _cst_of_product(a: _Row, b: _Row) -> float:
     """The coefficient of t^0 in the product of two rows, sum_x a[x] b[-x]:
     one dot product of nonnegative terms over the boxes' overlap."""
     sa, sb = [], []
@@ -409,13 +408,10 @@ def _cst_of_product(a: _ScaledRow, b: _ScaledRow) -> LogValue:
         lo = max(ao, 1 - bo - bn)  # x ranges over [lo, hi]
         hi = min(ao + an - 1, -bo)
         if lo > hi:
-            return LogValue.zero()
+            return 0.0
         sa.append(slice(lo - ao, hi - ao + 1))
         sb.append(slice(-hi - bo, -lo - bo + 1))
-    val = float(np.vdot(a.arr[tuple(sa)], np.flip(b.arr[tuple(sb)])))
-    if val <= 0:
-        return LogValue.zero()
-    return LogValue(1, a.log_scale + b.log_scale + math.log(val))
+    return float(np.vdot(a.arr[tuple(sa)], np.flip(b.arr[tuple(sb)])))
 
 
 def _fft_len(n: int) -> int:
@@ -432,7 +428,7 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _row_conv(a: _ScaledRow, b: _ScaledRow) -> _ScaledRow:
+def _row_conv(a: _Row, b: _Row) -> _Row:
     # Full linear convolution as a product of real FFTs. Each axis is padded
     # to a 5-smooth length: numpy's real FFT has radix 2, 3, 4 and 5 passes,
     # and any other prime factor goes through a slower generic pass or
@@ -444,15 +440,11 @@ def _row_conv(a: _ScaledRow, b: _ScaledRow) -> _ScaledRow:
     spec = np.fft.rfftn(a.arr, fshape, axes) * np.fft.rfftn(b.arr, fshape, axes)
     arr = np.fft.irfftn(spec, fshape, axes)[tuple(slice(m) for m in shape)]
     np.clip(arr, 0.0, None, out=arr)
-    m = float(arr.max())
-    if m <= 0:
-        raise ValueError("projection row collapsed to zero")
-    arr /= m
-    arr, offset, _ = _crop(arr, a.offset + b.offset, _TRUNC_FLOOR)
-    return _ScaledRow(a.log_scale + b.log_scale + math.log(m), arr, offset)
+    arr, offset, _ = _crop(arr, a.offset + b.offset, float(arr.max()) * _TRUNC_FLOOR)
+    return _Row(arr, offset)
 
 
-def _row_power(base: _ScaledRow, k: int, cache: dict[int, _ScaledRow]) -> _ScaledRow:
+def _row_power(base: _Row, k: int, cache: dict[int, _Row]) -> _Row:
     """k-fold self-convolution by binary powering with a shared cache."""
     if k in cache:
         return cache[k]
@@ -507,7 +499,7 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
         return []
 
     walk = _RowStream(np.array(coords, dtype=np.int64), _weight_arrays(v)[1])
-    cache: dict[int, _ScaledRow] = {}
+    cache: dict[int, _Row] = {}
     anchor_k = targets[0]
     anchor = _row_power(walk.kernel, anchor_k, cache)
     out: list[tuple[int, float]] = []
@@ -521,9 +513,8 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
             for _ in range(steps):
                 walk.step()
         at = walk.axes @ np.array([int(k * c) for c in c0], dtype=np.int64)
-        lv = _cst_of_product(anchor, replace(walk.row, offset=walk.row.offset - at))
-        val = 0.0 if lv.sign == 0 else math.exp(lv.log_mag + 0.5 * d * math.log(k))
-        out.append((k, val))
+        val = _cst_of_product(anchor, replace(walk.row, offset=walk.row.offset - at))
+        out.append((k, val * k ** (d / 2)))
     return out
 
 

@@ -119,6 +119,8 @@ def test_solver_cross_check_many_seeds():
         if primal.log_cap.sign == 0 or kl.sign == 0:
             failures.append((seed, "unexpected zero"))
             continue
+        if primal.status != "converged":
+            failures.append((seed, primal.status, primal.gradient_norm))
         diff = abs(2 * primal.log_cap.log_mag - kl.log_mag)
         if diff > 1e-8:
             failures.append((seed, diff))
@@ -177,6 +179,20 @@ def test_gradient_norm_reported_small():
     assert res.gradient_norm <= 1e-10
     assert res.iterations > 0
     assert res.status == "converged"
+
+
+def test_newton_finishes_on_the_gradient():
+    # q = (0.25, 0.36, 0.39) on {0, 1, 2} at theta = 1: the stationarity
+    # condition q0 = q2 e^{4x} gives x* = log(q0 / q2) / 4. The Armijo test
+    # stops near |g| = 1e-8, where the drop in F is below its rounding; the
+    # full Newton steps after it finish on the gradient.
+    v = WeightedVector.from_terms(1, {(0,): 0.5, (1,): 0.6, (2,): math.sqrt(0.39)})
+    res = theta_capacity(v, (F(1),))
+    q = v.amplitudes_sq()
+    x_star = math.log(q[WeightVector((0,))] / q[WeightVector((2,))]) / 4
+    assert res.status == "converged"
+    assert abs(res.minimizer_x[0] - x_star) <= 1e-15
+    assert res.gradient_norm <= 1e-14
 
 
 def test_max_iter_stop_is_reported():

@@ -256,9 +256,9 @@ def test_capacity_experiment_outside_target(tmp_path):
 
 
 def test_capacity_search_counters_are_byte_identical(tmp_path):
-    # the face search's LP and pivot counts and the face dimension are
-    # deterministic, so they belong in summary.json; the second run
-    # searches again instead of reading the face cache
+    # the face search's LP and pivot counts, the face dimension and how
+    # Newton stopped are deterministic, so they belong in summary.json; the
+    # second run searches again instead of reading the face cache
     cfg = {"experiment": "capacity",
            "instance": {"vector": {"n": 2, "terms": [
                {"weight": w, "amplitude": a} for w, a in (
@@ -275,6 +275,8 @@ def test_capacity_search_counters_are_byte_identical(tmp_path):
     assert summary["face_dim"] == 1  # theta lies on the edge {(0,0), (2,1), (4,2)}
     assert summary["face_lps"] >= 2 and summary["face_pivots"] > 0
     assert summary["diverging"] is True
+    assert summary["status"] == "converged" and summary["iterations"] > 0
+    assert 0 <= summary["gradient_norm"] <= 1e-10
 
 
 def test_duffield_non_character_is_an_input_error(tmp_path, capsys):

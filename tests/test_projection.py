@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capdual.capacity import theta_capacity
-from capdual.core import LogValue, WeightedVector, WeightVector
+from capdual.core import WeightedVector, WeightVector
 from capdual.projection import (LaurentPoly, _cst_of_product, _fft_len, _lll_axes,
-                                _row_conv, _RowStream, _ScaledRow, critical_values,
+                                _Row, _row_conv, _RowStream, critical_values,
                                 difference_lattice, duality_report,
                                 laurent_cst_powers, prefactor_sequence,
                                 projection_norm_table)
@@ -224,12 +224,19 @@ def test_spaced_walk_streams_in_its_chart():
 
 def test_edge_report_streams_like_its_image():
     # A 2-D edge streams on its 1-D chart c in {0, 1, 2}: the cells, the
-    # exact zeros and the final gap of its image {0, 1, 2}.
+    # exact zeros and the final gap of its image {0, 1, 2}. Newton runs on
+    # the same chart arrays, so the two capacity solves are one solve, and
+    # the edge's minimizer is the least-norm x with (2, 1).x = y*.
     amps = (0.5, 0.6, math.sqrt(0.39))
     edge = WeightedVector.from_terms(2, dict(zip([(0, 0), (2, 1), (4, 2)], amps)))
     image = WeightedVector.from_terms(1, dict(zip([(0,), (1,), (2,)], amps)))
     rep = duality_report(edge, (F(1), F(1, 2)), 1000)
     want = duality_report(image, (F(1, 2),), 1000)
+    cap, cap1 = rep.metadata["capacity"], want.metadata["capacity"]
+    assert cap.log_cap.log_mag == cap1.log_cap.log_mag
+    assert (cap.iterations, cap.gradient_norm) == (cap1.iterations, cap1.gradient_norm)
+    y = cap1.minimizer_x[0]
+    assert np.max(np.abs(cap.minimizer_x - np.array([2.0, 1.0]) * y / 5)) <= 1e-15
     assert [(r[0], r[1].sign) for r in rep.rows] == [(r[0], r[1].sign) for r in want.rows]
     assert abs(rep.rows[-1][4] - want.rows[-1][4]) <= 1e-14
     assert rep.metadata["max_row_cells"] == want.metadata["max_row_cells"]
@@ -335,21 +342,17 @@ def _direct_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def test_row_conv_matches_direct_convolution(shapes):
     rng = np.random.default_rng(sum(map(sum, shapes)))
     a, b = (rng.random(s) for s in shapes)
-    a.flat[0] = b.flat[-1] = 1.0  # rows are normalized to maximum 1
+    a.flat[0] = b.flat[-1] = 1.0
     n = a.ndim
-    ra = _ScaledRow(0.5, a, np.arange(n, dtype=np.int64))
-    rb = _ScaledRow(-1.25, b, -np.ones(n, dtype=np.int64))
-    out = _row_conv(ra, rb)
+    out = _row_conv(_Row(a, np.arange(n, dtype=np.int64)), _Row(b, -np.ones(n, dtype=np.int64)))
     want = _direct_conv(a, b)
     m = want.max()
-    # _row_conv rescales to maximum 1 and crops zero margins, which
-    # random positive rows do not have
+    # _row_conv crops zero margins, which random positive rows do not have
     assert out.arr.shape == want.shape
     assert np.array_equal(out.offset, np.arange(n) - 1)
-    assert out.log_scale == pytest.approx(-0.75 + math.log(m), abs=1e-13)
-    assert np.max(np.abs(out.arr - want / m)) <= 1e-13
+    assert np.max(np.abs(out.arr - want)) / m <= 1e-13
     if n == 1:
-        assert np.max(np.abs(out.arr - np.convolve(a, b) / m)) <= 1e-13
+        assert np.max(np.abs(out.arr - np.convolve(a, b))) / m <= 1e-13
 
 
 @pytest.mark.parametrize("n, seed", [(1, 0), (1, 1), (2, 2), (2, 3)])
@@ -360,19 +363,17 @@ def test_cst_of_product_matches_direct_convolution(n, seed):
     for trial in range(20):
         a, b = (rng.random(tuple(rng.integers(1, 9, n))) for _ in range(2))
         oa, ob = (rng.integers(-12, 6, n) for _ in range(2))
-        ra = _ScaledRow(float(rng.normal()), a, oa)
-        rb = _ScaledRow(float(rng.normal()), b, ob)
-        got = _cst_of_product(ra, rb)
+        rng.normal(size=2)  # part of the seeded sequence that fixes the trial boxes
+        got = _cst_of_product(_Row(a, oa), _Row(b, ob))
         full = _direct_conv(a, b)
         idx = tuple(-(oa + ob))  # 0 - (lower corner of the product)
         if any(i < 0 or i >= m for i, m in zip(idx, full.shape)):
-            assert got.sign == 0, trial
+            assert got == 0, trial
             continue
-        want = full[idx] * math.exp(ra.log_scale + rb.log_scale)
-        assert got.sign == 1
-        assert math.isclose(got.to_float(), want, rel_tol=1e-13), trial
-    far = _ScaledRow(0.0, np.ones((3,) * n), np.full(n, 5))
-    assert _cst_of_product(far, far).sign == 0
+        assert got > 0
+        assert math.isclose(got, full[idx], rel_tol=1e-13), trial
+    far = _Row(np.ones((3,) * n), np.full(n, 5))
+    assert _cst_of_product(far, far) == 0
 
 
 def _cross() -> WeightedVector:
