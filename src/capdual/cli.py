@@ -1,11 +1,13 @@
 """Experiment runner.
 
-`capdual run config.json [--out DIR] [--seed N]` validates the config against
-a strict schema, dispatches to the compute modules, and writes two files:
-report.csv (one row per k or per case) and summary.json (headline numbers
-plus a pass flag judged against the configured tolerances). `capdual list`
-prints the experiment catalogue with schemas and the classical statement each
-one exercises.
+`capdual run config.json [--out DIR] [--seed N]` validates the config, with
+the seed override applied, against its experiment's strict schema, which
+admits only the keys that experiment reads; it then dispatches to the
+compute modules and writes two files: report.csv (one row per k or per case)
+and summary.json (headline numbers plus a pass flag judged against the
+configured tolerances, false whenever a capacity solve stopped at max_iter).
+`capdual list` prints the experiment catalogue with schemas and the
+classical statement each one exercises.
 
 Exit codes: 0 pass, 2 tolerance failure, 1 error (malformed config, bad
 instance). Reports are byte-identical across repeated runs of the same
@@ -21,6 +23,8 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,8 +33,8 @@ import numpy as np
 
 from . import __version__
 from .capacity import capacity_kl_form, theta_capacity
-from .core import (LogValue, WeightVector, WeightedVector, as_fraction,
-                   fraction_log)
+from .core import (WeightVector, WeightedVector, as_fraction, fraction_log,
+                   rational_vector)
 from .haarmc import (UnitaryOrbitVector, _label_pair, _torus_label,
                      mc_invariant_norm, mc_isotypic_norm)
 from .projection import (LaurentPoly, critical_values, duality_report,
@@ -40,218 +44,109 @@ from .scaling import perm_dual_report
 from .spectrum import (DuffieldFamily, SchurWeylFamily, ldp_report,
                        schur_weyl_measure)
 
-EXPERIMENT_ORDER = ("duality", "prefactor", "perm-dual", "schur-weyl-ldp",
-                    "duffield-ldp", "mc-check", "capacity", "laurent")
-
 
 class ConfigError(Exception):
     pass
 
 
 # ---------------------------------------------------------------------------
-# Schemas. Strict throughout: unknown fields are rejected.
+# Schemas. Strict per experiment: a key the experiment does not read is
+# rejected.
 
-_NUMBER_OR_RATIONAL = {"oneOf": [{"type": "number"},
+def _strict(properties: dict, required: tuple[str, ...] | None = None) -> dict:
+    """An object schema that admits only the given properties, all of them
+    required unless required names the ones that are."""
+    return {"type": "object", "properties": properties,
+            "required": list(properties if required is None else required),
+            "additionalProperties": False}
+
+
+_NUMBER = {"type": "number"}
+_NUMBER_OR_RATIONAL = {"oneOf": [_NUMBER,
                                  {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}]}
-_COMPLEX = {"oneOf": [{"type": "number"},
-                      {"type": "string", "pattern": r"^-?\d+(/\d+)?$"},
-                      {"type": "array", "items": {"type": "number"},
+_COMPLEX = {"oneOf": [*_NUMBER_OR_RATIONAL["oneOf"],
+                      {"type": "array", "items": _NUMBER,
                        "minItems": 2, "maxItems": 2}]}
 
-_VECTOR_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "terms": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "properties": {
-                    "weight": {"type": "array", "items": {"type": "integer"},
-                               "minItems": 1},
-                    "amplitude": _COMPLEX,
-                },
-                "required": ["weight", "amplitude"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["n", "terms"],
-    "additionalProperties": False,
-}
+_VECTOR_SCHEMA = _strict({
+    "n": {"type": "integer", "minimum": 1},
+    "terms": {"type": "array", "minItems": 1, "items": _strict({
+        "weight": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+        "amplitude": _COMPLEX})},
+})
 
 _THETA_SCHEMA = {"type": "array", "items": _NUMBER_OR_RATIONAL, "minItems": 1}
 _MATRIX_SCHEMA = {"type": "array", "minItems": 1,
                   "items": {"type": "array", "items": _NUMBER_OR_RATIONAL,
                             "minItems": 1}}
-_WINDOW = {"type": "array", "items": {"type": "number"},
-           "minItems": 2, "maxItems": 2}
-_PINS = {"type": "array",
-         "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                   "items": {"type": "number"}}}
+_WINDOW = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
+_PINS = {"type": "array", "items": _WINDOW}
 
-_MC_CASE = {
-    "type": "object",
-    "properties": {
-        "group": {"enum": ["torus", "su2", "u2"]},
-        "k": {"type": "integer", "minimum": 1, "maximum": 8},
-        "vector": _VECTOR_SCHEMA,
-        "amplitudes": {"type": "array", "items": _COMPLEX,
-                       "minItems": 2, "maxItems": 2},
-        "matrix": {"type": "array", "minItems": 2, "maxItems": 2,
-                   "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                             "items": _COMPLEX}},
-        "lam": {"oneOf": [{"type": "integer"},
-                          {"type": "array", "items": {"type": "integer"}},
-                          {"type": "null"}]},
-    },
-    "required": ["group", "k"],
-    "additionalProperties": False,
+_MC_CASE = _strict({
+    "group": {"enum": ["torus", "su2", "u2"]},
+    "k": {"type": "integer", "minimum": 1, "maximum": 8},
+    "vector": _VECTOR_SCHEMA,
+    "amplitudes": {"type": "array", "items": _COMPLEX,
+                   "minItems": 2, "maxItems": 2},
+    "matrix": {"type": "array", "minItems": 2, "maxItems": 2,
+               "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                         "items": _COMPLEX}},
+    "lam": {"oneOf": [{"type": "integer"},
+                      {"type": "array", "items": {"type": "integer"}},
+                      {"type": "null"}]},
+}, required=("group", "k"))
+
+_VECTOR_THETA = {"vector": _VECTOR_SCHEMA, "theta": _THETA_SCHEMA}
+
+# The top-level parameters a handler may read. An experiment's schema admits
+# only the ones its handler reads; the others get {"not": {}}, which admits
+# nothing, so a config that sets one fails at its own path ($.seed, ...).
+_PARAMS = {
+    "k_max": {"type": "integer", "minimum": 1},
+    "ks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+    "samples": {"type": "integer", "minimum": 1, "maximum": 10**7},
+    "seed": {"type": "integer", "minimum": 0},
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENT_ORDER)},
-        "instance": {"type": "object"},
-        "k_max": {"type": "integer", "minimum": 1},
-        "ks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "samples": {"type": "integer", "minimum": 1, "maximum": 10**7},
-        "seed": {"type": "integer", "minimum": 0},
-        "tolerances": {"type": "object"},
-        "output": {"type": "string"},
-    },
-    "required": ["experiment", "instance"],
-    "additionalProperties": False,
-}
 
-_VECTOR_THETA_SCHEMA = {
-    "type": "object",
-    "properties": {"vector": _VECTOR_SCHEMA, "theta": _THETA_SCHEMA},
-    "required": ["vector", "theta"],
-    "additionalProperties": False,
-}
+@dataclass(frozen=True)
+class Experiment:
+    """Everything `capdual` knows of one experiment.
 
-INSTANCE_SCHEMAS = {
-    "duality": _VECTOR_THETA_SCHEMA,
-    "prefactor": {
-        "type": "object",
-        "properties": {"vector": _VECTOR_SCHEMA},
-        "required": ["vector"],
-        "additionalProperties": False,
-    },
-    "perm-dual": {
-        "type": "object",
-        "properties": {"matrix": _MATRIX_SCHEMA, "r": _THETA_SCHEMA,
-                       "c": _THETA_SCHEMA},
-        "required": ["matrix", "r", "c"],
-        "additionalProperties": False,
-    },
-    "schur-weyl-ldp": {
-        "type": "object",
-        "properties": {"q": _THETA_SCHEMA, "theta": _THETA_SCHEMA},
-        "required": ["q", "theta"],
-        "additionalProperties": False,
-    },
-    "duffield-ldp": {
-        "type": "object",
-        "properties": {"weights": {"type": "array",
-                                   "items": {"type": "integer"}, "minItems": 1},
-                       "theta": _NUMBER_OR_RATIONAL},
-        "required": ["weights", "theta"],
-        "additionalProperties": False,
-    },
-    "mc-check": {
-        "type": "object",
-        "properties": {"cases": {"type": "array", "items": _MC_CASE,
-                                 "minItems": 1}},
-        "required": ["cases"],
-        "additionalProperties": False,
-    },
-    "capacity": _VECTOR_THETA_SCHEMA,
-    "laurent": {
-        "type": "object",
-        "properties": {"terms": {"type": "array", "minItems": 1,
-                                 "items": {"type": "array", "minItems": 2,
-                                           "maxItems": 2,
-                                           "prefixItems": [{"type": "integer"},
-                                                           _COMPLEX],
-                                           "items": False}}},
-        "required": ["terms"],
-        "additionalProperties": False,
-    },
-}
+    instance and tolerances hold the properties of those two objects; every
+    instance field is required, and qualifiers maps a tolerance field that
+    only qualifies others to them (dependentRequired). required and optional
+    name the top-level parameters the handler reads, as keyword arguments.
+    """
 
-TOLERANCE_SCHEMAS = {
-    "duality": {"type": "object",
-                "properties": {"min_final_ratio": {"type": "number"},
-                               "weak_duality_slack": {"type": "number"}},
-                "additionalProperties": False},
-    "prefactor": {"type": "object",
-                  "properties": {"target": {"type": "number"},
-                                 "abs_tol": {"type": "number"},
-                                 "cauchy_window": _WINDOW,
-                                 "cauchy_rel_tol": {"type": "number"}},
-                  "additionalProperties": False},
-    "perm-dual": {"type": "object",
-                  "properties": {"weak_duality_slack": {"type": "number"},
-                                 "root_window": _WINDOW},
-                  "additionalProperties": False},
-    "schur-weyl-ldp": {"type": "object",
-                       "properties": {"difference_pins": _PINS,
-                                      "strict_decrease": {"type": "boolean"}},
-                       "additionalProperties": False},
-    "duffield-ldp": {"type": "object",
-                     "properties": {"difference_pins": _PINS},
-                     "additionalProperties": False},
-    "mc-check": {"type": "object",
-                 "properties": {"max_sigmas": {"type": "number"},
-                                "min_fraction": {"type": "number"}},
-                 "additionalProperties": False},
-    "capacity": {"type": "object",
-                 "properties": {"cross_check_tol": {"type": "number"}},
-                 "additionalProperties": False},
-    "laurent": {"type": "object",
-                "properties": {"root_window": _WINDOW,
-                               "cap_match_tol": {"type": "number"}},
-                "additionalProperties": False},
-}
+    name: str
+    handler: Callable[..., tuple]
+    description: str
+    anchor: str
+    instance: dict
+    tolerances: dict
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    qualifiers: dict = field(default_factory=dict)
 
-ANCHORS = {
-    "duality": ("Theorem (capacity duality): limsup_k |Pi_{k,k theta} "
-                "v^{tensor k}|^{2/k} = cap_theta(v)^2."),
-    "prefactor": ("Proposition (Laplace prefactor): for unit v with mu(v)=0, "
-                  "k^{d/2} |Pi_k v^{tensor k}|^2 converges to a positive limit."),
-    "perm-dual": ("Theorem (van der Waerden-type duality): limsup_k "
-                  "(k! perm_{kr,kc}(M))^{1/k} = cap_{r,c}(M)^2, with the "
-                  "n!/n^n permanent sandwich at uniform margins."),
-    "schur-weyl-ldp": ("Theorem (Keyl-Werner): the Schur-Weyl spectrum "
-                       "estimator satisfies an LDP with rate D(theta || q)."),
-    "duffield-ldp": ("Theorem (Duffield): dimension-weighted tensor-power "
-                     "multiplicities satisfy an LDP with the Legendre "
-                     "transform of log(chi(e^h)/d) as rate."),
-    "mc-check": ("Identity (Haar projection formula): |Pi_{k,lambda} "
-                 "v^{tensor k}|^2 = d_lambda Int_K conj(chi_lambda(u)) "
-                 "<v, u v>^k du."),
-    "capacity": ("Theorem (Kempf-Ness, KL dual): cap_theta(v) = |v| iff "
-                 "mu(v) = theta; -log cap_theta^2 = min D(p||q) over "
-                 "representations of theta."),
-    "laurent": ("Theorem (Duistermaat-van der Kallen, rank 1): the growth "
-                "|cst(f^k)|^{1/k} is governed by a critical value of f; "
-                "positive-definite f attains it on the positive reals."),
-}
+    @property
+    def instance_schema(self) -> dict:
+        return _strict(self.instance)
 
-DESCRIPTIONS = {
-    "duality": "projection-norm growth vs theta-capacity for a torus vector",
-    "prefactor": "k^{d/2}-rescaled invariant norms over the period subsemigroup",
-    "perm-dual": "exact k! perm_{kr,kc} roots vs the (r,c)-capacity",
-    "schur-weyl-ldp": "spectrum-estimation decay rates vs sorted relative entropy",
-    "duffield-ldp": "tensor-multiplicity decay rates vs the Legendre rate",
-    "mc-check": "Monte Carlo Haar estimates vs exact projection norms",
-    "capacity": "theta-capacity with the independent KL-form cross-check",
-    "laurent": "constant-term growth of Laurent powers vs critical values",
-}
+    @property
+    def schema(self) -> dict:
+        """The strict schema of a whole config of this experiment."""
+        tolerances = {**_strict(self.tolerances, ()),
+                      "dependentRequired": self.qualifiers}
+        reads = self.required + self.optional
+        return {"$schema": "https://json-schema.org/draft/2020-12/schema",
+                **_strict({"experiment": {"const": self.name},
+                           "instance": self.instance_schema,
+                           "tolerances": tolerances,
+                           "output": {"type": "string"},
+                           **{key: schema if key in reads else {"not": {}}
+                              for key, schema in _PARAMS.items()}},
+                          ("experiment", "instance", *self.required))}
 
 
 # ---------------------------------------------------------------------------
@@ -279,30 +174,26 @@ def _vector_from_config(obj) -> WeightedVector:
     return WeightedVector.from_terms(int(obj["n"]), terms)
 
 
-def _theta_from_config(values):
-    return tuple(as_fraction(v) for v in values)
-
-
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"experiment {config['experiment']!r} requires {key!r}")
-    return config[key]
-
-
 def _fmt_float(x: float) -> str:
     return "%.16e" % float(x)
 
 
-# ---------------------------------------------------------------------------
-# Experiment handlers. Each returns (columns, rows, headline, passed); rows
-# contain python scalars/strings ready for the CSV writer.
+def _solve_status(cap, headline: dict) -> bool:
+    """Write how a capacity solve stopped into headline; False when it
+    stopped at max_iter, which no experiment passes on."""
+    headline.update(status=cap.status, iterations=cap.iterations)
+    return cap.status != "max_iter"
 
-def _run_duality(config: dict):
-    inst = config["instance"]
-    tol = config.get("tolerances", {})
+
+# ---------------------------------------------------------------------------
+# Experiment handlers. Each takes the instance, the tolerances and, as keyword
+# arguments, the top-level parameters its experiment reads; it returns
+# (columns, rows, headline, passed), rows holding python scalars/strings
+# ready for the CSV writer.
+
+def _run_duality(inst: dict, tol: dict, k_max: int):
     v = _vector_from_config(inst["vector"])
-    theta = _theta_from_config(inst["theta"])
-    report = duality_report(v, theta, _require(config, "k_max"))
+    report = duality_report(v, rational_vector(inst["theta"]), k_max)
     slack = tol.get("weak_duality_slack", 1e-10)
     min_ratio = tol.get("min_final_ratio", 0.985)
     rows = [(k, ns.log_mag, rate, lcs, gap)
@@ -312,7 +203,6 @@ def _run_duality(config: dict):
     last = rows[-1]
     final_ratio = math.exp((last[2] - last[3]) / 2) if math.isfinite(last[3]) else math.nan
     min_gap = min((r[4] for r in rows if not math.isnan(r[4])), default=math.inf)
-    passed = bool(final_ratio >= min_ratio and min_gap >= -slack)
     headline = {
         "cap_sq": math.exp(last[3]) if math.isfinite(last[3]) else 0.0,
         "final_ratio": final_ratio,
@@ -323,16 +213,16 @@ def _run_duality(config: dict):
         "crops": report.metadata["crops"],
         "max_row_cells": report.metadata["max_row_cells"],
     }
+    passed = (_solve_status(report.metadata["capacity"], headline)
+              and final_ratio >= min_ratio and min_gap >= -slack)
     return (("k", "log_norm_sq_ln", "rate_ln", "log_cap_sq_ln", "gap_ln"),
-            rows, headline, passed)
+            rows, headline, bool(passed))
 
 
-def _run_prefactor(config: dict):
-    inst = config["instance"]
-    tol = config.get("tolerances", {})
+def _run_prefactor(inst: dict, tol: dict, k_max: int | None = None,
+                   ks: list | None = None):
     v = _vector_from_config(inst["vector"])
-    ks = config.get("ks")
-    seq = prefactor_sequence(v, k_max=config.get("k_max"), ks=ks)
+    seq = prefactor_sequence(v, k_max=k_max, ks=ks)
     if not seq:
         raise ConfigError("no admissible powers requested")
     final = seq[-1][1]
@@ -356,25 +246,22 @@ def _run_prefactor(config: dict):
     return ("k", "prefactor_value"), list(seq), headline, passed
 
 
-def _run_perm_dual(config: dict):
-    inst = config["instance"]
-    tol = config.get("tolerances", {})
+def _run_perm_dual(inst: dict, tol: dict, k_max: int):
     M = [[as_fraction(x) for x in row] for row in inst["matrix"]]
-    report = perm_dual_report(M, _theta_from_config(inst["r"]),
-                              _theta_from_config(inst["c"]),
-                              _require(config, "k_max"))
+    report = perm_dual_report(M, rational_vector(inst["r"]),
+                              rational_vector(inst["c"]), k_max)
     slack = tol.get("weak_duality_slack", 1e-9)
     rows = list(report.rows)
     if not rows:
         raise ConfigError("no k <= k_max makes k*(r,c) integral")
     min_gap = min((r[4] for r in rows if not math.isnan(r[4])), default=math.inf)
-    passed = min_gap >= -slack
     headline = {
         "cap_sq": math.exp(rows[0][3]) if math.isfinite(rows[0][3]) else 0.0,
         "min_gap": min_gap,
         "final_root": rows[-1][2],
         "rows": len(rows),
     }
+    passed = _solve_status(report.metadata["capacity"], headline) and min_gap >= -slack
     if "sandwich" in report.metadata:
         s = report.metadata["sandwich"]
         headline["sandwich_lower"] = s["lower"]
@@ -399,36 +286,28 @@ def _ldp_common(report, tol):
         k = int(k)
         if k not in by_k:
             raise ConfigError(f"difference pin at k={k} outside the report")
-        diff = by_k[k][4]
-        pins[str(k)] = diff
-        passed = passed and diff <= bound
-    if tol.get("strict_decrease") and len(pins) >= 2:
-        ks = sorted(int(k) for k in pins)
-        passed = passed and all(pins[str(a)] > pins[str(b)]
-                                for a, b in zip(ks, ks[1:]))
+        pins[k] = by_k[k][4]
+        passed = passed and pins[k] <= bound
+    if tol.get("strict_decrease"):
+        diffs = [pins[k] for k in sorted(pins)]
+        passed = passed and all(a > b for a, b in zip(diffs, diffs[1:]))
     headline = {"analytic_rate": report.metadata["analytic_rate"],
                 "rows": len(rows)}
     if pins:
-        headline["pinned_differences"] = pins
+        headline["pinned_differences"] = {str(k): d for k, d in pins.items()}
     return (("k", "log_prob_ln", "empirical_rate", "analytic_rate", "difference"),
             rows, headline, bool(passed))
 
 
-def _run_schur_weyl_ldp(config: dict):
-    inst = config["instance"]
+def _run_schur_weyl_ldp(inst: dict, tol: dict, k_max: int):
     q = tuple(float(as_fraction(t)) for t in inst["q"])
-    family = SchurWeylFamily(q)
     theta = [as_fraction(t) for t in inst["theta"]]
-    report = ldp_report(family, theta, _require(config, "k_max"))
-    return _ldp_common(report, config.get("tolerances", {}))
+    return _ldp_common(ldp_report(SchurWeylFamily(q), theta, k_max), tol)
 
 
-def _run_duffield_ldp(config: dict):
-    inst = config["instance"]
+def _run_duffield_ldp(inst: dict, tol: dict, k_max: int):
     family = DuffieldFamily(tuple(int(w) for w in inst["weights"]))
-    report = ldp_report(family, as_fraction(inst["theta"]),
-                        _require(config, "k_max"))
-    return _ldp_common(report, config.get("tolerances", {}))
+    return _ldp_common(ldp_report(family, as_fraction(inst["theta"]), k_max), tol)
 
 
 def _mc_case_exact(instance, k: int, lam) -> float:
@@ -450,11 +329,7 @@ def _mc_case_exact(instance, k: int, lam) -> float:
     return 0.0
 
 
-def _run_mc_check(config: dict):
-    inst = config["instance"]
-    tol = config.get("tolerances", {})
-    samples = config.get("samples", 10**6)
-    seed = config.get("seed", 0)
+def _run_mc_check(inst: dict, tol: dict, samples: int = 10**6, seed: int = 0):
     max_sigmas = tol.get("max_sigmas", 4.0)
     min_fraction = tol.get("min_fraction", 0.95)
     rows = []
@@ -491,21 +366,17 @@ def _run_mc_check(config: dict):
             rows, headline, bool(passed))
 
 
-def _run_capacity(config: dict):
-    inst = config["instance"]
-    tol = config.get("tolerances", {})
+def _run_capacity(inst: dict, tol: dict):
     v = _vector_from_config(inst["vector"])
-    theta = _theta_from_config(inst["theta"])
+    theta = rational_vector(inst["theta"])
     cap = theta_capacity(v, theta)
     kl = capacity_kl_form(v.normalized(), theta)
-    log_cap_unit = (cap.log_cap / LogValue.from_float(math.sqrt(v.norm_sq))
-                    if cap.log_cap.sign else LogValue.zero())
-    if cap.log_cap.sign:
-        diff = abs(2 * log_cap_unit.log_mag - kl.log_mag)
+    if cap.log_cap.sign:  # log cap of the unit vector against the KL form
+        log_cap_unit = cap.log_cap.log_mag - math.log(math.sqrt(v.norm_sq))
+        diff = abs(2 * log_cap_unit - kl.log_mag)
     else:
         diff = 0.0 if kl.sign == 0 else math.inf
     check_tol = tol.get("cross_check_tol", 1e-8)
-    passed = diff <= check_tol
     inside = cap.certificate.inside
     rows = [(cap.log_cap.log_mag, kl.log_mag, diff,
              "true" if cap.diverging else "false",
@@ -517,30 +388,25 @@ def _run_capacity(config: dict):
         "cross_check_diff": diff,
         "inside": inside,
         "diverging": bool(cap.diverging),
-        "iterations": cap.iterations,
         "gradient_norm": cap.gradient_norm,
-        "status": cap.status,
         "face_dim": cap.certificate.dim,
         "face_lps": cap.certificate.lps,
         "face_pivots": cap.certificate.pivots,
     }
+    passed = _solve_status(cap, headline) and diff <= check_tol
     return (("log_cap_ln", "kl_log_cap_sq_ln", "cross_check_diff",
              "diverging", "inside"), rows, headline, bool(passed))
 
 
-def _run_laurent(config: dict):
-    inst = config["instance"]
-    tol = config.get("tolerances", {})
+def _run_laurent(inst: dict, tol: dict, k_max: int):
     terms = {}
     for e, cval in inst["terms"]:
         if int(e) in terms:
             raise ConfigError(f"duplicate exponent {e} in Laurent terms")
         terms[int(e)] = _coeff(cval)
     f = LaurentPoly(terms)
-    k_max = _require(config, "k_max")
     crit = critical_values(f)
     rows = []
-    final_root = math.nan
     for k, cst in enumerate(laurent_cst_powers(f, k_max)[1:], start=1):
         try:
             z = complex(cst)
@@ -555,7 +421,7 @@ def _run_laurent(config: dict):
             root = mag ** (1.0 / k) if mag > 0 else 0.0
         exact = str(cst) if isinstance(cst, Fraction) else ""
         rows.append((k, z.real, z.imag, root, exact))
-        final_root = root
+    final_root = rows[-1][3]  # k_max >= 1
     passed = True
     headline = {
         "max_critical_modulus": crit.max_modulus,
@@ -574,7 +440,7 @@ def _run_laurent(config: dict):
             diff = abs(cap_sq - crit.positive_real_value)
             headline["cap_sq"] = cap_sq
             headline["cap_match_diff"] = diff
-            passed = passed and diff <= tol["cap_match_tol"]
+            passed = _solve_status(cap, headline) and diff <= tol["cap_match_tol"]
     if "root_window" in tol:
         lo, hi = tol["root_window"]
         passed = passed and lo <= final_root <= hi
@@ -582,41 +448,112 @@ def _run_laurent(config: dict):
             rows, headline, bool(passed))
 
 
-HANDLERS = {
-    "duality": _run_duality,
-    "prefactor": _run_prefactor,
-    "perm-dual": _run_perm_dual,
-    "schur-weyl-ldp": _run_schur_weyl_ldp,
-    "duffield-ldp": _run_duffield_ldp,
-    "mc-check": _run_mc_check,
-    "capacity": _run_capacity,
-    "laurent": _run_laurent,
-}
+EXPERIMENTS = {e.name: e for e in (
+    Experiment("duality", _run_duality,
+               "projection-norm growth vs theta-capacity for a torus vector",
+               "Theorem (capacity duality): limsup_k |Pi_{k,k theta} "
+               "v^{tensor k}|^{2/k} = cap_theta(v)^2.",
+               _VECTOR_THETA,
+               {"min_final_ratio": _NUMBER, "weak_duality_slack": _NUMBER},
+               required=("k_max",)),
+    Experiment("prefactor", _run_prefactor,
+               "k^{d/2}-rescaled invariant norms over the period subsemigroup",
+               "Proposition (Laplace prefactor): for unit v with mu(v)=0, "
+               "k^{d/2} |Pi_k v^{tensor k}|^2 converges to a positive limit.",
+               {"vector": _VECTOR_SCHEMA},
+               {"target": _NUMBER, "abs_tol": _NUMBER,
+                "cauchy_window": _WINDOW, "cauchy_rel_tol": _NUMBER},
+               optional=("k_max", "ks"),  # one of the two: the handler checks
+               qualifiers={"abs_tol": ["target"],
+                           "cauchy_rel_tol": ["cauchy_window"]}),
+    Experiment("perm-dual", _run_perm_dual,
+               "exact k! perm_{kr,kc} roots vs the (r,c)-capacity",
+               "Theorem (van der Waerden-type duality): limsup_k "
+               "(k! perm_{kr,kc}(M))^{1/k} = cap_{r,c}(M)^2, with the "
+               "n!/n^n permanent sandwich at uniform margins.",
+               {"matrix": _MATRIX_SCHEMA, "r": _THETA_SCHEMA, "c": _THETA_SCHEMA},
+               {"weak_duality_slack": _NUMBER, "root_window": _WINDOW},
+               required=("k_max",)),
+    Experiment("schur-weyl-ldp", _run_schur_weyl_ldp,
+               "spectrum-estimation decay rates vs sorted relative entropy",
+               "Theorem (Keyl-Werner): the Schur-Weyl spectrum "
+               "estimator satisfies an LDP with rate D(theta || q).",
+               {"q": _THETA_SCHEMA, "theta": _THETA_SCHEMA},
+               {"difference_pins": _PINS, "strict_decrease": {"type": "boolean"}},
+               required=("k_max",),
+               qualifiers={"strict_decrease": ["difference_pins"]}),
+    Experiment("duffield-ldp", _run_duffield_ldp,
+               "tensor-multiplicity decay rates vs the Legendre rate",
+               "Theorem (Duffield): dimension-weighted tensor-power "
+               "multiplicities satisfy an LDP with the Legendre "
+               "transform of log(chi(e^h)/d) as rate.",
+               {"weights": {"type": "array", "items": {"type": "integer"},
+                            "minItems": 1},
+                "theta": _NUMBER_OR_RATIONAL},
+               {"difference_pins": _PINS},
+               required=("k_max",)),
+    Experiment("mc-check", _run_mc_check,
+               "Monte Carlo Haar estimates vs exact projection norms",
+               "Identity (Haar projection formula): |Pi_{k,lambda} "
+               "v^{tensor k}|^2 = d_lambda Int_K conj(chi_lambda(u)) "
+               "<v, u v>^k du.",
+               {"cases": {"type": "array", "items": _MC_CASE, "minItems": 1}},
+               {"max_sigmas": _NUMBER, "min_fraction": _NUMBER},
+               optional=("samples", "seed")),
+    Experiment("capacity", _run_capacity,
+               "theta-capacity with the independent KL-form cross-check",
+               "Theorem (Kempf-Ness, KL dual): cap_theta(v) = |v| iff "
+               "mu(v) = theta; -log cap_theta^2 = min D(p||q) over "
+               "representations of theta.",
+               _VECTOR_THETA,
+               {"cross_check_tol": _NUMBER}),
+    Experiment("laurent", _run_laurent,
+               "constant-term growth of Laurent powers vs critical values",
+               "Theorem (Duistermaat-van der Kallen, rank 1): the growth "
+               "|cst(f^k)|^{1/k} is governed by a critical value of f; "
+               "positive-definite f attains it on the positive reals.",
+               {"terms": {"type": "array", "minItems": 1,
+                          "items": {"type": "array", "minItems": 2,
+                                    "maxItems": 2,
+                                    "prefixItems": [{"type": "integer"},
+                                                    _COMPLEX],
+                                    "items": False}}},
+               {"root_window": _WINDOW, "cap_match_tol": _NUMBER},
+               required=("k_max",)),
+)}
+
+# Checked before the experiment's own schema, so an unknown or missing name
+# is reported as such.
+NAME_SCHEMA = {"type": "object",
+               "properties": {"experiment": {"enum": list(EXPERIMENTS)}},
+               "required": ["experiment"]}
 
 
 # ---------------------------------------------------------------------------
 # Orchestration.
 
 @functools.cache
-def _validator(part: str, name: str = ""):
-    """The validator of one schema, built once a process: building one checks
-    its schema against the metaschema, which costs more than validating."""
-    schema = {"config": {"": CONFIG_SCHEMA}, "instance": INSTANCE_SCHEMAS,
-              "tolerances": TOLERANCE_SCHEMAS}[part][name]
+def _validator(name: str | None = None):
+    """The validator of one experiment's schema (of NAME_SCHEMA for None),
+    built once a process: building one checks its schema against the
+    metaschema, which costs more than validating."""
+    schema = NAME_SCHEMA if name is None else EXPERIMENTS[name].schema
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
 
 
-def _validate(instance, part: str, name: str = "") -> None:
+def _validate(config, name: str | None = None) -> None:
     """jsonschema.validate on a prebuilt validator: raises the same best
     match among the errors."""
-    error = jsonschema.exceptions.best_match(_validator(part, name).iter_errors(instance))
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(config))
     if error is not None:
         raise error
 
 
-def _load_config(path: Path) -> dict:
+def _load_config(path: Path, seed: int | None = None) -> dict:
+    """Read a config, apply a seed override, and validate the result: the
+    name first, then the whole config against its experiment's schema."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -627,10 +564,10 @@ def _load_config(path: Path) -> dict:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
-        _validate(config, "config")
-        name = config["experiment"]
-        _validate(config["instance"], "instance", name)
-        _validate(config.get("tolerances", {}), "tolerances", name)
+        _validate(config)
+        if seed is not None:
+            config["seed"] = seed
+        _validate(config, config["experiment"])
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"{path}: {exc.json_path}: {exc.message}") from exc
     return config
@@ -654,16 +591,18 @@ def _write_csv(path: Path, columns, rows) -> None:
 def _json_default(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, np.generic):
+        return value.item()
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
 def run(config: dict, out_dir: Path) -> int:
     name = config["experiment"]
-    columns, rows, headline, passed = HANDLERS[name](config)
+    experiment = EXPERIMENTS[name]
+    params = {key: config[key] for key in experiment.required + experiment.optional
+              if key in config}
+    columns, rows, headline, passed = experiment.handler(
+        config["instance"], config.get("tolerances", {}), **params)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "report.csv", columns, rows)
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -681,10 +620,9 @@ def run(config: dict, out_dir: Path) -> int:
 
 def list_experiments() -> str:
     blocks = []
-    for name in EXPERIMENT_ORDER:
-        schema = json.dumps(INSTANCE_SCHEMAS[name], sort_keys=True,
-                            separators=(",", ":"))
-        blocks.append(f"{name}\n  {DESCRIPTIONS[name]}\n  anchor: {ANCHORS[name]}"
+    for e in EXPERIMENTS.values():
+        schema = json.dumps(e.instance_schema, sort_keys=True, separators=(",", ":"))
+        blocks.append(f"{e.name}\n  {e.description}\n  anchor: {e.anchor}"
                       f"\n  instance schema: {schema}")
     return "\n\n".join(blocks)
 
@@ -707,9 +645,7 @@ def main(argv=None) -> int:
         print(list_experiments())
         return 0
     try:
-        config = _load_config(args.config)
-        if args.seed is not None:
-            config["seed"] = args.seed
+        config = _load_config(args.config, args.seed)
         out_dir = args.out or Path(config.get("output", "capdual-out"))
         return run(config, out_dir)
     except (ConfigError, ValueError, TypeError, RuntimeError, MemoryError,

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -10,8 +11,8 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capdual import capacity, cli
-from capdual.cli import EXPERIMENT_ORDER, main
+from capdual import capacity, cli, projection, scaling
+from capdual.cli import main
 from capdual.haarmc import (BLOCK, UnitaryOrbitVector, mc_invariant_norm,
                             mc_isotypic_norm)
 
@@ -51,6 +52,8 @@ def test_run_duality_passes(tmp_path):
     # the truncation floor's total removed mass bounds the error of every row
     assert 0 <= summary["dropped_mass"] < 1e-9
     assert len(summary["config_sha256"]) == 64
+    # theta = 1/2 is the moment map of v, so Newton starts at its minimiser
+    assert summary["status"] == "converged" and summary["iterations"] == 0
 
 
 def test_run_is_byte_identical(tmp_path):
@@ -132,9 +135,10 @@ def test_schema_violation_names_json_path(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {
         "experiment": "duality",
         "instance": {"vector": {"n": 1, "terms": []}, "theta": ["1/2"]},
+        "k_max": 10,
     })
     assert main(["run", str(cfg)]) == 1
-    assert "terms" in capsys.readouterr().err
+    assert "$.instance.vector.terms: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [
@@ -149,20 +153,143 @@ def test_schema_violation_names_json_path(tmp_path, capsys):
     {"experiment": "duality", "instance": {"vector": {"n": 1, "terms": [
         {"weight": [0], "amplitude": 1.0}]}, "theta": ["1/2"]},
      "tolerances": {"min_final_ratio": 1, "nope": 2}},
+    {"experiment": "capacity", "instance": {"vector": {"n": 1, "terms": [
+        {"weight": [0], "amplitude": 1.0}]}, "theta": ["0"]}, "samples": 10},
+    {"experiment": "prefactor", "instance": {"vector": {"n": 1, "terms": []}},
+     "ks": [0], "tolerances": {"abs_tol": 1e-3}},
+    [],
 ])
 def test_schema_errors_match_jsonschema_validate(tmp_path, body):
-    # the prebuilt validators report the error jsonschema.validate reports
+    # the prebuilt validators report the error jsonschema.validate reports:
+    # first on the name, then on the experiment's whole schema
     path = write_config(tmp_path, "bad.json", body)
     try:
-        jsonschema.validate(body, cli.CONFIG_SCHEMA)
-        name = body["experiment"]
-        jsonschema.validate(body["instance"], cli.INSTANCE_SCHEMAS[name])
-        jsonschema.validate(body.get("tolerances", {}), cli.TOLERANCE_SCHEMAS[name])
+        jsonschema.validate(body, cli.NAME_SCHEMA)
+        jsonschema.validate(body, cli.EXPERIMENTS[body["experiment"]].schema)
     except jsonschema.ValidationError as exc:
         want = f"{path}: {exc.json_path}: {exc.message}"
     with pytest.raises(cli.ConfigError) as got:
         cli._load_config(path)
     assert str(got.value) == want
+
+
+BIT = {"n": 1, "terms": [{"weight": [0], "amplitude": 0.6},  # 0.6 e0 + 0.8 e1
+                         {"weight": [1], "amplitude": 0.8}]}
+PLUS_MINUS = {"n": 1, "terms": [{"weight": [-1], "amplitude": 0.7071067811865476},
+                                {"weight": [1], "amplitude": 0.7071067811865476}]}
+
+# One valid config per experiment, and the top-level parameters its handler
+# reads; every other parameter is accepted by no experiment's schema.
+MINIMAL = {
+    "duality": {"instance": {"vector": BIT, "theta": ["1/2"]}, "k_max": 4},
+    "prefactor": {"instance": {"vector": PLUS_MINUS}, "k_max": 4},
+    "perm-dual": {"instance": {"matrix": [[1, 2], [3, 4]], "r": ["1/2", "1/2"],
+                               "c": ["1/2", "1/2"]}, "k_max": 4},
+    "schur-weyl-ldp": {"instance": {"q": ["3/4", "1/4"], "theta": ["3/5", "2/5"]},
+                       "k_max": 5},
+    "duffield-ldp": {"instance": {"weights": [-1, 1], "theta": "1/2"}, "k_max": 4},
+    "mc-check": {"instance": {"cases": [{"group": "su2", "k": 2, "lam": 2,
+                                         "amplitudes": [1.0, 0.0]}]},
+                 "samples": 1000, "seed": 1},
+    "capacity": {"instance": {"vector": BIT, "theta": ["1/4"]}},
+    "laurent": {"instance": {"terms": [[1, 1], [-1, 4]]}, "k_max": 4},
+}
+READS = {"duality": {"k_max"}, "prefactor": {"k_max", "ks"}, "perm-dual": {"k_max"},
+         "schur-weyl-ldp": {"k_max"}, "duffield-ldp": {"k_max"},
+         "mc-check": {"samples", "seed"}, "capacity": set(), "laurent": {"k_max"}}
+PARAM_VALUES = {"k_max": 4, "ks": [2], "samples": 100, "seed": 1}
+UNREAD = [(name, key) for name in MINIMAL for key in PARAM_VALUES
+          if key not in READS[name]]
+
+
+def minimal_config(name, out_dir):
+    return {"experiment": name, **MINIMAL[name], "output": str(out_dir)}
+
+
+def test_minimal_configs_cover_every_experiment(tmp_path):
+    assert list(MINIMAL) == list(cli.EXPERIMENTS)
+    assert len(UNREAD) == 23
+    for name in MINIMAL:
+        out = tmp_path / name
+        cfg = write_config(tmp_path, f"{name}.json", minimal_config(name, out))
+        assert main(["run", str(cfg)]) in (0, 2), name
+        assert json.loads((out / "summary.json").read_text())["experiment"] == name
+
+
+@pytest.mark.parametrize("name, key", UNREAD, ids=[f"{n}-{k}" for n, k in UNREAD])
+def test_unread_parameter_exits_1_at_its_path(tmp_path, capsys, name, key):
+    out = tmp_path / "out"
+    body = {**minimal_config(name, out), key: PARAM_VALUES[key]}
+    cfg = write_config(tmp_path, "c.json", body)
+    assert main(["run", str(cfg)]) == 1
+    assert f": $.{key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, tolerances, needs", [
+    ("prefactor", {"abs_tol": 1e-30}, "target"),
+    ("prefactor", {"cauchy_rel_tol": 1e-30}, "cauchy_window"),
+    ("schur-weyl-ldp", {"strict_decrease": True}, "difference_pins"),
+], ids=["abs_tol", "cauchy_rel_tol", "strict_decrease"])
+def test_qualifier_without_its_field_exits_1(tmp_path, capsys, name, tolerances, needs):
+    out = tmp_path / "out"
+    body = {**minimal_config(name, out), "tolerances": tolerances}
+    cfg = write_config(tmp_path, "c.json", body)
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f": $.tolerances: {needs!r} is a dependency of " in err
+    assert not out.exists()
+
+
+def test_seed_override_is_validated(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "cap.json", minimal_config("capacity", out))
+    assert main(["run", str(cfg), "--seed", "3"]) == 1
+    assert ": $.seed: " in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("name, module", [
+    ("duality", projection), ("perm-dual", scaling), ("capacity", cli),
+    ("laurent", cli)])
+def test_capacity_stopped_at_max_iter_fails(tmp_path, monkeypatch, name, module):
+    # every experiment that reads a capacity solve reports how it stopped,
+    # and none passes on a solve that stopped at max_iter; the tolerances are
+    # loose enough that the one-step solve meets them, so only its status
+    # fails the run
+    out = tmp_path / "out"
+    body = minimal_config(name, out)
+    body["tolerances"] = {"duality": {"min_final_ratio": 0.5},
+                          "capacity": {"cross_check_tol": 1e-3},
+                          "laurent": {"cap_match_tol": 1.0}}.get(name, {})
+    cfg = write_config(tmp_path, "c.json", body)
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "converged" and summary["iterations"] > 1
+    solve = capacity.theta_capacity
+    monkeypatch.setattr(module, "theta_capacity",
+                        lambda v, theta: solve(v, theta, max_iter=1))
+    assert main(["run", str(cfg)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "max_iter" and summary["iterations"] == 1
+    assert summary["pass"] is False
+
+
+def test_laurent_reports_a_status_only_when_it_solves(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "l.json", minimal_config("laurent", out))
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert "status" not in summary and "iterations" not in summary
+
+
+def test_readme_config_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"A minimal config:\s*```json\n(.*?)```", readme, re.S)
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(block.group(1))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_duplicate_weight_rejected(tmp_path, capsys):
@@ -188,7 +315,7 @@ def test_list_is_stable_and_anchored(capsys):
     assert first == second
     names = [line for line in first.splitlines()
              if line and not line.startswith("  ")]
-    assert names == list(EXPERIMENT_ORDER)
+    assert names == list(cli.EXPERIMENTS)
     assert "duality" in names
     assert "Theorem" in first
     assert "Kempf-Ness" in first
