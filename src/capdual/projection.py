@@ -4,15 +4,21 @@ For a torus vector v with squared amplitudes q_w, the squared norm of the
 weight-lambda component of v^{tensor k} is the coefficient of t^lambda in
 (sum_w q_w t^w)^k. Two engines compute these coefficients.
 
-The table builder runs the convolution exactly in log domain over the whole
-k-fold bounding box, one row per k; it is the oracle the other engine is
-judged against. Everything else reads one object, the law of S_k, a sum of
-k independent draws from a distribution p on integer weights, held as
-linear rows with a relative truncation floor, which keeps array extents
-O(sqrt(k log(1/floor))) per axis. Rows live in the integer chart w = w0 +
-B c of the weights (capacity._chart): d axes for a d-dimensional face, one
-cell per lattice point however far apart the weights are, on the axes of
-that lattice that hold the fewest cells (_lll_axes).
+The table builder convolves over the whole k-fold bounding box, one row per
+k, and never crops; it is the oracle the other engine is judged against.
+Every coefficient is a sum of nonnegative products, so shift and add in
+float64 keeps every cell within a relative k (|W| + 1) eps of exact, |W|
+weights, with no cancellation, as long as no cell underflows. The rows are
+therefore linear while every reachable cell stays a normal float, and
+log-domain steps after that.
+
+Everything else reads one object, the law of S_k, a sum of k independent
+draws from a distribution p on integer weights, held as linear rows with a
+relative truncation floor, which keeps array extents O(sqrt(k
+log(1/floor))) per axis. Rows live in the integer chart w = w0 + B c of the
+weights (capacity._chart): d axes for a d-dimensional face, one cell per
+lattice point however far apart the weights are, on the axes of that
+lattice that hold the fewest cells (_lll_axes).
 
 - The duality report reads one coefficient per k, at k theta, that is at
   k c_theta in the chart of the face record; a k with k c_theta off the
@@ -102,20 +108,61 @@ def _step_log(arr: np.ndarray, offset: np.ndarray, W: np.ndarray,
     return out, new_offset
 
 
+def _linear_k(q: np.ndarray, k_max: int) -> int:
+    """The last row built in linear arithmetic: the largest k <= k_max with
+    p_min^k >= 2^-1000, p = q / sum(q). Every reachable cell of row k of
+    (sum_w p_w t^w)^k is at least p_min^k and every cell at most 1, so up to
+    there no cell leaves the normal range of float64 (down to 2^-1022)."""
+    bits = -math.log2(float(q.min() / q.sum()))
+    return k_max if bits <= 0 else min(k_max, int(1000 / bits))
+
+
 def _log_rows(v: WeightedVector, k_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(offset, arr) for k = 1 .. k_max: arr holds the log coefficients of
-    (sum_w q_w t^w)^k on the bounding box whose lower corner is offset. The
-    steps start from k = 0, the single coefficient log 1 at the origin."""
+    (sum_w q_w t^w)^k on the bounding box whose lower corner is offset.
+
+    Rows 1 .. _linear_k are (sum_w p_w t^w)^k, p = q / |v|^2, by shift and
+    add in float64, stored as log(row) + k log |v|^2; the later rows are log
+    steps (_step_log) from the last of them, or from k = 0, the single
+    coefficient log 1 at the origin, when no row is linear. Linear rows
+    reuse two ping-pong buffers and one term buffer of the last linear
+    row's size, each row a contiguous view of a prefix."""
     W, q = _weight_arrays(v)
-    logq = np.log(q)
+    wmin = W.min(axis=0)
+    shift, extent = W - wmin, W.max(axis=0) - wmin
+    norm_sq = float(q.sum())
+    log_norm_sq = math.log(norm_sq)
+    p = q / norm_sq
+    k_lin = _linear_k(q, k_max)
+    size = math.prod(int(e) for e in k_lin * extent + 1)
+    bufs = [np.empty(size), np.empty(size)]
+    term = np.empty(size)
+    cur = np.ones((1,) * v.n)
     arr, offset = np.zeros((1,) * v.n), np.zeros(v.n, dtype=np.int64)
-    for _ in range(k_max):
+    for k in range(1, k_lin + 1):
+        shape = tuple(int(e) for e in k * extent + 1)
+        nxt = bufs[k % 2][:math.prod(shape)].reshape(shape)
+        tv = term[:cur.size].reshape(cur.shape)
+        nxt[...] = 0.0
+        for s, pw in zip(shift, p):
+            np.multiply(cur, pw, out=tv)
+            dst = nxt[tuple(slice(int(a), int(a) + c) for a, c in zip(s, cur.shape))]
+            np.add(dst, tv, out=dst)
+        cur = nxt
+        with np.errstate(divide="ignore"):  # unreachable cells are exact zeros
+            arr = np.log(cur)
+        arr += k * log_norm_sq
+        offset = k * wmin
+        yield offset, arr
+    bufs = term = cur = nxt = tv = dst = None  # release the linear buffers
+    logq = np.log(q)
+    for _ in range(k_lin, k_max):
         arr, offset = _step_log(arr, offset, W, logq)
         yield offset, arr
 
 
 class ProjectionTable:
-    """Exact log-domain squared projection norms for k = 1 .. k_max."""
+    """Exact squared projection norms for k = 1 .. k_max, held as logs."""
 
     def __init__(self, n: int, norm_sq: float, rows: list[tuple[np.ndarray, np.ndarray]]):
         self.n = n
@@ -158,16 +205,24 @@ def projection_norm_table(v: WeightedVector, k_max: int,
                           max_bytes: int = MAX_DP_BYTES) -> ProjectionTable:
     """Tabulate |Pi_{k,lam} v^{tensor k}|^2 for all k <= k_max, all lam, exactly.
 
-    Raises MemoryError naming the offending extent if the dense bounding-box
-    arrays would exceed max_bytes in total.
+    Rows are the powers of p = q / |v|^2 in linear float64 arithmetic while
+    p_min^k >= 2^-1000, so that no reachable cell leaves the normal range,
+    and log-domain steps after that (_log_rows). A linear row holds every
+    cell within a relative k (|W| + 1) eps of exact, |W| weights; a log
+    step adds an absolute rounding error of about eps times the magnitude
+    of the log values. Unreachable cells are exact zeros.
+
+    Raises MemoryError naming the offending extent, before anything is
+    allocated, if the dense bounding-box rows and the three working buffers
+    of the linear rows would exceed max_bytes in total.
     """
     _check_k_max(k_max)
     v = v.pruned()
     if v.is_zero:
         return ProjectionTable(v.n, 0.0, [])
-    W, _ = _weight_arrays(v)
+    W, q = _weight_arrays(v)
     extent = W.max(axis=0) - W.min(axis=0)
-    total = 0
+    total = 3 * 8 * math.prod(int(e) for e in _linear_k(q, k_max) * extent + 1)
     for k in range(1, k_max + 1):
         total += 8 * int(np.prod(k * extent + 1))
         if total > max_bytes:

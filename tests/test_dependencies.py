@@ -17,7 +17,7 @@ import capdual
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs the FFT-powered prefactor rows, the tilted duality rows, the
-# log-domain table and the CLI, then prints every scipy module that got
+# exact projection table and the CLI, then prints every scipy module that got
 # imported.
 SCRIPT = r"""
 import json, sys, tempfile

@@ -1,11 +1,13 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capdual import projection
 from capdual.capacity import theta_capacity
 from capdual.core import WeightedVector, WeightVector
 from capdual.projection import (LaurentPoly, _cst_of_product, _fft_len, _lll_axes,
@@ -14,7 +16,8 @@ from capdual.projection import (LaurentPoly, _cst_of_product, _fft_len, _lll_axe
                                 laurent_cst_powers, prefactor_sequence,
                                 projection_norm_table)
 
-from util import brute_invariant_norms, gaussian_cst_powers, random_weighted_vector
+from util import (brute_invariant_norms, exact_log_norm_rows, gaussian_cst_powers,
+                  random_weighted_vector)
 
 F = Fraction
 
@@ -41,7 +44,9 @@ def test_binomial_norms_closed_form():
 
 
 def test_balanced_odd_weights_absent():
-    table = projection_norm_table(balanced_vector(), 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # log(0) of the unreachable cells is silent
+        table = projection_norm_table(balanced_vector(), 7)
     assert table.get(7, (0,)).sign == 0  # odd power cannot reach weight 0
     assert math.isclose(table.get(6, (0,)).to_float(),
                         math.comb(6, 3) / 2**6, rel_tol=1e-12)
@@ -62,6 +67,59 @@ def test_completeness():
     for k in (0, 7):
         with pytest.raises(ValueError):
             table.total(k)
+
+
+def _table_and_first_log_row(monkeypatch, v, k_max):
+    """The table of v to k_max and the first of its rows built by a log step
+    (_step_log); k_max + 1 when every row was linear."""
+    calls = 0
+    step_log = projection._step_log
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step_log(*args)
+
+    monkeypatch.setattr(projection, "_step_log", counted)
+    table = projection_norm_table(v, k_max)
+    return table, k_max + 1 - calls
+
+
+@pytest.mark.parametrize("n, terms, k_max, first_log_row", [
+    (1, {(-1,): 0.8 + 0.3j, (1,): 1.1, (3,): 0.5j}, 300, 301),
+    # q = 1e-8 on the middle weight: p_min^k falls below 2^-1000 past k = 37.
+    (1, {(-1,): 0.8 + 0.3j, (1,): 1e-4, (3,): 0.5j}, 300, 38),
+    (2, {(0, 0): 0.6, (2, 0): 0.9j, (1, 1): -0.4, (0, 2): 1.2}, 60, 61),
+], ids=["n1", "n1-handoff", "n2"])
+def test_table_matches_exact_integer_powers(monkeypatch, n, terms, k_max, first_log_row):
+    # Every cell of every row against (sum_w Q_w t^w)^k in Python ints: the
+    # same exact zeros (odd weights, or even coordinate sums, leave every
+    # other cell unreachable) and log norms within 1e-11.
+    v = WeightedVector.from_terms(n, terms)
+    table, first = _table_and_first_log_row(monkeypatch, v, k_max)
+    assert first == first_log_row
+    for k, want in exact_log_norm_rows(v, k_max):
+        offset, arr = table._row(k)
+        exact = np.full(arr.shape, -np.inf)
+        for lam, val in want.items():
+            exact[tuple(np.subtract(lam, offset))] = val
+        reached = np.isfinite(exact)
+        assert np.array_equal(np.isfinite(arr), reached), k
+        assert np.abs(arr[reached] - exact[reached]).max() <= 1e-11, k
+
+
+def test_table_total_across_the_hand_off(monkeypatch):
+    # |v|^2 = 7 with q = 1e-8 on one weight: rows after k = 34 are log steps,
+    # and total(k) = k log 7 on both sides. The weights are odd, so every
+    # other cell is unreachable, and its log(0) is silent.
+    v = WeightedVector.from_terms(1, {(-1,): 2.0, (1,): 1e-4, (3,): math.sqrt(3 - 1e-8)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table, first = _table_and_first_log_row(monkeypatch, v, 80)
+    assert first == 35
+    assert table.get(7, (0,)).sign == 0
+    for k in range(1, 81):
+        assert abs(table.total(k).log_mag - k * math.log(7)) <= 1e-12 * k, k
 
 
 @settings(max_examples=30, deadline=None)
@@ -127,7 +185,7 @@ def _oracle_vector(seed: int, n: int) -> WeightedVector:
 
 @pytest.mark.parametrize("n, k_max", [(1, 300), (2, 60), (3, 12)])
 def test_duality_report_matches_log_dp_oracle(n, k_max):
-    # The tilted stream against the exact log-domain table: the same exact
+    # The tilted stream against the exact projection table: the same exact
     # zeros and log norms within 1e-10 on every row, with the minimal face
     # of each target pinned. A segment has no face beyond its end points,
     # so n = 1 has no edge target.
@@ -247,7 +305,7 @@ def test_sheared_chart_holds_no_more_cells_than_the_weight_box():
     # rows (1,0,0), (0,1,0), (0,-1,2); streamed on it, the report held
     # 104,005 cells where the ambient box of the weights held 53,680. The
     # axes reduced against the tilted covariance hold fewer than the box.
-    # The rows still match the log-domain oracle.
+    # The rows still match the exact table.
     terms = {(-2, 2, 1): 1.88, (-1, -1, 0): 1.0, (-1, 0, 1): 3.1, (1, 2, 1): 1.63,
              (2, -2, 1): 1.46, (2, -1, 0): 1.86}
     v = WeightedVector.from_terms(3, terms)

@@ -1,11 +1,12 @@
 """Shared oracles and generators for the test suite.
 
 Everything here is deliberately independent of the library internals:
-projection norms by direct tensor-power expansion, Schur polynomials by
-tableau enumeration, feasible directions by explicit rational convex
-combinations, exact LPs on a `Fraction` tableau, minimal faces by one such
-LP per weight, Hall deficiencies and off-face entries by enumerating row
-subsets, Laurent constant terms in exact Gaussian-integer arithmetic.
+projection norms by direct tensor-power expansion and by exact integer
+polynomial powers, Schur polynomials by tableau enumeration, feasible
+directions by explicit rational convex combinations, exact LPs on a
+`Fraction` tableau, minimal faces by one such LP per weight, Hall
+deficiencies and off-face entries by enumerating row subsets, Laurent
+constant terms in exact Gaussian-integer arithmetic.
 Slow is fine; these run at small sizes.
 """
 
@@ -48,6 +49,33 @@ def brute_invariant_norms(v: WeightedVector, k: int) -> dict[tuple, float]:
         out[weight] = out.get(weight, 0.0) + abs(amp) ** 2
     return {w: float(x.real if isinstance(x, complex) else x)
             for w, x in out.items()}
+
+
+def exact_log_norm_rows(v: WeightedVector, k_max: int):
+    """Yield (k, {lam: log |Pi_{k,lam} v^{tensor k}|^2}) for k = 1 .. k_max,
+    every reachable lam, in exact integer arithmetic.
+
+    Each squared amplitude q_w is a binary float, so q_w = Q_w / 2^s exactly
+    for Python ints Q_w and one s; the coefficients C of (sum_w Q_w t^w)^k are
+    ints. log(C / 2^{ks}) is read as log m + (e - ks) log 2 from C = m 2^e
+    with 53 bits in m, so its error is about eps times its magnitude."""
+    ratios = {w.coords: q.as_integer_ratio() for w, q in v.amplitudes_sq().items()}
+    s = max(den.bit_length() - 1 for _, den in ratios.values())  # each den is 2^j
+    Q = {w: num << (s - den.bit_length() + 1) for w, (num, den) in ratios.items()}
+
+    def log_scaled(c: int, k: int) -> float:
+        e = max(c.bit_length() - 53, 0)
+        return math.log(c >> e) + (e - k * s) * math.log(2)
+
+    row = {(0,) * v.n: 1}
+    for k in range(1, k_max + 1):
+        nxt: dict[tuple, int] = {}
+        for lam, c in row.items():
+            for w, qw in Q.items():
+                key = tuple(a + b for a, b in zip(lam, w))
+                nxt[key] = nxt.get(key, 0) + c * qw
+        row = nxt
+        yield k, {lam: log_scaled(c, k) for lam, c in row.items()}
 
 
 def _ssyt_rows(shape, max_entry, prev_row=None):
