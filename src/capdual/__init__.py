@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 from .capacity import (CapacityResult, MembershipCertificate, capacity_kl_form,
                        moment_map, moment_polytope_contains, theta_capacity)
-from .core import (ConvergenceReport, LogValue, Partition, ProbVector,
-                   WeightedVector, WeightVector, as_fraction, fraction_log,
-                   log_binomial, log_sum_exp, rational_vector)
+from .core import (ConvergenceReport, LogValue, Partition, WeightedVector,
+                   WeightVector, as_fraction, fraction_log, rational_vector)
 from .exactlp import LPResult, simplex_max
 from .haarmc import (McEstimate, UnitaryOrbitVector, mc_invariant_norm,
                      mc_isotypic_norm, sample_haar_unitary)
@@ -21,9 +20,8 @@ from .projection import (CriticalValues, LaurentPoly, ProjectionTable,
                          laurent_cst_powers, prefactor_sequence,
                          projection_norm_table)
 from .scaling import (PermExact, ScalingState, SinkhornResult,
-                      matrix_from_csv, matrix_from_json, perm_dual_report,
-                      perm_rc_exact, rc_capacity, rc_capacity_result,
-                      rc_weighted_vector, sinkhorn_scale)
+                      perm_dual_report, perm_rc_exact, rc_capacity,
+                      rc_capacity_result, rc_weighted_vector, sinkhorn_scale)
 from .spectrum import (DuffieldFamily, HermitianState, SchurWeylFamily,
                        SchurWeylRow, duffield_rate, hook_length_count,
                        keyl_rate, kw_minimization_check, kw_rate, ldp_report,
@@ -34,18 +32,17 @@ __all__ = [
     "__version__",
     "CapacityResult", "MembershipCertificate", "capacity_kl_form",
     "moment_map", "moment_polytope_contains", "theta_capacity",
-    "ConvergenceReport", "LogValue", "Partition", "ProbVector",
-    "WeightedVector", "WeightVector", "as_fraction", "fraction_log",
-    "log_binomial", "log_sum_exp", "rational_vector",
+    "ConvergenceReport", "LogValue", "Partition", "WeightedVector",
+    "WeightVector", "as_fraction", "fraction_log", "rational_vector",
     "LPResult", "simplex_max",
     "McEstimate", "UnitaryOrbitVector", "mc_invariant_norm",
     "mc_isotypic_norm", "sample_haar_unitary",
     "CriticalValues", "LaurentPoly", "ProjectionTable", "critical_values",
     "difference_lattice", "duality_report", "laurent_cst_powers",
     "prefactor_sequence", "projection_norm_table",
-    "PermExact", "ScalingState", "SinkhornResult", "matrix_from_csv",
-    "matrix_from_json", "perm_dual_report", "perm_rc_exact", "rc_capacity",
-    "rc_capacity_result", "rc_weighted_vector", "sinkhorn_scale",
+    "PermExact", "ScalingState", "SinkhornResult", "perm_dual_report",
+    "perm_rc_exact", "rc_capacity", "rc_capacity_result",
+    "rc_weighted_vector", "sinkhorn_scale",
     "DuffieldFamily", "HermitianState", "SchurWeylFamily", "SchurWeylRow",
     "duffield_rate", "hook_length_count", "keyl_rate",
     "kw_minimization_check", "kw_rate", "ldp_report", "partitions_bounded",

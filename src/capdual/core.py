@@ -2,8 +2,11 @@
 
 Quantities that decay or grow exponentially in the tensor power k are carried
 as LogValue (a sign together with the natural log of the magnitude) so that
-runs with k up to 10^4 neither underflow nor overflow IEEE doubles. The value
-types are frozen dataclasses; ConvergenceReport is a mutable record.
+runs with k up to 10^4 neither underflow nor overflow IEEE doubles. LogValue
+is a carrier, not an arithmetic: the modules that produce one sum in log
+domain over their own arrays, and a LogValue only converts to float, compares
+(isclose) and takes integer powers. The value types are frozen dataclasses;
+ConvergenceReport is a mutable record.
 """
 
 from __future__ import annotations
@@ -20,12 +23,9 @@ __all__ = [
     "MAX_WEIGHT_COORD",
     "AMPLITUDE_SQ_FLOOR",
     "LogValue",
-    "log_sum_exp",
-    "log_binomial",
     "WeightVector",
     "WeightedVector",
     "Partition",
-    "ProbVector",
     "ConvergenceReport",
     "as_fraction",
     "rational_vector",
@@ -38,25 +38,6 @@ MAX_WEIGHT_COORD = 10**6
 
 # Squared amplitudes below this floor are treated as exact zeros when pruning.
 AMPLITUDE_SQ_FLOOR = 1e-30
-
-
-def _lse(xs: Sequence[float]) -> float:
-    """Plain log-sum-exp of finite-or-(-inf) log magnitudes."""
-    if not xs:
-        return -math.inf
-    m = max(xs)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(x - m) for x in xs))
-
-
-def _log1mexp(d: float) -> float:
-    """log(1 - e^d) for d <= 0, accurate near both endpoints."""
-    if d == -math.inf:
-        return 0.0
-    if d > -math.log(2.0):
-        return math.log(-math.expm1(d))
-    return math.log1p(-math.exp(d))
 
 
 @dataclass(frozen=True)
@@ -86,14 +67,6 @@ class LogValue:
     def one() -> "LogValue":
         return LogValue(1, 0.0)
 
-    @staticmethod
-    def from_float(x: float) -> "LogValue":
-        if x == 0:
-            return LogValue.zero()
-        if math.isnan(x) or math.isinf(x):
-            raise ValueError(f"cannot represent {x} as a LogValue")
-        return LogValue(1 if x > 0 else -1, math.log(abs(x)))
-
     def to_float(self) -> float:
         if self.sign == 0:
             return 0.0
@@ -101,20 +74,6 @@ class LogValue:
             return self.sign * math.exp(self.log_mag)
         except OverflowError:
             return self.sign * math.inf
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        s = self.sign * other.sign
-        if s == 0:
-            return LogValue.zero()
-        return LogValue(s, self.log_mag + other.log_mag)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogValue division by zero")
-        s = self.sign * other.sign
-        if s == 0:
-            return LogValue.zero()
-        return LogValue(s, self.log_mag - other.log_mag)
 
     def __pow__(self, k: int) -> "LogValue":
         if not isinstance(k, int):
@@ -126,56 +85,12 @@ class LogValue:
         s = 1 if (self.sign > 0 or k % 2 == 0) else -1
         return LogValue(s, self.log_mag * k)
 
-    def __neg__(self) -> "LogValue":
-        return LogValue(-self.sign, self.log_mag)
-
-    def __abs__(self) -> "LogValue":
-        return LogValue(abs(self.sign), self.log_mag)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        return log_sum_exp((self, other))
-
-    def __sub__(self, other: "LogValue") -> "LogValue":
-        return log_sum_exp((self, -other))
-
     def isclose(self, other: "LogValue", rel_tol: float = 1e-12) -> bool:
         if self.sign != other.sign:
             return self.sign == other.sign == 0
         if self.sign == 0:
             return True
         return math.isclose(self.log_mag, other.log_mag, rel_tol=rel_tol, abs_tol=rel_tol)
-
-
-def log_sum_exp(values: Iterable[LogValue]) -> LogValue:
-    """Exact-sign signed sum of LogValues via two-sided log-sum-exp.
-
-    Positive and negative contributions are each collapsed with the max-shift
-    trick and the smaller side is subtracted in log space. An empty iterable
-    sums to zero, and exactly cancelling sides return the zero LogValue.
-    """
-    pos: list[float] = []
-    neg: list[float] = []
-    for v in values:
-        if v.sign > 0:
-            pos.append(v.log_mag)
-        elif v.sign < 0:
-            neg.append(v.log_mag)
-    lp = _lse(pos)
-    ln = _lse(neg)
-    if lp == ln:
-        return LogValue.zero()
-    if lp > ln:
-        return LogValue(1, lp + _log1mexp(ln - lp))
-    return LogValue(-1, ln + _log1mexp(lp - ln))
-
-
-def log_binomial(k: int, j: int) -> float:
-    """log C(k, j) via lgamma; raises ValueError outside 0 <= j <= k."""
-    if not isinstance(k, int) or not isinstance(j, int):
-        raise TypeError("log_binomial takes integer arguments")
-    if j < 0 or j > k:
-        raise ValueError(f"binomial index out of range: C({k}, {j})")
-    return math.lgamma(k + 1) - math.lgamma(j + 1) - math.lgamma(k - j + 1)
 
 
 def fraction_log(x: Union[Fraction, int]) -> LogValue:
@@ -238,15 +153,6 @@ class WeightVector:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.coords)
-
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        return WeightVector(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __sub__(self, other: "WeightVector") -> "WeightVector":
-        return WeightVector(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __neg__(self) -> "WeightVector":
-        return WeightVector(tuple(-a for a in self.coords))
 
     def dot(self, x: Sequence[float]) -> float:
         return sum(a * b for a, b in zip(self.coords, x, strict=True))
@@ -367,33 +273,6 @@ class Partition:
         if len(self.parts) > n:
             raise ValueError(f"partition {self.parts} has more than {n} parts")
         return self.parts + (0,) * (n - len(self.parts))
-
-
-@dataclass(frozen=True)
-class ProbVector:
-    """A probability vector validated to machine accuracy."""
-
-    entries: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(float(p) for p in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if not entries:
-            raise ValueError("probability vector must be nonempty")
-        if any(p < 0 for p in entries):
-            raise ValueError(f"negative probability in {entries}")
-        if abs(sum(entries) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {sum(entries)}, not 1")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.entries)
-
-    @property
-    def sorted_desc(self) -> bool:
-        return all(self.entries[i] >= self.entries[i + 1] for i in range(len(self.entries) - 1))
 
 
 @dataclass

@@ -40,10 +40,13 @@ lattice that hold the fewest cells (_lll_axes).
 
 Laurent constant terms cst f^k, for every k <= k_max, come from one pass
 over core.power_rows, the row stream rank-1 multiplicities also read.
+Critical points are the companion-matrix roots of z f'(z); for nonnegative
+f the infimum over the positive reals is read at the root on that axis.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -544,6 +547,8 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
         raise ValueError(f"moment map must vanish, |mu|_inf = {mu_inf}")
     if (k_max is None) == (ks is None):
         raise ValueError("pass k_max or an explicit list of powers ks, not both")
+    if ks is None:
+        _check_k_max(k_max)
     coords, c0, m = _zero_chart(v)
     d = len(c0)
     if ks is None:
@@ -633,8 +638,11 @@ class CriticalValues:
     """Critical points of a Laurent map on the punctured plane and f there.
 
     positive_real_value is the infimum of f over the positive reals when all
-    coefficients are nonnegative (None otherwise); positive_real_point is the
-    minimizer when the infimum is attained, else None.
+    coefficients are nonnegative (None otherwise). With exponents of both
+    signs, f(e^x) is strictly convex and the infimum is attained at the one
+    critical point on the positive axis, positive_real_point; with exponents
+    of one sign it is the constant coefficient, approached at an end of the
+    axis, and positive_real_point is None.
     """
 
     points: tuple[complex, ...]
@@ -644,40 +652,8 @@ class CriticalValues:
 
     @property
     def max_modulus(self) -> float:
-        return max(abs(v) for v in self.values)
-
-
-def _positive_real_inf(f: LaurentPoly) -> tuple[float | None, float | None]:
-    coeffs = {e: complex(c) for e, c in f.terms.items()}
-    if any(abs(c.imag) > 0 or c.real < 0 for c in coeffs.values()):
-        return None, None
-    a = {e: c.real for e, c in coeffs.items()}
-    has_pos = any(e > 0 for e in a)
-    has_neg = any(e < 0 for e in a)
-    if not (has_pos and has_neg):
-        # Infimum at a boundary of the positive axis, not attained unless f
-        # is the constant coefficient alone.
-        return None, a.get(0, 0.0)
-
-    def dphi(x: float) -> float:
-        return sum(c * e * math.exp(e * x) for e, c in a.items())
-
-    lo, hi = -1.0, 1.0
-    emax = max(abs(e) for e in a)
-    bound = 700.0 / emax
-    while dphi(lo) > 0 and lo > -bound:
-        lo *= 2
-    while dphi(hi) < 0 and hi < bound:
-        hi *= 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dphi(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    t = math.exp(x)
-    return t, sum(c * t ** e for e, c in a.items())
+        """max |f| over the critical points; 0.0 for a monomial, which has none."""
+        return max((abs(v) for v in self.values), default=0.0)
 
 
 def critical_values(f: LaurentPoly, residual_tol: float = 1e-9) -> CriticalValues:
@@ -686,7 +662,13 @@ def critical_values(f: LaurentPoly, residual_tol: float = 1e-9) -> CriticalValue
     Critical points solve z f'(z) = 0; they are found as companion-matrix
     eigenvalues of the cleared polynomial, polished by one Newton step, and
     rejected with an error if the polished residual exceeds residual_tol
-    relative to the coefficient scale.
+    relative to the coefficient scale. z = 0 is never a root: the cleared
+    polynomial's constant coefficient is e_min a_{e_min} != 0.
+
+    For nonnegative coefficients with exponents of both signs,
+    positive_real_point is the real part of the polished point nearest the
+    positive axis (least |arg z|), the unique root of z f'(z) on (0, inf),
+    and positive_real_value is f there.
     """
     zfp = {e: e * complex(c) for e, c in f.terms.items() if e != 0}
     if not zfp:
@@ -697,23 +679,24 @@ def critical_values(f: LaurentPoly, residual_tol: float = 1e-9) -> CriticalValue
     coeffs = np.zeros(deg + 1, dtype=complex)
     for e, c in zfp.items():
         coeffs[emax - e] = c  # descending order for np.roots
-    if deg == 0:
-        pts: list[complex] = []
-    else:
-        pts = list(np.roots(coeffs))
     scale = float(np.max(np.abs(coeffs)))
     dcoeffs = coeffs[:-1] * np.arange(deg, 0, -1)
     polished = []
-    for z in pts:
+    for z in np.roots(coeffs):
         pz = np.polyval(coeffs, z)
-        dpz = np.polyval(dcoeffs, z) if deg > 0 else 0
+        dpz = np.polyval(dcoeffs, z)
         if dpz != 0:
             z = z - pz / dpz
         res = abs(np.polyval(coeffs, z)) / (scale * max(1.0, abs(z)) ** deg)
         if res > residual_tol:
             raise RuntimeError(f"critical point refinement stalled, residual {res:.3e}")
-        if abs(z) > 1e-12:
-            polished.append(complex(z))
-    values = tuple(f(z) for z in polished)
-    pr_point, pr_value = _positive_real_inf(f)
-    return CriticalValues(tuple(polished), values, pr_point, pr_value)
+        polished.append(complex(z))
+    points = tuple(polished)
+    values = tuple(f(z) for z in points)
+    if any(complex(c).imag != 0 or complex(c).real < 0 for c in f.terms.values()):
+        return CriticalValues(points, values, None, None)
+    a = {e: complex(c).real for e, c in f.terms.items()}
+    if not min(a) < 0 < max(a):  # one-sided: the infimum is the limit a_0
+        return CriticalValues(points, values, None, a.get(0, 0.0))
+    t = min(points, key=lambda z: abs(cmath.phase(z))).real
+    return CriticalValues(points, values, t, sum(c * t ** e for e, c in a.items()))

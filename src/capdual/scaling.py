@@ -22,10 +22,7 @@ Instances whose face is all of supp(M) run the plain sweeps alone.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,8 +45,6 @@ __all__ = [
     "PermExact",
     "perm_rc_exact",
     "perm_dual_report",
-    "matrix_from_json",
-    "matrix_from_csv",
 ]
 
 TABLE_BUDGET = 10**7
@@ -477,25 +472,3 @@ def perm_dual_report(M, r, c, k_max: int,
         metadata=metadata,
     )
 
-
-# ---------------------------------------------------------------------------
-# Matrix input: row-major CSV or JSON, rationals as "p/q" strings.
-
-def matrix_from_json(text: str) -> list[list[Fraction]]:
-    data = json.loads(text)
-    if not isinstance(data, list) or not data or not all(isinstance(row, list) for row in data):
-        raise ValueError("expected a JSON array of row arrays")
-    mat = [[as_fraction(v) for v in row] for row in data]
-    if len({len(row) for row in mat}) != 1:
-        raise ValueError("rows have unequal lengths")
-    return mat
-
-
-def matrix_from_csv(text: str) -> list[list[Fraction]]:
-    reader = csv.reader(io.StringIO(text.strip()))
-    mat = [[as_fraction(cell.strip()) for cell in row] for row in reader if row]
-    if not mat:
-        raise ValueError("empty CSV matrix")
-    if len({len(row) for row in mat}) != 1:
-        raise ValueError("rows have unequal lengths")
-    return mat

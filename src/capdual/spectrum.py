@@ -33,8 +33,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .capacity import theta_capacity
-from .core import (ConvergenceReport, LogValue, Partition, ProbVector,
-                   WeightedVector, as_fraction, fraction_log, power_rows)
+from .core import (ConvergenceReport, LogValue, Partition, WeightedVector,
+                   as_fraction, fraction_log, power_rows)
 from .haarmc import sample_haar_unitary
 
 __all__ = [
@@ -168,7 +168,7 @@ def schur_weyl_measure(q, k: int) -> list[SchurWeylRow]:
     q must be sorted nonincreasing. The normalization sum_lambda P = 1 is
     checked exactly in integer arithmetic; RuntimeError if it fails.
     """
-    q = list(q.entries) if isinstance(q, ProbVector) else list(q)
+    q = list(q)
     if len(q) > SCHUR_N_MAX:
         raise ValueError(f"spectrum length {len(q)} exceeds {SCHUR_N_MAX}")
     if any(q[i] < q[i + 1] for i in range(len(q) - 1)):
@@ -221,17 +221,6 @@ class HermitianState:
         """Eigenvalues sorted nonincreasing."""
         return np.linalg.eigvalsh(self.mat)[::-1]
 
-    @classmethod
-    def from_json(cls, text: str) -> "HermitianState":
-        import json
-        data = json.loads(text) if isinstance(text, str) else text
-        rows = [[complex(re, im) for re, im in row] for row in data]
-        return cls(rows)
-
-    def to_json(self) -> str:
-        import json
-        return json.dumps([[[v.real, v.imag] for v in row] for row in self.mat.tolist()])
-
 
 def _as_state(s) -> HermitianState:
     return s if isinstance(s, HermitianState) else HermitianState(s)
@@ -267,7 +256,7 @@ def keyl_rate(rho, sigma) -> float:
 
 
 def _sorted_prob(p) -> np.ndarray:
-    arr = np.array(p.entries if isinstance(p, ProbVector) else p, dtype=float)
+    arr = np.array(p, dtype=float)
     if np.any(arr[:-1] < arr[1:] - 1e-15):
         raise ValueError("probability vector must be sorted nonincreasing")
     return arr

@@ -468,6 +468,22 @@ def test_laurent_past_the_float_range(tmp_path):
         math.exp((math.log(math.comb(1100, 550)) - 1100 * math.log(4)) / 1100), rel=1e-14)
 
 
+
+def test_laurent_monomial_has_no_critical_point(tmp_path):
+    # every cst (c z^e)^k, k >= 1, is 0, and c z^e has no critical point on C*
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "mono.json", {
+        "experiment": "laurent",
+        "instance": {"terms": [[1, 1]]},
+        "k_max": 3,
+        "output": str(out),
+    })
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["max_critical_modulus"] == 0.0
+    assert summary["critical_values"] == []
+    assert summary["final_root"] == 0.0
+
 MC_INSTANCES = {
     "torus": {"vector": {"n": 1, "terms": [{"weight": [-1], "amplitude": "3/5"},
                                            {"weight": [1], "amplitude": "4/5"}]}},

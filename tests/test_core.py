@@ -2,95 +2,35 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from capdual.core import (ConvergenceReport, LogValue, Partition, ProbVector,
+from capdual.core import (ConvergenceReport, LogValue, Partition,
                           WeightedVector, WeightVector, as_fraction,
-                          fraction_log, log_binomial, log_sum_exp,
-                          rational_vector)
-
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False, allow_infinity=False)
-nonzero_floats = finite_floats.filter(lambda x: abs(x) > 1e-6)
+                          fraction_log, rational_vector)
 
 
 def test_logvalue_roundtrip_basics():
     assert LogValue.zero().to_float() == 0.0
     assert LogValue.one().to_float() == 1.0
-    assert LogValue.from_float(-3.5).sign == -1
-    assert LogValue.from_float(0.0).sign == 0
-    assert math.isclose(LogValue.from_float(2.0).to_float(), 2.0)
-
-
-def test_logvalue_exact_cancellation():
-    # equal magnitudes with opposite signs must cancel to the exact zero
-    a = LogValue(1, math.log(3.0))
-    b = LogValue(-1, math.log(3.0))
-    assert log_sum_exp([a, b]).sign == 0
-    assert (a + b).sign == 0
-    assert (a - a).sign == 0
+    assert math.isclose(LogValue(-1, math.log(3.5)).to_float(), -3.5)
+    assert LogValue(0, 5.0).log_mag == -math.inf  # one zero
+    assert math.isclose(LogValue(1, math.log(2.0)).to_float(), 2.0)
 
 
 def test_logvalue_pow_and_div():
-    x = LogValue.from_float(2.0)
+    x = LogValue(1, math.log(2.0))
     assert math.isclose((x ** 10).to_float(), 1024.0)
     assert (x ** 0).to_float() == 1.0
-    assert math.isclose((LogValue.one() / x).to_float(), 0.5)
+    assert math.isclose((x ** -1).to_float(), 0.5)
+    assert (LogValue(-1, 0.0) ** 3).sign == -1
     with pytest.raises(ZeroDivisionError):
-        x / LogValue.zero()
-
-
-@given(nonzero_floats, nonzero_floats)
-def test_logvalue_mul_matches_float(a, b):
-    got = (LogValue.from_float(a) * LogValue.from_float(b)).to_float()
-    assert math.isclose(got, a * b, rel_tol=1e-12)
-
-
-@given(nonzero_floats, nonzero_floats)
-def test_logvalue_add_matches_float(a, b):
-    got = (LogValue.from_float(a) + LogValue.from_float(b)).to_float()
-    assert math.isclose(got, a + b, rel_tol=1e-9, abs_tol=1e-9 * (abs(a) + abs(b)))
-
-
-@settings(max_examples=200)
-@given(st.lists(nonzero_floats, min_size=1, max_size=8),
-       st.randoms(use_true_random=False))
-def test_log_sum_exp_permutation_invariant(xs, rnd):
-    vals = [LogValue.from_float(x) for x in xs]
-    shuffled = vals[:]
-    rnd.shuffle(shuffled)
-    a = log_sum_exp(vals)
-    b = log_sum_exp(shuffled)
-    if a.sign == 0 or b.sign == 0:
-        # cancellation below resolution: both must then be tiny
-        tol = 1e-9 * sum(abs(x) for x in xs)
-        assert abs(a.to_float()) <= tol and abs(b.to_float()) <= tol
-    else:
-        assert a.isclose(b, rel_tol=1e-9)
-
-
-def test_log_sum_exp_huge_magnitudes():
-    xs = [LogValue(1, 1e5), LogValue(1, 1e5 - 1.0)]
-    out = log_sum_exp(xs)
-    assert math.isclose(out.log_mag, 1e5 + math.log1p(math.exp(-1.0)))
-
-
-def test_log_binomial_matches_comb():
-    assert math.isclose(log_binomial(200, 100), math.log(math.comb(200, 100)),
-                        rel_tol=1e-13)
-    assert log_binomial(5, 0) == 0.0
-    with pytest.raises(ValueError):
-        log_binomial(5, 6)
-    with pytest.raises(TypeError):
-        log_binomial(5.0, 2)
+        LogValue.zero() ** 0
 
 
 def test_fraction_log_large_integer():
     big = Fraction(math.comb(10**3, 500))
     lv = fraction_log(big)
     assert lv.sign == 1
-    assert math.isclose(lv.log_mag, log_binomial(1000, 500), rel_tol=1e-12)
+    assert math.isclose(lv.log_mag, math.log(math.comb(1000, 500)), rel_tol=1e-12)
     assert fraction_log(Fraction(0)).sign == 0
     assert fraction_log(Fraction(-3, 4)).sign == -1
 
@@ -111,10 +51,6 @@ def test_rational_vector_length_check():
 
 def test_weight_vector_arithmetic():
     a = WeightVector((1, -2))
-    b = WeightVector((3, 4))
-    assert (a + b).coords == (4, 2)
-    assert (a - b).coords == (-2, -6)
-    assert (-a).coords == (-1, 2)
     assert a.dot([2.0, 1.0]) == 0.0
 
 
@@ -155,14 +91,6 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
-
-
-def test_prob_vector_checks():
-    p = ProbVector((0.7, 0.3))
-    assert p.sorted_desc
-    assert not ProbVector((0.3, 0.7)).sorted_desc
-    with pytest.raises(ValueError):
-        ProbVector((0.7, 0.7))
 
 
 def test_convergence_report_columns_and_duality():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -86,4 +87,44 @@ def test_public_names_resolve():
     missing = [f"{mod.__name__}.{name}" for mod in mods
                for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert len(mods) >= 8
+    assert missing == []
+
+
+def _bench_capdual_names() -> list[tuple[str, object, str]]:
+    """(where, capdual object, name) for every name the benchmark imports
+    from capdual or reads off a capdual module alias, such as
+    `capacity.theta_capacity` after `from capdual import capacity`."""
+    uses = []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "capdual" or alias.name.startswith("capdual."):
+                        mod = importlib.import_module(alias.name)
+                        aliases[alias.asname or alias.name.split(".")[0]] = (
+                            mod if alias.asname else capdual)
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "capdual"):
+                mod = importlib.import_module(node.module)
+                for alias in node.names:
+                    uses.append((f"{path.name}:{node.lineno}", mod, alias.name))
+                    obj = getattr(mod, alias.name, None)
+                    if inspect.ismodule(obj):
+                        aliases[alias.asname or alias.name] = obj
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                uses.append((f"{path.name}:{node.lineno}", aliases[node.value.id], node.attr))
+    return uses
+
+
+def test_bench_names_resolve():
+    # a deletion from capdual that the benchmark still calls must fail here,
+    # not in a benchmark run
+    uses = _bench_capdual_names()
+    missing = [f"{where}: {mod.__name__}.{name}" for where, mod, name in uses
+               if not hasattr(mod, name)]
+    assert len(uses) >= 30
     assert missing == []

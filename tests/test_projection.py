@@ -359,6 +359,8 @@ def test_k_max_below_one_or_fractional_rejected():
             duality_report(v, (F(1, 2),), k_max)
         with pytest.raises(ValueError, match="k_max must be an integer at least 1"):
             projection_norm_table(v, k_max)
+        with pytest.raises(ValueError, match="k_max must be an integer at least 1"):
+            prefactor_sequence(balanced_vector(), k_max=k_max)
 
 
 def test_difference_lattice_examples():
@@ -596,14 +598,44 @@ def test_critical_values_asymmetric():
 
 
 def test_positive_real_matches_capacity():
-    # for positive coefficients, inf_{x>0} f(x) = cap_0(v)^2 with |c_w|^2 = a_w
-    f = LaurentPoly({1: F(1, 2), -1: F(1, 2)})
-    cv = critical_values(f)
-    v = WeightedVector.from_terms(
-        1, {(-1,): math.sqrt(0.5), (1,): math.sqrt(0.5)})
-    cap = theta_capacity(v, (F(0),))
-    assert math.isclose(cv.positive_real_value,
-                        math.exp(2 * cap.log_cap.log_mag), rel_tol=1e-10)
+    # for nonnegative coefficients with exponents of both signs,
+    # inf_{x>0} f(x) = cap_0(v)^2 with |c_w|^2 = a_w, attained at the one
+    # root of z f'(z) on the positive axis
+    rng = np.random.default_rng(20)
+    cases = [{1: 0.5, -1: 0.5}]
+    while len(cases) < 120:
+        es = rng.choice(np.arange(-8, 9), size=rng.integers(2, 7), replace=False)
+        if es.min() < 0 < es.max():
+            cases.append({int(e): float(rng.uniform(0.01, 3.0)) for e in es})
+    for a in cases:
+        cv = critical_values(LaurentPoly(a))
+        v = WeightedVector.from_terms(1, {(e,): math.sqrt(c) for e, c in a.items()})
+        cap = theta_capacity(v, (F(0),))
+        assert math.isclose(cv.positive_real_value, math.exp(2 * cap.log_cap.log_mag),
+                            rel_tol=1e-12), a
+        t = cv.positive_real_point
+        assert isinstance(t, float) and t > 0, a
+        scale = max(abs(e) * c for e, c in a.items())
+        assert abs(sum(e * c * t ** e for e, c in a.items())) <= 1e-9 * scale, a
+
+
+def test_critical_values_keep_tiny_and_huge_roots():
+    # z f'(z) = z - 1e-30/z: roots +-1e-15, and +-1e15 for the mirror
+    for terms, root in (({1: 1.0, -1: 1e-30}, 1e-15), ({1: 1e-30, -1: 1.0}, 1e15)):
+        cv = critical_values(LaurentPoly(terms))
+        assert sorted(z.real for z in cv.points) == pytest.approx([-root, root], rel=1e-12)
+        assert math.isclose(cv.max_modulus, 2e-15, rel_tol=1e-12)
+        assert math.isclose(cv.positive_real_point, root, rel_tol=1e-12)
+        assert math.isclose(cv.positive_real_value, 2e-15, rel_tol=1e-12)
+
+
+def test_critical_values_of_a_monomial():
+    # c z^e, e != 0, has no critical point on C minus the origin
+    for terms in ({1: 1}, {-3: 2.5}, {2: 1 + 1j}):
+        cv = critical_values(LaurentPoly(terms))
+        assert cv.points == cv.values == ()
+        assert cv.max_modulus == 0.0
+        assert cv.positive_real_point is None
 
 
 def test_positive_real_one_sided():

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from capdual.capacity import capacity_kl_form, moment_polytope_contains
-from capdual.scaling import (ScalingState, _sinkhorn_kernel, matrix_from_csv,
-                             matrix_from_json, perm_dual_report, perm_rc_exact,
-                             rc_capacity, rc_weighted_vector, sinkhorn_scale)
+from capdual.scaling import (ScalingState, _sinkhorn_kernel, perm_dual_report,
+                             perm_rc_exact, rc_capacity, rc_weighted_vector,
+                             sinkhorn_scale)
 from util import hall_blocking_set, hall_off_face
 
 F = Fraction
@@ -419,17 +419,6 @@ def test_perm_dual_report_rational_margins():
     assert rep.column("k") == [3, 6, 9, 12]
     assert rep.check_weak_duality(gap_column="gap", tol=1e-9)
     assert "sandwich" not in rep.metadata  # not square uniform
-
-
-def test_matrix_parsers():
-    M = matrix_from_json('[["1/2", 1], [0.25, "3"]]')
-    assert M == [[F(1, 2), F(1)], [F(1, 4), F(3)]]
-    C = matrix_from_csv("1/2,1\n0.25,3\n")
-    assert C == M
-    with pytest.raises(ValueError):
-        matrix_from_json('[[1, 2], [3]]')
-    with pytest.raises(ValueError):
-        matrix_from_csv("1,2\n3\n")
 
 
 def test_scaling_state_validation():

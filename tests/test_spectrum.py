@@ -134,13 +134,6 @@ def test_hermitian_state_validation():
     assert np.allclose(s.spectrum(), [0.7, 0.3])
 
 
-def test_hermitian_state_json_roundtrip():
-    mat = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
-    s = HermitianState(mat)
-    t = HermitianState.from_json(s.to_json())
-    assert np.allclose(s.mat, t.mat)
-
-
 def test_keyl_pure_state_log_overlap():
     rho = HermitianState([[1.0, 0.0], [0.0, 0.0]])
     sigma = HermitianState([[0.7, 0.0], [0.0, 0.3]])
