@@ -29,13 +29,17 @@ infimum is then attained there but not on the original orbit, which the
 On the face F depends on x only through y = B^T x in R^d: F(y) =
 -2 <c_theta, y> + log sum_w q_w exp(2 <c_w, y>) is strictly convex, with
 Hessian 4 Cov_p(c_w) for p the tilted law on the face. Damped Newton
-minimizes it from y = 0; a vertex is d = 0 and takes no step. It stops at
-gradient grad_tol, or at the floating-point resolution of F, where the
-Armijo test cannot tell a decrease from rounding: at a Newton decrement
--g.d of at most 8 eps max(1, |F|), or when 60 step halvings find no Armijo
-step. While the gradient is above grad_tol, up to 3 full Newton steps then
-follow, each kept only while it cuts max |g|. `CapacityResult.status`
-records how it ended.
+minimizes it from y = 0; a vertex is d = 0 and takes no step. A step d is
+first shortened to max |2 C d| <= log(q_max / q_min) + 2, so no log
+weight log q_w + 2 <c_w, y> moves by more than the spread of log q plus 2:
+on a nearly singular Hessian (p almost all on one weight) the Newton step
+can be 1e21 long, beyond the reach of any halving. It stops at gradient
+grad_tol, or at the floating-point resolution of F, where the Armijo test
+cannot tell a decrease from rounding: at a Newton decrement -g.d of at
+most 8 eps max(1, |F|), or when 60 step halvings find no Armijo step
+that moves y. While the gradient is above grad_tol, up to 3 full Newton
+steps then follow, each kept only while it cuts max |g| and raises F by
+at most 8 eps max(1, |F|). `CapacityResult.status` records how it ended.
 
 An independent cross-check solves -log cap_theta(v)^2 = min { D(p || q) :
 sum_w p_w c_w = c_theta }, with q the squared amplitudes, by damped Newton
@@ -301,7 +305,9 @@ def _newton_logsumexp(C: np.ndarray, logq: np.ndarray, c_theta: np.ndarray,
 
     Returns (y, F(y), max |g|, steps taken, status) by the stop rule in the
     module docstring. A step whose Hessian is singular (p underflowed on the
-    face) or that does not descend goes along -g.
+    face), or whose Newton direction is not clearly downhill, -g.d <= 1e-8
+    |g| |d| (p on one weight leaves a Hessian of rounding noise), goes
+    along -g.
     """
 
     def fgh(y):
@@ -322,15 +328,20 @@ def _newton_logsumexp(C: np.ndarray, logq: np.ndarray, c_theta: np.ndarray,
             d = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             return -g
-        return d if np.all(np.isfinite(d)) and float(g @ d) < 0 else -g
+        descent = float(g @ d) < -1e-8 * math.sqrt(float(g @ g) * float(d @ d))
+        return d if np.all(np.isfinite(d)) and descent else -g
 
     y = np.zeros(C.shape[1])
     f, g, h = fgh(y)
+    span = float(logq.max() - logq.min()) + 2.0  # the bound on max |2 C d| (module docstring)
     iters = 0
     while (gnorm := float(np.max(np.abs(g), initial=0.0))) > grad_tol:
         if iters >= max_iter:
             return y, f, gnorm, iters, "max_iter"
         d = newton(g, h)
+        reach = float(np.max(np.abs(2.0 * (C @ d))))
+        if reach > span:
+            d *= span / reach
         slope = float(g @ d)
         step = 1.0
         for _ in range(60):
@@ -341,16 +352,20 @@ def _newton_logsumexp(C: np.ndarray, logq: np.ndarray, c_theta: np.ndarray,
             step *= 0.5
         else:
             break
+        if np.array_equal(yn, y):  # accepted only because step * d rounds away
+            break
         iters += 1
         y, f, g, h = yn, fn, gn, hn
         if -slope <= 8.0 * np.finfo(float).eps * max(1.0, abs(f)):
             break
-    # Above grad_tol at the resolution of F: full Newton steps while they cut |g|.
+    # Above grad_tol at the resolution of F: full Newton steps while they cut
+    # |g| and do not raise F beyond its resolution.
     full = min(3, max_iter - iters)
     while (gnorm := float(np.max(np.abs(g), initial=0.0))) > grad_tol and full > 0:
         yn = y + newton(g, h)
         fn, gn, hn = fgh(yn)
-        if not np.max(np.abs(gn)) < gnorm:
+        if not (np.max(np.abs(gn)) < gnorm
+                and fn <= f + 8.0 * np.finfo(float).eps * max(1.0, abs(f))):
             break
         iters, full = iters + 1, full - 1
         y, f, g, h = yn, fn, gn, hn

@@ -2,24 +2,23 @@
 
 For a torus vector v with squared amplitudes q_w, the squared norm of the
 weight-lambda component of v^{tensor k} is the coefficient of t^lambda in
-(sum_w q_w t^w)^k. Two engines compute these coefficients.
+(sum_w q_w t^w)^k. Every engine reads one object, the law of S_k, a sum of
+k independent draws from a distribution p on integer weights, and steps it
+by k -> k + 1 with one convolution step, the row stream's (_RowStream).
+Rows live in the integer chart w = w0 + B c of the weights
+(capacity._chart): d axes for a d-dimensional face, one cell per lattice
+point however far apart the weights are, on the axes of that lattice that
+hold the fewest cells (_lll_axes).
 
-The table builder convolves over the whole k-fold bounding box, one row per
-k, and never crops; it is the oracle the other engine is judged against.
-Every coefficient is a sum of nonnegative products, so shift and add in
-float64 keeps every cell within a relative k (|W| + 1) eps of exact, |W|
-weights, with no cancellation, as long as no cell underflows. The rows are
-therefore linear while every reachable cell stays a normal float, and
-log-domain steps after that.
-
-Everything else reads one object, the law of S_k, a sum of k independent
-draws from a distribution p on integer weights, held as linear rows with a
-relative truncation floor, which keeps array extents O(sqrt(k
-log(1/floor))) per axis. Rows live in the integer chart w = w0 + B c of the
-weights (capacity._chart): d axes for a d-dimensional face, one cell per
-lattice point however far apart the weights are, on the axes of that
-lattice that hold the fewest cells (_lll_axes).
-
+- The exact table, the oracle the other engines are judged against, steps
+  p = q / |v|^2 on the chart of the whole support and never crops. Every
+  coefficient is a sum of nonnegative products, so shift and add in
+  float64 keeps every cell within a relative k (|W| + 1) eps of exact, |W|
+  weights, with no cancellation, as long as no cell underflows. The rows
+  are therefore linear while every reachable cell stays a normal float,
+  and log-domain steps on the same axes after that.
+- The reports' rows carry a relative truncation floor, which keeps array
+  extents O(sqrt(k log(1/floor))) per axis.
 - The duality report reads one coefficient per k, at k theta, that is at
   k c_theta in the chart of the face record; a k with k c_theta off the
   lattice reads an exact 0. It tilts q by the capacity minimizer x*, p_w
@@ -55,7 +54,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .capacity import _chart, moment_map, theta_capacity
+from .capacity import _chart, _lattice_solve, moment_map, theta_capacity
 from .core import (ConvergenceReport, LogValue, WeightedVector, power_rows,
                    rational_vector)
 
@@ -89,26 +88,13 @@ MAX_DP_BYTES = 2 << 30  # 2 GiB guard for dense convolution tables
 _TRUNC_FLOOR = 1e-12
 
 
-def _weight_arrays(v: WeightedVector) -> tuple[np.ndarray, np.ndarray]:
-    qs = v.amplitudes_sq()
-    W = np.array([w.coords for w in v.support], dtype=np.int64)
-    q = np.array([qs[w] for w in v.support])
-    return W, q
-
-
-def _step_log(arr: np.ndarray, offset: np.ndarray, W: np.ndarray,
-              logq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One exact convolution step in log domain."""
-    wmin = W.min(axis=0)
-    wmax = W.max(axis=0)
-    new_offset = offset + wmin
-    new_shape = tuple(np.array(arr.shape) + (wmax - wmin))
-    out = np.full(new_shape, -np.inf)
-    for w, lq in zip(W, logq):
-        sl = tuple(slice(int(w[d] - wmin[d]), int(w[d] - wmin[d]) + arr.shape[d])
-                   for d in range(arr.ndim))
-        np.logaddexp(out[sl], arr + lq, out=out[sl])
-    return out, new_offset
+def _step_log(row: _Row, stream: _RowStream, logq: np.ndarray) -> _Row:
+    """One exact convolution step in log domain: the stream's, log q_w for p_w."""
+    out = np.full(np.add(row.arr.shape, stream.kernel.arr.shape) - 1, -np.inf)
+    for (w, _), lq in zip(stream.terms, logq):
+        sl = tuple(slice(c, c + m) for c, m in zip(w, row.arr.shape))
+        np.logaddexp(out[sl], row.arr + lq, out=out[sl])
+    return _Row(out, row.offset + stream.kernel.offset)
 
 
 def _linear_k(q: np.ndarray, k_max: int) -> int:
@@ -120,79 +106,64 @@ def _linear_k(q: np.ndarray, k_max: int) -> int:
     return k_max if bits <= 0 else min(k_max, int(1000 / bits))
 
 
-def _log_rows(v: WeightedVector, k_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(offset, arr) for k = 1 .. k_max: arr holds the log coefficients of
-    (sum_w q_w t^w)^k on the bounding box whose lower corner is offset.
-
-    Rows 1 .. _linear_k are (sum_w p_w t^w)^k, p = q / |v|^2, by shift and
-    add in float64, stored as log(row) + k log |v|^2; the later rows are log
-    steps (_step_log) from the last of them, or from k = 0, the single
-    coefficient log 1 at the origin, when no row is linear. Linear rows
-    reuse two ping-pong buffers and one term buffer of the last linear
-    row's size, each row a contiguous view of a prefix."""
-    W, q = _weight_arrays(v)
-    wmin = W.min(axis=0)
-    shift, extent = W - wmin, W.max(axis=0) - wmin
-    norm_sq = float(q.sum())
-    log_norm_sq = math.log(norm_sq)
-    p = q / norm_sq
+def _log_rows(stream: _RowStream, q: np.ndarray, k_max: int) -> Iterator[_Row]:
+    """Rows k = 1 .. k_max of the log coefficients of (sum_w q_w t^w)^k on
+    the axes of the uncropped stream of p = q / |v|^2: its rows 1 ..
+    _linear_k, stored as log(row) + k log |v|^2, then log steps (_step_log)
+    from the last of them, or from the point mass at k = 0 when no row is
+    linear. The stream is reset after its rows, which frees its buffers."""
     k_lin = _linear_k(q, k_max)
-    size = math.prod(int(e) for e in k_lin * extent + 1)
-    bufs = [np.empty(size), np.empty(size)]
-    term = np.empty(size)
-    cur = np.ones((1,) * v.n)
-    arr, offset = np.zeros((1,) * v.n), np.zeros(v.n, dtype=np.int64)
+    log_norm_sq = math.log(float(q.sum()))
+    row = _Row(np.zeros(stream.row.arr.shape), stream.row.offset)
     for k in range(1, k_lin + 1):
-        shape = tuple(int(e) for e in k * extent + 1)
-        nxt = bufs[k % 2][:math.prod(shape)].reshape(shape)
-        tv = term[:cur.size].reshape(cur.shape)
-        nxt[...] = 0.0
-        for s, pw in zip(shift, p):
-            np.multiply(cur, pw, out=tv)
-            dst = nxt[tuple(slice(int(a), int(a) + c) for a, c in zip(s, cur.shape))]
-            np.add(dst, tv, out=dst)
-        cur = nxt
+        stream.step()
         with np.errstate(divide="ignore"):  # unreachable cells are exact zeros
-            arr = np.log(cur)
-        arr += k * log_norm_sq
-        offset = k * wmin
-        yield offset, arr
-    bufs = term = cur = nxt = tv = dst = None  # release the linear buffers
+            row = _Row(np.log(stream.row.arr), stream.row.offset)
+        row.arr += k * log_norm_sq
+        yield row
+    stream.reset()
     logq = np.log(q)
     for _ in range(k_lin, k_max):
-        arr, offset = _step_log(arr, offset, W, logq)
-        yield offset, arr
+        row = _step_log(row, stream, logq)
+        yield row
 
 
 class ProjectionTable:
-    """Exact squared projection norms for k = 1 .. k_max, held as logs."""
+    """Exact squared projection norms for k = 1 .. k_max, held as logs on
+    the chart of the support, w = w0 + B c, at the cells U c of axes U."""
 
-    def __init__(self, n: int, norm_sq: float, rows: list[tuple[np.ndarray, np.ndarray]]):
+    def __init__(self, n: int, norm_sq: float, w0: Sequence[int],
+                 basis: Sequence[Sequence[int]], axes: np.ndarray, rows: list[_Row]):
         self.n = n
         self.norm_sq = norm_sq
+        self._w0 = tuple(w0)
+        self._hnf = [list(col) for col in zip(*basis)]  # the columns of B
+        self._axes = axes.tolist()
         self._rows = rows
 
     @property
     def k_max(self) -> int:
         return len(self._rows)
 
-    def _row(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _row(self, k: int) -> _Row:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k = {k} outside the tabulated range 1..{self.k_max}")
         return self._rows[k - 1]
 
     def get(self, k: int, lam) -> LogValue:
-        """Squared norm of the weight-lam component of v^{tensor k}."""
-        offset, arr = self._row(k)
-        idx = tuple(int(c) - int(o) for c, o in zip(lam, offset, strict=True))
-        if any(i < 0 or i >= s for i, s in zip(idx, arr.shape)):
+        """Squared norm of the weight-lam component of v^{tensor k}, at the
+        cell U c for lam - k w0 = B c (capacity._lattice_solve): exact zero
+        off the weights' affine span, at nonintegral c, or outside row k."""
+        row = self._row(k)
+        c = _lattice_solve(self._hnf, [int(x) - k * w for x, w in zip(lam, self._w0, strict=True)])
+        if c is None or any(t.denominator != 1 for t in c):
             return LogValue.zero()
-        val = float(arr[idx])
+        val = row.cell([sum(u * int(t) for u, t in zip(axis, c)) for axis in self._axes], -math.inf)
         return LogValue.zero() if val == -math.inf else LogValue(1, val)
 
     def total(self, k: int) -> LogValue:
         """log of the sum over all weights; equals 2k log |v| exactly in math."""
-        flat = self._row(k)[1].ravel()
+        flat = self._row(k).arr.ravel()
         m = float(flat.max())
         if m == -math.inf:
             return LogValue.zero()
@@ -208,31 +179,41 @@ def projection_norm_table(v: WeightedVector, k_max: int,
                           max_bytes: int = MAX_DP_BYTES) -> ProjectionTable:
     """Tabulate |Pi_{k,lam} v^{tensor k}|^2 for all k <= k_max, all lam, exactly.
 
-    Rows are the powers of p = q / |v|^2 in linear float64 arithmetic while
-    p_min^k >= 2^-1000, so that no reachable cell leaves the normal range,
-    and log-domain steps after that (_log_rows). A linear row holds every
-    cell within a relative k (|W| + 1) eps of exact, |W| weights; a log
-    step adds an absolute rounding error of about eps times the magnitude
-    of the log values. Unreachable cells are exact zeros.
+    Rows are the uncropped rows of one stream (_RowStream, floor 0) of p =
+    q / |v|^2 on the chart of the whole support, w = w0 + B c
+    (capacity._chart): one cell per lattice point, however far apart the
+    weights are. They are linear float64 while p_min^k >= 2^-1000, so that
+    no reachable cell leaves the normal range, and log-domain steps after
+    that (_log_rows). A linear row holds every cell within a relative
+    k (|W| + 1) eps of exact, |W| weights; a log step adds an absolute
+    rounding error of about eps times the magnitude of the log values.
+    Unreachable cells and weights off the lattice k w0 + B Z^d are exact 0.
 
-    Raises MemoryError naming the offending extent, before anything is
-    allocated, if the dense bounding-box rows and the three working buffers
-    of the linear rows would exceed max_bytes in total.
+    Raises MemoryError naming the chart extent, before any row is built, if
+    the rows (k width_u + 1 cells on each chart axis u) and the stream's
+    three working buffers (each the size of the last linear row) would
+    exceed max_bytes in total.
     """
     _check_k_max(k_max)
     v = v.pruned()
     if v.is_zero:
-        return ProjectionTable(v.n, 0.0, [])
-    W, q = _weight_arrays(v)
-    extent = W.max(axis=0) - W.min(axis=0)
-    total = 3 * 8 * math.prod(int(e) for e in _linear_k(q, k_max) * extent + 1)
+        return ProjectionTable(v.n, 0.0, (0,) * v.n, (), np.zeros((1, 0), dtype=np.int64), [])
+    q = np.array([abs(c) ** 2 for _, c in v.terms])
+    w0, basis, coords, _ = _chart([w.coords for w in v.support], v.support[0].coords)
+    stream = _RowStream(np.array(coords, dtype=np.int64), q / q.sum(), floor=0.0)
+    width = np.array(stream.kernel.arr.shape) - 1
+    cells = math.prod(int(e) for e in _linear_k(q, k_max) * width + 1)
+    total = 3 * 8 * cells
     for k in range(1, k_max + 1):
-        total += 8 * int(np.prod(k * extent + 1))
+        total += 8 * int(np.prod(k * width + 1))
         if total > max_bytes:
             raise MemoryError(
                 f"projection table would need more than {max_bytes} bytes at "
-                f"k = {k}, extent {tuple(int(e) for e in (k * extent + 1))}")
-    return ProjectionTable(v.n, v.norm_sq, list(_log_rows(v, k_max)))
+                f"k = {k}, chart extent {tuple(int(e) for e in (k * width + 1))}")
+    if len(width) > 1:  # sized once: buffers that grow between the rows fragment the heap
+        stream._bufs = [np.empty(cells) for _ in range(3)]
+    return ProjectionTable(v.n, v.norm_sq, w0, basis, stream.axes,
+                           list(_log_rows(stream, q, k_max)))
 
 
 def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
@@ -265,10 +246,9 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
 
     log_cap_sq = 2.0 * cap.log_cap.log_mag
     chart = cap.certificate
-    qs = v.amplitudes_sq()
     C = np.array(chart.face_coords, dtype=np.int64).reshape(len(chart.face), chart.dim)
     B = np.array(chart.basis, dtype=float).reshape(v.n, chart.dim)
-    a = np.log([qs[v.support[j]] for j in chart.face]) + 2.0 * (C @ (B.T @ cap.minimizer_x))
+    a = np.log([abs(v.terms[j][1]) ** 2 for j in chart.face]) + 2.0 * (C @ (B.T @ cap.minimizer_x))
     p = np.exp(a - a.max())
     p /= p.sum()
     stream = _RowStream(C, p)
@@ -317,21 +297,21 @@ def difference_lattice(v: WeightedVector) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Linear rows: the row stream of the duality report and the prefactor walk,
-# and the FFT powers of the prefactor anchors. Every row is a probability law
-# (p sums to 1, the prefactor's q to |v|^2 = 1 within 1e-10), so no row can
-# under- or overflow and none is ever rescaled.
+# Linear rows: the row stream of the table, the duality report and the
+# prefactor walk, and the FFT powers of the prefactor anchors. Every row is
+# a probability law (p sums to 1, the prefactor's q to |v|^2 = 1 within
+# 1e-10), so no row can under- or overflow and none is ever rescaled.
 
 @dataclass
 class _Row:
-    arr: np.ndarray          # nonnegative values on the box
+    arr: np.ndarray          # values on the box: nonnegative, or logs in a table
     offset: np.ndarray       # integer lower corner of the bounding box
 
-    def cell(self, lam: Sequence[int]) -> float:
-        """The entry of arr at the weight lam, 0 outside the box."""
-        idx = tuple(int(c - o) for c, o in zip(lam, self.offset, strict=True))
+    def cell(self, lam: Sequence[int], outside: float = 0.0) -> float:
+        """The entry of arr at the weight lam, `outside` outside the box."""
+        idx = tuple(int(c - o) for c, o in zip(lam, self.offset.tolist(), strict=True))
         if any(i < 0 or i >= s for i, s in zip(idx, self.arr.shape)):
-            return 0.0
+            return outside
         return float(self.arr[idx])
 
 
@@ -403,20 +383,24 @@ class _RowStream:
     points C: `row` after k calls of `step`, from the point mass at the
     origin at k = 0, held on the axes U c of `axes` = U (_lll_axes).
 
-    The reports pass C in chart coordinates c_w, w = w0 + B c_w, so a row
+    Every caller passes C in chart coordinates c_w, w = w0 + B c_w, so a row
     has d axes, not n. S_k in weights is k w0 + B (S_k in the chart), so a
     target with nonintegral chart coordinates is off the lattice: exact 0.
     An integral target c is read at the cell U c.
 
     A step convolves the row with p: it shifts the row by every weight and
-    adds it weighted by p, in one numpy.convolve call on a line. A row is
-    cropped at the floor (_crop) only once it holds twice the cells it kept
-    at the last crop. Every later step convolves with p, so `dropped`, the
-    mass all crops removed, is an absolute bound on the error of every row.
-    `crops` and `max_row_cells`, the largest row held, count the work.
+    adds it weighted by p, in one numpy.convolve call on a line, and on more
+    axes into working buffers kept across steps, two that take the rows in
+    turn and one for the terms: fresh arrays each step would fragment the
+    heap between a table's rows. A row is cropped at floor times its maximum
+    (_crop) only once it holds twice the cells it kept at the last crop;
+    floor 0, the exact table's, never crops. As every later step convolves
+    with p, `dropped`, the mass all crops removed, bounds the absolute error
+    of every row; `crops` and `max_row_cells` (the largest row) count work.
     """
 
-    def __init__(self, C: np.ndarray, p: np.ndarray):
+    def __init__(self, C: np.ndarray, p: np.ndarray, floor: float = _TRUNC_FLOOR):
+        self.floor = floor
         self.axes = _lll_axes(C, p)
         W = C @ self.axes.T
         lo = W.min(axis=0)
@@ -428,7 +412,7 @@ class _RowStream:
         self.reset()
 
     def reset(self) -> None:
-        """Go back to k = 0, the point mass at the origin, with zero counts."""
+        """Go back to k = 0, the point mass at the origin: zero counts, no buffers."""
         n = self.kernel.arr.ndim
         self.k = 0
         self.row = _Row(np.ones((1,) * n), np.zeros(n, dtype=np.int64))
@@ -436,22 +420,30 @@ class _RowStream:
         self.crops = 0
         self.max_row_cells = 1
         self._crop_at = 2
+        self._bufs = [np.empty(0)] * 3
+
+    def _buffer(self, i: int, shape: Sequence[int]) -> np.ndarray:
+        """Working buffer i viewed with the given shape, doubled when too small."""
+        if self._bufs[i].size < (size := math.prod(shape)):
+            self._bufs[i] = np.empty(max(size, 2 * self._bufs[i].size))
+        return self._bufs[i][:size].reshape(shape)
 
     def step(self) -> None:
         arr = self.row.arr
         if arr.ndim == 1:
             out = np.convolve(arr, self.kernel.arr)
-        else:
-            out = np.zeros([m + e - 1 for m, e in zip(arr.shape, self.kernel.arr.shape)])
-            term = np.empty(arr.shape)
+        else:  # row k sits in buffer k % 2, or is a crop's copy
+            out = self._buffer((self.k + 1) % 2, np.add(arr.shape, self.kernel.arr.shape) - 1)
+            out[...] = 0.0
+            term = self._buffer(2, arr.shape)
             for w, pw in self.terms:
-                out[tuple(slice(c, c + m) for c, m in zip(w, arr.shape))] += np.multiply(
-                    arr, pw, out=term)
+                dst = out[tuple(slice(c, c + m) for c, m in zip(w, arr.shape))]
+                np.add(dst, np.multiply(arr, pw, out=term), out=dst)
         offset = self.row.offset + self.kernel.offset
         self.k += 1
         self.max_row_cells = max(self.max_row_cells, out.size)
-        if out.size >= self._crop_at:
-            out, offset, cut = _crop(out, offset, float(out.max()) * _TRUNC_FLOOR)
+        if self.floor and out.size >= self._crop_at:
+            out, offset, cut = _crop(out, offset, float(out.max()) * self.floor)
             self.dropped += cut
             self.crops += 1
             self._crop_at = 2 * out.size
@@ -547,18 +539,17 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
         raise ValueError(f"moment map must vanish, |mu|_inf = {mu_inf}")
     if (k_max is None) == (ks is None):
         raise ValueError("pass k_max or an explicit list of powers ks, not both")
-    if ks is None:
-        _check_k_max(k_max)
     coords, c0, m = _zero_chart(v)
     d = len(c0)
     if ks is None:
+        _check_k_max(k_max)
         targets = list(range(m, k_max + 1, m))
     else:
         targets = sorted({int(k) for k in ks if k >= 1 and k % m == 0})
     if not targets:
         return []
 
-    walk = _RowStream(np.array(coords, dtype=np.int64), _weight_arrays(v)[1])
+    walk = _RowStream(np.array(coords, dtype=np.int64), np.array([abs(c) ** 2 for _, c in v.terms]))
     cache: dict[int, _Row] = {}
     anchor_k = targets[0]
     anchor = _row_power(walk.kernel, anchor_k, cache)
@@ -660,10 +651,12 @@ def critical_values(f: LaurentPoly, residual_tol: float = 1e-9) -> CriticalValue
     """All critical values of f on C minus the origin.
 
     Critical points solve z f'(z) = 0; they are found as companion-matrix
-    eigenvalues of the cleared polynomial, polished by one Newton step, and
-    rejected with an error if the polished residual exceeds residual_tol
-    relative to the coefficient scale. z = 0 is never a root: the cleared
-    polynomial's constant coefficient is e_min a_{e_min} != 0.
+    eigenvalues of the cleared polynomial and polished by one Newton step.
+    z = 0 is never a root: the cleared polynomial's constant coefficient is
+    e_min a_{e_min} != 0. Raises RuntimeError when a polished root is 0 or
+    not finite, when its residual relative to the coefficient scale is not
+    at most residual_tol (nan included: spurious roots of badly scaled f
+    overflow it), or when f overflows at a critical point.
 
     For nonnegative coefficients with exponents of both signs,
     positive_real_point is the real part of the polished point nearest the
@@ -682,21 +675,27 @@ def critical_values(f: LaurentPoly, residual_tol: float = 1e-9) -> CriticalValue
     scale = float(np.max(np.abs(coeffs)))
     dcoeffs = coeffs[:-1] * np.arange(deg, 0, -1)
     polished = []
-    for z in np.roots(coeffs):
-        pz = np.polyval(coeffs, z)
-        dpz = np.polyval(dcoeffs, z)
-        if dpz != 0:
-            z = z - pz / dpz
-        res = abs(np.polyval(coeffs, z)) / (scale * max(1.0, abs(z)) ** deg)
-        if res > residual_tol:
-            raise RuntimeError(f"critical point refinement stalled, residual {res:.3e}")
-        polished.append(complex(z))
+    with np.errstate(all="ignore"):  # an overflow reads as a residual that is not finite
+        for z in np.roots(coeffs):
+            pz = np.polyval(coeffs, z)
+            dpz = np.polyval(dcoeffs, z)
+            if dpz != 0:
+                z = z - pz / dpz
+            res = abs(np.polyval(coeffs, z)) / (scale * max(1.0, abs(z)) ** deg)
+            if z == 0 or not cmath.isfinite(z) or not res <= residual_tol:
+                raise RuntimeError(f"critical point refinement stalled at {z}, residual {res:.3e}")
+            polished.append(complex(z))
     points = tuple(polished)
-    values = tuple(f(z) for z in points)
-    if any(complex(c).imag != 0 or complex(c).real < 0 for c in f.terms.values()):
-        return CriticalValues(points, values, None, None)
     a = {e: complex(c).real for e, c in f.terms.items()}
-    if not min(a) < 0 < max(a):  # one-sided: the infimum is the limit a_0
-        return CriticalValues(points, values, None, a.get(0, 0.0))
-    t = min(points, key=lambda z: abs(cmath.phase(z))).real
-    return CriticalValues(points, values, t, sum(c * t ** e for e, c in a.items()))
+    nonneg = all(complex(c).imag == 0 and complex(c).real >= 0 for c in f.terms.values())
+    two_sided = nonneg and min(a) < 0 < max(a)
+    t = min(points, key=lambda z: abs(cmath.phase(z))).real if two_sided else None
+    val = a.get(0, 0.0) if nonneg else None  # one-sided: the infimum is the limit a_0
+    try:
+        values = tuple(f(z) for z in points)
+        val = sum(c * t ** e for e, c in a.items()) if two_sided else val
+    except (OverflowError, ZeroDivisionError) as err:
+        raise RuntimeError(f"f overflows at a critical point: {err}") from err
+    if not all(map(cmath.isfinite, (*values, val or 0.0))):
+        raise RuntimeError("f overflows at a critical point: a value is not finite")
+    return CriticalValues(points, values, t, val)

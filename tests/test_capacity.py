@@ -9,6 +9,7 @@ from capdual import capacity
 from capdual.capacity import (_face_search, capacity_kl_form, moment_map,
                               moment_polytope_contains, theta_capacity)
 from capdual.core import WeightedVector, WeightVector
+from capdual.projection import duality_report
 
 from util import (per_weight_minimal_face, random_feasible_theta,
                   random_weighted_vector)
@@ -216,6 +217,58 @@ def test_stalling_instance_stops_at_float_resolution():
     mu = moment_map(v.scaled_by_character(res.minimizer_x).normalized())
     assert np.allclose(mu, [float(t) for t in theta], rtol=0, atol=1e-7)
     assert abs(2 * res.log_cap.log_mag - capacity_kl_form(v, theta).log_mag) <= 1e-8
+
+
+def _two_weight_log_cap_sq(v: WeightedVector) -> float:
+    """log cap_0(v)^2 for weights a < 0 < b: -sum_i p_i log(p_i / q_i) with
+    p = (b, -a) / (b - a), the only law on {a, b} with mean 0."""
+    (a, qa), (b, qb) = sorted((w.coords[0], q) for w, q in v.amplitudes_sq().items())
+    pa, pb = b / (b - a), -a / (b - a)
+    return -(pa * math.log(pa / qa) + pb * math.log(pb / qb))
+
+
+def test_newton_on_badly_scaled_targets():
+    # p at y = 0 sits almost all on one weight, so the Hessian is about
+    # 1e-20 and the Newton step about 1e21 long: no halving of it descends,
+    # and full steps that cut |g| raised F by orders of magnitude.
+    v = WeightedVector.from_terms(1, {(-24,): 1.0, (14,): math.sqrt(3.86e-24)})
+    res = theta_capacity(v, (F(0),))
+    assert res.status == "converged"
+    assert abs(2 * res.log_cap.log_mag - -33.39117951669711) <= 1e-12
+    assert abs(2 * res.log_cap.log_mag - _two_weight_log_cap_sq(v)) <= 1e-12
+    rep = duality_report(v, (F(0),), 40)
+    gaps = [gap for k, *_, gap in rep.rows if k % 19 == 0]  # k c_0 = 12 k / 19
+    assert len(gaps) == 2 and all(0 < g < 0.1 for g in gaps)
+    # 200 two-weight targets with squared amplitudes spread over 10^+-20
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        a, b = -int(rng.integers(1, 31)), int(rng.integers(1, 31))
+        v = WeightedVector.from_terms(1, {(a,): 10.0 ** rng.uniform(-10, 10),
+                                          (b,): 10.0 ** rng.uniform(-10, 10)})
+        res = theta_capacity(v, (F(0),))
+        want = _two_weight_log_cap_sq(v)
+        assert res.status != "max_iter", (a, b)
+        assert abs(2 * res.log_cap.log_mag - want) <= 1e-12 * max(1.0, abs(want)), (a, b)
+    # a step the halvings shrink until y + step d rounds back to y stops
+    # there; accepting it used to run the solver on the spot to max_iter
+    v = WeightedVector.from_terms(1, {(-28,): math.sqrt(9.639949624839339e-19),
+                                      (-8,): math.sqrt(3.137496592819482e+16),
+                                      (5,): math.sqrt(7.43561549140427e-13),
+                                      (16,): math.sqrt(3.4471583288499456e-25)})
+    res = theta_capacity(v, (F(0),))
+    assert res.status == "converged" and res.iterations < 20
+    assert abs(2 * res.log_cap.log_mag - 7.1840131038688459) <= 1e-13  # 50-digit bisection
+    # p at y = 0 sits on (0, 13): the Hessian is rounding noise, and its
+    # bounded Newton direction, nearly orthogonal to g, stopped the solver at
+    # y = 0 with |g| = 26 as if at the resolution of F; it goes along -g now
+    v = WeightedVector.from_terms(2, {(0, 13): 1086889.6676550007,
+                                      (-29, -9): 0.00832952752252457,
+                                      (18, -19): 5.084980138710222e-07,
+                                      (0, -14): 5.051403231529448e-10,
+                                      (1, 13): 0.11850454911019097})
+    res = theta_capacity(v, (F(0), F(0)))
+    assert res.status == "converged"
+    assert abs(2 * res.log_cap.log_mag - 6.0215775086451408) <= 1e-12  # 80-digit Newton
 
 
 def test_kl_stalling_instance_stops_at_float_resolution(monkeypatch):

@@ -41,15 +41,34 @@ def test_binomial_norms_closed_form():
     # weights outside the support are exactly zero
     assert table.get(3, (5,)).sign == 0
     assert table.get(3, (-1,)).sign == 0
+    with pytest.raises(ValueError):  # a weight of the wrong length
+        table.get(3, (1, 0))
 
 
 def test_balanced_odd_weights_absent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # log(0) of the unreachable cells is silent
+        gaps = projection_norm_table(WeightedVector.from_terms(1, {(0,): 1.0, (3,): 1.0,
+                                                                   (5,): 1.0}), 2)
         table = projection_norm_table(balanced_vector(), 7)
+    # weights 1, 2 and 4 lie on the lattice Z, inside the box, and unreachable
+    assert [gaps.get(1, (j,)).sign for j in range(6)] == [1, 0, 0, 1, 0, 1]
+    assert gaps.get(2, (7,)).sign == 0 and gaps.get(2, (8,)).to_float() == 2.0
     assert table.get(7, (0,)).sign == 0  # odd power cannot reach weight 0
     assert math.isclose(table.get(6, (0,)).to_float(),
                         math.comb(6, 3) / 2**6, rel_tol=1e-12)
+    # The walk (-s, s) holds one cell per point of its lattice, whatever s:
+    # to k = 400 every s reads the same value at 0 from the same cells, well
+    # inside the default memory guard.
+    reads = set()
+    for s in (1, 100, 1000):
+        table = projection_norm_table(WeightedVector.from_terms(1, {(-s,): 1.0, (s,): 1.0}), 400)
+        assert table.get(400, (1,)).sign == table.get(400, (s,)).sign == 0
+        reads.add((table.get(400, (0,)).log_mag, sum(row.arr.size for row in table._rows)))
+    assert len(reads) == 1
+    log_mag, cells = reads.pop()
+    assert cells == sum(k + 1 for k in range(1, 401))
+    assert math.isclose(log_mag, math.log(math.comb(400, 200)), rel_tol=1e-13)
 
 
 def test_vertex_weight_mass():
@@ -92,26 +111,28 @@ def _table_and_first_log_row(monkeypatch, v, k_max):
     (2, {(0, 0): 0.6, (2, 0): 0.9j, (1, 1): -0.4, (0, 2): 1.2}, 60, 61),
 ], ids=["n1", "n1-handoff", "n2"])
 def test_table_matches_exact_integer_powers(monkeypatch, n, terms, k_max, first_log_row):
-    # Every cell of every row against (sum_w Q_w t^w)^k in Python ints: the
-    # same exact zeros (odd weights, or even coordinate sums, leave every
-    # other cell unreachable) and log norms within 1e-11.
+    # Every weight of the k-fold bounding box of every row against
+    # (sum_w Q_w t^w)^k in Python ints, read through get: the same exact
+    # zeros (odd weights, or even coordinate sums, leave every other weight
+    # off the lattice) and log norms within 1e-11.
     v = WeightedVector.from_terms(n, terms)
     table, first = _table_and_first_log_row(monkeypatch, v, k_max)
     assert first == first_log_row
+    W = np.array([w.coords for w in v.support])
     for k, want in exact_log_norm_rows(v, k_max):
-        offset, arr = table._row(k)
-        exact = np.full(arr.shape, -np.inf)
-        for lam, val in want.items():
-            exact[tuple(np.subtract(lam, offset))] = val
-        reached = np.isfinite(exact)
-        assert np.array_equal(np.isfinite(arr), reached), k
-        assert np.abs(arr[reached] - exact[reached]).max() <= 1e-11, k
+        box = itertools.product(*(range(k * a, k * b + 1)
+                                  for a, b in zip(W.min(axis=0), W.max(axis=0))))
+        for lam in box:
+            got = table.get(k, lam)
+            assert got.sign == (lam in want), (k, lam)
+            if got.sign:
+                assert abs(got.log_mag - want[lam]) <= 1e-11, (k, lam)
 
 
 def test_table_total_across_the_hand_off(monkeypatch):
     # |v|^2 = 7 with q = 1e-8 on one weight: rows after k = 34 are log steps,
-    # and total(k) = k log 7 on both sides. The weights are odd, so every
-    # other cell is unreachable, and its log(0) is silent.
+    # and total(k) = k log 7 on both sides, with no warning. The weights are
+    # odd, so every other weight is off the lattice: an exact zero.
     v = WeightedVector.from_terms(1, {(-1,): 2.0, (1,): 1e-4, (3,): math.sqrt(3 - 1e-8)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -629,6 +650,25 @@ def test_critical_values_keep_tiny_and_huge_roots():
         assert math.isclose(cv.positive_real_value, 2e-15, rel_tol=1e-12)
 
 
+def test_critical_values_fail_only_with_runtime_error():
+    # Badly scaled f give spurious companion-matrix roots whose residual
+    # overflows to nan and whose f(z) overflows: each is the documented
+    # RuntimeError, never a bare OverflowError or ZeroDivisionError.
+    for terms in ({400: 1e-200, -1: 1.0}, {200: 2.0, -200: 1e-100}):
+        with pytest.raises(RuntimeError, match="refinement stalled at .*, residual nan"):
+            critical_values(LaurentPoly(terms))
+    rng = np.random.default_rng(3)
+    failed = 0
+    for _ in range(300):
+        es = [-int(rng.integers(1, 31)), int(rng.integers(1, 31)),
+              *(int(e) for e in rng.integers(-30, 31, size=int(rng.integers(0, 3))))]
+        try:
+            critical_values(LaurentPoly({e: 10.0 ** rng.uniform(-40, 40) for e in es}))
+        except RuntimeError:
+            failed += 1
+    assert 0 < failed < 100
+
+
 def test_critical_values_of_a_monomial():
     # c z^e, e != 0, has no critical point on C minus the origin
     for terms in ({1: 1}, {-3: 2.5}, {2: 1 + 1j}):
@@ -648,5 +688,5 @@ def test_positive_real_one_sided():
 def test_table_memory_guard():
     v = WeightedVector.from_terms(3, {(0, 0, 0): 1.0, (100, 100, 100): 1.0,
                                       (0, 100, 0): 1.0})
-    with pytest.raises(MemoryError):
+    with pytest.raises(MemoryError, match=r"at k = \d+, chart extent \(\d+, \d+\)"):
         projection_norm_table(v.normalized(), 100, max_bytes=10**6)
