@@ -299,17 +299,25 @@ class ConvergenceReport:
 def power_rows(coeffs: Mapping[int, int | complex],
                k_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """(lo, row) for k = 1 .. k_max: row[i] is the coefficient of z^(lo + i)
-    in (sum_e c_e z^e)^k, one convolution per power from the unit row of
-    k = 0. This is the one path to Laurent constant terms and rank-1 weight
-    counts. coeffs needs a term; integer coefficients give exact rows of
-    Python ints (dtype object), any other puts every row in complex128.
+    in (sum_e c_e z^e)^k, from the unit row of k = 0 by one shifted add per
+    nonzero term a power. Every nonzero cell sits on the lattice g Z that
+    the offsets e - lo span, so the adds read and write only every g-th
+    cell, and a coefficient 1 adds without a multiply. This is the one path
+    to Laurent constant terms and rank-1 weight counts. coeffs needs a key
+    (a zero coefficient still widens the row); integer coefficients give
+    exact rows of Python ints (dtype object), any other puts every row in
+    complex128.
     """
     lo = min(coeffs)
-    exact = all(isinstance(c, int) for c in coeffs.values())
-    base = np.zeros(max(coeffs) - lo + 1, dtype=object if exact else complex)
-    for e, c in coeffs.items():
-        base[e - lo] = c
-    row = np.ones(1, dtype=base.dtype)
+    width = max(coeffs) - lo
+    dtype = object if all(isinstance(c, int) for c in coeffs.values()) else complex
+    terms = [(e - lo, c) for e, c in coeffs.items() if c]
+    g = math.gcd(*(s for s, _ in terms)) or 1
+    row = np.ones(1, dtype=dtype)
     for k in range(1, k_max + 1):
-        row = np.convolve(row, base)
+        new = np.zeros(len(row) + width, dtype=dtype)
+        src = row[::g]
+        for s, c in terms:
+            new[s::g][:len(src)] += src if c == 1 else c * src
+        row = new
         yield k * lo, row

@@ -8,10 +8,12 @@ Legendre-transform rate of the associated dimension-weighted measure.
 The measure and the Schur-Weyl report take P(lambda) from one helper. Every
 rank-1 table (SU(2)'s are those of the weights (-1, 1)) reads weight counts
 from core.power_rows of {w: multiplicity of w}, the row stream of the Laurent
-constant terms, takes n_lambda as one slice difference and checks
-sum (lambda + 1) n_lambda = d^k exactly. The Duffield rate is a
-theta-capacity, -log cap_theta(v)^2 of a 1-D unit vector, so
-`capacity.theta_capacity` is its one solver.
+constant terms, which steps by one shifted add per weight on the lattice the
+weight differences span, takes n_lambda as one slice difference and checks
+sum (lambda + 1) n_lambda = d^k exactly. The Duffield report reads each row
+at the nonzero n_lambda nearest to k theta, found by a scan outward from
+k theta. The Duffield rate is a theta-capacity, -log cap_theta(v)^2 of a
+1-D unit vector, so `capacity.theta_capacity` is its one solver.
 
 Schur polynomials are evaluated in exact integer arithmetic: q is cleared to
 integers by its common denominator and the Jacobi-Trudi determinant is taken
@@ -453,14 +455,22 @@ def _round_partition(theta: Sequence[Fraction], k: int) -> tuple[int, ...]:
 
 
 def _nearest_nonzero(n: np.ndarray, target: float) -> int:
-    """The lambda with n_lambda != 0 nearest to target, the larger on a tie."""
-    nz = np.flatnonzero(n)
-    i = int(np.searchsorted(nz, target))
-    if i == len(nz):
-        return int(nz[-1])
-    if i == 0 or abs(nz[i] - target) <= abs(nz[i - 1] - target):
-        return int(nz[i])
-    return int(nz[i - 1])
+    """The lambda with n_lambda != 0 nearest to target, the larger on a tie,
+    by a scan outward from target over the cells in order of distance; n
+    needs a nonzero entry."""
+    up = max(math.ceil(target), 0)
+    down = min(up, len(n)) - 1
+    while True:
+        if up < len(n) and (down < 0 or up - target <= target - down):
+            if n[up]:
+                return up
+            up += 1
+        elif down >= 0:
+            if n[down]:
+                return down
+            down -= 1
+        else:
+            raise ValueError("no nonzero multiplicity in the row")
 
 
 def ldp_report(family, theta, k_max: int) -> ConvergenceReport:

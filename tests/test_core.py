@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from capdual.core import (ConvergenceReport, LogValue, Partition,
                           WeightedVector, WeightVector, as_fraction,
-                          fraction_log, rational_vector)
+                          fraction_log, power_rows, rational_vector)
+
+from util import gaussian_power_rows
 
 
 def test_logvalue_roundtrip_basics():
@@ -101,3 +104,54 @@ def test_convergence_report_columns_and_duality():
     assert rep.check_weak_duality()
     bad = ConvergenceReport(columns=("k", "gap"), rows=[(1, -1.0)], metadata={})
     assert not bad.check_weak_duality()
+
+
+def _convolved_rows(coeffs, k_max):
+    """The plain reference: the dense row of every coefficient key, one
+    np.convolve a power."""
+    lo = min(coeffs)
+    exact = all(isinstance(c, int) for c in coeffs.values())
+    base = np.zeros(max(coeffs) - lo + 1, dtype=object if exact else complex)
+    for e, c in coeffs.items():
+        base[e - lo] = c
+    row = np.ones(1, dtype=base.dtype)
+    for k in range(1, k_max + 1):
+        row = np.convolve(row, base)
+        yield k * lo, row
+
+
+INTEGER_MAPS = {
+    "walk": {-1: 1, 1: 1},
+    "gcd3-odd-offset": {-3: 2, 0: 1, 3: 5},
+    # tests/test_projection.py's RATIONAL_4 cleared over its denominator 1155
+    "rational4-cleared": {-2: 385, -1: -462, 1: 495, 3: 420},
+    "one-term": {4: 7},
+    "zero": {0: 0},
+    # the zero coefficient at -2 still sets lo, so every row starts at -2k
+    "zero-at-an-end": {-2: 0, 0: 1, 4: 3},
+}
+
+
+@pytest.mark.parametrize("coeffs", INTEGER_MAPS.values(), ids=INTEGER_MAPS.keys())
+def test_power_rows_match_convolution(coeffs):
+    got = list(power_rows(coeffs, 40))
+    want = list(_convolved_rows(coeffs, 40))
+    assert len(got) == len(want) == 40
+    for (lo, row), (want_lo, want_row) in zip(got, want):
+        assert lo == want_lo and row.dtype == object
+        assert row.tolist() == want_row.tolist()
+        assert all(type(x) is int for x in row)
+
+
+@pytest.mark.parametrize("exponents", [(-1, 1), (-3, 0, 3), (-2, 1, 4), (0, 1, 2, 5)])
+def test_complex_power_rows_near_exact(exponents):
+    rng = np.random.default_rng(len(exponents) + exponents[0])
+    terms = {e: complex(*rng.normal(size=2)) for e in exponents}
+    eps = np.finfo(float).eps
+    rows = list(zip(power_rows(terms, 40), gaussian_power_rows(terms, 40)))
+    assert len(rows) == 40
+    for (lo, row), (dk, exact) in rows:
+        assert row.dtype == complex and all(0 <= e - lo < len(row) for e in exact)
+        want = np.array([complex(Fraction(re, dk), Fraction(im, dk)) for re, im in
+                         (exact.get(lo + i, (0, 0)) for i in range(len(row)))])
+        assert np.max(np.abs(row - want)) <= 8 * eps * np.max(np.abs(want))

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from capdual import spectrum
 from capdual.core import Partition, fraction_log
 from capdual.spectrum import (DuffieldFamily, HermitianState, SchurWeylFamily,
-                              _round_partition, duffield_rate,
+                              _nearest_nonzero, _round_partition, duffield_rate,
                               hook_length_count, keyl_rate,
                               kw_minimization_check, kw_rate, ldp_report,
                               partitions_bounded, rank1_mult_tables,
@@ -393,6 +393,27 @@ def test_duffield_rows_match_rank1_multiplicities():
             lam = min(mult, key=lambda l: (abs(l - k * theta), -l))
             p = F((lam + 1) * mult[lam], len(weights) ** k)
             assert rows[k][1] == fraction_log(p).log_mag
+
+
+def test_nearest_nonzero_matches_the_rule():
+    # the rule over every nonzero lambda: nearest to the target, the larger on
+    # a tie; rows of Python ints with runs of zeros, exact ties and targets
+    # below 0 and past the end
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = np.zeros(int(rng.integers(1, 40)), dtype=object)
+        for start in rng.integers(0, len(n), size=int(rng.integers(1, 4))):
+            n[start:start + int(rng.integers(1, 4))] = int(rng.integers(1, 10**18)) * 7**30
+        nz = [lam for lam, x in enumerate(n) if x]
+        pairs = rng.choice(nz, size=2)
+        targets = [-3.5, -0.25, len(n) - 0.5, len(n) + 2.75, 10.0 * len(n),
+                   (pairs[0] + pairs[1]) / 2, *rng.uniform(-2, len(n) + 2, size=6)]
+        for t in map(float, targets):
+            want = min(nz, key=lambda lam: (abs(lam - t), -lam))
+            assert _nearest_nonzero(n, t) == want, (n.tolist(), t)
+    assert _nearest_nonzero(np.array([0, 5, 0, 5, 0], dtype=object), 2.0) == 3
+    with pytest.raises(ValueError):
+        _nearest_nonzero(np.zeros(4, dtype=object), 1.5)
 
 
 def test_round_partition_regressions():

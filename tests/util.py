@@ -6,7 +6,7 @@ polynomial powers, Schur polynomials by tableau enumeration, feasible
 directions by explicit rational convex combinations, exact LPs on a
 `Fraction` tableau, minimal faces by one such LP per weight, Hall
 deficiencies and off-face entries by enumerating row subsets, Laurent
-constant terms in exact Gaussian-integer arithmetic.
+powers and constant terms in exact Gaussian-integer arithmetic.
 Slow is fine; these run at small sizes.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -373,21 +374,20 @@ def hall_off_face(pattern, r, c) -> list[tuple[int, int]]:
     return sorted(off)
 
 
-def gaussian_cst_powers(terms: dict[int, complex],
-                        k_max: int) -> list[tuple[Fraction, Fraction]]:
-    """(Re, Im) of the constant term of f^k, exactly, for k = 0 .. k_max.
+def gaussian_power_rows(terms: dict[int, complex],
+                        k_max: int) -> Iterator[tuple[int, dict[int, tuple[int, int]]]]:
+    """(D^k, g^k) for k = 1 .. k_max, exactly.
 
     Every float coefficient is a dyadic rational, so f = g / D with g a
     Gaussian-integer Laurent polynomial and D a power of two. g^k is
     expanded one factor at a time as a dict {exponent: (re, im)} of Python
-    integers, and its constant term is divided by D^k at the end.
+    integers.
     """
     parts = {e: (Fraction(complex(c).real), Fraction(complex(c).imag))
              for e, c in terms.items()}
     denom = math.lcm(*(x.denominator for pair in parts.values() for x in pair))
     base = {e: (int(a * denom), int(b * denom)) for e, (a, b) in parts.items()}
     acc = {0: (1, 0)}
-    out = [(Fraction(1), Fraction(0))]
     for k in range(1, k_max + 1):
         nxt: dict[int, tuple[int, int]] = {}
         for e1, (a, b) in acc.items():
@@ -395,8 +395,17 @@ def gaussian_cst_powers(terms: dict[int, complex],
                 re, im = nxt.get(e1 + e2, (0, 0))
                 nxt[e1 + e2] = (re + a * c - b * d, im + a * d + b * c)
         acc = nxt
-        re, im = acc.get(0, (0, 0))
-        out.append((Fraction(re, denom**k), Fraction(im, denom**k)))
+        yield denom**k, acc
+
+
+def gaussian_cst_powers(terms: dict[int, complex],
+                        k_max: int) -> list[tuple[Fraction, Fraction]]:
+    """(Re, Im) of the constant term of f^k, exactly, for k = 0 .. k_max,
+    read from `gaussian_power_rows`."""
+    out = [(Fraction(1), Fraction(0))]
+    for dk, row in gaussian_power_rows(terms, k_max):
+        re, im = row.get(0, (0, 0))
+        out.append((Fraction(re, dk), Fraction(im, dk)))
     return out
 
 
