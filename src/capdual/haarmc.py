@@ -105,32 +105,45 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 # d_lambda * conj(chi_lambda(u)) * <v, u v>^k over the block's samples, by
 # elementwise ufuncs only.
 
+def _phase(e: np.ndarray, w, out: np.ndarray) -> np.ndarray:
+    """e^{i <w, x>} into out: the product of e_j^{w_j} over the coordinates,
+    e_j = e^{i x_j}, conj(e_j)^{-w_j} for w_j < 0. A power above 1 is one
+    np.power pass, whatever its size."""
+    out.fill(1.0)
+    for ej, wj in zip(e, w):
+        if not wj:
+            continue
+        if wj < 0:  # out conj(f) = conj(conj(out) f)
+            np.conjugate(out, out=out)
+        out *= ej if abs(wj) == 1 else np.power(ej, abs(wj))
+        if wj < 0:
+            np.conjugate(out, out=out)
+    return out
+
+
 def _torus_block(W: list[tuple[int, ...]], q: list[float], k: int, lam,
                  rng, size: int) -> np.ndarray:
     x = rng.uniform(0.0, 2.0 * math.pi, (size, len(W[0]))).T
-
-    def phase(w):  # <w, x>, one elementwise pass
-        return sum(wj * xj for wj, xj in zip(w, x) if wj)
-
-    re = np.zeros(size)
-    im = np.zeros(size)
+    e = np.empty(x.shape, dtype=complex)  # e_j = e^{i x_j}: one cos/sin pair a coordinate
+    np.cos(x, out=e.real)
+    np.sin(x, out=e.imag)
+    z = np.zeros(size, dtype=complex)
+    work = np.empty(size, dtype=complex)
     for w, qw in zip(W, q):
-        t = phase(w)
-        re += qw * np.cos(t)
-        im += qw * np.sin(t)
-    z = (re + 1j * im) ** k
+        z += np.multiply(_phase(e, w, work), qw, out=work)
+    z **= k
     if lam is not None and any(lam):
-        t = phase(lam)
-        z *= np.cos(t) - 1j * np.sin(t)
+        z *= np.conjugate(_phase(e, lam, work), out=work)
     return z
 
 
 def _su2_samples(rng, size: int) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) of Haar SU(2) elements [[a, b], [-conj b, conj a]],
-    uniform on the unit quaternions."""
+    uniform on the unit quaternions: views of one normalised draw."""
     g = rng.standard_normal((size, 4))
     g /= np.sqrt(np.einsum("ij,ij->i", g, g))[:, None]
-    return g[:, 0] + 1j * g[:, 1], g[:, 2] + 1j * g[:, 3]
+    ab = g.view(complex)
+    return ab[:, 0], ab[:, 1]
 
 
 def _chebyshev_u(m: int, c: np.ndarray) -> np.ndarray:
@@ -147,8 +160,11 @@ def _su2_block(sigma: np.ndarray, k: int, m: int | None, rng, size: int) -> np.n
     """tr(s sigma)^k, times (m + 1) U_m(Re a) when m is given, over Haar
     s in SU(2); sigma = v v^* gives <v, s v>^k."""
     a, b = _su2_samples(rng, size)
-    f = (a * sigma[0, 0] + b * sigma[1, 0]
-         - np.conj(b) * sigma[0, 1] + np.conj(a) * sigma[1, 1])
+    f = a * sigma[0, 0]  # tr(s sigma), summed in the order a, b, conj b, conj a
+    work = np.empty_like(f)
+    f += np.multiply(b, sigma[1, 0], out=work)
+    f -= np.multiply(np.conjugate(b, out=work), sigma[0, 1], out=work)
+    f += np.multiply(np.conjugate(a, out=work), sigma[1, 1], out=work)
     z = f**k
     if m is not None:
         z *= (m + 1) * _chebyshev_u(m, a.real)
@@ -210,6 +226,12 @@ def _dispatch(instance, k: int, lam) -> Callable[[np.random.Generator, int], np.
         qs = v.amplitudes_sq()
         W = [w.coords for w in v.support]
         q = [qs[w] for w in v.support]
+        # A label outside the box of k-fold sums of the weights has isotypic
+        # norm exactly 0, and its phase, a power of e^{i x_j} beyond
+        # k MAX_WEIGHT_COORD, could overflow.
+        if coords is not None and any(not k * min(col) <= c <= k * max(col)
+                                      for c, col in zip(coords, zip(*W))):
+            return lambda rng, size: np.zeros(size, dtype=complex)
         return lambda rng, size: _torus_block(W, q, k, coords, rng, size)
     if isinstance(instance, UnitaryOrbitVector):
         # su2: sigma = v v^*. u2: u = z s with z in U(1), s in SU(2), and

@@ -4,7 +4,8 @@ For a torus vector v with squared amplitudes q_w, the squared norm of the
 weight-lambda component of v^{tensor k} is the coefficient of t^lambda in
 (sum_w q_w t^w)^k. Every engine reads one object, the law of S_k, a sum of
 k independent draws from a distribution p on integer weights, and steps it
-by k -> k + 1 with one convolution step, the row stream's (_RowStream).
+with one convolution step, the row stream's (_RowStream): by k -> k + 1,
+or, in a duality report on a line, by k -> k + 32 with the law of S_32.
 Rows live in the integer chart w = w0 + B c of the weights
 (capacity._chart): d axes for a d-dimensional face, one cell per lattice
 point however far apart the weights are, on the axes of that lattice that
@@ -28,8 +29,12 @@ hold the fewest cells (_lll_axes).
       |Pi_{k theta} v^{tensor k}|^2 = e^{k F(x)} P_p(S_k = k theta),
 
   where F(x*) = log cap_theta(v)^2. Under p the mean of S_k is k theta, so
-  the floor only removes far tails. The rows come from a stream that
-  convolves with p once per k and crops lazily (_RowStream).
+  the floor only removes far tails. The rows come from a stream that crops
+  lazily (_RowStream). On a line, with p on at most 128 cells, it holds
+  every 32nd row, convolving with the law of S_32, and reads the 32 rows
+  from each held one through the laws of S_0 .. S_31 in one windowed
+  product (_report_stream, _reads); otherwise it convolves with p once
+  per k.
 - The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 is the theta = 0,
   x* = 0 case, p = q, read at 0 (k c0 in the chart of the whole support).
   The first target is powered by binary squaring, each product a real FFT
@@ -216,6 +221,83 @@ def projection_norm_table(v: WeightedVector, k_max: int,
                            list(_log_rows(stream, q, k_max)))
 
 
+# Rows a one-axis duality report reads per convolution step, and the most
+# cells p may take for it to do so: K_0 .. K_J then stay under about 1 MiB.
+_JUMP = 32
+_JUMP_CELLS = 128
+
+
+def _tilted_law(v: WeightedVector, cap) -> tuple[np.ndarray, np.ndarray]:
+    """The chart coordinates C of the minimal face of theta (cap's face
+    record) and the tilted law on them, p_w proportional to q_w e^{2<w, x*>}."""
+    chart = cap.certificate
+    C = np.array(chart.face_coords, dtype=np.int64).reshape(len(chart.face), chart.dim)
+    B = np.array(chart.basis, dtype=float).reshape(v.n, chart.dim)
+    a = np.log([abs(v.terms[j][1]) ** 2 for j in chart.face]) + 2.0 * (C @ (B.T @ cap.minimizer_x))
+    p = np.exp(a - a.max())
+    p /= p.sum()
+    return C, p
+
+
+def _report_stream(C: np.ndarray, p: np.ndarray
+                   ) -> tuple[_RowStream, np.ndarray, np.ndarray]:
+    """The stream a duality report holds, and the laws it reads through.
+
+    On a line (d <= 1), with p on at most _JUMP_CELLS cells, J = _JUMP: the
+    stream steps by the law of S_J, so its k-th row is the law of S_{kJ},
+    and the row held at k0 is read at k0 .. k0 + J - 1 through the laws
+    K_0 .. K_{J-1} of S_0 .. S_{J-1} (_reads). K_0 .. K_J are the uncropped
+    rows of a floor-0 stream of p on the same axes. Otherwise J = 1: the
+    stream of p, read through K_0, the point mass.
+
+    Returns the stream, K_0 .. K_{J-1} flipped and stacked as the rows of
+    one J x L array (zero-padded to the width L of the widest), and the
+    lower corners of the K_j.
+    """
+    if C.shape[1] > 1 or C.shape[1] == 1 and np.ptp(C) >= _JUMP_CELLS:
+        return _RowStream(C, p), np.ones((1, 1)), np.zeros(1, dtype=np.int64)
+    exact = _RowStream(C, p, floor=0.0)
+    powers = [exact.row]
+    for _ in range(_JUMP):
+        exact.step()
+        powers.append(exact.row)
+    law = powers.pop()
+    cells = np.flatnonzero(law.arr)
+    # The axes are [[1]] (d = 1) or the 1 x 0 zero matrix (d = 0), so the
+    # chart point of the axis cell x is x U.
+    stream = _RowStream((cells + law.offset[0])[:, None] @ exact.axes, law.arr[cells])
+    flipped = np.zeros((_JUMP, powers[-1].arr.size))
+    for j, K in enumerate(powers):
+        flipped[j, flipped.shape[1] - K.arr.size:] = K.arr[::-1]
+    return stream, flipped, np.array([int(K.offset[0]) for K in powers])
+
+
+def _reads(row: _Row, flipped: np.ndarray, corners: np.ndarray, js: Sequence[int],
+           targets: Sequence[np.ndarray]) -> list[float]:
+    """P(S_{k0 + j} = t) for each j in js and its target cell t, from the
+    row held at k0, the law of S_k0, through the law K_j of S_j
+    (_report_stream): sum_x row[x] K_j[t - x], a sum of nonnegative
+    products.
+
+    With one law, K_0, the point mass, that is the cell read at t, on any
+    number of axes. On a line it is one windowed product: the flipped K_j
+    against the windows of the row that end where K_j's lower corner meets
+    t, in a copy of the row padded with L zeros on each side, so that a
+    window cell outside the row reads 0.
+    """
+    if len(flipped) == 1:
+        return [row.cell(t) for t in targets]
+    n, L = row.arr.size, flipped.shape[1]
+    padded = np.zeros(n + 2 * L)
+    padded[L:L + n] = row.arr
+    ends = np.array([int(t[0]) for t in targets], dtype=np.int64) - corners[js] - int(row.offset[0])
+    # the window of row cells ends - L + 1 .. ends starts at ends + 1 in the
+    # padded copy; one wholly outside the row reads L padding zeros
+    starts = np.clip(ends + 1, 0, n + L)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, L)[starts]
+    return np.einsum("ji,ji->j", windows, flipped[js]).tolist()
+
+
 def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     """Per-k comparison of projection growth against the theta-capacity.
 
@@ -224,10 +306,13 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     where gap = -(1/k) log P_p(S_k = k theta) >= 0 is log_cap_sq - rate,
     read from the tilted row stream (module docstring). metadata["dropped_mass"]
     is the probability mass the truncation floor removed over the stream, an
-    absolute bound on the error of every P_p(S_k = k theta);
-    metadata["crops"] and metadata["max_row_cells"] count the stream's crops
-    and the cells of the largest row it held. Outside the moment polytope
-    every row is an exact zero with a NaN gap and the counts are 0.
+    absolute bound on the error of every P_p(S_k = k theta), since every
+    read is an exact convolution of a held row with a law that sums to 1;
+    metadata["crops"] and metadata["max_row_cells"] count the crops and the
+    cells of the largest row over the rows the stream held: every 32nd on
+    a line with p on at most 128 cells, else every row (_report_stream).
+    Outside the moment polytope every row is an exact zero with a NaN gap
+    and the counts are 0.
     """
     _check_k_max(k_max)
     v = v.pruned()
@@ -246,26 +331,26 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
 
     log_cap_sq = 2.0 * cap.log_cap.log_mag
     chart = cap.certificate
-    C = np.array(chart.face_coords, dtype=np.int64).reshape(len(chart.face), chart.dim)
-    B = np.array(chart.basis, dtype=float).reshape(v.n, chart.dim)
-    a = np.log([abs(v.terms[j][1]) ** 2 for j in chart.face]) + 2.0 * (C @ (B.T @ cap.minimizer_x))
-    p = np.exp(a - a.max())
-    p /= p.sum()
-    stream = _RowStream(C, p)
+    stream, flipped, corners = _report_stream(*_tilted_law(v, cap))
+    J = len(flipped)
     m = math.lcm(*(c.denominator for c in chart.theta_coords))  # k c_theta integral iff m | k
     step = stream.axes @ np.array([int(c * m) for c in chart.theta_coords], dtype=np.int64)
-    rows = []
-    for k in range(1, k_max + 1):
-        stream.step()
-        if k % ell:
-            continue
-        prob = 0.0 if k % m else stream.row.cell([k // m * c for c in step])
-        if prob > 0:
-            log_p = math.log(prob)
-            norm_sq = LogValue(1, k * log_cap_sq + log_p)
-        else:
-            log_p, norm_sq = -math.inf, LogValue.zero()
-        rows.append((k, norm_sq, norm_sq.log_mag / k, log_cap_sq, 0.0 - log_p / k))
+    rows, zero = [], LogValue.zero()
+    for k0 in range(0, k_max + 1, J):  # the held rows: S_k0
+        if k0:
+            stream.step()
+        ks = [k for k in range(max(k0, 1), min(k0 + J, k_max + 1)) if k % ell == 0]
+        on = [k for k in ks if k % m == 0]
+        probs = dict(zip(on, _reads(stream.row, flipped, corners, [k - k0 for k in on],
+                                    [k // m * step for k in on])))
+        for k in ks:
+            prob = probs.get(k, 0.0)
+            if prob > 0:
+                log_p = math.log(prob)
+                norm_sq = LogValue(1, k * log_cap_sq + log_p)
+            else:
+                log_p, norm_sq = -math.inf, zero
+            rows.append((k, norm_sq, norm_sq.log_mag / k, log_cap_sq, 0.0 - log_p / k))
     metadata.update(dropped_mass=stream.dropped, crops=stream.crops,
                     max_row_cells=stream.max_row_cells)
     return ConvergenceReport(columns=columns, rows=rows, metadata=metadata)

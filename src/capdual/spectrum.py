@@ -504,7 +504,7 @@ def ldp_report(family, theta, k_max: int) -> ConvergenceReport:
         d = len(family.weights)
         for k, n in enumerate(_multiplicity_rows(family.weights, k_max), start=1):
             lam_k = _nearest_nonzero(n, k * th)
-            log_p = fraction_log(Fraction((lam_k + 1) * n[lam_k], d**k)).log_mag
+            log_p = math.log((lam_k + 1) * n[lam_k]) - k * math.log(d)
             emp = -log_p / k
             rows.append((k, log_p, emp, analytic, abs(emp - analytic)))
         meta = {"family": family, "theta": th, "analytic_rate": analytic}

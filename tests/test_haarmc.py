@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from capdual.haarmc import (MAX_K, UnitaryOrbitVector, _chebyshev_u, _dispatch,
                             mc_invariant_norm, mc_isotypic_norm, sample_haar_unitary)
 from capdual.projection import projection_norm_table
 from capdual.spectrum import schur_weyl_measure
+
+from util import torus_integrand
 
 SAMPLES = 120_000
 
@@ -207,6 +210,51 @@ def test_torus_kernel_matches_explicit_phases():
         want = f**3 if lam is None else f**3 * np.exp(-1j * (x @ np.array(lam)))
         got = _dispatch(v, 3, lam)(FixedDraws(x), len(x))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("W, labels, tol", [
+    ([(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1)], [(1, -1), (0, 1)], 1e-14),
+    ([(3, 0), (-2, 5), (0, -4), (7, 1), (1, 1)], [(2, -3), (-1, 4)], 1e-12),
+], ids=["unit", "general"])
+def test_torus_kernel_matches_one_cos_sin_pass_per_weight(W, labels, tol):
+    # The kernel raises e^{i x_j} to the weights' coordinates; the reference
+    # takes cos and sin of <w, x> per weight. They agree within tol of the
+    # block's largest value (elementwise relative error is unbounded near
+    # the zeros of the integrand).
+    rng = np.random.default_rng(12)
+    v = WeightedVector.from_terms(2, {w: complex(*rng.normal(size=2)) for w in W}).normalized()
+    q = v.amplitudes_sq()
+    x = rng.uniform(0.0, 2 * math.pi, (4096, 2))
+    for k in (1, 3, MAX_K):
+        for lam in (None, *labels):
+            got = _dispatch(v, k, lam)(FixedDraws(x), len(x))
+            want = torus_integrand([w.coords for w in v.support], [q[w] for w in v.support],
+                                   k, lam, x)
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (k, lam)
+
+
+def test_torus_coordinate_of_a_million_is_one_power_pass():
+    # e^{i x}^(10^6) is one np.power pass, not 10^6 products. At arguments
+    # near 2 pi 10^6 both forms round <w, x> to about 1e-9.
+    r = math.sqrt(0.5)
+    for v, lam in ((WeightedVector.from_terms(1, {(0,): r, (10**6,): r}), (10**6,)),
+                   (WeightedVector.from_terms(1, {(-10**6,): r, (10**6,): r}), (2 * 10**6,))):
+        start = time.perf_counter()
+        est = mc_isotypic_norm(v, 2, lam, samples=1 << 16, seed=4)
+        assert time.perf_counter() - start < 1.0
+        assert est.blocks == 1
+        x = np.random.default_rng(6).uniform(0.0, 2 * math.pi, (4096, 1))
+        got = _dispatch(v, 2, lam)(FixedDraws(x), len(x))
+        want = torus_integrand([w.coords for w in v.support], [0.5, 0.5], 2, lam, x)
+        assert np.max(np.abs(got - want)) <= 1e-8
+
+
+def test_torus_labels_outside_the_weight_box_give_exact_zero():
+    # k = 2 draws from the weights 0 and 1 sum to 0, 1 or 2: any other label
+    # has norm exactly 0, and a phase e^{-i 10^30 x} would overflow.
+    for lam in ((3,), (-1,), (10**30,), -(10**30)):
+        est = mc_isotypic_norm(binomial_vector(), 2, lam, samples=1000, seed=3)
+        assert (est.mean, est.stderr) == (0, 0)
 
 
 def test_chebyshev_u_is_the_su2_character():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from capdual import projection
 from capdual.capacity import theta_capacity
-from capdual.core import WeightedVector, WeightVector
+from capdual.core import LogValue, WeightedVector, WeightVector, rational_vector
 from capdual.projection import (LaurentPoly, _cst_of_product, _fft_len, _lll_axes,
                                 _Row, _row_conv, _RowStream, critical_values,
                                 difference_lattice, duality_report,
@@ -371,6 +371,97 @@ def test_tilted_rows_account_for_the_dropped_mass(W, p, k_max):
     # rows are cropped only after doubling: far fewer crops than steps
     assert 0 < stream.crops < k_max // 2
     assert stream.max_row_cells >= stream.row.arr.size
+
+
+def _per_k_report(v, theta, k_max):
+    """The report's rows from a stream of the tilted law stepped once per k
+    and read at one cell, k c_theta; with the stream after k_max steps."""
+    th = rational_vector(theta, v.n)
+    ell = math.lcm(*(t.denominator for t in th))
+    cap = theta_capacity(v, th)
+    chart = cap.certificate
+    log_cap_sq = 2.0 * cap.log_cap.log_mag
+    stream = _RowStream(*projection._tilted_law(v, cap))
+    rows = []
+    for k in range(1, k_max + 1):
+        stream.step()
+        if k % ell:
+            continue
+        c = [k * t for t in chart.theta_coords]
+        prob = 0.0
+        if all(t.denominator == 1 for t in c):
+            prob = stream.row.cell(stream.axes @ np.array([int(t) for t in c], dtype=np.int64))
+        log_p = math.log(prob) if prob > 0 else -math.inf
+        norm_sq = LogValue(1, k * log_cap_sq + log_p) if prob > 0 else LogValue.zero()
+        rows.append((k, norm_sq, norm_sq.log_mag / k, log_cap_sq, 0.0 - log_p / k))
+    return rows, stream
+
+
+_SQ = math.sqrt(0.5)
+_POLYGON = {(0, 0): 0.6, (2, 1): 1.0, (4, 2): 0.5, (0, 2): 0.7, (3, 3): 0.9}
+
+
+@pytest.mark.parametrize("terms, theta, k_max", [
+    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 1),
+    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 31),
+    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 32),
+    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 33),
+    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 1000),
+    ({(-1,): _SQ, (1,): _SQ}, (F(0),), 1000),
+    ({(-2,): 0.5, (1,): 0.6, (2,): 0.62}, (F(1, 5),), 1000),
+    ({(0,): 0.3, (2,): 0.5, (5,): 0.6}, (F(5, 3),), 300),
+    ({(0,): _SQ, (1,): _SQ}, (F(1, 40),), 400),
+    ({(0,): _SQ, (1,): _SQ}, (F(1),), 100),
+    (_POLYGON, (F(1), F(1, 2)), 400),
+    ({(-10**6,): _SQ, (10**6,): _SQ}, (F(0),), 400),
+    ({(0,): 0.3, (1,): 0.2, (200,): 0.6}, (F(50),), 100),
+    ({(0, 0): 0.5, (1, 0): 0.9, (0, 1): 0.7, (1, 1): 0.4, (-1, -1): 0.8},
+     (F(1, 4), F(1, 5)), 100),
+], ids=["k1", "k31", "k32", "k33", "k1000", "qubit", "n1", "period3", "period40", "vertex",
+        "edge", "spaced", "wide", "n2"])
+def test_report_reads_as_one_step_per_k(terms, theta, k_max):
+    # A one-axis report holds every 32nd row and reads the rows between
+    # through the laws of S_0 .. S_31: its log norms stay within 1e-12 of
+    # a stream stepped once per k, with the same ks and exact zeros (the
+    # qubit's odd k and the period-3 walk's k off 3 Z are off the lattice;
+    # with period 40 some held rows are read at no k).
+    # A kernel on more than 128 cells (wide) and a 2-D face (n2) step every
+    # k, so their rows and counters are the reference's, bit for bit.
+    v = WeightedVector.from_terms(len(theta), terms)
+    rep = duality_report(v, theta, k_max)
+    want, stream = _per_k_report(v, theta, k_max)
+    assert [(r[0], r[1].sign) for r in rep.rows] == [(r[0], r[1].sign) for r in want]
+    assert any(r[1].sign for r in want)
+    counters = [rep.metadata[key] for key in ("dropped_mass", "crops", "max_row_cells")]
+    if stream.kernel.arr.ndim > 1 or stream.kernel.arr.size > 128:
+        assert rep.rows == want
+        assert counters == [stream.dropped, stream.crops, stream.max_row_cells]
+    else:
+        for got, ref in zip(rep.rows, want):
+            if ref[1].sign:
+                assert abs(got[1].log_mag - ref[1].log_mag) <= 1e-12, got[0]
+        assert counters[0] <= 1e-9
+
+
+@pytest.mark.parametrize("terms, theta, k_max", [
+    ({(-1,): _SQ, (1,): _SQ}, (F(0),), 3000),
+    ({(-2,): 0.5, (1,): 0.6, (2,): 0.62}, (F(1, 5),), 1500),
+    (_POLYGON, (F(1), F(1, 2)), 1000),
+], ids=["qubit", "n1", "edge"])
+def test_jump_stream_accounts_for_the_dropped_mass(terms, theta, k_max):
+    # The held rows are laws of S_k, k = 32, 64, ..., each a convolution of
+    # the last with the law of S_32, which sums to 1: the mass of the last
+    # held row is 1 minus everything its crops removed, up to k rounding
+    # errors.
+    v = WeightedVector.from_terms(len(theta), terms)
+    cap = theta_capacity(v, rational_vector(theta, v.n))
+    stream, flipped, corners = projection._report_stream(*projection._tilted_law(v, cap))
+    assert flipped.shape[0] == 32 and corners.tolist() == [j * corners[1] for j in range(32)]
+    for _ in range(k_max // 32):
+        stream.step()
+    assert stream.crops > 0
+    k = k_max // 32 * 32
+    assert abs(1.0 - float(stream.row.arr.sum()) - stream.dropped) <= 4 * k * np.finfo(float).eps
 
 
 def test_k_max_below_one_or_fractional_rejected():

@@ -6,7 +6,8 @@ polynomial powers, Schur polynomials by tableau enumeration, feasible
 directions by explicit rational convex combinations, exact LPs on a
 `Fraction` tableau, minimal faces by one such LP per weight, Hall
 deficiencies and off-face entries by enumerating row subsets, Laurent
-powers and constant terms in exact Gaussian-integer arithmetic.
+powers and constant terms in exact Gaussian-integer arithmetic, torus
+Monte Carlo integrands by one cos and one sin per weight.
 Slow is fine; these run at small sizes.
 """
 
@@ -444,3 +445,20 @@ def random_density_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = A @ A.conj().T
     return rho / np.trace(rho).real
+
+
+def torus_integrand(W, q, k: int, lam, x: np.ndarray) -> np.ndarray:
+    """The torus Monte Carlo integrand (sum_w q_w e^{i<w, x>})^k e^{-i<lam, x>}
+    at the draws x (one row each), with one cos and one sin of <w, x> per
+    weight; lam None reads as 0."""
+    re = np.zeros(len(x))
+    im = np.zeros(len(x))
+    for w, qw in zip(W, q):
+        t = x @ np.array(w, dtype=float)
+        re += qw * np.cos(t)
+        im += qw * np.sin(t)
+    z = (re + 1j * im) ** k
+    if lam is not None:
+        t = x @ np.array(lam, dtype=float)
+        z *= np.cos(t) - 1j * np.sin(t)
+    return z
