@@ -105,17 +105,33 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 # d_lambda * conj(chi_lambda(u)) * <v, u v>^k over the block's samples, by
 # elementwise ufuncs only.
 
-def _phase(e: np.ndarray, w, out: np.ndarray) -> np.ndarray:
+# numpy's complex power multiplies for integer exponents up to this one and
+# goes through the complex log and exp above it, several times the cost of a
+# cos and a sin.
+_POWER_BY_PRODUCTS = 99
+
+
+def _phase(x: np.ndarray, e: np.ndarray, w, out: np.ndarray) -> np.ndarray:
     """e^{i <w, x>} into out: the product of e_j^{w_j} over the coordinates,
     e_j = e^{i x_j}, conj(e_j)^{-w_j} for w_j < 0. A power above 1 is one
-    np.power pass, whatever its size."""
+    np.power pass, or one cos and one sin of |w_j| x_j above
+    _POWER_BY_PRODUCTS."""
     out.fill(1.0)
-    for ej, wj in zip(e, w):
+    for xj, ej, wj in zip(x, e, w):
         if not wj:
             continue
         if wj < 0:  # out conj(f) = conj(conj(out) f)
             np.conjugate(out, out=out)
-        out *= ej if abs(wj) == 1 else np.power(ej, abs(wj))
+        if abs(wj) == 1:
+            out *= ej
+        elif abs(wj) <= _POWER_BY_PRODUCTS:
+            out *= np.power(ej, abs(wj))
+        else:
+            t = xj * abs(wj)
+            f = np.empty(t.shape, dtype=complex)
+            np.cos(t, out=f.real)
+            np.sin(t, out=f.imag)
+            out *= f
         if wj < 0:
             np.conjugate(out, out=out)
     return out
@@ -130,10 +146,10 @@ def _torus_block(W: list[tuple[int, ...]], q: list[float], k: int, lam,
     z = np.zeros(size, dtype=complex)
     work = np.empty(size, dtype=complex)
     for w, qw in zip(W, q):
-        z += np.multiply(_phase(e, w, work), qw, out=work)
+        z += np.multiply(_phase(x, e, w, work), qw, out=work)
     z **= k
     if lam is not None and any(lam):
-        z *= np.conjugate(_phase(e, lam, work), out=work)
+        z *= np.conjugate(_phase(x, e, lam, work), out=work)
     return z
 
 

@@ -5,7 +5,8 @@ weight-lambda component of v^{tensor k} is the coefficient of t^lambda in
 (sum_w q_w t^w)^k. Every engine reads one object, the law of S_k, a sum of
 k independent draws from a distribution p on integer weights, and steps it
 with one convolution step, the row stream's (_RowStream): by k -> k + 1,
-or, in a duality report on a line, by k -> k + 32 with the law of S_32.
+by k -> k + 32 with the law of S_32 in a duality report on a line, or by
+an FFT product with the law of S_P (_RowStream.jump).
 Rows live in the integer chart w = w0 + B c of the weights
 (capacity._chart): d axes for a d-dimensional face, one cell per lattice
 point however far apart the weights are, on the axes of that lattice that
@@ -29,18 +30,21 @@ hold the fewest cells (_lll_axes).
       |Pi_{k theta} v^{tensor k}|^2 = e^{k F(x)} P_p(S_k = k theta),
 
   where F(x*) = log cap_theta(v)^2. Under p the mean of S_k is k theta, so
-  the floor only removes far tails. The rows come from a stream that crops
-  lazily (_RowStream). On a line, with p on at most 128 cells, it holds
-  every 32nd row, convolving with the law of S_32, and reads the 32 rows
-  from each held one through the laws of S_0 .. S_31 in one windowed
-  product (_report_stream, _reads); otherwise it convolves with p once
-  per k.
+  the floor only removes far tails. Only every P-th k can be nonzero, P
+  the least period of both theta and c_theta. The rows come from a stream
+  that crops lazily (_RowStream). On a line, with p on at most 128 cells,
+  it holds every 32nd row, convolving with the law of S_32, and reads the
+  32 rows from each held one through the laws of S_0 .. S_31 in one
+  windowed product (_line_stream, _reads). Otherwise it holds only the
+  rows it reads, every P-th, each from the last by P steps, or by one FFT
+  product with the law of S_P where P steps cost more (_period_rows).
 - The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 is the theta = 0,
   x* = 0 case, p = q, read at 0 (k c0 in the chart of the whole support).
   The first target is powered by binary squaring, each product a real FFT
-  convolution on numpy.fft with every axis padded to a 5-smooth length, so
-  k = 10^4 is cheap; later targets walk the same stream from that anchor
-  and read one dot product.
+  convolution on numpy.fft with every axis padded to a 5-smooth length
+  (_row_conv), so k = 10^4 is cheap; later targets walk the same stream
+  from that anchor and read one dot product. Walk or product: the report
+  and the prefactor choose by one cost test (_fft_pays).
 
 Laurent constant terms cst f^k, for every k <= k_max, come from one pass
 over core.power_rows, the row stream rank-1 multiplicities also read.
@@ -51,6 +55,7 @@ f the infimum over the positive reals is read at the root on that axis.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -78,18 +83,22 @@ __all__ = [
 MAX_DP_BYTES = 2 << 30  # 2 GiB guard for dense convolution tables
 
 # Entries below max * _TRUNC_FLOOR are set to zero at every crop (_crop):
-# after every FFT product of the prefactor anchors, and each time a row of
-# the stream (_RowStream) has doubled its cells since its last crop.
+# after every FFT product (_row_conv), and each time a row of the stream
+# (_RowStream) has doubled its cells since its last crop.
 # - Stream rows: every row is the law of S_k and every step a convolution
 #   with p, which sums to 1, so mass removed at one crop removes exactly
-#   that much from all later rows. The sum of the removed masses, the
+#   that much from all later rows. A jump (_RowStream.jump) is an FFT
+#   product with the uncropped law of S_P, which also sums to 1, and its
+#   crop's mass counts the same way. The sum of the removed masses, the
 #   report's metadata["dropped_mass"], is therefore an absolute bound on the
-#   error of P_p(S_k = k theta) at every row; the value read there, at the
-#   mean, is of order k^{-d/2}.
-# - FFT rows: mass lost per product is below (array size) * floor relative
-#   to the total, around 1e-7 at the largest supported extents, and the
-#   central values read sit at or near the array maximum, so their relative
-#   bias stays under 1e-6.
+#   truncation error of P_p(S_k = k theta) at every row; the value read
+#   there, at the mean, is of order k^{-d/2}. An FFT product also rounds
+#   each cell by at most about eps log2(cells) times the row's largest, far
+#   below the floor.
+# - Prefactor anchors: mass lost per product is below (array size) * floor
+#   relative to the total, around 1e-7 at the largest supported extents,
+#   and the central values read sit at or near the array maximum, so their
+#   relative bias stays under 1e-6.
 _TRUNC_FLOOR = 1e-12
 
 
@@ -239,63 +248,91 @@ def _tilted_law(v: WeightedVector, cap) -> tuple[np.ndarray, np.ndarray]:
     return C, p
 
 
-def _report_stream(C: np.ndarray, p: np.ndarray
-                   ) -> tuple[_RowStream, np.ndarray, np.ndarray]:
-    """The stream a duality report holds, and the laws it reads through.
+def _exact_laws(stream: _RowStream, steps: int) -> Iterator[_Row]:
+    """The laws K_0 .. K_steps of S_0 .. S_steps, K_0 the point mass, on the
+    stream's axes: the rows of a copy of it at floor 0, which never crops.
+    On two axes or more a row lives in a working buffer of the copy, which
+    the step after next overwrites."""
+    exact = copy.copy(stream)
+    exact.floor = 0.0
+    exact.reset()
+    yield exact.row
+    for _ in range(steps):
+        exact.step()
+        yield exact.row
 
-    On a line (d <= 1), with p on at most _JUMP_CELLS cells, J = _JUMP: the
-    stream steps by the law of S_J, so its k-th row is the law of S_{kJ},
-    and the row held at k0 is read at k0 .. k0 + J - 1 through the laws
-    K_0 .. K_{J-1} of S_0 .. S_{J-1} (_reads). K_0 .. K_J are the uncropped
-    rows of a floor-0 stream of p on the same axes. Otherwise J = 1: the
-    stream of p, read through K_0, the point mass.
 
-    Returns the stream, K_0 .. K_{J-1} flipped and stacked as the rows of
-    one J x L array (zero-padded to the width L of the widest), and the
-    lower corners of the K_j.
+def _line_stream(C: np.ndarray, p: np.ndarray
+                 ) -> tuple[_RowStream, np.ndarray, np.ndarray] | None:
+    """The stream a one-axis duality report holds, and the laws it reads
+    through; None on two axes or more, or with p on more than _JUMP_CELLS
+    cells.
+
+    The stream steps by the law of S_J, J = _JUMP, so its k-th row is the
+    law of S_{kJ}, and the row held at k0 is read at k0 .. k0 + J - 1
+    through the laws K_0 .. K_{J-1} of S_0 .. S_{J-1} (_reads). Returns the
+    stream, K_0 .. K_{J-1} flipped and stacked as the rows of one J x L
+    array (zero-padded to the width L of the widest), and the lower corners
+    of the K_j.
     """
     if C.shape[1] > 1 or C.shape[1] == 1 and np.ptp(C) >= _JUMP_CELLS:
-        return _RowStream(C, p), np.ones((1, 1)), np.zeros(1, dtype=np.int64)
-    exact = _RowStream(C, p, floor=0.0)
-    powers = [exact.row]
-    for _ in range(_JUMP):
-        exact.step()
-        powers.append(exact.row)
+        return None
+    walk = _RowStream(C, p)
+    powers = list(_exact_laws(walk, _JUMP))  # one axis: each row a new array
     law = powers.pop()
     cells = np.flatnonzero(law.arr)
     # The axes are [[1]] (d = 1) or the 1 x 0 zero matrix (d = 0), so the
     # chart point of the axis cell x is x U.
-    stream = _RowStream((cells + law.offset[0])[:, None] @ exact.axes, law.arr[cells])
+    stream = _RowStream((cells + law.offset[0])[:, None] @ walk.axes, law.arr[cells])
     flipped = np.zeros((_JUMP, powers[-1].arr.size))
     for j, K in enumerate(powers):
         flipped[j, flipped.shape[1] - K.arr.size:] = K.arr[::-1]
     return stream, flipped, np.array([int(K.offset[0]) for K in powers])
 
 
-def _reads(row: _Row, flipped: np.ndarray, corners: np.ndarray, js: Sequence[int],
-           targets: Sequence[np.ndarray]) -> list[float]:
+def _reads(row: _Row, flipped: np.ndarray, corners: np.ndarray, js: np.ndarray,
+           targets: np.ndarray) -> list[float]:
     """P(S_{k0 + j} = t) for each j in js and its target cell t, from the
     row held at k0, the law of S_k0, through the law K_j of S_j
-    (_report_stream): sum_x row[x] K_j[t - x], a sum of nonnegative
-    products.
+    (_line_stream): sum_x row[x] K_j[t - x], a sum of nonnegative products.
 
-    With one law, K_0, the point mass, that is the cell read at t, on any
-    number of axes. On a line it is one windowed product: the flipped K_j
-    against the windows of the row that end where K_j's lower corner meets
-    t, in a copy of the row padded with L zeros on each side, so that a
-    window cell outside the row reads 0.
+    One windowed product: the flipped K_j against the windows of the row
+    that end where K_j's lower corner meets t, gathered from a copy of the
+    row padded with L zeros on each side, so that a window cell outside the
+    row reads 0.
     """
-    if len(flipped) == 1:
-        return [row.cell(t) for t in targets]
     n, L = row.arr.size, flipped.shape[1]
     padded = np.zeros(n + 2 * L)
     padded[L:L + n] = row.arr
-    ends = np.array([int(t[0]) for t in targets], dtype=np.int64) - corners[js] - int(row.offset[0])
+    ends = targets - corners[js] - int(row.offset[0])
     # the window of row cells ends - L + 1 .. ends starts at ends + 1 in the
     # padded copy; one wholly outside the row reads L padding zeros
     starts = np.clip(ends + 1, 0, n + L)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, L)[starts]
-    return np.einsum("ji,ji->j", windows, flipped[js]).tolist()
+    return np.einsum("ji,ji->j", padded[starts[:, None] + np.arange(L)], flipped[js]).tolist()
+
+
+def _period_rows(stream: _RowStream, period: int, k_max: int) -> Iterator[_Row]:
+    """The rows of a stream of p at k = period, 2 period, .. <= k_max.
+
+    Each comes from the last by `period` steps, or, when those cost more
+    than one FFT product to the next row's cells (_fft_pays), by one
+    product with K, the law of S_period (_RowStream.jump): the uncropped
+    row `period` of a floor-0 stream of p, built when first needed. The
+    first row is K itself when the product after it pays: K takes the same
+    steps to build as the row would.
+    """
+    widths = np.array(stream.kernel.arr.shape) - 1
+    law = None
+    for i in range(k_max // period):
+        shape = np.array(stream.row.arr.shape) if i else period * widths + 1
+        if _fft_pays(period, len(stream.terms), math.prod((shape + period * widths).tolist())):
+            if law is None:
+                *_, law = _exact_laws(stream, period)
+            stream.jump(law, period)
+        else:
+            for _ in range(period):
+                stream.step()
+        yield stream.row
 
 
 def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
@@ -304,15 +341,22 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     Rows cover every k <= k_max with k theta integral. Columns:
     k, log_norm_sq (LogValue), rate (log_norm_sq / k), log_cap_sq, gap
     where gap = -(1/k) log P_p(S_k = k theta) >= 0 is log_cap_sq - rate,
-    read from the tilted row stream (module docstring). metadata["dropped_mass"]
-    is the probability mass the truncation floor removed over the stream, an
+    read from the tilted row stream (module docstring). Only every P-th k
+    is read, P = lcm(ell, m), ell the period of theta and m that of its
+    chart point c_theta; the other k of ell Z are exact zeros.
+    - On a line, with p on at most 128 cells, the stream holds every 32nd
+      row and reads the 32 rows from each held one (_line_stream, _reads).
+    - Otherwise it holds only the rows it reads, every P-th: each from the
+      last by P steps, or by one FFT product with the law of S_P when P
+      steps cost more (_period_rows).
+    metadata["dropped_mass"] is the probability mass the truncation floor
+    removed over the held rows, at their crops and FFT products: an
     absolute bound on the error of every P_p(S_k = k theta), since every
-    read is an exact convolution of a held row with a law that sums to 1;
-    metadata["crops"] and metadata["max_row_cells"] count the crops and the
-    cells of the largest row over the rows the stream held: every 32nd on
-    a line with p on at most 128 cells, else every row (_report_stream).
-    Outside the moment polytope every row is an exact zero with a NaN gap
-    and the counts are 0.
+    held row and every read is an exact convolution with a law that sums
+    to 1. metadata["crops"] and metadata["max_row_cells"] count the crops
+    and the cells of the largest row over the rows the stream held, each
+    FFT product one crop and one row. Outside the moment polytope every row
+    is an exact zero with a NaN gap and the counts are 0.
     """
     _check_k_max(k_max)
     v = v.pruned()
@@ -331,26 +375,33 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
 
     log_cap_sq = 2.0 * cap.log_cap.log_mag
     chart = cap.certificate
-    stream, flipped, corners = _report_stream(*_tilted_law(v, cap))
-    J = len(flipped)
+    C, p = _tilted_law(v, cap)
     m = math.lcm(*(c.denominator for c in chart.theta_coords))  # k c_theta integral iff m | k
-    step = stream.axes @ np.array([int(c * m) for c in chart.theta_coords], dtype=np.int64)
+    P = math.lcm(ell, m)
+    probs = np.zeros(k_max // ell)  # P_p(S_k = k theta) at k = ell, 2 ell, ..
+    if line := _line_stream(C, p):
+        stream, flipped, corners = line
+        step = int(stream.axes[0] @ np.array([int(c * m) for c in chart.theta_coords]))
+        for k0 in range(0, k_max + 1, _JUMP):  # the held rows: S_k0
+            if k0:
+                stream.step()
+            ks = np.arange(-(-max(k0, 1) // P) * P, min(k0 + _JUMP, k_max + 1), P)
+            if ks.size:
+                probs[ks // ell - 1] = _reads(stream.row, flipped, corners, ks - k0,
+                                              ks // m * step)
+    else:
+        stream = _RowStream(C, p)
+        step = stream.axes @ np.array([int(c * P) for c in chart.theta_coords], dtype=np.int64)
+        for i, row in enumerate(_period_rows(stream, P, k_max), start=1):
+            probs[i * P // ell - 1] = row.cell(i * step)
     rows, zero = [], LogValue.zero()
-    for k0 in range(0, k_max + 1, J):  # the held rows: S_k0
-        if k0:
-            stream.step()
-        ks = [k for k in range(max(k0, 1), min(k0 + J, k_max + 1)) if k % ell == 0]
-        on = [k for k in ks if k % m == 0]
-        probs = dict(zip(on, _reads(stream.row, flipped, corners, [k - k0 for k in on],
-                                    [k // m * step for k in on])))
-        for k in ks:
-            prob = probs.get(k, 0.0)
-            if prob > 0:
-                log_p = math.log(prob)
-                norm_sq = LogValue(1, k * log_cap_sq + log_p)
-            else:
-                log_p, norm_sq = -math.inf, zero
-            rows.append((k, norm_sq, norm_sq.log_mag / k, log_cap_sq, 0.0 - log_p / k))
+    for k, prob in zip(range(ell, k_max + 1, ell), probs.tolist()):
+        if prob > 0:
+            log_p = math.log(prob)
+            norm_sq = LogValue(1, k * log_cap_sq + log_p)
+        else:
+            log_p, norm_sq = -math.inf, zero
+        rows.append((k, norm_sq, norm_sq.log_mag / k, log_cap_sq, 0.0 - log_p / k))
     metadata.update(dropped_mass=stream.dropped, crops=stream.crops,
                     max_row_cells=stream.max_row_cells)
     return ConvergenceReport(columns=columns, rows=rows, metadata=metadata)
@@ -534,6 +585,22 @@ class _RowStream:
             self._crop_at = 2 * out.size
         self.row = _Row(out, offset)
 
+    def jump(self, law: _Row, steps: int) -> None:
+        """`steps` steps at once: the row times law, the law of S_steps.
+        From the point mass that is law itself; otherwise it is one FFT
+        product (_row_conv), which is one row and one crop, and the mass its
+        crop removed joins `dropped`."""
+        if self.k:
+            cells = math.prod((np.array(self.row.arr.shape) + law.arr.shape - 1).tolist())
+            self.row, cut = _row_conv(self.row, law)
+            self.dropped += cut
+            self.crops += 1
+        else:
+            cells, self.row = law.arr.size, law
+        self.k += steps
+        self.max_row_cells = max(self.max_row_cells, cells)
+        self._crop_at = 2 * self.row.arr.size
+
 
 def _cst_of_product(a: _Row, b: _Row) -> float:
     """The coefficient of t^0 in the product of two rows, sum_x a[x] b[-x]:
@@ -563,10 +630,18 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _row_conv(a: _Row, b: _Row) -> _Row:
-    # Full linear convolution as a product of real FFTs. Each axis is padded
-    # to a 5-smooth length: numpy's real FFT has radix 2, 3, 4 and 5 passes,
-    # and any other prime factor goes through a slower generic pass or
+def _fft_pays(steps: int, terms: int, cells: int) -> bool:
+    """Whether `steps` convolution steps with `terms` weights (steps * terms
+    cell updates a cell) cost more than one FFT product to `cells` cells
+    (about 3 log2 cells a cell)."""
+    return steps * terms > 3 * math.log2(cells)
+
+
+def _row_conv(a: _Row, b: _Row) -> tuple[_Row, float]:
+    # Full linear convolution as a product of real FFTs, cropped (_crop):
+    # the product and the mass its crop removed. Each axis is padded to a
+    # 5-smooth length: numpy's real FFT has radix 2, 3, 4 and 5 passes, and
+    # any other prime factor goes through a slower generic pass or
     # Bluestein's algorithm. Powers of two alone would pad some axes to
     # twice the extent.
     shape = tuple(x + y - 1 for x, y in zip(a.arr.shape, b.arr.shape))
@@ -575,8 +650,8 @@ def _row_conv(a: _Row, b: _Row) -> _Row:
     spec = np.fft.rfftn(a.arr, fshape, axes) * np.fft.rfftn(b.arr, fshape, axes)
     arr = np.fft.irfftn(spec, fshape, axes)[tuple(slice(m) for m in shape)]
     np.clip(arr, 0.0, None, out=arr)
-    arr, offset, _ = _crop(arr, a.offset + b.offset, float(arr.max()) * _TRUNC_FLOOR)
-    return _Row(arr, offset)
+    arr, offset, dropped = _crop(arr, a.offset + b.offset, float(arr.max()) * _TRUNC_FLOOR)
+    return _Row(arr, offset), dropped
 
 
 def _row_power(base: _Row, k: int, cache: dict[int, _Row]) -> _Row:
@@ -587,9 +662,9 @@ def _row_power(base: _Row, k: int, cache: dict[int, _Row]) -> _Row:
         row = base
     elif k % 2 == 0:
         half = _row_power(base, k // 2, cache)
-        row = _row_conv(half, half)
+        row, _ = _row_conv(half, half)
     else:
-        row = _row_conv(_row_power(base, k - 1, cache), base)
+        row, _ = _row_conv(_row_power(base, k - 1, cache), base)
     cache[k] = row
     return row
 
@@ -641,8 +716,8 @@ def prefactor_sequence(v: WeightedVector, k_max: int | None = None,
     out: list[tuple[int, float]] = []
     for k in targets:
         steps = k - anchor_k - walk.k
-        if k - anchor_k > anchor_k or steps * len(walk.terms) > 3 * math.log2(anchor.arr.size):
-            anchor = _row_conv(anchor, _row_power(walk.kernel, k - anchor_k, cache))
+        if k - anchor_k > anchor_k or _fft_pays(steps, len(walk.terms), anchor.arr.size):
+            anchor, _ = _row_conv(anchor, _row_power(walk.kernel, k - anchor_k, cache))
             anchor_k = k
             walk.reset()
         else:

@@ -17,7 +17,8 @@ import capdual
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs the FFT-powered prefactor rows, the tilted duality rows, the
+# Runs the FFT-powered prefactor rows, the tilted duality rows (stepped at
+# theta = (1/2, 0), FFT jumps by the law of S_12 at theta = (1/4, 1/3)), the
 # exact projection table and the CLI, then prints every scipy module that got
 # imported.
 SCRIPT = r"""
@@ -33,6 +34,9 @@ cross = WeightedVector.from_terms(
     2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}).normalized()
 prefactor_sequence(cross, ks=[40, 42, 100])
 duality_report(cross, ("1/2", 0), 20)
+cross_plus_one = WeightedVector.from_terms(
+    2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0, (1, 1): 1.0}).normalized()
+duality_report(cross_plus_one, ("1/4", "1/3"), 48)
 projection_norm_table(cross, 10)
 config = {
     "experiment": "prefactor",

@@ -234,8 +234,8 @@ def test_torus_kernel_matches_one_cos_sin_pass_per_weight(W, labels, tol):
 
 
 def test_torus_coordinate_of_a_million_is_one_power_pass():
-    # e^{i x}^(10^6) is one np.power pass, not 10^6 products. At arguments
-    # near 2 pi 10^6 both forms round <w, x> to about 1e-9.
+    # e^{i x}^(10^6) is one cos and one sin pass, not 10^6 products. At
+    # arguments near 2 pi 10^6 both forms round <w, x> to about 1e-9.
     r = math.sqrt(0.5)
     for v, lam in ((WeightedVector.from_terms(1, {(0,): r, (10**6,): r}), (10**6,)),
                    (WeightedVector.from_terms(1, {(-10**6,): r, (10**6,): r}), (2 * 10**6,))):
@@ -247,6 +247,24 @@ def test_torus_coordinate_of_a_million_is_one_power_pass():
         got = _dispatch(v, 2, lam)(FixedDraws(x), len(x))
         want = torus_integrand([w.coords for w in v.support], [0.5, 0.5], 2, lam, x)
         assert np.max(np.abs(got - want)) <= 1e-8
+
+
+@pytest.mark.parametrize("s", [99, 100, 12_345, 10**6])
+def test_torus_kernel_at_large_exponents_matches_one_cos_sin_pass_per_weight(s):
+    # Above 99 numpy's complex power leaves its products for the complex log
+    # and exp; the kernel takes cos and sin of s x instead, the reference's
+    # own arguments on one axis, so the two agree within the general
+    # kernel test's 1e-12 of the block's largest value. 99 keeps np.power.
+    rng = np.random.default_rng(s)
+    r = math.sqrt(0.5)
+    x = rng.uniform(0.0, 2 * math.pi, (4096, 1))
+    for W, labels in (([(0,), (s,)], [(s,), (2 * s,)]), ([(-s,), (1,)], [(1 - s,), (-2 * s,)])):
+        v = WeightedVector.from_terms(1, {w: r for w in W})
+        for k in (2, 3, MAX_K):  # every label lies in the box of k-fold weight sums
+            for lam in (None, *labels):
+                got = _dispatch(v, k, lam)(FixedDraws(x), len(x))
+                want = torus_integrand([w.coords for w in v.support], [0.5, 0.5], k, lam, x)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (W, k, lam)
 
 
 def test_torus_labels_outside_the_weight_box_give_exact_zero():

@@ -401,39 +401,54 @@ _SQ = math.sqrt(0.5)
 _POLYGON = {(0, 0): 0.6, (2, 1): 1.0, (4, 2): 0.5, (0, 2): 0.7, (3, 3): 0.9}
 
 
-@pytest.mark.parametrize("terms, theta, k_max", [
-    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 1),
-    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 31),
-    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 32),
-    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 33),
-    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 1000),
-    ({(-1,): _SQ, (1,): _SQ}, (F(0),), 1000),
-    ({(-2,): 0.5, (1,): 0.6, (2,): 0.62}, (F(1, 5),), 1000),
-    ({(0,): 0.3, (2,): 0.5, (5,): 0.6}, (F(5, 3),), 300),
-    ({(0,): _SQ, (1,): _SQ}, (F(1, 40),), 400),
-    ({(0,): _SQ, (1,): _SQ}, (F(1),), 100),
-    (_POLYGON, (F(1), F(1, 2)), 400),
-    ({(-10**6,): _SQ, (10**6,): _SQ}, (F(0),), 400),
-    ({(0,): 0.3, (1,): 0.2, (200,): 0.6}, (F(50),), 100),
+_CROSS = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}
+
+
+@pytest.mark.parametrize("terms, theta, k_max, route", [
+    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 1, "line"),
+    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 31, "line"),
+    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 32, "line"),
+    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 33, "line"),
+    ({(0,): 0.5, (1,): 0.7, (3,): 0.5}, (F(1),), 1000, "line"),
+    ({(-1,): _SQ, (1,): _SQ}, (F(0),), 1000, "line"),
+    ({(-2,): 0.5, (1,): 0.6, (2,): 0.62}, (F(1, 5),), 1000, "line"),
+    ({(0,): 0.3, (2,): 0.5, (5,): 0.6}, (F(5, 3),), 300, "line"),
+    ({(0,): _SQ, (1,): _SQ}, (F(1, 40),), 400, "line"),
+    ({(0,): _SQ, (1,): _SQ}, (F(1),), 100, "line"),
+    (_POLYGON, (F(1), F(1, 2)), 400, "line"),
+    ({(-10**6,): _SQ, (10**6,): _SQ}, (F(0),), 400, "line"),
+    ({(0,): 0.3, (1,): 0.2, (200,): 0.6}, (F(50),), 100, "steps"),
     ({(0, 0): 0.5, (1, 0): 0.9, (0, 1): 0.7, (1, 1): 0.4, (-1, -1): 0.8},
-     (F(1, 4), F(1, 5)), 100),
+     (F(1, 4), F(1, 5)), 100, "jumps"),
+    (_CROSS, (F(0), F(0)), 120, "steps"),
+    ({**_CROSS, (1, 1): 0.8}, (F(1, 4), F(1, 3)), 240, "jumps"),
+    ({(1, 0, 0): 0.9, (0, 1, 0): 0.7, (0, 0, 1): 0.6, (-1, -1, -1): 0.5},
+     (F(1, 2), F(1, 4), F(0)), 64, "jumps"),
 ], ids=["k1", "k31", "k32", "k33", "k1000", "qubit", "n1", "period3", "period40", "vertex",
-        "edge", "spaced", "wide", "n2"])
-def test_report_reads_as_one_step_per_k(terms, theta, k_max):
-    # A one-axis report holds every 32nd row and reads the rows between
-    # through the laws of S_0 .. S_31: its log norms stay within 1e-12 of
-    # a stream stepped once per k, with the same ks and exact zeros (the
-    # qubit's odd k and the period-3 walk's k off 3 Z are off the lattice;
-    # with period 40 some held rows are read at no k).
-    # A kernel on more than 128 cells (wide) and a 2-D face (n2) step every
-    # k, so their rows and counters are the reference's, bit for bit.
+        "edge", "spaced", "wide", "n2", "cross", "cross12", "n3"])
+def test_report_reads_as_one_step_per_k(terms, theta, k_max, route, monkeypatch):
+    # Every report reads the rows of a stream stepped once per k: the same
+    # ks and exact zeros (the qubit's odd k and the period-3 walk's k off
+    # 3 Z are off the lattice; with period 40 some held rows are read at no
+    # k). A one-axis report ("line") holds every 32nd row and reads the rows
+    # between through the laws of S_0 .. S_31; a report that jumps holds
+    # every P-th row, P the read period (20 for n2, 12 for cross12, 16 for
+    # n3), each one FFT product with the law of S_P: their log norms stay
+    # within 1e-12 of the reference. A kernel on more than 128 cells (wide)
+    # and the cross (P = 2) step every k, so their rows and counters are the
+    # reference's, bit for bit.
+    jumps = []
+    jump = _RowStream.jump
+    monkeypatch.setattr(_RowStream, "jump", lambda self, *a: jumps.append(self.k) or jump(self, *a))
     v = WeightedVector.from_terms(len(theta), terms)
     rep = duality_report(v, theta, k_max)
     want, stream = _per_k_report(v, theta, k_max)
     assert [(r[0], r[1].sign) for r in rep.rows] == [(r[0], r[1].sign) for r in want]
     assert any(r[1].sign for r in want)
+    assert (stream.kernel.arr.ndim == 1 and stream.kernel.arr.size <= 128) == (route == "line")
+    assert bool(jumps) == (route == "jumps")
     counters = [rep.metadata[key] for key in ("dropped_mass", "crops", "max_row_cells")]
-    if stream.kernel.arr.ndim > 1 or stream.kernel.arr.size > 128:
+    if route == "steps":
         assert rep.rows == want
         assert counters == [stream.dropped, stream.crops, stream.max_row_cells]
     else:
@@ -455,13 +470,39 @@ def test_jump_stream_accounts_for_the_dropped_mass(terms, theta, k_max):
     # errors.
     v = WeightedVector.from_terms(len(theta), terms)
     cap = theta_capacity(v, rational_vector(theta, v.n))
-    stream, flipped, corners = projection._report_stream(*projection._tilted_law(v, cap))
+    stream, flipped, corners = projection._line_stream(*projection._tilted_law(v, cap))
     assert flipped.shape[0] == 32 and corners.tolist() == [j * corners[1] for j in range(32)]
     for _ in range(k_max // 32):
         stream.step()
     assert stream.crops > 0
     k = k_max // 32 * 32
     assert abs(1.0 - float(stream.row.arr.sum()) - stream.dropped) <= 4 * k * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("W, p, period, jumps", [
+    ([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [0.3, 0.1, 0.2, 0.15, 0.25], 12, 15),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [0.4, 0.3, 0.2, 0.1], 10, 8),
+], ids=["n2", "n3"])
+def test_fft_jump_rows_account_for_the_dropped_mass(W, p, period, jumps):
+    # A jump convolves the row with K, the uncropped law of S_period, by
+    # FFT, and crops the product. The first jump takes K itself; K's mass
+    # is within 4 period eps of 1 (period exact steps), and each product
+    # rounds its total by a few eps per level of the FFT's butterflies, 4
+    # eps log2(cells). So the mass of the last row is 1 minus everything the
+    # crops removed, within tol, and the crops remove more than ten times
+    # tol.
+    stream = _RowStream(np.array(W), np.array(p))
+    *_, law = projection._exact_laws(stream, period)
+    eps = np.finfo(float).eps
+    tol = 0.0
+    for _ in range(jumps):
+        cells = math.prod((np.array(stream.row.arr.shape) + law.arr.shape - 1).tolist())
+        tol += 4 * eps * (period + math.log2(cells))
+        stream.jump(law, period)
+    assert stream.k == jumps * period and stream.crops == jumps - 1
+    assert stream.dropped > 10 * tol
+    assert abs(1.0 - float(stream.row.arr.sum()) - stream.dropped) <= tol
+    assert stream.max_row_cells >= stream.row.arr.size
 
 
 def test_k_max_below_one_or_fractional_rejected():
@@ -516,7 +557,7 @@ def test_row_conv_matches_direct_convolution(shapes):
     a, b = (rng.random(s) for s in shapes)
     a.flat[0] = b.flat[-1] = 1.0
     n = a.ndim
-    out = _row_conv(_Row(a, np.arange(n, dtype=np.int64)), _Row(b, -np.ones(n, dtype=np.int64)))
+    out, _ = _row_conv(_Row(a, np.arange(n, dtype=np.int64)), _Row(b, -np.ones(n, dtype=np.int64)))
     want = _direct_conv(a, b)
     m = want.max()
     # _row_conv crops zero margins, which random positive rows do not have
