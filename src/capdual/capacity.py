@@ -401,9 +401,13 @@ def theta_capacity(v: WeightedVector, theta, *, grad_tol: float = GRAD_TOL,
     if not cert.inside:
         return CapacityResult(LogValue.zero(), None, True, 0, math.inf, cert, "outside", ())
     logq = np.array([math.log(x) for x in q])
+    if not cert.dim:  # a vertex: F = log q_w at every x, and x = 0 has the least norm
+        return CapacityResult(LogValue(1, 0.5 * logq[0]), np.zeros(v.n), any(cert.normal[0]), 0,
+                              0.0, cert, "converged", cert.face)
     y, fstar, gnorm, iters, status = _newton_logsumexp(C, logq, c_theta, grad_tol, max_iter)
     B = np.array(cert.basis, dtype=float).reshape(v.n, cert.dim)
-    x = B @ np.linalg.solve(B.T @ B, y)  # the least-norm x with B^T x = y
+    # the least-norm x with B^T x = y, which is y itself when B = I
+    x = y if np.array_equal(B, np.eye(v.n)) else B @ np.linalg.solve(B.T @ B, y)
     return CapacityResult(LogValue(1, 0.5 * fstar), x, any(cert.normal[0]), iters, gnorm,
                           cert, status, cert.face)
 

@@ -6,7 +6,7 @@ weight-lambda component of v^{tensor k} is the coefficient of t^lambda in
 k independent draws from a distribution p on integer weights, and steps it
 with one convolution step, the row stream's (_RowStream): by k -> k + 1,
 by k -> k + 32 with the law of S_32 in a duality report on a line, or by
-an FFT product with the law of S_P (_RowStream.jump).
+an FFT product with the law of S_J in any other report (_RowStream.jump).
 Rows live in the integer chart w = w0 + B c of the weights
 (capacity._chart): d axes for a d-dimensional face, one cell per lattice
 point however far apart the weights are, on the axes of that lattice that
@@ -35,9 +35,16 @@ hold the fewest cells (_lll_axes).
   that crops lazily (_RowStream). On a line, with p on at most 128 cells,
   it holds every 32nd row, convolving with the law of S_32, and reads the
   32 rows from each held one through the laws of S_0 .. S_31 in one
-  windowed product (_line_stream, _reads). Otherwise it holds only the
-  rows it reads, every P-th, each from the last by P steps, or by one FFT
-  product with the law of S_P where P steps cost more (_period_rows).
+  windowed product (_line_stream, _reads). Every other report, on two
+  axes or more or on a wider line, holds every J-th row, J the largest
+  multiple of P up to 32 whose laws K_P, K_2P, .., K_J fit in 1 MiB
+  (_held_period). It reaches the next held row by one FFT product with
+  K_J, reading the rows between through K_P .. K_J, one dot product each,
+  or by J steps where those cost less (_held_reads). Every read through a
+  law is an exact convolution of the held row, so the mass the crops
+  removed bounds its error in absolute terms; a P_p(S_k = k theta) below
+  that bound has no relative accuracy, in these rows or in a stream
+  stepped every k.
 - The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 is the theta = 0,
   x* = 0 case, p = q, read at 0 (k c0 in the chart of the whole support).
   The first target is powered by binary squaring, each product a real FFT
@@ -88,11 +95,14 @@ MAX_DP_BYTES = 2 << 30  # 2 GiB guard for dense convolution tables
 # - Stream rows: every row is the law of S_k and every step a convolution
 #   with p, which sums to 1, so mass removed at one crop removes exactly
 #   that much from all later rows. A jump (_RowStream.jump) is an FFT
-#   product with the uncropped law of S_P, which also sums to 1, and its
-#   crop's mass counts the same way. The sum of the removed masses, the
-#   report's metadata["dropped_mass"], is therefore an absolute bound on the
-#   truncation error of P_p(S_k = k theta) at every row; the value read
-#   there, at the mean, is of order k^{-d/2}. An FFT product also rounds
+#   product with the uncropped law of S_J, which also sums to 1, and its
+#   crop's mass counts the same way; so does a read through the uncropped
+#   law of S_j from a held row (_reads, _held_reads). The sum of the
+#   removed masses, the report's metadata["dropped_mass"], is therefore an
+#   absolute bound on the truncation error of every P_p(S_k = k theta) read;
+#   the value read there, at the mean, is of order k^{-d/2}, but a value
+#   below the bound (far from the mean, or a wide kernel at large k) has
+#   only the bound and no relative accuracy. An FFT product also rounds
 #   each cell by at most about eps log2(cells) times the row's largest, far
 #   below the floor.
 # - Prefactor anchors: mass lost per product is below (array size) * floor
@@ -231,7 +241,9 @@ def projection_norm_table(v: WeightedVector, k_max: int,
 
 
 # Rows a one-axis duality report reads per convolution step, and the most
-# cells p may take for it to do so: K_0 .. K_J then stay under about 1 MiB.
+# cells p may take for it to do so: K_0 .. K_J then stay under about 1 MiB,
+# 8 _JUMP^2 _JUMP_CELLS bytes, the budget of every other report's read laws
+# too (_held_period).
 _JUMP = 32
 _JUMP_CELLS = 128
 
@@ -311,28 +323,59 @@ def _reads(row: _Row, flipped: np.ndarray, corners: np.ndarray, js: np.ndarray,
     return np.einsum("ji,ji->j", padded[starts[:, None] + np.arange(L)], flipped[js]).tolist()
 
 
-def _period_rows(stream: _RowStream, period: int, k_max: int) -> Iterator[_Row]:
-    """The rows of a stream of p at k = period, 2 period, .. <= k_max.
+def _held_period(widths: np.ndarray, period: int, k_max: int) -> int:
+    """J, the distance between the rows a report off the line holds: the
+    largest multiple of period, at most max(period, min(_JUMP, k_max)),
+    whose read laws K_period, K_2period, .., K_J fit in the 8 _JUMP^2
+    _JUMP_CELLS bytes (1 MiB) the line's laws may take; period if none fit.
+    K_j spans j width_u + 1 cells on each axis u, so no law is built to
+    count them."""
+    J, cells = period, 0
+    for j in range(period, max(period, min(_JUMP, k_max)) + 1, period):
+        cells += math.prod((j * widths + 1).tolist())
+        if cells > _JUMP ** 2 * _JUMP_CELLS:
+            break
+        J = j
+    return J
 
-    Each comes from the last by `period` steps, or, when those cost more
-    than one FFT product to the next row's cells (_fft_pays), by one
-    product with K, the law of S_period (_RowStream.jump): the uncropped
-    row `period` of a floor-0 stream of p, built when first needed. The
-    first row is K itself when the product after it pays: K takes the same
-    steps to build as the row would.
+
+def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray
+                ) -> Iterator[float]:
+    """P(S_k = (k / period) step) at k = period, 2 period, .. <= k_max, from
+    a stream of p that holds every J-th row (_held_period).
+
+    From the row R held at k0 the stream reaches k0 + J in one of two ways,
+    whichever costs less by the test on J steps (_fft_pays):
+    - a jump, one FFT product with K_J, the uncropped law of S_J
+      (_RowStream.jump). Each read at k = k0 + j, 0 < j <= J, is
+      sum_x R[x] K_j[t - x], t the target of k (_cst_of_product): a sum of
+      nonnegative products. The laws K_period .. K_J are the rows of a
+      floor-0 copy of the stream (_exact_laws), built at the first jump.
+      From the point mass a read is a cell of K_j, and the jump is K_J.
+    - J steps, reading the cell of every period-th row on the way.
+    No jump follows the last read.
     """
     widths = np.array(stream.kernel.arr.shape) - 1
-    law = None
-    for i in range(k_max // period):
-        shape = np.array(stream.row.arr.shape) if i else period * widths + 1
-        if _fft_pays(period, len(stream.terms), math.prod((shape + period * widths).tolist())):
-            if law is None:
-                *_, law = _exact_laws(stream, period)
-            stream.jump(law, period)
+    J = _held_period(widths, period, k_max)
+    last = k_max // period * period
+    laws = None
+    for k0 in range(0, last, J):
+        reach = min(J, last - k0)
+        shape = np.array(stream.row.arr.shape) if k0 else J * widths + 1
+        if _fft_pays(J, len(stream.terms), math.prod((shape + J * widths).tolist())):
+            if laws is None:  # copied: on two axes the copy's step after next overwrites a row
+                laws = {j: _Row(K.arr.copy(), K.offset) for j, K in enumerate(_exact_laws(stream, J))
+                        if j and j % period == 0}
+            for j in range(period, reach + 1, period):
+                t = (k0 + j) // period * step
+                yield _cst_of_product(stream.row, replace(laws[j], offset=laws[j].offset - t))
+            if k0 + J < last:
+                stream.jump(laws[J], J)
         else:
-            for _ in range(period):
+            for j in range(1, reach + 1):
                 stream.step()
-        yield stream.row
+                if j % period == 0:
+                    yield stream.row.cell((k0 + j) // period * step)
 
 
 def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
@@ -346,17 +389,22 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     chart point c_theta; the other k of ell Z are exact zeros.
     - On a line, with p on at most 128 cells, the stream holds every 32nd
       row and reads the 32 rows from each held one (_line_stream, _reads).
-    - Otherwise it holds only the rows it reads, every P-th: each from the
-      last by P steps, or by one FFT product with the law of S_P when P
-      steps cost more (_period_rows).
+    - Otherwise (two axes or more, or a wider line kernel) it holds every
+      J-th row, J the largest multiple of P, at most max(P, min(32,
+      k_max)), whose laws K_P, K_2P, .., K_J take at most 1 MiB
+      (_held_period). From a held row it either jumps to the next by one
+      FFT product with K_J, the law of S_J, and reads the rows between
+      through K_P .. K_J, one dot product each, or takes J steps and reads
+      every P-th row, whichever costs less (_held_reads, _fft_pays).
     metadata["dropped_mass"] is the probability mass the truncation floor
     removed over the held rows, at their crops and FFT products: an
     absolute bound on the error of every P_p(S_k = k theta), since every
     held row and every read is an exact convolution with a law that sums
-    to 1. metadata["crops"] and metadata["max_row_cells"] count the crops
-    and the cells of the largest row over the rows the stream held, each
-    FFT product one crop and one row. Outside the moment polytope every row
-    is an exact zero with a NaN gap and the counts are 0.
+    to 1. A P_p(S_k = k theta) below it has only that bound, and no
+    relative accuracy. metadata["crops"] and metadata["max_row_cells"]
+    count the crops and the cells of the largest row over the rows the
+    stream held, each FFT product one crop and one row. Outside the moment
+    polytope every row is an exact zero with a NaN gap and the counts are 0.
     """
     _check_k_max(k_max)
     v = v.pruned()
@@ -392,8 +440,7 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     else:
         stream = _RowStream(C, p)
         step = stream.axes @ np.array([int(c * P) for c in chart.theta_coords], dtype=np.int64)
-        for i, row in enumerate(_period_rows(stream, P, k_max), start=1):
-            probs[i * P // ell - 1] = row.cell(i * step)
+        probs[P // ell - 1::P // ell] = list(_held_reads(stream, P, k_max, step))
     rows, zero = [], LogValue.zero()
     for k, prob in zip(range(ell, k_max + 1, ell), probs.tolist()):
         if prob > 0:
@@ -456,15 +503,13 @@ def _crop(arr: np.ndarray, offset: np.ndarray, floor: float
     """Zero the entries of arr below floor, in place, and crop the zero
     margins: (cropped copy, its lower corner, the sum of the zeroed
     entries)."""
-    low = arr < floor
-    cut = arr * low
-    arr -= cut  # exact: x - x = 0 below the floor, x - 0 = x above it
-    dropped = float(cut.sum())
-    del cut  # as large as the uncropped row: free it before the cropped copy
+    keep = arr >= floor
+    dropped = float(arr.sum(where=~keep))
+    np.multiply(arr, keep, out=arr)  # exact: x 1 = x above the floor, x 0 = 0 below it
     lo, hi = [], []
     for ax in range(arr.ndim):
         others = tuple(i for i in range(arr.ndim) if i != ax)
-        kept = np.flatnonzero(~low.all(axis=others))
+        kept = np.flatnonzero(keep.any(axis=others))
         lo.append(int(kept[0]))
         hi.append(int(kept[-1]) + 1)
     return (np.ascontiguousarray(arr[tuple(map(slice, lo, hi))]), offset + lo, dropped)

@@ -365,6 +365,41 @@ def test_face_search_matches_per_weight_oracle():
     assert full_lattice >= 20, full_lattice
 
 
+def test_vertex_and_identity_chart_shortcuts_are_bit_identical():
+    # A vertex returns F = log q_w and x = 0 without Newton, and a chart
+    # with B = I takes x = y without the least-norm solve. Both give, bit
+    # for bit, what the general path gives: Newton from y = 0 (at a vertex
+    # it stops at once, g empty) and x = B (B^T B)^{-1} y.
+    def general(v, theta):
+        cert, C, q, c_theta = capacity._on_face(v.pruned(), theta)
+        logq = np.array([math.log(x) for x in q])
+        y, fstar, gnorm, iters, status = capacity._newton_logsumexp(
+            C, logq, c_theta, capacity.GRAD_TOL, capacity.MAX_ITER)
+        B = np.array(cert.basis, dtype=float).reshape(v.n, cert.dim)
+        return 0.5 * fstar, B @ np.linalg.solve(B.T @ B, y), status, iters, gnorm, cert
+
+    rng = np.random.default_rng(2024)
+    seen = {"vertex": 0, "identity": 0}
+    for trial in range(60):
+        n = 1 + trial % 3
+        v = random_weighted_vector(rng, n=n, n_terms=n + 2 + trial % 3, box=3)
+        W = [w.coords for w in v.support]
+        centroid = tuple(F(sum(w[i] for w in W), len(W)) for i in range(n))
+        for theta in (max(W), centroid, random_feasible_theta(rng, v)):
+            got = theta_capacity(v, theta)
+            if got.status == "outside":
+                continue
+            log_cap, x, status, iters, gnorm, cert = general(v, theta)
+            assert got.log_cap.log_mag == log_cap, (trial, theta)
+            assert got.minimizer_x.tobytes() == x.tobytes(), (trial, theta)
+            assert (got.status, got.iterations, got.gradient_norm) == (status, iters, gnorm)
+            if cert.dim == 0:
+                seen["vertex"] += 1
+            elif np.array_equal(np.array(cert.basis), np.eye(n)):
+                seen["identity"] += 1
+    assert seen["vertex"] >= 20 and seen["identity"] >= 20, seen
+
+
 def test_zero_vector_rejected():
     with pytest.raises(ValueError):
         theta_capacity(WeightedVector.from_terms(1, {(0,): 0.0}), (F(0),))

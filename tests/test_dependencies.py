@@ -17,8 +17,10 @@ import capdual
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs the FFT-powered prefactor rows, the tilted duality rows (stepped at
-# theta = (1/2, 0), FFT jumps by the law of S_12 at theta = (1/4, 1/3)), the
+# Runs the FFT-powered prefactor rows, the tilted duality rows on two axes
+# and more (FFT jumps by the law of S_32 at theta = (1/2, 0) and of S_24 at
+# theta = (1/4, 1/3), with the rows between read through the laws of S_P ..
+# S_J; steps every k on the 3-D support at theta = (1/8, 1/8, 1/4)), the
 # exact projection table and the CLI, then prints every scipy module that got
 # imported.
 SCRIPT = r"""
@@ -33,10 +35,13 @@ from capdual.projection import (duality_report, prefactor_sequence,
 cross = WeightedVector.from_terms(
     2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}).normalized()
 prefactor_sequence(cross, ks=[40, 42, 100])
-duality_report(cross, ("1/2", 0), 20)
+duality_report(cross, ("1/2", 0), 96)
 cross_plus_one = WeightedVector.from_terms(
     2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0, (1, 1): 1.0}).normalized()
-duality_report(cross_plus_one, ("1/4", "1/3"), 48)
+duality_report(cross_plus_one, ("1/4", "1/3"), 96)
+simplex_plus = WeightedVector.from_terms(3, {
+    (0, 0, 0): 0.5, (1, 0, 0): 0.9, (0, 1, 0): 0.7, (0, 0, 1): 0.6, (4, 4, 4): 0.4})
+duality_report(simplex_plus, ("1/8", "1/8", "1/4"), 16)
 projection_norm_table(cross, 10)
 config = {
     "experiment": "prefactor",

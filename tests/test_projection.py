@@ -397,11 +397,20 @@ def _per_k_report(v, theta, k_max):
     return rows, stream
 
 
+def _read_period(ell, cap):
+    """P = lcm(ell, m), ell the period of theta and m that of its chart point."""
+    return math.lcm(ell, *(c.denominator for c in cap.certificate.theta_coords))
+
+
 _SQ = math.sqrt(0.5)
 _POLYGON = {(0, 0): 0.6, (2, 1): 1.0, (4, 2): 0.5, (0, 2): 0.7, (3, 3): 0.9}
+_PENTAGON = {(0, 0): 1.0, (3, 0): 1.0, (0, 2): 1.0, (2, 3): 1.0, (1, 1): 1.0}
 
 
 _CROSS = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}
+# P = 8, and K_8, K_16 would take 33^3 + 65^3 cells, past the laws' 1 MiB:
+# J = P, and a jump's product of 65^3 cells costs more than 8 steps.
+_SIMPLEX_PLUS = {(0, 0, 0): 0.5, (1, 0, 0): 0.9, (0, 1, 0): 0.7, (0, 0, 1): 0.6, (4, 4, 4): 0.4}
 
 
 @pytest.mark.parametrize("terms, theta, k_max, route", [
@@ -417,26 +426,35 @@ _CROSS = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}
     ({(0,): _SQ, (1,): _SQ}, (F(1),), 100, "line"),
     (_POLYGON, (F(1), F(1, 2)), 400, "line"),
     ({(-10**6,): _SQ, (10**6,): _SQ}, (F(0),), 400, "line"),
-    ({(0,): 0.3, (1,): 0.2, (200,): 0.6}, (F(50),), 100, "steps"),
+    ({(0,): 0.3, (1,): 0.2, (200,): 0.6}, (F(50),), 100, "table"),
     ({(0, 0): 0.5, (1, 0): 0.9, (0, 1): 0.7, (1, 1): 0.4, (-1, -1): 0.8},
      (F(1, 4), F(1, 5)), 100, "jumps"),
-    (_CROSS, (F(0), F(0)), 120, "steps"),
+    (_CROSS, (F(0), F(0)), 120, "jumps"),
     ({**_CROSS, (1, 1): 0.8}, (F(1, 4), F(1, 3)), 240, "jumps"),
     ({(1, 0, 0): 0.9, (0, 1, 0): 0.7, (0, 0, 1): 0.6, (-1, -1, -1): 0.5},
      (F(1, 2), F(1, 4), F(0)), 64, "jumps"),
+    (_SIMPLEX_PLUS, (F(1, 8), F(1, 8), F(1, 4)), 64, "steps"),
+    (_PENTAGON, (F(1), F(1)), 200, "jumps"),
 ], ids=["k1", "k31", "k32", "k33", "k1000", "qubit", "n1", "period3", "period40", "vertex",
-        "edge", "spaced", "wide", "n2", "cross", "cross12", "n3"])
+        "edge", "spaced", "wide", "n2", "cross", "cross12", "n3", "n3-steps", "pentagon"])
 def test_report_reads_as_one_step_per_k(terms, theta, k_max, route, monkeypatch):
     # Every report reads the rows of a stream stepped once per k: the same
     # ks and exact zeros (the qubit's odd k and the period-3 walk's k off
     # 3 Z are off the lattice; with period 40 some held rows are read at no
     # k). A one-axis report ("line") holds every 32nd row and reads the rows
-    # between through the laws of S_0 .. S_31; a report that jumps holds
-    # every P-th row, P the read period (20 for n2, 12 for cross12, 16 for
-    # n3), each one FFT product with the law of S_P: their log norms stay
-    # within 1e-12 of the reference. A kernel on more than 128 cells (wide)
-    # and the cross (P = 2) step every k, so their rows and counters are the
-    # reference's, bit for bit.
+    # between through the laws of S_0 .. S_31. Every other report holds
+    # every J-th row, J a multiple of the read period P (J = 20 for n2, 32
+    # for the cross at P = 2, 24 for cross12 at P = 12, 32 for n3 at
+    # P = 16, 32 for the pentagon at P = 1). A report that jumps reaches
+    # each held row by one FFT product with the law of S_J and reads the
+    # rows between through K_P .. K_J: its log norms stay within 1e-12 of
+    # the reference. n3-steps (J = P = 8) steps every k, so its rows and
+    # counters are the reference's, bit for bit.
+    # wide (p on 201 cells of a line, P = 1, J = 32) jumps too, but its
+    # rows fall to about 4e-20 at k = 77, where the reference's sit 1.46
+    # in log from the exact table and the held rows' 3.0: below
+    # dropped_mass a row has only that absolute bound. So wide is held to
+    # |P - P_table| <= dropped_mass at every k, against the exact table.
     jumps = []
     jump = _RowStream.jump
     monkeypatch.setattr(_RowStream, "jump", lambda self, *a: jumps.append(self.k) or jump(self, *a))
@@ -446,16 +464,136 @@ def test_report_reads_as_one_step_per_k(terms, theta, k_max, route, monkeypatch)
     assert [(r[0], r[1].sign) for r in rep.rows] == [(r[0], r[1].sign) for r in want]
     assert any(r[1].sign for r in want)
     assert (stream.kernel.arr.ndim == 1 and stream.kernel.arr.size <= 128) == (route == "line")
-    assert bool(jumps) == (route == "jumps")
-    counters = [rep.metadata[key] for key in ("dropped_mass", "crops", "max_row_cells")]
+    assert bool(jumps) == (route in ("jumps", "table"))
+    if jumps:  # from every held row, and from none after the last read
+        P = _read_period(rep.metadata["period"], rep.metadata["capacity"])
+        J = projection._held_period(np.array(stream.kernel.arr.shape) - 1, P, k_max)
+        assert jumps == list(range(0, k_max // P * P - J, J))
+    counters =[rep.metadata[key] for key in ("dropped_mass", "crops", "max_row_cells")]
     if route == "steps":
         assert rep.rows == want
         assert counters == [stream.dropped, stream.crops, stream.max_row_cells]
+    elif route == "table":
+        table = projection_norm_table(v, k_max)
+        for k, norm_sq, _, log_cap_sq, _ in rep.rows:
+            ref = table.get(k, tuple(int(t * k) for t in theta))
+            got, ref = (math.exp(x.log_mag - k * log_cap_sq) for x in (norm_sq, ref))
+            assert abs(got - ref) <= counters[0], k
+        assert counters[0] <= 1e-9
     else:
         for got, ref in zip(rep.rows, want):
             if ref[1].sign:
                 assert abs(got[1].log_mag - ref[1].log_mag) <= 1e-12, got[0]
         assert counters[0] <= 1e-9
+
+
+@pytest.mark.parametrize("widths, period, k_max", [
+    ([1, 1], 1, 1000), ([1, 1], 2, 120), ([2, 2], 12, 240), ([3, 3], 1, 200), ([200], 1, 100),
+    ([1, 1, 1], 16, 64), ([4, 4, 4], 8, 64), ([2, 2], 5, 3), ([2, 2], 1, 7), ([40, 40], 3, 100),
+    ([400, 400], 1, 100), ([1, 1], 40, 400),
+])
+def test_held_period_is_the_largest_multiple_whose_laws_fit(widths, period, k_max):
+    # J is a multiple of P, at most max(P, min(32, k_max)), and the largest
+    # such whose read laws K_P, K_2P, .., K_J hold at most 1 MiB of float64
+    # cells (K_j spans j width_u + 1 cells on each axis u); P when even K_P
+    # does not fit ([400, 400]; [40, 40] at P = 3 stops at J = 6).
+    widths = np.array(widths)
+    J = projection._held_period(widths, period, k_max)
+
+    def fits(J):
+        return sum(math.prod((j * widths + 1).tolist()) for j in range(period, J + 1, period)) <= 2**20 // 8
+
+    top = max(period, min(32, k_max))
+    assert J % period == 0 and period <= J <= top
+    assert J == period or fits(J)
+    assert J + period > top or not fits(J + period)
+
+
+@pytest.mark.parametrize("terms, theta, k_max", [
+    (_PENTAGON, (F(1), F(1)), 100),
+    ({**_CROSS, (1, 1): 0.8}, (F(1, 4), F(1, 3)), 240),
+    ({(1, 0, 0): 0.9, (0, 1, 0): 0.7, (0, 0, 1): 0.6, (-1, -1, -1): 0.5},
+     (F(1, 2), F(1, 4), F(0)), 64),
+], ids=["pentagon", "cross12", "n3"])
+def test_held_laws_are_the_closed_form_boxes(terms, theta, k_max, monkeypatch):
+    # The laws a report builds are the rows of a floor-0 stream, so K_j
+    # holds j width_u + 1 cells on each axis u, the boxes the rule for J
+    # counts; the ones it keeps, K_P .. K_J, fit in 1 MiB.
+    built = []
+    laws = projection._exact_laws
+    monkeypatch.setattr(projection, "_exact_laws",
+                        lambda stream, steps: (built.append((stream, K)) or K for K in laws(stream, steps)))
+    v = WeightedVector.from_terms(len(theta), terms)
+    rep = duality_report(v, theta, k_max)
+    widths = np.array(built[0][0].kernel.arr.shape) - 1
+    assert [K.arr.shape for _, K in built] == [tuple(j * widths + 1) for j in range(len(built))]
+    P = _read_period(rep.metadata["period"], rep.metadata["capacity"])
+    J = len(built) - 1
+    assert J == projection._held_period(widths, P, k_max) > P
+    assert sum(K.arr.nbytes for j, (_, K) in enumerate(built) if j and j % P == 0) <= 2**20
+
+
+@pytest.mark.parametrize("terms, theta, k_max", [
+    (_PENTAGON, (F(1), F(1)), 200),
+    ({**_CROSS, (1, 1): 0.8}, (F(1, 4), F(1, 3)), 240),
+    ({(1, 0, 0): 0.9, (0, 1, 0): 0.7, (0, 0, 1): 0.6, (-1, -1, -1): 0.5},
+     (F(1, 2), F(1, 4), F(0)), 128),
+], ids=["pentagon", "cross12", "n3"])
+@pytest.mark.parametrize("first", [True, False], ids=["jump-first", "step-first"])
+def test_held_rows_switch_between_jumps_and_steps(terms, theta, k_max, first, monkeypatch):
+    # With the cost test forced to alternate, the held rows come by jumps
+    # and by steps in turn, each branch starting from the other's rows; the
+    # reads still match the stream stepped once per k within 1e-12 in log.
+    calls = itertools.count(0 if first else 1)
+    monkeypatch.setattr(projection, "_fft_pays", lambda *a: next(calls) % 2 == 0)
+    v = WeightedVector.from_terms(len(theta), terms)
+    rep = duality_report(v, theta, k_max)
+    want, _ = _per_k_report(v, theta, k_max)
+    assert next(calls) > 3  # both branches ran, more than once
+    assert [(r[0], r[1].sign) for r in rep.rows] == [(r[0], r[1].sign) for r in want]
+    for got, ref in zip(rep.rows, want):
+        if ref[1].sign:
+            assert abs(got[1].log_mag - ref[1].log_mag) <= 1e-12, got[0]
+    assert rep.metadata["dropped_mass"] <= 1e-9
+
+
+@pytest.mark.parametrize("terms, theta, k_max, alternate", [
+    (_PENTAGON, (F(1), F(1)), 200, False),
+    (_PENTAGON, (F(1), F(1)), 200, True),
+    ({**_CROSS, (1, 1): 0.8}, (F(1, 4), F(1, 3)), 600, False),
+], ids=["pentagon", "pentagon-alternate", "cross12"])
+def test_held_rows_account_for_the_dropped_mass(terms, theta, k_max, alternate, monkeypatch):
+    # The held rows are laws of S_k, each from the last by J steps or by one
+    # FFT product with K_J, the uncropped law of S_J. A step rounds the
+    # row's mass by at most 4 eps; K_J's mass is within 4 J eps of 1, and a
+    # product rounds its total by about 4 eps log2(cells). So the mass of
+    # the last held row is 1 minus everything its crops removed, within
+    # tol, and the crops remove more than ten times tol.
+    if alternate:
+        calls = itertools.count()
+        monkeypatch.setattr(projection, "_fft_pays", lambda *a: next(calls) % 2 == 0)
+    eps = np.finfo(float).eps
+    tol, J = [0.0], []
+    jump = _RowStream.jump
+
+    def counted(self, law, steps):
+        cells = math.prod((np.array(self.row.arr.shape) + law.arr.shape - 1).tolist())
+        tol[0] += 4 * eps * (steps + math.log2(cells))
+        J.append(steps)
+        jump(self, law, steps)
+
+    monkeypatch.setattr(_RowStream, "jump", counted)
+    v = WeightedVector.from_terms(len(theta), terms)
+    cap = theta_capacity(v, rational_vector(theta, v.n))
+    stream = _RowStream(*projection._tilted_law(v, cap))
+    P = _read_period(math.lcm(*(t.denominator for t in rational_vector(theta, v.n))), cap)
+    target = np.zeros(stream.kernel.arr.ndim, dtype=np.int64)  # where it reads does not matter here
+    reads = list(projection._held_reads(stream, P, k_max, target))
+    assert len(reads) == k_max // P and J
+    tol = tol[0] + 4 * eps * (stream.k - sum(J))
+    assert stream.dropped > 10 * tol
+    assert abs(1.0 - float(stream.row.arr.sum()) - stream.dropped) <= tol
+    assert stream.max_row_cells >= stream.row.arr.size
 
 
 @pytest.mark.parametrize("terms, theta, k_max", [
