@@ -11,20 +11,24 @@ the convex hull of the occupied weights. One exact rational routine,
 theta; it is memoised on the last (support, theta), since the face depends
 on neither the amplitudes nor the normalisation, so the capacity and its KL
 cross-check share one search, and the duality report reads the record the
-capacity carries. It solves the membership LP {p >= 0, sum p = 1,
-sum p_w w = theta} once, which yields a certificate either way. Inside, it
-seeds the face set S with the support of that solution and then repeats
-"maximize the mass of p off S", adding each solution's support to S, until
-the optimum is 0. No feasible p then puts mass off S, so S is the minimal
-face. The average of the collected solutions is a feasible point positive
-exactly on S; it is optimal for the last LP, so complementary slackness
-turns that LP's duals into an exact face normal, with no LP of its own. The
-face weights span an affine lattice w0 + B Z^d, B a Hermite basis
-(`_chart`), whose coordinates carry the row streams of `projection`. The
-whole record, `MembershipCertificate`, is checked exactly. When theta sits
-on a proper face the minimization is restricted to the face weights (the
-infimum is then attained there but not on the original orbit, which the
-`diverging` flag, read from the normal, records).
+capacity carries. It works on integers: theta's denominators are cleared
+once, to an integer right hand side D (theta, 1) that all its LPs share, so
+`exactlp` runs phase 1 once a search, and the search reads the LPs'
+integer numerators; only the certificate's own fields are `Fraction`s. It
+solves the membership LP {p >= 0, sum p = 1, sum p_w w = theta} once,
+which yields a certificate either way. Inside, it seeds the face set S
+with the support of that solution and then repeats "maximize the mass of
+p off S", adding each solution's support to S, until the optimum is 0.
+No feasible p then puts mass off S, so S is the minimal face. The average
+of the collected solutions is a feasible point positive exactly on S; it
+is optimal for the last LP, so complementary slackness turns that LP's
+duals into an exact face normal, with no LP of its own. The face weights
+span an affine lattice w0 + B Z^d, B a Hermite basis (`_chart`), whose
+coordinates carry the row streams of `projection`. The whole record,
+`MembershipCertificate`, is checked exactly. When theta sits on a proper
+face the minimization is restricted to the face weights (the infimum is
+then attained there but not on the original orbit, which the `diverging`
+flag, read from the normal, records).
 
 On the face F depends on x only through y = B^T x in R^d: F(y) =
 -2 <c_theta, y> + log sum_w q_w exp(2 <c_w, y>) is strictly convex, with
@@ -86,7 +90,9 @@ class MembershipCertificate:
     support). The chart: face weight w = base + basis c_w with c_w in
     face_coords (face order) and theta = base + basis theta_coords, basis the
     n x d Hermite basis of the lattice the face differences span. lps and
-    pivots count the search's exact LPs and their pivots.
+    pivots count the search's exact LPs and their pivots. The search checks
+    the record on integers (theta's denominators cleared) and builds the
+    rational fields from integer numerators at the end.
     """
 
     inside: bool
@@ -197,7 +203,7 @@ def _lattice_solve(hnf: list[list[int]], x: Sequence) -> list[int | Fraction] | 
     return y
 
 
-def _chart(weights: Sequence[Sequence[int]], point: Sequence
+def _chart(weights: Sequence[Sequence[int]], point: Sequence, den: int = 1
            ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
                       tuple[tuple[int, ...], ...], tuple[Fraction, ...] | None]:
     """The integer chart of the affine lattice the weights span.
@@ -205,8 +211,8 @@ def _chart(weights: Sequence[Sequence[int]], point: Sequence
     Returns (w0, B, C, c): the base w0 = weights[0]; the Hermite basis B of
     the lattice of differences w - w0, as n rows of d entries; the integer
     coordinates C of the weights, w = w0 + B c_w, checked exactly; and the
-    rational coordinates c of point, point = w0 + B c, or None when point is
-    off the weights' affine span.
+    rational coordinates c of point / den, point / den = w0 + B c, or None
+    when it is off the weights' affine span. An integral c_i is an int.
     """
     w0 = tuple(weights[0])
     hnf = _column_hnf([[a - b for a, b in zip(w, w0)] for w in weights[1:]])
@@ -216,7 +222,10 @@ def _chart(weights: Sequence[Sequence[int]], point: Sequence
         if c is None or any(t.denominator != 1 for t in c):
             raise RuntimeError("lattice chart failed its check")
         coords.append(tuple(int(t) for t in c))
-    c = _lattice_solve(hnf, [a - b for a, b in zip(point, w0)])
+    # B (den c) = point - den w0, solved in integers for an integer point
+    c = _lattice_solve(hnf, [a - den * b for a, b in zip(point, w0)])
+    if c is not None and den != 1:
+        c = [t // den if t % den == 0 else Fraction(t, den) for t in c]
     basis = tuple(tuple(col[i] for col in hnf) for i in range(len(w0)))
     return w0, basis, tuple(coords), None if c is None else tuple(c)
 
@@ -234,9 +243,12 @@ def _face_search(support: tuple[WeightVector, ...], theta: tuple[Fraction, ...]
     (theta_capacity, then capacity_kl_form)."""
     n = len(theta)
     s = len(support)
+    # The LPs run on integers: b' = D b clears theta's denominators, so each
+    # solution is x' = D x, and the duals and the Farkas vector are unchanged.
+    D = math.lcm(*[t.denominator for t in theta])
     A = [[w.coords[i] for w in support] for i in range(n)]
     A.append([1] * s)
-    b = [*theta, Fraction(1)]
+    b = [*(t.numerator * (D // t.denominator) for t in theta), D]
     res = simplex_max([0] * s, A, b)
     lps, pivots = 1, res.pivots
     if res.status != "optimal":
@@ -245,48 +257,44 @@ def _face_search(support: tuple[WeightVector, ...], theta: tuple[Fraction, ...]
                                      lps=lps, pivots=pivots)
     # The LPs are exact, so "x_j > 0" and "the optimum is 0" are decided
     # without a tolerance; a floating-point LP would need one for each.
-    face = {j for j in range(s) if res.x[j] > 0}
-    combos = [res.x]
-    duals = [Fraction(0)] * (n + 1)  # stays 0 when the face is the whole support
+    face = {j for j in range(s) if res.x_num[j] > 0}
+    combos = [(res.x_num, res.x_den)]
+    Y, yden = [0] * (n + 1), 1  # the duals stay 0 when the face is the whole support
     while len(face) < s:
         off_face = [0 if j in face else 1 for j in range(s)]
         res = simplex_max(off_face, A, b)
         lps, pivots = lps + 1, pivots + res.pivots
         if res.status != "optimal":
             raise RuntimeError(f"face LP on a feasible target ended {res.status}")
-        if res.objective == 0:
-            duals = res.duals
+        if res.obj_num == 0:
+            Y, yden = res.duals_num, res.duals_den
             break
-        face.update(j for j in range(s) if res.x[j] > 0)
-        combos.append(res.x)
-    # The average of the solutions is N / den, checked on the integers N.
-    den = math.lcm(*[p.denominator for x in combos for p in x])
-    N = [sum(x[j].numerator * (den // x[j].denominator) for x in combos) for j in range(s)]
+        face.update(j for j in range(s) if res.x_num[j] > 0)
+        combos.append((res.x_num, res.x_den))
+    # The average of the solutions x' is N / den, checked on the integers N.
+    den = math.lcm(*[d for _, d in combos])
+    N = [sum(X[j] * (den // d) for X, d in combos) for j in range(s)]
     den *= len(combos)
     if not all(N[j] > 0 if j in face else N[j] == 0 for j in range(s)):
         raise RuntimeError("face interior point failed its support check")
-    if any(sum(a * v for a, v in zip(row, N)) * bi.denominator != bi.numerator * den
-           for row, bi in zip(A, b)):
+    if any(sum(a * v for a, v in zip(row, N)) != bi * den for row, bi in zip(A, b)):
         raise RuntimeError("face interior point failed its feasibility check")
     # It is optimal for the last LP (optimum 0), so by complementary
-    # slackness that LP's duals (a, g) have <a, w> + g = 0 on the face, and
-    # dual feasibility gives <a, w> + g >= 1 off it: (ell, gamma) = (-a, g),
-    # checked as (L, G) / dden on the integers L and G.
-    ell, gamma = tuple(-y for y in duals[:n]), duals[n]
-    dden = math.lcm(gamma.denominator, *[a.denominator for a in ell])
-    L = [a.numerator * (dden // a.denominator) for a in ell]
-    G = gamma.numerator * (dden // gamma.denominator)
+    # slackness that LP's duals (a, g) = Y / yden have <a, w> + g = 0 on the
+    # face, and dual feasibility gives <a, w> + g >= 1 off it: the normal is
+    # (ell, gamma) = (-a, g), checked on the integers Y.
     for j, w in enumerate(support):
-        gap = sum(a * v for a, v in zip(L, w.coords)) - G
-        if (gap != 0) if j in face else (gap > -dden):
+        gap = -sum(y * v for y, v in zip(Y, w.coords)) - Y[n]
+        if (gap != 0) if j in face else (gap > -yden):
             raise RuntimeError("face normal failed its check")
     face = sorted(face)
-    w0, basis, coords, c_theta = _chart([support[j].coords for j in face], theta)
+    w0, basis, coords, c_theta = _chart([support[j].coords for j in face], b[:n], D)
     if c_theta is None:
         raise RuntimeError("theta is off the affine span of its face")
     return MembershipCertificate(
-        inside=True, coefficients=tuple((support[j], Fraction(N[j], den)) for j in face),
-        face=tuple(face), normal=(ell, gamma), base=w0, basis=basis, face_coords=coords,
+        inside=True, coefficients=tuple((support[j], Fraction(N[j], den * D)) for j in face),
+        face=tuple(face), normal=(tuple(Fraction(-y, yden) for y in Y[:n]), Fraction(Y[n], yden)),
+        base=w0, basis=basis, face_coords=coords,
         theta_coords=c_theta, lps=lps, pivots=pivots)
 
 

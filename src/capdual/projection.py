@@ -185,6 +185,24 @@ class ProjectionTable:
         val = row.cell([sum(u * int(t) for u, t in zip(axis, c)) for axis in self._axes], -math.inf)
         return LogValue.zero() if val == -math.inf else LogValue(1, val)
 
+    def row_weights(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row k in bulk: (lam, logs), lam the int64 weights of the row's
+        cells, one per row of a (cells, n) array, and logs their log squared
+        norms, -inf where the norm is 0. Every other weight is an exact zero.
+        The cell U c holds lam = k w0 + B c, so lam = k w0 + B U^{-1} cell."""
+        row = self._row(k)
+        d = len(self._hnf)
+        if d:
+            U = np.array(self._axes, dtype=np.int64)
+            U_inv = np.rint(np.linalg.inv(U)).astype(np.int64)
+            if not np.array_equal(U @ U_inv, np.eye(d, dtype=np.int64)):
+                raise RuntimeError("chart axes failed their unimodularity check")
+            lift = np.array(self._hnf, dtype=np.int64).T @ U_inv
+        else:  # one cell on one axis, at k w0
+            lift = np.zeros((self.n, 1), dtype=np.int64)
+        cells = np.indices(row.arr.shape).reshape(row.arr.ndim, -1).T + row.offset
+        return k * np.array(self._w0, dtype=np.int64) + cells @ lift.T, row.arr.ravel()
+
     def total(self, k: int) -> LogValue:
         """log of the sum over all weights; equals 2k log |v| exactly in math."""
         flat = self._row(k).arr.ravel()

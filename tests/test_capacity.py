@@ -1,11 +1,12 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from capdual import capacity
+from capdual import capacity, exactlp
 from capdual.capacity import (_face_search, capacity_kl_form, moment_map,
                               moment_polytope_contains, theta_capacity)
 from capdual.core import WeightedVector, WeightVector
@@ -363,6 +364,29 @@ def test_face_search_matches_per_weight_oracle():
             checked += 1
     assert checked == 240  # the interior, sub-combination and vertex targets
     assert full_lattice >= 20, full_lattice
+
+
+def test_every_face_lp_passes_the_name_the_tracer_wraps(monkeypatch):
+    # bench/tracing.py counts and times the LPs by replacing, by identity,
+    # every name a capdual module holds exactlp.simplex_max under; the face
+    # search must call it through such a name once per LP it counts.
+    solve, calls = exactlp.simplex_max, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "capdual" or name.startswith("capdual."):
+            for attr, val in list(vars(mod).items()):
+                if val is solve:
+                    monkeypatch.setattr(mod, attr, counted)
+    weights = tuple(WeightVector(w) for w in ((0, 0), (2, 1), (4, 2), (0, 2), (3, 3)))
+    _face_search.cache_clear()
+    cert = capacity._face_search(weights, (Fraction(1), Fraction(1, 2)))
+    assert cert.face == (0, 1, 2)  # the edge {(0,0), (2,1), (4,2)}
+    assert calls == cert.lps == 3
 
 
 def test_vertex_and_identity_chart_shortcuts_are_bit_identical():

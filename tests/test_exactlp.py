@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from capdual import exactlp
 from capdual.exactlp import simplex_max
 from util import fraction_simplex_max
 
@@ -147,21 +149,49 @@ def test_integer_tableau_matches_fraction_tableau():
            + [_face_lp(rng) for _ in range(150)])
     seen = Counter()
     for c, A, b in lps:
-        got, want = simplex_max(c, A, b), fraction_simplex_max(c, A, b)
-        assert (got.status, got.x, got.objective, got.farkas, got.pivots) == (
-            want.status, want.x, want.objective, want.farkas, want.pivots), (c, A, b)
-        if got.status == "optimal":  # y^T A >= c and y^T b = c^T x
-            y = got.duals
-            assert all(sum((yi * row[j] for yi, row in zip(y, A)), F(0)) >= c[j]
-                       for j in range(len(c))), (c, A, b)
-            assert sum((yi * bi for yi, bi in zip(y, b)), F(0)) == got.objective, (c, A, b)
-        else:
-            assert got.duals is None
+        got = _matches_oracle(c, A, b)
         seen[got.status] += 1
         seen["m = 0"] += not A
         seen["negative b"] += any(bi < 0 for bi in b)
     assert min(seen[k] for k in ("optimal", "infeasible", "unbounded",
                                  "m = 0", "negative b")) >= 20, seen
+
+
+def _matches_oracle(c, A, b):
+    """simplex_max(c, A, b), checked against the Fraction-tableau oracle to
+    the last pivot, its dual solution checked exactly."""
+    got, want = simplex_max(c, A, b), fraction_simplex_max(c, A, b)
+    assert (got.status, got.x, got.objective, got.farkas, got.pivots) == (
+        want.status, want.x, want.objective, want.farkas, want.pivots), (c, A, b)
+    if got.status == "optimal":
+        y = got.duals
+        assert all(sum((yi * row[j] for yi, row in zip(y, A)), F(0)) >= c[j]
+                   for j in range(len(c))), (c, A, b)
+        assert sum((yi * bi for yi, bi in zip(y, b)), F(0)) == got.objective, (c, A, b)
+    else:
+        assert got.duals is None
+    return got
+
+
+def test_phase1_memo_alternating_lps():
+    """The kept phase 1 serves only the [A | b] it was built for: LPs that
+    share A but not b alternate with LPs that share [A | b] but not c, on
+    integer and on rational input, and each answers as the oracle does."""
+    rng = np.random.default_rng(31)
+    hits = exactlp._phase1.cache_info().hits
+    seen = Counter()
+    for trial in range(60):
+        c1, A, b1 = _face_lp(rng) if trial % 2 else _feasible_lp(rng, redundant=trial % 3 == 0)
+        b2 = [bi + int(d) for bi, d in zip(b1, rng.choice([-1, 1], size=len(b1)))]
+        if trial % 4 == 1:  # the integer path: clear b's denominators
+            den = math.lcm(*[F(bi).denominator for bi in (*b1, *b2)])
+            b1, b2 = [int(bi * den) for bi in b1], [int(bi * den) for bi in b2]
+        c2 = [int(rng.integers(-2, 3)) for _ in c1]
+        for c, b in ((c1, b1), (c2, b1), (c1, b2), (c2, b1), (c2, b2), (c1, b2)):
+            seen[_matches_oracle(c, A, b).status] += 1
+    # each trial runs phase 1 for (A, b1), (A, b2), (A, b1) and (A, b2)
+    assert exactlp._phase1.cache_info().hits - hits == 2 * 60
+    assert min(seen[k] for k in ("optimal", "infeasible", "unbounded")) >= 10, seen
 
 
 def test_pivots_counts_both_phases():
@@ -173,6 +203,17 @@ def test_pivots_counts_both_phases():
     assert simplex_max([F(1), F(3)], [[F(1), F(1)], [F(1), F(1)]],
                        [F(1), F(1)]).pivots == 2
     assert simplex_max([F(1)], [], []).pivots == 0
+
+
+def _run_O(code: str) -> str:
+    """The standard output of code run by `python -O`, checked to be -O."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert "debug False" in out
+    return out
 
 
 def test_certificate_checks_survive_python_O():
@@ -212,13 +253,13 @@ def test_certificate_checks_survive_python_O():
                 print(name, "raised", exc)
         exactlp._run_simplex = real
 
+        import dataclasses
         from capdual import capacity
         from capdual.core import WeightVector
         solve = capacity.simplex_max
-        def doubled(c, A, b):
+        def doubled(c, A, b):  # the face search reads the numerators of x
             res = solve(c, A, b)
-            res.x = [2 * p for p in res.x]
-            return res
+            return dataclasses.replace(res, x_num=tuple(2 * p for p in res.x_num))
         capacity._face_search.cache_clear()
         capacity.simplex_max = doubled
         try:
@@ -227,13 +268,47 @@ def test_certificate_checks_survive_python_O():
         except RuntimeError as exc:
             print("face raised", exc)
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert "debug False" in out
+    out = _run_O(code)
     assert "solution raised primal solution failed exact feasibility check" in out
     assert "farkas raised Farkas certificate failed" in out
     assert "duals raised dual solution failed its feasibility check" in out
     assert "face raised face interior point failed its feasibility check" in out
+
+
+def test_phase1_memo_survives_a_phase2_that_writes_its_tableau():
+    """Under -O, a phase 2 that moves x in its own tableau runs twice on one
+    [A | b], once with no phase-2 pivot (its rows are the copies of the kept
+    ones) and once with one; both raise. An unpatched call on that [A | b]
+    then answers as the oracle does: no write reached the kept phase 1."""
+    lps = [([2, 1], [[1, 1]], [1]), ([1, 3], [[3, 1]], [1]),
+           ([F(1), F(3)], [[F(3), F(1)]], [F(1)])]
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        from capdual import exactlp
+        real = exactlp._run_simplex
+        print("debug", __debug__)
+
+        def shift_solution(T, z, zden, basis, ncols):
+            out = real(T, z, zden, basis, ncols)
+            if ncols < len(z):  # phase 2: move x at row 0's basic column by 1
+                T[0][-1] += T[0][basis[0]]
+            return out
+
+        for lp in LPS:
+            exactlp._run_simplex = shift_solution
+            for _ in range(2):
+                try:
+                    print("patched returned", exactlp.simplex_max(*lp).status)
+                except RuntimeError as exc:
+                    print("patched raised", exc)
+            exactlp._run_simplex = real
+            res = exactlp.simplex_max(*lp)
+            print(repr((res.status, res.x, res.objective, res.farkas, res.pivots)))
+    """).replace("LPS", repr(lps))
+    out = _run_O(code).splitlines()[1:]
+    assert len(out) == 3 * len(lps)
+    for lp, (first, second, answer) in zip(lps, zip(*[iter(out)] * 3)):
+        assert first == second == "patched raised primal solution failed exact feasibility check"
+        want = fraction_simplex_max(*lp)
+        assert eval(answer, {"Fraction": F}) == (
+            want.status, want.x, want.objective, want.farkas, want.pivots), lp

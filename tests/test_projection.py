@@ -111,22 +111,40 @@ def _table_and_first_log_row(monkeypatch, v, k_max):
     (2, {(0, 0): 0.6, (2, 0): 0.9j, (1, 1): -0.4, (0, 2): 1.2}, 60, 61),
 ], ids=["n1", "n1-handoff", "n2"])
 def test_table_matches_exact_integer_powers(monkeypatch, n, terms, k_max, first_log_row):
-    # Every weight of the k-fold bounding box of every row against
-    # (sum_w Q_w t^w)^k in Python ints, read through get: the same exact
-    # zeros (odd weights, or even coordinate sums, leave every other weight
-    # off the lattice) and log norms within 1e-11.
+    # Every row against (sum_w Q_w t^w)^k in Python ints, read in bulk
+    # through row_weights: one cell per weight, and the weights of nonzero
+    # norm are exactly the reachable ones, so every other weight of the
+    # k-fold bounding box is an exact zero on both sides (odd weights, or
+    # even coordinate sums, leave every other weight off the lattice); log
+    # norms within 1e-11. test_get_matches_the_bulk_read ties get to it.
     v = WeightedVector.from_terms(n, terms)
     table, first = _table_and_first_log_row(monkeypatch, v, k_max)
     assert first == first_log_row
-    W = np.array([w.coords for w in v.support])
     for k, want in exact_log_norm_rows(v, k_max):
-        box = itertools.product(*(range(k * a, k * b + 1)
-                                  for a, b in zip(W.min(axis=0), W.max(axis=0))))
-        for lam in box:
-            got = table.get(k, lam)
-            assert got.sign == (lam in want), (k, lam)
-            if got.sign:
-                assert abs(got.log_mag - want[lam]) <= 1e-11, (k, lam)
+        lam, logs = table.row_weights(k)
+        assert len(set(map(tuple, lam.tolist()))) == len(lam), k
+        nonzero = logs > -math.inf
+        got = dict(zip(map(tuple, lam[nonzero].tolist()), logs[nonzero].tolist()))
+        assert got.keys() == want.keys(), k
+        assert max(abs(got[w] - want[w]) for w in want) <= 1e-11, k
+
+
+def test_get_matches_the_bulk_read():
+    # get and row_weights read the same cells: on the n1 table, every weight
+    # of the k-fold bounding box and one past each end, at k <= 40 and at
+    # k = 100, 200, 300, reads the same float or the same exact zero.
+    v = WeightedVector.from_terms(1, {(-1,): 0.8 + 0.3j, (1,): 1.1, (3,): 0.5j})
+    table = projection_norm_table(v, 300)
+    checked = 0
+    for k in (*range(1, 41), 100, 200, 300):
+        lam, logs = table.row_weights(k)
+        bulk = {tuple(w): x for w, x in zip(lam.tolist(), logs.tolist()) if x > -math.inf}
+        for w in range(-k - 1, 3 * k + 2):
+            got = table.get(k, (w,))
+            assert (got.sign, got.log_mag if got.sign else None) == (
+                (1, bulk[(w,)]) if (w,) in bulk else (0, None)), (k, w)
+            checked += (w,) in bulk
+    assert checked == sum(2 * k + 1 for k in (*range(1, 41), 100, 200, 300))
 
 
 def test_table_total_across_the_hand_off(monkeypatch):

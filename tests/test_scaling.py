@@ -201,6 +201,7 @@ def test_face_normal_checks_survive_python_O():
     them so the off-face gap is 1/2: under -O the exact check must still
     raise."""
     code = textwrap.dedent("""
+        import dataclasses
         from fractions import Fraction as F
         from capdual import capacity
         from capdual.core import WeightVector
@@ -211,18 +212,20 @@ def test_face_normal_checks_survive_python_O():
         print("normal", capacity._face_search(weights, theta).normal)
         solve = capacity.simplex_max
 
-        def patched(change):
+        def patched(change):  # the face search reads the duals as Y / den
             def run(c, A, b):
                 res = solve(c, A, b)
-                if res.duals is not None:
-                    res.duals = change(res.duals)
+                if res.duals_num is not None:
+                    Y, den = change(list(res.duals_num), res.duals_den)
+                    res = dataclasses.replace(res, duals_num=tuple(Y), duals_den=den)
                 return res
             return run
 
         for name, change in (
-                ("flipped", lambda y: [-t for t in y]),
-                ("shifted", lambda y: [y[0], y[1] + 1, *y[2:]]),  # row 1 meets only (1, 1)
-                ("halved", lambda y: [t / 2 for t in y])):
+                ("flipped", lambda Y, den: ([-t for t in Y], den)),
+                # row 1 meets only (1, 1)
+                ("shifted", lambda Y, den: ([Y[0], Y[1] + den, *Y[2:]], den)),
+                ("halved", lambda Y, den: (Y, 2 * den))):
             capacity._face_search.cache_clear()
             capacity.simplex_max = patched(change)
             try:

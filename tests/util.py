@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
 from capdual.core import WeightVector, WeightedVector
-from capdual.exactlp import LPResult
 
 
 def brute_projection_norm(v: WeightedVector, k: int, lam) -> float:
@@ -229,7 +229,19 @@ def _frac_make_zrow(T: list[list[Fraction]], basis: list[int],
     return zrow, zval
 
 
-def fraction_simplex_max(c, A, b) -> LPResult:
+@dataclass
+class FractionLP:
+    """The oracle's own result record, with `Fraction` fields, so that it
+    shares no code with `capdual.exactlp.LPResult`."""
+
+    status: str
+    x: list[Fraction] | None = None
+    objective: Fraction | None = None
+    farkas: list[Fraction] | None = None
+    pivots: int = 0
+
+
+def fraction_simplex_max(c, A, b) -> FractionLP:
     """Maximize c.x subject to A x = b, x >= 0 on a `Fraction` tableau.
 
     Same contract as `capdual.exactlp.simplex_max`, certificate checks
@@ -267,7 +279,7 @@ def fraction_simplex_max(c, A, b) -> LPResult:
                 raise RuntimeError("Farkas certificate failed column check")
         if sum((y[i] * Fraction(b[i]) for i in range(m)), zero) <= 0:
             raise RuntimeError("Farkas certificate failed objective check")
-        return LPResult(status="infeasible", farkas=y, pivots=pivots)
+        return FractionLP(status="infeasible", farkas=y, pivots=pivots)
 
     # Drive any residual artificial variables out of the basis.
     rows_to_drop = []
@@ -290,7 +302,7 @@ def fraction_simplex_max(c, A, b) -> LPResult:
     status, phase2 = _frac_run_simplex(T, zrow, basis, n)
     pivots += phase2
     if status == "unbounded":
-        return LPResult(status="unbounded", pivots=pivots)
+        return FractionLP(status="unbounded", pivots=pivots)
 
     x = [zero] * n
     for i, bi in enumerate(basis):
@@ -301,7 +313,7 @@ def fraction_simplex_max(c, A, b) -> LPResult:
     if any(v < 0 for v in x):
         raise RuntimeError("primal solution failed nonnegativity")
     obj = sum((Fraction(c[j]) * x[j] for j in range(n)), zero)
-    return LPResult(status="optimal", x=x, objective=obj, pivots=pivots)
+    return FractionLP(status="optimal", x=x, objective=obj, pivots=pivots)
 
 
 def per_weight_minimal_face(support, theta) -> list[int] | None:
