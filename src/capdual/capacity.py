@@ -11,8 +11,7 @@ the convex hull of the occupied weights. One exact rational routine,
 theta; it is memoised on the last (support, theta), since the face depends
 on neither the amplitudes nor the normalisation, so the capacity and its KL
 cross-check share one search, and the duality report reads the record the
-capacity carries. It works on integers: theta's denominators are cleared
-once, to an integer right hand side D (theta, 1) that all its LPs share, so
+capacity carries. It works on integers: all its LPs share one [A | b], so
 `exactlp` runs phase 1 once a search, and the search reads the LPs'
 integer numerators; only the certificate's own fields are `Fraction`s. It
 solves the membership LP {p >= 0, sum p = 1, sum p_w w = theta} once,
@@ -91,8 +90,8 @@ class MembershipCertificate:
     face_coords (face order) and theta = base + basis theta_coords, basis the
     n x d Hermite basis of the lattice the face differences span. lps and
     pivots count the search's exact LPs and their pivots. The search checks
-    the record on integers (theta's denominators cleared) and builds the
-    rational fields from integer numerators at the end.
+    the record on the LPs' integer numerators and builds the rational fields
+    from them at the end.
     """
 
     inside: bool
@@ -203,7 +202,7 @@ def _lattice_solve(hnf: list[list[int]], x: Sequence) -> list[int | Fraction] | 
     return y
 
 
-def _chart(weights: Sequence[Sequence[int]], point: Sequence, den: int = 1
+def _chart(weights: Sequence[Sequence[int]], point: Sequence
            ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
                       tuple[tuple[int, ...], ...], tuple[Fraction, ...] | None]:
     """The integer chart of the affine lattice the weights span.
@@ -211,8 +210,8 @@ def _chart(weights: Sequence[Sequence[int]], point: Sequence, den: int = 1
     Returns (w0, B, C, c): the base w0 = weights[0]; the Hermite basis B of
     the lattice of differences w - w0, as n rows of d entries; the integer
     coordinates C of the weights, w = w0 + B c_w, checked exactly; and the
-    rational coordinates c of point / den, point / den = w0 + B c, or None
-    when it is off the weights' affine span. An integral c_i is an int.
+    rational coordinates c of point, point = w0 + B c, or None when point is
+    off the weights' affine span.
     """
     w0 = tuple(weights[0])
     hnf = _column_hnf([[a - b for a, b in zip(w, w0)] for w in weights[1:]])
@@ -222,10 +221,7 @@ def _chart(weights: Sequence[Sequence[int]], point: Sequence, den: int = 1
         if c is None or any(t.denominator != 1 for t in c):
             raise RuntimeError("lattice chart failed its check")
         coords.append(tuple(int(t) for t in c))
-    # B (den c) = point - den w0, solved in integers for an integer point
-    c = _lattice_solve(hnf, [a - den * b for a, b in zip(point, w0)])
-    if c is not None and den != 1:
-        c = [t // den if t % den == 0 else Fraction(t, den) for t in c]
+    c = _lattice_solve(hnf, [a - b for a, b in zip(point, w0)])
     basis = tuple(tuple(col[i] for col in hnf) for i in range(len(w0)))
     return w0, basis, tuple(coords), None if c is None else tuple(c)
 
@@ -243,12 +239,9 @@ def _face_search(support: tuple[WeightVector, ...], theta: tuple[Fraction, ...]
     (theta_capacity, then capacity_kl_form)."""
     n = len(theta)
     s = len(support)
-    # The LPs run on integers: b' = D b clears theta's denominators, so each
-    # solution is x' = D x, and the duals and the Farkas vector are unchanged.
-    D = math.lcm(*[t.denominator for t in theta])
     A = [[w.coords[i] for w in support] for i in range(n)]
     A.append([1] * s)
-    b = [*(t.numerator * (D // t.denominator) for t in theta), D]
+    b = [*theta, 1]
     res = simplex_max([0] * s, A, b)
     lps, pivots = 1, res.pivots
     if res.status != "optimal":
@@ -271,13 +264,14 @@ def _face_search(support: tuple[WeightVector, ...], theta: tuple[Fraction, ...]
             break
         face.update(j for j in range(s) if res.x_num[j] > 0)
         combos.append((res.x_num, res.x_den))
-    # The average of the solutions x' is N / den, checked on the integers N.
+    # The average of the solutions is N / den, checked on the integers N.
     den = math.lcm(*[d for _, d in combos])
     N = [sum(X[j] * (den // d) for X, d in combos) for j in range(s)]
     den *= len(combos)
     if not all(N[j] > 0 if j in face else N[j] == 0 for j in range(s)):
         raise RuntimeError("face interior point failed its support check")
-    if any(sum(a * v for a, v in zip(row, N)) != bi * den for row, bi in zip(A, b)):
+    if any(sum(a * v for a, v in zip(row, N)) * bi.denominator != bi.numerator * den
+           for row, bi in zip(A, b)):
         raise RuntimeError("face interior point failed its feasibility check")
     # It is optimal for the last LP (optimum 0), so by complementary
     # slackness that LP's duals (a, g) = Y / yden have <a, w> + g = 0 on the
@@ -288,11 +282,11 @@ def _face_search(support: tuple[WeightVector, ...], theta: tuple[Fraction, ...]
         if (gap != 0) if j in face else (gap > -yden):
             raise RuntimeError("face normal failed its check")
     face = sorted(face)
-    w0, basis, coords, c_theta = _chart([support[j].coords for j in face], b[:n], D)
+    w0, basis, coords, c_theta = _chart([support[j].coords for j in face], theta)
     if c_theta is None:
         raise RuntimeError("theta is off the affine span of its face")
     return MembershipCertificate(
-        inside=True, coefficients=tuple((support[j], Fraction(N[j], den * D)) for j in face),
+        inside=True, coefficients=tuple((support[j], Fraction(N[j], den)) for j in face),
         face=tuple(face), normal=(tuple(Fraction(-y, yden) for y in Y[:n]), Fraction(Y[n], yden)),
         base=w0, basis=basis, face_coords=coords,
         theta_coords=c_theta, lps=lps, pivots=pivots)

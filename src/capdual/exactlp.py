@@ -12,9 +12,9 @@ Bland's entering rule reads signs, and the ratio test cross-multiplies with
 the same tie-break, so the pivots are exactly those of the `Fraction`
 tableau.
 
-An input of Python ints is used as it is; any other entry clears the
-denominators of [A | b] and of c first, so no `Fraction` is built on the
-integer path. The results are integers too: `LPResult` holds x, the
+The denominators of [A | b] and of c are cleared first; ints and
+`Fraction`s are read through their numerator and denominator, so an input
+of ints builds no `Fraction`. The results are integers too: `LPResult` holds x, the
 objective, the duals and the Farkas vector as integer numerators over one
 denominator each, and builds its `Fraction` fields only when they are read.
 The artificial columns of phase 1 stay in the tableau through phase 2,
@@ -35,10 +35,9 @@ variables), so clarity and exactness win over sparsity.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -61,12 +60,14 @@ class LPResult:
     x = x_num / x_den, objective = obj_num / obj_den, duals = duals_num /
     duals_den and farkas = farkas_num / farkas_den. The `Fraction` fields
     x, objective, duals and farkas are built from them when first read;
-    each is None when its numerators are. pivots counts phase 1, driving
+    each is None when its numerators are. Every field after status is
+    keyword-only. pivots counts phase 1, driving
     artificials out and phase 2, on every call, also when phase 1 came
     from the kept tableau.
     """
 
     status: str
+    _: KW_ONLY
     pivots: int = 0
     # The optimal point and its value.
     x_num: tuple[int, ...] | None = None
@@ -251,16 +252,12 @@ def simplex_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
     # M = L [A | b] and C = cden c, with L and cden common denominators.
-    rows = tuple((*row, bi) for row, bi in zip(A, b))
-    if {int}.issuperset(map(type, itertools.chain(c, *rows))):
-        M, L, C, cden = rows, 1, list(c), 1
-    else:
-        fr = [[_rational(v) for v in row] for row in rows]
-        L = math.lcm(*[v.denominator for row in fr for v in row])
-        M = tuple(tuple(v.numerator * (L // v.denominator) for v in row) for row in fr)
-        cf = [_rational(cj) for cj in c]
-        cden = math.lcm(*[v.denominator for v in cf])
-        C = [v.numerator * (cden // v.denominator) for v in cf]
+    fr = [[_rational(v) for v in (*A[i], b[i])] for i in range(m)]
+    L = math.lcm(*[v.denominator for row in fr for v in row])
+    M = tuple(tuple(v.numerator * (L // v.denominator) for v in row) for row in fr)
+    cf = [_rational(cj) for cj in c]
+    cden = math.lcm(*[v.denominator for v in cf])
+    C = [v.numerator * (cden // v.denominator) for v in cf]
 
     signs, pivots, farkas, T0, basis0 = _phase1(M, n, L)
     if farkas is not None:
