@@ -11,23 +11,27 @@ the convex hull of the occupied weights. One exact rational routine,
 theta; it is memoised on the last (support, theta), since the face depends
 on neither the amplitudes nor the normalisation, so the capacity and its KL
 cross-check share one search, and the duality report reads the record the
-capacity carries. It works on integers: all its LPs share one [A | b], so
-`exactlp` runs phase 1 once a search, and the search reads the LPs'
-integer numerators; only the certificate's own fields are `Fraction`s. It
-solves the membership LP {p >= 0, sum p = 1, sum p_w w = theta} once,
-which yields a certificate either way. Inside, it seeds the face set S
-with the support of that solution and then repeats "maximize the mass of
-p off S", adding each solution's support to S, until the optimum is 0.
-No feasible p then puts mass off S, so S is the minimal face. The average
-of the collected solutions is a feasible point positive exactly on S; it
-is optimal for the last LP, so complementary slackness turns that LP's
-duals into an exact face normal, with no LP of its own. The face weights
-span an affine lattice w0 + B Z^d, B a Hermite basis (`_chart`), whose
-coordinates carry the row streams of `projection`. The whole record,
-`MembershipCertificate`, is checked exactly. When theta sits on a proper
-face the minimization is restricted to the face weights (the infimum is
-then attained there but not on the original orbit, which the `diverging`
-flag, read from the normal, records).
+capacity carries. It works on integers: all its LPs share one [A | b],
+so `exactlp` clears its denominators and runs phase 1 once a search, and
+the search reads the LPs' integer numerators; only the certificate's own
+fields are `Fraction`s. It solves the membership LP {p >= 0, sum p = 1,
+sum p_w w = theta} once, which yields a certificate either way. Inside, it
+seeds the face set S with the support of that solution and then repeats
+"maximize the mass of p off S", adding each solution's support to S, until
+the optimum is 0. No feasible p then puts mass off S, so S is the minimal
+face. The average of the collected solutions is a feasible point positive
+exactly on S; it is optimal for the last LP, so complementary slackness
+turns that LP's duals into an exact face normal, with no LP of its own.
+The face weights span an affine lattice w0 + B Z^d, B a Hermite basis
+(`_chart`), whose coordinates carry the row streams of `projection`. The
+chart solves every face weight in one integer elimination down the
+Hermite columns, checked exactly (a residue left over raises), and
+theta's rational coordinates in integers over one denominator
+(`_lattice_solve`). The whole record, `MembershipCertificate`, is checked
+exactly. When theta sits on a proper face the minimization is restricted
+to the face weights (the infimum is then attained there but not on the
+original orbit, which the `diverging` flag, read from the normal,
+records).
 
 On the face F depends on x only through y = B^T x in R^d: F(y) =
 -2 <c_theta, y> + log sum_w q_w exp(2 <c_w, y>) is strictly convex, with
@@ -46,7 +50,10 @@ at most 8 eps max(1, |F|). `CapacityResult.status` records how it ended.
 
 An independent cross-check solves -log cap_theta(v)^2 = min { D(p || q) :
 sum_w p_w c_w = c_theta }, with q the squared amplitudes, by damped Newton
-in the probability simplex, with the same stop rule but no full steps.
+in the probability simplex, with the same stop rule but no full steps. On
+a face of d + 1 weights (a simplex) the feasible set is one point, the
+face record's interior point p0, so the minimum is D(p0 || q) with no
+null space (SVD) and no step.
 """
 
 from __future__ import annotations
@@ -186,20 +193,26 @@ def _column_hnf(cols: list[list[int]]) -> list[list[int]]:
 
 
 def _lattice_solve(hnf: list[list[int]], x: Sequence) -> list[int | Fraction] | None:
-    """Rational y with (hnf columns) y = x, or None when x is outside the span.
-    Integer x stays in integers as long as its coordinates are integral."""
-    res = list(x)
+    """Rational y with (hnf columns) y = x, or None when x is outside the span:
+    each y_j an int when it is integral, else a Fraction. The ints and
+    Fractions of x are read through their numerators and denominators, and
+    the residue x - sum_j y_j col_j stays integers over one denominator."""
+    den = math.lcm(*[v.denominator for v in x])
+    res = [v.numerator * (den // v.denominator) for v in x]  # the residue is res / den
     y: list[int | Fraction] = []
     for col in hnf:
         pr = next(i for i, c in enumerate(col) if c != 0)
-        q, r = divmod(res[pr], col[pr])
-        coef = q if r == 0 else Fraction(res[pr]) / col[pr]
-        y.append(coef)
-        for i in range(len(res)):
-            res[i] -= coef * col[i]
-    if any(r != 0 for r in res):
-        return None
-    return y
+        num, piv = res[pr], col[pr]
+        q, r = divmod(num, den * piv)
+        if r == 0:
+            y.append(q)
+            f = q * den
+            res = [a - f * c for a, c in zip(res, col)]
+        else:  # y_j = num / (den piv), and the residue goes over den piv
+            y.append(Fraction(num, den * piv))
+            res = [a * piv - num * c for a, c in zip(res, col)]
+            den *= piv
+    return None if any(res) else y
 
 
 def _chart(weights: Sequence[Sequence[int]], point: Sequence
@@ -215,12 +228,22 @@ def _chart(weights: Sequence[Sequence[int]], point: Sequence
     """
     w0 = tuple(weights[0])
     hnf = _column_hnf([[a - b for a, b in zip(w, w0)] for w in weights[1:]])
-    coords = []
-    for w in weights:
-        c = _lattice_solve(hnf, [a - b for a, b in zip(w, w0)])
-        if c is None or any(t.denominator != 1 for t in c):
-            raise RuntimeError("lattice chart failed its check")
-        coords.append(tuple(int(t) for t in c))
+    # Every weight at once, as _lattice_solve takes one: down the columns,
+    # each coordinate is the residues' entry in the column's pivot row over
+    # the pivot, and every residue must end at 0.
+    res = [[a - b for a in row] for row, b in zip(zip(*weights), w0)]
+    cols = []
+    for col in hnf:
+        pr = next(i for i, c in enumerate(col) if c != 0)
+        piv = col[pr]
+        q = [r // piv for r in res[pr]]
+        for i, c in enumerate(col):
+            if c:
+                res[i] = [r - c * t for r, t in zip(res[i], q)]
+        cols.append(q)
+    if any(any(row) for row in res):
+        raise RuntimeError("lattice chart failed its check")
+    coords = list(zip(*cols)) if cols else [()] * len(weights)
     c = _lattice_solve(hnf, [a - b for a, b in zip(point, w0)])
     basis = tuple(tuple(col[i] for col in hnf) for i in range(len(w0)))
     return w0, basis, tuple(coords), None if c is None else tuple(c)
@@ -326,13 +349,19 @@ def _newton_logsumexp(C: np.ndarray, logq: np.ndarray, c_theta: np.ndarray,
         return f, g, h
 
     def newton(g, h):
+        """The Newton direction d, or -g (see above), and its slope g.d."""
         try:
             d = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
-            return -g
-        descent = float(g @ d) < -1e-8 * math.sqrt(float(g @ g) * float(d @ d))
-        return d if np.all(np.isfinite(d)) and descent else -g
+            pass
+        else:
+            gd = float(g @ d)
+            if np.all(np.isfinite(d)) and gd < -1e-8 * math.sqrt(float(g @ g) * float(d @ d)):
+                return d, gd
+        d = -g
+        return d, float(g @ d)
 
+    eps8 = 8.0 * np.finfo(float).eps
     y = np.zeros(C.shape[1])
     f, g, h = fgh(y)
     span = float(logq.max() - logq.min()) + 2.0  # the bound on max |2 C d| (module docstring)
@@ -340,11 +369,11 @@ def _newton_logsumexp(C: np.ndarray, logq: np.ndarray, c_theta: np.ndarray,
     while (gnorm := float(np.max(np.abs(g), initial=0.0))) > grad_tol:
         if iters >= max_iter:
             return y, f, gnorm, iters, "max_iter"
-        d = newton(g, h)
-        reach = float(np.max(np.abs(2.0 * (C @ d))))
+        d, slope = newton(g, h)
+        reach = 2.0 * float(np.max(np.abs(C @ d)))
         if reach > span:
             d *= span / reach
-        slope = float(g @ d)
+            slope = float(g @ d)
         step = 1.0
         for _ in range(60):
             yn = y + step * d
@@ -354,20 +383,19 @@ def _newton_logsumexp(C: np.ndarray, logq: np.ndarray, c_theta: np.ndarray,
             step *= 0.5
         else:
             break
-        if np.array_equal(yn, y):  # accepted only because step * d rounds away
+        if (yn == y).all():  # accepted only because step * d rounds away
             break
         iters += 1
         y, f, g, h = yn, fn, gn, hn
-        if -slope <= 8.0 * np.finfo(float).eps * max(1.0, abs(f)):
+        if -slope <= eps8 * max(1.0, abs(f)):
             break
     # Above grad_tol at the resolution of F: full Newton steps while they cut
     # |g| and do not raise F beyond its resolution.
     full = min(3, max_iter - iters)
     while (gnorm := float(np.max(np.abs(g), initial=0.0))) > grad_tol and full > 0:
-        yn = y + newton(g, h)
+        yn = y + newton(g, h)[0]
         fn, gn, hn = fgh(yn)
-        if not (np.max(np.abs(gn)) < gnorm
-                and fn <= f + 8.0 * np.finfo(float).eps * max(1.0, abs(f))):
+        if not (np.max(np.abs(gn)) < gnorm and fn <= f + eps8 * max(1.0, abs(f))):
             break
         iters, full = iters + 1, full - 1
         y, f, g, h = yn, fn, gn, hn
@@ -379,9 +407,8 @@ def _on_face(v: WeightedVector, theta
     """The face record of theta for a pruned nonzero v, and its chart arrays:
     C (s x d), the squared amplitudes q of the face weights, and c_theta."""
     cert = _face_search(v.support, rational_vector(theta, v.n))
-    qs = v.amplitudes_sq()
     C = np.array(cert.face_coords, dtype=float).reshape(len(cert.face), cert.dim)
-    return (cert, C, np.array([qs[v.support[j]] for j in cert.face]),
+    return (cert, C, np.array([abs(v.terms[j][1]) ** 2 for j in cert.face]),
             np.array([float(t) for t in cert.theta_coords]))
 
 
@@ -422,18 +449,23 @@ def _min_kl(q: np.ndarray, C: np.ndarray, p0: np.ndarray,
     Returns (minimum, steps taken). It stops like Newton on F, without the
     full steps: at gradient grad_tol, at a decrement -g.d of at most
     8 eps max(1, |f|), or when 60 step halvings find no Armijo step, keeping
-    the current point.
+    the current point. With d + 1 points, d = C.shape[1], the feasible set
+    is p0 alone: D(p0 || q) after 0 steps.
     """
+    logq = np.log(q)
+
+    def kl(p):
+        return float(np.sum(p * (np.log(p) - logq)))
+
+    f = kl(p0)
+    if len(q) == C.shape[1] + 1:  # the feasible set is the point p0
+        return f, 0
     # [C^T; 1] has rank d + 1, d = C.shape[1]: vh[d + 1:] spans its null space
     N = np.linalg.svd(np.vstack([C.T, np.ones(len(q))]))[2][C.shape[1] + 1:].T
     p = p0.copy()
-
-    def kl(p):
-        return float(np.sum(p * (np.log(p) - np.log(q))))
-
-    f = kl(p)
+    eps8 = 8.0 * np.finfo(float).eps
     iters = 0
-    while N.shape[1] and iters < max_iter:
+    while iters < max_iter:
         g = N.T @ (np.log(p / q) + 1.0)
         if np.max(np.abs(g)) <= grad_tol:
             break
@@ -462,7 +494,7 @@ def _min_kl(q: np.ndarray, C: np.ndarray, p0: np.ndarray,
             break
         iters += 1
         p, f = pn, fn
-        if -slope <= 8.0 * np.finfo(float).eps * max(1.0, abs(f)):
+        if -slope <= eps8 * max(1.0, abs(f)):
             break
     return f, iters
 

@@ -108,9 +108,12 @@ RationalLike = Union[Rational, int, float, str]
 def as_fraction(x: RationalLike, tol: float = 1e-9) -> Fraction:
     """Coerce a rational-like input (Fraction, int, "p/q" string, float) to Fraction.
 
-    Floats are rationalized to the nearest fraction with denominator at most
-    10^6 and rejected if that approximation is farther than tol.
+    An exact Fraction is returned as it is, with no copy. Floats are
+    rationalized to the nearest fraction with denominator at most 10^6 and
+    rejected if that approximation is farther than tol.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, Rational):
@@ -230,8 +233,11 @@ class WeightedVector:
         return {w: abs(c) ** 2 / ns for w, c in self.terms}
 
     def pruned(self, floor: float = AMPLITUDE_SQ_FLOOR) -> "WeightedVector":
-        """Drop components with squared amplitude below floor (treated as exact zeros)."""
-        return WeightedVector(self.n, tuple((w, c) for w, c in self.terms if abs(c) ** 2 >= floor))
+        """Drop components with squared amplitude below floor (treated as exact
+        zeros). With none below it this is self, already validated, not a
+        rebuilt copy."""
+        kept = tuple((w, c) for w, c in self.terms if abs(c) ** 2 >= floor)
+        return self if len(kept) == len(self.terms) else WeightedVector(self.n, kept)
 
     def normalized(self) -> "WeightedVector":
         ns = self.norm_sq

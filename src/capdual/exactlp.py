@@ -12,11 +12,14 @@ Bland's entering rule reads signs, and the ratio test cross-multiplies with
 the same tie-break, so the pivots are exactly those of the `Fraction`
 tableau.
 
-The denominators of [A | b] and of c are cleared first; ints and
-`Fraction`s are read through their numerator and denominator, so an input
-of ints builds no `Fraction`. The results are integers too: `LPResult` holds x, the
-objective, the duals and the Farkas vector as integer numerators over one
-denominator each, and builds its `Fraction` fields only when they are read.
+The denominators of [A | b] are cleared once per [A | b]: the integer rows
+L [A | b] are kept for the last [A | b] (`_cleared`), keyed on its values,
+so the LPs of one face search, which share it, clear it once. Those of c
+are cleared on every call. Ints and `Fraction`s are read through their
+numerator and denominator, so an input of ints builds no `Fraction`. The
+results are integers too: `LPResult` holds x, the objective, the duals and
+the Farkas vector as integer numerators over one denominator each, and
+builds its `Fraction` fields only when they are read.
 The artificial columns of phase 1 stay in the tableau through phase 2,
 where they never enter: the reduced costs over them are the dual solution,
 as the phase-1 ones are the Farkas vector.
@@ -190,6 +193,17 @@ def _zrow(T: list[list[int]], basis: list[int], cost: list[int]) -> tuple[list[i
 
 
 @functools.lru_cache(maxsize=1)
+def _cleared(A: tuple[tuple, ...], b: tuple) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(M, L): the integer rows M = L [A | b], L the least common
+    denominator of the entries. Keyed on the entries' values, a copy of the
+    caller's rows, so an A edited in place between two calls is cleared
+    again; the LPs of one face search share [A | b] and clear it once."""
+    fr = [[_rational(v) for v in (*row, bi)] for row, bi in zip(A, b)]
+    L = math.lcm(*[v.denominator for row in fr for v in row])
+    return tuple(tuple(v.numerator * (L // v.denominator) for v in row) for row in fr), L
+
+
+@functools.lru_cache(maxsize=1)
 def _phase1(M: tuple[tuple[int, ...], ...], n: int, L: int
             ) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], int] | None,
                        tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -251,10 +265,9 @@ def simplex_max(c: Sequence[Fraction], A: Sequence[Sequence[Fraction]],
     n = len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
-    # M = L [A | b] and C = cden c, with L and cden common denominators.
-    fr = [[_rational(v) for v in (*A[i], b[i])] for i in range(m)]
-    L = math.lcm(*[v.denominator for row in fr for v in row])
-    M = tuple(tuple(v.numerator * (L // v.denominator) for v in row) for row in fr)
+    # M = L [A | b] (kept for the last [A | b]) and C = cden c, with L and
+    # cden common denominators.
+    M, L = _cleared(tuple(map(tuple, A)), tuple(b))
     cf = [_rational(cj) for cj in c]
     cden = math.lcm(*[v.denominator for v in cf])
     C = [v.numerator * (cden // v.denominator) for v in cf]

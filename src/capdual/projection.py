@@ -39,12 +39,12 @@ hold the fewest cells (_lll_axes).
   axes or more or on a wider line, holds every J-th row, J the largest
   multiple of P up to 32 whose laws K_P, K_2P, .., K_J fit in 1 MiB
   (_held_period). It reaches the next held row by one FFT product with
-  K_J, reading the rows between through K_P .. K_J, one dot product each,
-  or by J steps where those cost less (_held_reads). Every read through a
-  law is an exact convolution of the held row, so the mass the crops
-  removed bounds its error in absolute terms; a P_p(S_k = k theta) below
-  that bound has no relative accuracy, in these rows or in a stream
-  stepped every k.
+  K_J, cropped once at the floor, reading the rows between through the
+  uncropped K_P .. K_J, one dot product each, or by J steps where those
+  cost less (_held_reads). Every read through a law is an exact
+  convolution of the held row, so the mass the crops removed bounds its
+  error in absolute terms; a P_p(S_k = k theta) below that bound has no
+  relative accuracy, in these rows or in a stream stepped every k.
 - The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 is the theta = 0,
   x* = 0 case, p = q, read at 0 (k c0 in the chart of the whole support).
   The first target is powered by binary squaring, each product a real FFT
@@ -95,11 +95,13 @@ MAX_DP_BYTES = 2 << 30  # 2 GiB guard for dense convolution tables
 # - Stream rows: every row is the law of S_k and every step a convolution
 #   with p, which sums to 1, so mass removed at one crop removes exactly
 #   that much from all later rows. A jump (_RowStream.jump) is an FFT
-#   product with the uncropped law of S_J, which also sums to 1, and its
-#   crop's mass counts the same way; so does a read through the uncropped
-#   law of S_j from a held row (_reads, _held_reads). The sum of the
-#   removed masses, the report's metadata["dropped_mass"], is therefore an
-#   absolute bound on the truncation error of every P_p(S_k = k theta) read;
+#   product with the law of S_J, which sums to 1, cropped once: the mass
+#   cropped from the law bounds what each jump loses by it, and counts at
+#   every jump, and the product's own crop counts as a step's does. A read
+#   goes through the uncropped law of S_j from a held row (_reads,
+#   _held_reads), which sums to 1. The sum of the removed masses, the
+#   report's metadata["dropped_mass"], is therefore an absolute bound on
+#   the truncation error of every P_p(S_k = k theta) read;
 #   the value read there, at the mean, is of order k^{-d/2}, but a value
 #   below the bound (far from the mean, or a wide kernel at large k) has
 #   only the bound and no relative accuracy. An FFT product also rounds
@@ -364,12 +366,14 @@ def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray
 
     From the row R held at k0 the stream reaches k0 + J in one of two ways,
     whichever costs less by the test on J steps (_fft_pays):
-    - a jump, one FFT product with K_J, the uncropped law of S_J
-      (_RowStream.jump). Each read at k = k0 + j, 0 < j <= J, is
-      sum_x R[x] K_j[t - x], t the target of k (_cst_of_product): a sum of
+    - a jump, one FFT product with a copy of K_J, the law of S_J, cropped
+      once at the stream's floor (_RowStream.jump). Each read at
+      k = k0 + j, 0 < j <= J, is sum_x R[x] K_j[t - x] through the
+      uncropped K_j, t the target of k (_cst_of_product): a sum of
       nonnegative products. The laws K_period .. K_J are the rows of a
       floor-0 copy of the stream (_exact_laws), built at the first jump.
-      From the point mass a read is a cell of K_j, and the jump is K_J.
+      From the point mass a read is a cell of K_j, and the row held at J
+      is the cropped K_J.
     - J steps, reading the cell of every period-th row on the way.
     No jump follows the last read.
     """
@@ -384,11 +388,14 @@ def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray
             if laws is None:  # copied: on two axes the copy's step after next overwrites a row
                 laws = {j: _Row(K.arr.copy(), K.offset) for j, K in enumerate(_exact_laws(stream, J))
                         if j and j % period == 0}
+                K = laws[J]  # the jumps go by a cropped copy; the reads stay uncropped
+                arr, offset, cut = _crop(K.arr.copy(), K.offset, float(K.arr.max()) * stream.floor)
+                kernel = _Row(arr, offset)
             for j in range(period, reach + 1, period):
                 t = (k0 + j) // period * step
                 yield _cst_of_product(stream.row, replace(laws[j], offset=laws[j].offset - t))
             if k0 + J < last:
-                stream.jump(laws[J], J)
+                stream.jump(kernel, J, cut)
         else:
             for j in range(1, reach + 1):
                 stream.step()
@@ -411,18 +418,21 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
       J-th row, J the largest multiple of P, at most max(P, min(32,
       k_max)), whose laws K_P, K_2P, .., K_J take at most 1 MiB
       (_held_period). From a held row it either jumps to the next by one
-      FFT product with K_J, the law of S_J, and reads the rows between
-      through K_P .. K_J, one dot product each, or takes J steps and reads
-      every P-th row, whichever costs less (_held_reads, _fft_pays).
+      FFT product with K_J, the law of S_J cropped once at the floor, and
+      reads the rows between through the uncropped K_P .. K_J, one dot
+      product each, or takes J steps and reads every P-th row, whichever
+      costs less (_held_reads, _fft_pays).
     metadata["dropped_mass"] is the probability mass the truncation floor
-    removed over the held rows, at their crops and FFT products: an
-    absolute bound on the error of every P_p(S_k = k theta), since every
-    held row and every read is an exact convolution with a law that sums
-    to 1. A P_p(S_k = k theta) below it has only that bound, and no
-    relative accuracy. metadata["crops"] and metadata["max_row_cells"]
-    count the crops and the cells of the largest row over the rows the
-    stream held, each FFT product one crop and one row. Outside the moment
-    polytope every row is an exact zero with a NaN gap and the counts are 0.
+    removed over the held rows, at their crops and FFT products, and
+    from K_J once a jump: an absolute bound on the error of every
+    P_p(S_k = k theta), since every held row and every read is an exact
+    convolution with a law that sums to 1, or with the cropped K_J. A
+    P_p(S_k = k theta) below it has only that bound, and no relative
+    accuracy. metadata["crops"] and metadata["max_row_cells"] count the
+    crops and the cells of the largest row over the rows the stream held,
+    each jump one crop and one row (the cropped K_J from the point mass,
+    else the FFT product). Outside the moment polytope every row is an
+    exact zero with a NaN gap and the counts are 0.
     """
     _check_k_max(k_max)
     v = v.pruned()
@@ -550,6 +560,8 @@ def _lll_axes(C: np.ndarray, p: np.ndarray) -> np.ndarray:
     d = C.shape[1]
     if d == 0:
         return np.zeros((1, 0), dtype=np.int64)
+    if d == 1:  # the only unimodular 1 x 1 matrices are +-1
+        return np.eye(1, dtype=np.int64)
     ident, U = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
     X = C - p @ C
     G = X.T @ (X * p[:, None])
@@ -603,7 +615,7 @@ class _RowStream:
         self.axes = _lll_axes(C, p)
         W = C @ self.axes.T
         lo = W.min(axis=0)
-        self.terms = [(tuple(int(c) for c in w - lo), float(pw)) for w, pw in zip(W, p)]
+        self.terms = [(tuple(w), pw) for w, pw in zip((W - lo).tolist(), p.tolist())]
         kernel = np.zeros(W.max(axis=0) - lo + 1)
         for w, pw in self.terms:
             kernel[w] = pw
@@ -648,18 +660,22 @@ class _RowStream:
             self._crop_at = 2 * out.size
         self.row = _Row(out, offset)
 
-    def jump(self, law: _Row, steps: int) -> None:
-        """`steps` steps at once: the row times law, the law of S_steps.
-        From the point mass that is law itself; otherwise it is one FFT
-        product (_row_conv), which is one row and one crop, and the mass its
-        crop removed joins `dropped`."""
+    def jump(self, law: _Row, steps: int, cut: float) -> None:
+        """`steps` steps at once: the row times law, the law of S_steps
+        cropped by the caller, whose crop removed the mass cut. From the
+        point mass the row is law itself; otherwise it is one FFT product
+        (_row_conv), cropped again. Each jump is one row and one crop, and
+        cut joins `dropped` on every jump, with the product's own cut: a
+        row of mass at most 1 times the part cropped from the law has mass
+        at most cut."""
         if self.k:
             cells = math.prod((np.array(self.row.arr.shape) + law.arr.shape - 1).tolist())
-            self.row, cut = _row_conv(self.row, law)
-            self.dropped += cut
-            self.crops += 1
+            self.row, product_cut = _row_conv(self.row, law)
+            cut += product_cut
         else:
             cells, self.row = law.arr.size, law
+        self.dropped += cut
+        self.crops += 1
         self.k += steps
         self.max_row_cells = max(self.max_row_cells, cells)
         self._crop_at = 2 * self.row.arr.size

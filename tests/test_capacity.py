@@ -366,6 +366,76 @@ def test_face_search_matches_per_weight_oracle():
     assert full_lattice >= 20, full_lattice
 
 
+def _fraction_lattice_solve(hnf, x):
+    """y with (hnf columns) y = x by Fraction elimination, or None."""
+    res, y = [F(v) for v in x], []
+    for col in hnf:
+        pr = next(i for i, c in enumerate(col) if c != 0)
+        y.append(res[pr] / col[pr])
+        res = [r - y[-1] * c for r, c in zip(res, col)]
+    return None if any(res) else y
+
+
+def test_chart_matches_per_weight_lattice_solve():
+    # _chart solves every face weight in one elimination down the Hermite
+    # columns. On the draw of the oracle test above its coordinates are
+    # those _lattice_solve gives one weight at a time, all ints, and the
+    # face record carries the same chart. _lattice_solve, in integers over
+    # one denominator, agrees with Fraction elimination on theta and on a
+    # point moved off the face, an int exactly where a coordinate is
+    # integral, and None off the span.
+    rng = np.random.default_rng(2024)
+    checked = off_span = 0
+    for i in range(80):
+        n = 1 + i % 4
+        v = random_weighted_vector(rng, n=n, n_terms=2 + (i // 4) % 7,
+                                   box={1: 4, 2: 2, 3: 1, 4: 1}[n]).pruned()
+        for theta in _face_targets(rng, v):
+            cert = _face_search(v.support, theta)
+            if not cert.inside:
+                continue
+            weights = [v.support[j].coords for j in cert.face]
+            w0, basis, coords, c_theta = capacity._chart(weights, theta)
+            hnf = capacity._column_hnf([[a - b for a, b in zip(w, w0)] for w in weights[1:]])
+            want = tuple(tuple(capacity._lattice_solve(hnf, [a - b for a, b in zip(w, w0)]))
+                         for w in weights)
+            assert coords == want and all(type(t) is int for c in coords for t in c)
+            assert (w0, basis, coords, c_theta) == (cert.base, cert.basis, cert.face_coords,
+                                                    cert.theta_coords)
+            for x in (theta, (theta[0] + F(1, 7), *theta[1:])):
+                got = capacity._lattice_solve(hnf, [a - b for a, b in zip(x, w0)])
+                want = _fraction_lattice_solve(hnf, [a - b for a, b in zip(x, w0)])
+                assert got == want
+                if got is not None:
+                    assert all((type(t) is int) == (t.denominator == 1) for t in got)
+                else:
+                    off_span += 1
+            checked += 1
+    assert checked == 240 and off_span >= 20, off_span
+
+
+def test_min_kl_on_a_simplex_face_is_the_closed_form(monkeypatch):
+    # With d + 1 weights on the face the feasible set is the one point p0,
+    # so _min_kl returns D(p0 || q) with 0 steps and no SVD: on two weights
+    # the two-point form, on a triangle the three-term sum.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD on a face with d + 1 weights")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for q, C, p0 in (([0.3, 0.7], [[0.0], [1.0]], [0.75, 0.25]),
+                     ([0.2, 0.5, 0.3], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.5, 0.3, 0.2])):
+        val, steps = capacity._min_kl(np.array(q), np.array(C), np.array(p0))
+        assert steps == 0
+        assert math.isclose(val, sum(p * math.log(p / x) for p, x in zip(p0, q)),
+                            rel_tol=1e-14)
+    # through the public cross-check: n = 1, two weights, theta inside
+    v = WeightedVector.from_terms(1, {(-1,): math.sqrt(0.3), (2,): math.sqrt(0.7)})
+    kl = capacity_kl_form(v, (F(1, 4),))
+    t = F(5, 12)  # the weight of (2,): -1 + 3 t = 1/4
+    want = -(float(1 - t) * math.log(float(1 - t) / 0.3) + float(t) * math.log(float(t) / 0.7))
+    assert math.isclose(kl.log_mag, want, rel_tol=1e-14)
+
+
 def test_every_face_lp_passes_the_name_the_tracer_wraps(monkeypatch):
     # bench/tracing.py counts and times the LPs by replacing, by identity,
     # every name a capdual module holds exactlp.simplex_max under; the face

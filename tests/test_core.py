@@ -85,6 +85,26 @@ def test_weighted_vector_character_shift():
     assert math.isclose(abs(amps[(2,)]), math.e)
 
 
+def test_pruned_is_self_unless_a_term_falls_below_the_floor():
+    v = WeightedVector.from_terms(2, {(0, 0): 1.0, (1, 0): 1e-14, (0, 1): 0.5j})
+    assert v.pruned() is v
+    w = WeightedVector.from_terms(2, {(0, 0): 1.0, (1, 0): 1e-16, (0, 1): 0.5j})
+    p = w.pruned()
+    assert p is not w and len(w.terms) == 3
+    assert p == WeightedVector.from_terms(2, {(0, 0): 1.0, (0, 1): 0.5j})
+    assert w.pruned(floor=0.0) is w and p.pruned() is p
+    zero = WeightedVector(1, ())
+    assert zero.pruned() is zero
+
+
+def test_as_fraction_returns_an_exact_fraction_as_it_is():
+    x = Fraction(3, 7)
+    assert as_fraction(x) is x
+    assert rational_vector((x, 1))[0] is x
+    y = as_fraction(2)
+    assert type(y) is Fraction and y == 2
+
+
 def test_partition_validation():
     p = Partition((3, 1, 0, 0))
     assert p.parts == (3, 1)

@@ -194,6 +194,29 @@ def test_phase1_memo_alternating_lps():
     assert min(seen[k] for k in ("optimal", "infeasible", "unbounded")) >= 10, seen
 
 
+def test_cleared_rows_follow_the_values_of_a_b():
+    """[A | b] is cleared once for the LPs that share it (`_cleared`, keyed
+    on its values): face LPs with a rational theta alternate with face LPs
+    with an integral one, an equal copy of the lists reuses the cleared
+    rows, and a list A edited in place between two calls is cleared again,
+    with no stale rows. Each LP answers as the oracle does."""
+    rng = np.random.default_rng(67)
+    seen = Counter()
+    for trial in range(60):
+        c, A, b = _face_lp(rng)
+        c2 = [1 - cj for cj in c]
+        b_int = [math.floor(t) + 1 for t in b[:-1]] + [1]  # an integral theta, not b's
+        hits, misses = exactlp._cleared.cache_info()[:2]
+        _matches_oracle(c, A, b)
+        _matches_oracle(c2, A, b)  # the same [A | b]: a hit
+        _matches_oracle(c, A, b_int)
+        seen[_matches_oracle(c2, [row[:] for row in A], list(b_int)).status] += 1  # equal copies: a hit
+        A[0][0] += 1  # in place: the next call must clear the edited rows
+        seen[_matches_oracle(c, A, b_int).status] += 1
+        assert exactlp._cleared.cache_info()[:2] == (hits + 2, misses + 3)
+    assert min(seen[k] for k in ("optimal", "infeasible")) >= 10, seen
+
+
 def test_pivots_counts_both_phases():
     # phase 1 pivots x1 in for the artificial; phase 2 is already optimal
     assert simplex_max([F(2), F(1)], [[F(1), F(1)]], [F(1)]).pivots == 1
@@ -273,6 +296,40 @@ def test_certificate_checks_survive_python_O():
     assert "farkas raised Farkas certificate failed" in out
     assert "duals raised dual solution failed its feasibility check" in out
     assert "face raised face interior point failed its feasibility check" in out
+
+
+def test_chart_check_survives_python_O():
+    """Under -O, a Hermite basis that does not span the face weights (a
+    pivot doubled, a column dropped) makes the chart's exact check raise."""
+    code = textwrap.dedent("""
+        from fractions import Fraction as F
+        from capdual import capacity
+        from capdual.core import WeightVector
+        real = capacity._column_hnf
+        print("debug", __debug__)
+
+        def doubled(cols):
+            out = real(cols)
+            out[0] = [2 * x for x in out[0]]
+            return out
+
+        def dropped(cols):
+            return real(cols)[:-1]
+
+        for name, patch, weights, theta in (
+                ("doubled", doubled, [(0,), (1,), (2,)], (F(1),)),
+                ("dropped", dropped, [(0, 0), (1, 0), (0, 1), (1, 1)], (F(1, 2), F(1, 2)))):
+            capacity._column_hnf = patch
+            capacity._face_search.cache_clear()
+            try:
+                capacity._face_search(tuple(map(WeightVector, weights)), theta)
+                print(name, "returned")
+            except RuntimeError as exc:
+                print(name, "raised", exc)
+    """)
+    out = _run_O(code)
+    assert "doubled raised lattice chart failed its check" in out
+    assert "dropped raised lattice chart failed its check" in out
 
 
 def test_phase1_memo_survives_a_phase2_that_writes_its_tableau():

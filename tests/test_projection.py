@@ -589,9 +589,10 @@ def test_held_rows_switch_between_jumps_and_steps(terms, theta, k_max, first, mo
 ], ids=["pentagon", "pentagon-alternate", "cross12"])
 def test_held_rows_account_for_the_dropped_mass(terms, theta, k_max, alternate, monkeypatch):
     # The held rows are laws of S_k, each from the last by J steps or by one
-    # FFT product with K_J, the uncropped law of S_J. A step rounds the
-    # row's mass by at most 4 eps; K_J's mass is within 4 J eps of 1, and a
-    # product rounds its total by about 4 eps log2(cells). So the mass of
+    # FFT product with K_J, the law of S_J cropped once at the floor. A step
+    # rounds the row's mass by at most 4 eps; K_J's mass is within 4 J eps
+    # of 1 less its cut, and a product rounds its total by about 4 eps
+    # log2(cells). So the mass of
     # the last held row is 1 minus everything its crops removed, within
     # tol, and the crops remove more than ten times tol.
     if alternate:
@@ -601,11 +602,11 @@ def test_held_rows_account_for_the_dropped_mass(terms, theta, k_max, alternate, 
     tol, J = [0.0], []
     jump = _RowStream.jump
 
-    def counted(self, law, steps):
+    def counted(self, law, steps, cut):
         cells = math.prod((np.array(self.row.arr.shape) + law.arr.shape - 1).tolist())
         tol[0] += 4 * eps * (steps + math.log2(cells))
         J.append(steps)
-        jump(self, law, steps)
+        jump(self, law, steps, cut)
 
     monkeypatch.setattr(_RowStream, "jump", counted)
     v = WeightedVector.from_terms(len(theta), terms)
@@ -647,25 +648,57 @@ def test_jump_stream_accounts_for_the_dropped_mass(terms, theta, k_max):
     ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [0.4, 0.3, 0.2, 0.1], 10, 8),
 ], ids=["n2", "n3"])
 def test_fft_jump_rows_account_for_the_dropped_mass(W, p, period, jumps):
-    # A jump convolves the row with K, the uncropped law of S_period, by
-    # FFT, and crops the product. The first jump takes K itself; K's mass
-    # is within 4 period eps of 1 (period exact steps), and each product
-    # rounds its total by a few eps per level of the FFT's butterflies, 4
-    # eps log2(cells). So the mass of the last row is 1 minus everything the
-    # crops removed, within tol, and the crops remove more than ten times
-    # tol.
+    # A jump convolves the row with K, the law of S_period cropped once at
+    # the floor, by FFT, and crops the product. The first jump holds K
+    # itself, smaller than the uncropped law; K's mass is within 4 period
+    # eps of 1 less its cut (period exact steps), each product loses at
+    # most that cut again, and rounds its total by a few eps per level of
+    # the FFT's butterflies, 4 eps log2(cells). So the mass of the last row
+    # is 1 minus everything the crops removed, within tol, and the crops
+    # remove more than ten times tol.
     stream = _RowStream(np.array(W), np.array(p))
     *_, law = projection._exact_laws(stream, period)
+    arr, offset, cut = projection._crop(law.arr.copy(), law.offset,
+                                        float(law.arr.max()) * stream.floor)
     eps = np.finfo(float).eps
     tol = 0.0
     for _ in range(jumps):
-        cells = math.prod((np.array(stream.row.arr.shape) + law.arr.shape - 1).tolist())
+        cells = math.prod((np.array(stream.row.arr.shape) + arr.shape - 1).tolist())
         tol += 4 * eps * (period + math.log2(cells))
-        stream.jump(law, period)
-    assert stream.k == jumps * period and stream.crops == jumps - 1
+        stream.jump(projection._Row(arr, offset), period, cut)
+        if stream.k == period:
+            assert stream.dropped == cut and stream.row.arr.size <= law.arr.size
+    assert stream.k == jumps * period and stream.crops == jumps
     assert stream.dropped > 10 * tol
     assert abs(1.0 - float(stream.row.arr.sum()) - stream.dropped) <= tol
     assert stream.max_row_cells >= stream.row.arr.size
+
+
+def test_first_held_row_is_the_cropped_law(monkeypatch):
+    # From the point mass a jump holds K_J cropped at the floor, not K_J:
+    # the pentagon's K_32 spans 97 x 97 cells, and (1/5)^32 of its corners
+    # sit far below 1e-12 of its largest. The crop's cut is the first
+    # dropped mass and the first crop, and the reads, through the uncropped
+    # laws, still match the stream stepped once per k.
+    held = []
+    jump = _RowStream.jump
+
+    def recorded(self, law, steps, cut):
+        first = self.k == 0
+        jump(self, law, steps, cut)
+        if first:
+            held.append((self.row.arr.shape, self.dropped, self.crops, cut))
+
+    monkeypatch.setattr(_RowStream, "jump", recorded)
+    v = WeightedVector.from_terms(2, _PENTAGON)
+    rep = duality_report(v, (F(1), F(1)), 200)
+    (shape, dropped, crops, cut), = held
+    assert 0 < cut == dropped and crops == 1
+    assert shape[0] < 97 and shape[1] < 97
+    want, _ = _per_k_report(v, (F(1), F(1)), 200)
+    for got, ref in zip(rep.rows, want):
+        if ref[1].sign:
+            assert abs(got[1].log_mag - ref[1].log_mag) <= 1e-12, got[0]
 
 
 def test_k_max_below_one_or_fractional_rejected():
