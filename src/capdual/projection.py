@@ -7,6 +7,12 @@ k independent draws from a distribution p on integer weights, and steps it
 with one convolution step, the row stream's (_RowStream): by k -> k + 1,
 by k -> k + 32 with the law of S_32 in a duality report on a line, or by
 an FFT product with the law of S_J in any other report (_RowStream.jump).
+A step on one axis is one numpy.convolve call. On more axes, and in the
+log domain on any, it copies the row once, padded on every axis but the
+first to the output's extent, so that the shift by a weight is one flat
+offset, and adds each weight's term as one contiguous product and one
+contiguous sum (_RowStream._shift_add): every cell is the same sum, in the
+same order, as per-term shifted slices would give.
 Rows live in the integer chart w = w0 + B c of the weights
 (capacity._chart): d axes for a d-dimensional face, one cell per lattice
 point however far apart the weights are, on the axes of that lattice that
@@ -114,12 +120,17 @@ MAX_DP_BYTES = 2 << 30  # 2 GiB guard for dense convolution tables
 _TRUNC_FLOOR = 1e-12
 
 
-def _step_log(row: _Row, stream: _RowStream, logq: np.ndarray) -> _Row:
-    """One exact convolution step in log domain: the stream's, log q_w for p_w."""
-    out = np.full(np.add(row.arr.shape, stream.kernel.arr.shape) - 1, -np.inf)
-    for (w, _), lq in zip(stream.terms, logq):
-        sl = tuple(slice(c, c + m) for c, m in zip(w, row.arr.shape))
-        np.logaddexp(out[sl], row.arr + lq, out=out[sl])
+# The semirings of a step (_RowStream._shift_add): (times, plus, zero).
+_LINEAR = (np.multiply, np.add, 0.0)
+_LOG = (np.add, np.logaddexp, -math.inf)
+
+
+def _step_log(row: _Row, stream: _RowStream, logq: Sequence[float]) -> _Row:
+    """One exact convolution step in log domain: the stream's, log q_w for
+    p_w, by the same flat shift and add (_RowStream._shift_add) with
+    logaddexp for + and -inf for 0. The row is a new array, which carries
+    the layout's one stride of tail past its last cell."""
+    out = stream._shift_add(row.arr, logq, _LOG, np.empty)
     return _Row(out, row.offset + stream.kernel.offset)
 
 
@@ -137,7 +148,8 @@ def _log_rows(stream: _RowStream, q: np.ndarray, k_max: int) -> Iterator[_Row]:
     the axes of the uncropped stream of p = q / |v|^2: its rows 1 ..
     _linear_k, stored as log(row) + k log |v|^2, then log steps (_step_log)
     from the last of them, or from the point mass at k = 0 when no row is
-    linear. The stream is reset after its rows, which frees its buffers."""
+    linear. The stream is reset after its rows, which frees its row buffers;
+    the log steps use only its padded-copy and term buffers."""
     k_lin = _linear_k(q, k_max)
     log_norm_sq = math.log(float(q.sum()))
     row = _Row(np.zeros(stream.row.arr.shape), stream.row.offset)
@@ -148,7 +160,7 @@ def _log_rows(stream: _RowStream, q: np.ndarray, k_max: int) -> Iterator[_Row]:
         row.arr += k * log_norm_sq
         yield row
     stream.reset()
-    logq = np.log(q)
+    logq = np.log(q).tolist()
     for _ in range(k_lin, k_max):
         row = _step_log(row, stream, logq)
         yield row
@@ -234,9 +246,14 @@ def projection_norm_table(v: WeightedVector, k_max: int,
     Unreachable cells and weights off the lattice k w0 + B Z^d are exact 0.
 
     Raises MemoryError naming the chart extent, before any row is built, if
-    the rows (k width_u + 1 cells on each chart axis u) and the stream's
-    three working buffers (each the size of the last linear row) would
-    exceed max_bytes in total.
+    the rows (k width_u + 1 cells on each chart axis u, and a log row one
+    stride of its first axis of tail) and the stream's four working buffers
+    would exceed max_bytes in total. The buffers are sized exactly, once,
+    before the first step (buffers that grow between the rows fragment the
+    heap): on two axes or more the two row buffers take the last two linear
+    rows with their tails, and the padded copy and the term buffer the last
+    step's padded copy (_RowStream._shift_add); on one axis the linear
+    steps are numpy.convolve calls and only the log steps use the latter two.
     """
     _check_k_max(k_max)
     v = v.pruned()
@@ -246,16 +263,30 @@ def projection_norm_table(v: WeightedVector, k_max: int,
     w0, basis, coords, _ = _chart([w.coords for w in v.support], v.support[0].coords)
     stream = _RowStream(np.array(coords, dtype=np.int64), q / q.sum(), floor=0.0)
     width = np.array(stream.kernel.arr.shape) - 1
-    cells = math.prod(int(e) for e in _linear_k(q, k_max) * width + 1)
-    total = 3 * 8 * cells
+    k_lin = _linear_k(q, k_max)
+    multi = len(width) > 1
+
+    def cells(k: int) -> tuple[int, int, int]:
+        """A step to row k: the row's cells, its tail, the padded copy's cells."""
+        shape = (k * width + 1).tolist()
+        tail = math.prod(shape[1:])
+        return shape[0] * tail, tail, ((k - 1) * int(width[0]) + 1) * tail
+
+    sizes = [0] * 4
+    for k in (k_lin - 1, k_lin) if multi else ():
+        if k >= 1:
+            sizes[k % 2] = sum(cells(k)[:2])
+    if multi or k_max > k_lin:
+        sizes[2] = sizes[3] = cells(k_max)[2]
+    total = 8 * sum(sizes)
     for k in range(1, k_max + 1):
-        total += 8 * int(np.prod(k * width + 1))
+        row, tail, _ = cells(k)
+        total += 8 * (row + tail if k > k_lin else row)
         if total > max_bytes:
             raise MemoryError(
                 f"projection table would need more than {max_bytes} bytes at "
                 f"k = {k}, chart extent {tuple(int(e) for e in (k * width + 1))}")
-    if len(width) > 1:  # sized once: buffers that grow between the rows fragment the heap
-        stream._bufs = [np.empty(cells) for _ in range(3)]
+    stream._bufs = [np.empty(size) for size in sizes]
     return ProjectionTable(v.n, v.norm_sq, w0, basis, stream.axes,
                            list(_log_rows(stream, q, k_max)))
 
@@ -365,7 +396,10 @@ def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray
     a stream of p that holds every J-th row (_held_period).
 
     From the row R held at k0 the stream reaches k0 + J in one of two ways,
-    whichever costs less by the test on J steps (_fft_pays):
+    whichever costs less by the test on J steps (_fft_pays), which counts
+    the cells of the product the jump forms: R's box plus the cropped K_J's
+    box minus one on each axis, or K_J's uncropped box before the laws are
+    built:
     - a jump, one FFT product with a copy of K_J, the law of S_J, cropped
       once at the stream's floor (_RowStream.jump). Each read at
       k = k0 + j, 0 < j <= J, is sum_x R[x] K_j[t - x] through the
@@ -384,7 +418,8 @@ def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray
     for k0 in range(0, last, J):
         reach = min(J, last - k0)
         shape = np.array(stream.row.arr.shape) if k0 else J * widths + 1
-        if _fft_pays(J, len(stream.terms), math.prod((shape + J * widths).tolist())):
+        law = J * widths + 1 if laws is None else np.array(kernel.arr.shape)
+        if _fft_pays(J, len(stream.terms), math.prod((shape + law - 1).tolist())):
             if laws is None:  # copied: on two axes the copy's step after next overwrites a row
                 laws = {j: _Row(K.arr.copy(), K.offset) for j, K in enumerate(_exact_laws(stream, J))
                         if j and j % period == 0}
@@ -601,13 +636,22 @@ class _RowStream:
 
     A step convolves the row with p: it shifts the row by every weight and
     adds it weighted by p, in one numpy.convolve call on a line, and on more
-    axes into working buffers kept across steps, two that take the rows in
-    turn and one for the terms: fresh arrays each step would fragment the
-    heap between a table's rows. A row is cropped at floor times its maximum
-    (_crop) only once it holds twice the cells it kept at the last crop;
-    floor 0, the exact table's, never crops. As every later step convolves
-    with p, `dropped`, the mass all crops removed, bounds the absolute error
-    of every row; `crops` and `max_row_cells` (the largest row) count work.
+    axes by one flat shift and add (_shift_add). That takes four working
+    buffers, kept across steps because fresh arrays each step would
+    fragment the heap between a table's rows:
+    - 0 and 1 take the rows in turn, row k in buffer k % 2, each with one
+      stride of the first axis of tail past the row's last cell, where the
+      last shifts write products of padding;
+    - 2 holds the row copied flat and padded to the output's extent on
+      every axis but the first, so that a shift is one flat offset;
+    - 3 holds one term's product.
+    The log step (_step_log) uses 2 and 3 too, and `reset` frees only 0
+    and 1: 2 and 3 are rewritten whole by each step that uses them.
+    A row is cropped at floor times its maximum (_crop) only once it holds
+    twice the cells it kept at the last crop; floor 0, the exact table's,
+    never crops. As every later step convolves with p, `dropped`, the mass
+    all crops removed, bounds the absolute error of every row; `crops` and
+    `max_row_cells` (the largest row) count work.
     """
 
     def __init__(self, C: np.ndarray, p: np.ndarray, floor: float = _TRUNC_FLOOR):
@@ -615,15 +659,20 @@ class _RowStream:
         self.axes = _lll_axes(C, p)
         W = C @ self.axes.T
         lo = W.min(axis=0)
-        self.terms = [(tuple(w), pw) for w, pw in zip((W - lo).tolist(), p.tolist())]
+        self._shifts = W - lo
+        self._p = p.tolist()
+        self.terms = [(tuple(w), pw) for w, pw in zip(self._shifts.tolist(), self._p)]
         kernel = np.zeros(W.max(axis=0) - lo + 1)
         for w, pw in self.terms:
             kernel[w] = pw
         self.kernel = _Row(kernel, lo)  # p as a row: the law of S_1
+        self._bufs = [np.empty(0)] * 4
         self.reset()
 
     def reset(self) -> None:
-        """Go back to k = 0, the point mass at the origin: zero counts, no buffers."""
+        """Go back to k = 0, the point mass at the origin: zero counts, and
+        free the row buffers 0 and 1. A shallow copy (_exact_laws) that
+        resets gets its own row buffers and shares 2 and 3."""
         n = self.kernel.arr.ndim
         self.k = 0
         self.row = _Row(np.ones((1,) * n), np.zeros(n, dtype=np.int64))
@@ -631,25 +680,59 @@ class _RowStream:
         self.crops = 0
         self.max_row_cells = 1
         self._crop_at = 2
-        self._bufs = [np.empty(0)] * 3
+        self._bufs = [np.empty(0), np.empty(0), *self._bufs[2:]]
 
-    def _buffer(self, i: int, shape: Sequence[int]) -> np.ndarray:
-        """Working buffer i viewed with the given shape, doubled when too small."""
-        if self._bufs[i].size < (size := math.prod(shape)):
+    def _buffer(self, i: int, size: int) -> np.ndarray:
+        """The first `size` cells of working buffer i, doubled when too small."""
+        if self._bufs[i].size < size:
             self._bufs[i] = np.empty(max(size, 2 * self._bufs[i].size))
-        return self._bufs[i][:size].reshape(shape)
+        return self._bufs[i][:size]
+
+    def _shift_add(self, arr: np.ndarray, coefs, ring, alloc) -> np.ndarray:
+        """sum_w coefs_w * (arr shifted by w) over the terms in their order,
+        in the semiring ring = (times, plus, zero): (np.multiply, np.add,
+        0.0) for a linear step, (np.add, np.logaddexp, -inf) for a log step.
+
+        One flat layout: arr is copied into buffer 2, padded with the
+        semiring's zero on every axis but the first to the output's extent,
+        so that the shift by w is the flat offset o_w = sum_i w_i stride_i of
+        the output and each term is one contiguous times and one contiguous
+        plus over flat[o_w : o_w + n], n the padded copy's cells. The first
+        term writes its product there directly and only the cells outside
+        that window are set to zero. A padding cell can land past the
+        output's last cell, by less than the first axis's stride, so the
+        output, alloc(cells + tail), carries that one stride of tail. Each
+        output cell is the sum of its terms in term order plus exact zeros
+        (x + 0.0 = x, logaddexp(x, -inf) = x). Returns the output, without
+        its tail, as an array of the output's shape."""
+        times, plus, zero = ring
+        shape = (np.add(arr.shape, self.kernel.arr.shape) - 1).tolist()
+        strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+        size = shape[0] * strides[0]
+        src = self._buffer(2, arr.shape[0] * strides[0]).reshape(arr.shape[0], *shape[1:])
+        for ax in range(1, arr.ndim):
+            src[(slice(None),) * ax + (slice(arr.shape[ax], None),)] = zero
+        src[tuple(map(slice, arr.shape))] = arr
+        src = src.reshape(-1)
+        n = src.size
+        flat = alloc(size + strides[0])
+        term = self._buffer(3, n)
+        (o, c), *rest = zip((self._shifts @ strides).tolist(), coefs)
+        times(src, c, out=flat[o:o + n])
+        flat[:o] = zero
+        flat[o + n:] = zero
+        for o, c in rest:
+            dst = flat[o:o + n]
+            plus(dst, times(src, c, out=term), out=dst)
+        return flat[:size].reshape(shape)
 
     def step(self) -> None:
         arr = self.row.arr
         if arr.ndim == 1:
             out = np.convolve(arr, self.kernel.arr)
-        else:  # row k sits in buffer k % 2, or is a crop's copy
-            out = self._buffer((self.k + 1) % 2, np.add(arr.shape, self.kernel.arr.shape) - 1)
-            out[...] = 0.0
-            term = self._buffer(2, arr.shape)
-            for w, pw in self.terms:
-                dst = out[tuple(slice(c, c + m) for c, m in zip(w, arr.shape))]
-                np.add(dst, np.multiply(arr, pw, out=term), out=dst)
+        else:  # row k sits in buffer k % 2, or is a crop's or a jump's own array
+            out = self._shift_add(arr, self._p, _LINEAR,
+                                  lambda size: self._buffer((self.k + 1) % 2, size))
         offset = self.row.offset + self.kernel.offset
         self.k += 1
         self.max_row_cells = max(self.max_row_cells, out.size)

@@ -17,7 +17,7 @@ from capdual.projection import (LaurentPoly, _cst_of_product, _fft_len, _lll_axe
                                 projection_norm_table)
 
 from util import (brute_invariant_norms, exact_log_norm_rows, gaussian_cst_powers,
-                  random_weighted_vector)
+                  random_weighted_vector, shift_add_step)
 
 F = Fraction
 
@@ -699,6 +699,135 @@ def test_first_held_row_is_the_cropped_law(monkeypatch):
     for got, ref in zip(rep.rows, want):
         if ref[1].sign:
             assert abs(got[1].log_mag - ref[1].log_mag) <= 1e-12, got[0]
+
+
+def test_held_reads_cost_a_jump_by_the_product_it_forms(monkeypatch):
+    # Once the laws are built, the cost test counts the cells of the product
+    # a jump forms: the held row's box plus the cropped K_J's box, minus one
+    # per axis. On this kernel (J = 17, a K_17 box of 103 x 188 cells) the
+    # uncropped box would count more than the jump's product at k0 = 119 and
+    # 136, enough to pick 17 steps there; the product's count picks the jump.
+    stream = _RowStream(np.array([[-6, 0], [-2, -1], [5, 5]]), np.array([0.27, 0.02, 0.71]))
+    J = projection._held_period(np.array(stream.kernel.arr.shape) - 1, 1, 140)
+    uncropped = J * (np.array(stream.kernel.arr.shape) - 1)
+    pays, jump = projection._fft_pays, _RowStream.jump
+    costs, products = [], []
+
+    def counted(steps, terms, cells):
+        shape = np.array(stream.row.arr.shape) if stream.k else uncropped + 1
+        old = math.prod((shape + uncropped).tolist())
+        costs.append((stream.k, cells, pays(steps, terms, cells), pays(steps, terms, old)))
+        return costs[-1][2]
+
+    def recorded(self, law, steps, cut):
+        if self.k:
+            products.append((self.k, math.prod((np.array(self.row.arr.shape) + law.arr.shape - 1).tolist())))
+        jump(self, law, steps, cut)
+
+    monkeypatch.setattr(projection, "_fft_pays", counted)
+    monkeypatch.setattr(_RowStream, "jump", recorded)
+    reads = list(projection._held_reads(stream, 1, 140, np.zeros(2, dtype=np.int64)))
+    assert J == 17 and len(reads) == 140
+    assert all(jumped for _, _, jumped, _ in costs)
+    assert products == [(k0, cells) for k0, cells, _, _ in costs if k0 and k0 + J < 140]
+    assert [k0 for k0, _, new, old in costs if new != old] == [119, 136]
+
+
+_CORNER2 = [[0, 0], [3, 0], [0, 2], [3, 2], [1, 1]]
+_CORNER3 = [[0, 0, 0], [2, 0, 0], [0, 3, 0], [0, 0, 2], [2, 3, 2], [1, 1, 1]]
+
+
+def _corner_stream(W, floor):
+    """A stream whose kernel holds the far corner of its box: the shift with
+    the largest flat offset in a step's layout (_RowStream._shift_add)."""
+    p = np.arange(1.0, len(W) + 1)
+    stream = _RowStream(np.array(W), p / p.sum(), floor)
+    assert tuple(np.array(stream.kernel.arr.shape) - 1) in [w for w, _ in stream.terms]
+    return stream
+
+
+@pytest.mark.parametrize("W, n_steps", [(_CORNER2, 60), (_CORNER3, 24)], ids=["n2", "n3"])
+def test_step_matches_the_shift_and_add_oracle(W, n_steps):
+    # Every step equals the direct shift and add (util.shift_add_step) bit
+    # for bit, cropped where the stream cropped: from a row in a working
+    # buffer, from a crop's copy, and from a jump's row (the cropped law
+    # from the point mass, then an FFT product).
+    stream = _corner_stream(W, 1e-6)
+    *_, law = projection._exact_laws(stream, 4)
+    arr, offset, cut = projection._crop(law.arr.copy(), law.offset,
+                                        float(law.arr.max()) * stream.floor)
+    kinds, kind = set(), None
+    for i in range(n_steps):
+        if i in (0, n_steps // 2):
+            stream.jump(_Row(arr, offset), 4, cut)
+            kind = "jump"
+        prev, crops = _Row(stream.row.arr.copy(), stream.row.offset), stream.crops
+        stream.step()
+        want = shift_add_step(prev.arr, stream.terms)
+        want_offset = prev.offset + stream.kernel.offset
+        if stream.crops > crops:
+            want, want_offset, _ = projection._crop(want, want_offset, float(want.max()) * stream.floor)
+        assert np.array_equal(stream.row.arr, want), (i, kind)
+        assert stream.row.offset.tolist() == want_offset.tolist()
+        kinds.add(kind)
+        kind = "crop" if stream.crops > crops else "buffer"
+    assert kinds == {"jump", "crop", "buffer"}
+
+
+@pytest.mark.parametrize("W", [_CORNER2, _CORNER3], ids=["n2", "n3"])
+def test_log_step_matches_the_shift_and_add_oracle(W):
+    # Log steps from rows that hold -inf cells (the kernel box's empty
+    # cells, and every fifth cell of the first row set to -inf) equal the
+    # direct shift and add in log domain bit for bit.
+    stream = _corner_stream(W, 0.0)
+    logq = [math.log(pw) for _, pw in stream.terms]
+    with np.errstate(divide="ignore"):
+        row = _Row(np.log(stream.kernel.arr), stream.kernel.offset)
+    row.arr.flat[::5] = -np.inf
+    for _ in range(6):
+        assert np.isneginf(row.arr).any()
+        got = projection._step_log(row, stream, logq)
+        want = shift_add_step(row.arr, [(w, lq) for (w, _), lq in zip(stream.terms, logq)], log=True)
+        assert np.array_equal(got.arr, want)
+        assert got.offset.tolist() == (row.offset + stream.kernel.offset).tolist()
+        row = got
+
+
+@pytest.mark.parametrize("terms, k_max, log_steps", [
+    # p_min about 4.1e-5: rows 1 .. 68 linear, then 32 log steps
+    ({(0, 0): 1.0, (1, 0): 0.9, (0, 1): 0.8, (1, 1): 0.011, (2, 1): 0.7}, 100, 32),
+    ({(0, 0, 0): 1.0, (2, 0, 0): 0.8, (0, 3, 0): 0.6, (0, 0, 2): 0.7, (1, 1, 1): 0.9}, 30, 0),
+], ids=["n2-handoff", "n3"])
+def test_table_buffers_are_sized_once_and_exactly(terms, k_max, log_steps, monkeypatch):
+    # projection_norm_table sizes the stream's four working buffers before
+    # the first step: no step grows one, each is as large as the largest
+    # view any step takes of it, and the budget it checks is exact (the
+    # rows with their tails and the buffers), its MemoryError raised before
+    # any step.
+    held, need = {}, {}
+    buffer = _RowStream._buffer
+
+    def recorded(self, i, size):
+        assert self._bufs[i].size >= size, f"buffer {i} grew to {size}"
+        held[i], need[i] = self._bufs[i].size, max(need.get(i, 0), size)
+        return buffer(self, i, size)
+
+    monkeypatch.setattr(_RowStream, "_buffer", recorded)
+    v = WeightedVector.from_terms(len(next(iter(terms))), terms)
+    table, first_log = _table_and_first_log_row(monkeypatch, v, k_max)
+    assert k_max + 1 - first_log == log_steps
+    assert sorted(held) == [0, 1, 2, 3] and held == need
+    total = 8 * sum(held.values()) + sum((r.arr if r.arr.base is None else r.arr.base).nbytes
+                                         for r in table._rows)
+    assert projection_norm_table(v, k_max, max_bytes=total).k_max == k_max
+
+    def no_step(self):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(_RowStream, "step", no_step)
+    monkeypatch.setattr(projection, "_step_log", no_step)
+    with pytest.raises(MemoryError, match=f"at k = {k_max},"):
+        projection_norm_table(v, k_max, max_bytes=total - 1)
 
 
 def test_k_max_below_one_or_fractional_rejected():

@@ -2,7 +2,7 @@
 
 Everything here is deliberately independent of the library internals:
 projection norms by direct tensor-power expansion and by exact integer
-polynomial powers, Schur polynomials by tableau enumeration, feasible
+polynomial powers, one convolution step by per-term slices, Schur polynomials by tableau enumeration, feasible
 directions by explicit rational convex combinations, exact LPs on a
 `Fraction` tableau, minimal faces by one such LP per weight, Hall
 deficiencies and off-face entries by enumerating row subsets, Laurent
@@ -78,6 +78,23 @@ def exact_log_norm_rows(v: WeightedVector, k_max: int):
                 nxt[key] = nxt.get(key, 0) + c * qw
         row = nxt
         yield k, {lam: log_scaled(c, k) for lam, c in row.items()}
+
+
+def shift_add_step(arr: np.ndarray, terms, log: bool = False) -> np.ndarray:
+    """One convolution step by direct shift and add: sum_w c_w (arr shifted
+    by w) on the box arr.shape + (kernel box) - 1, terms the (w, c_w) pairs,
+    w a cell of the kernel's box, added in their order, each into its own
+    strided slice of an output that starts at 0. With log=True the c_w are
+    logs, the output starts at -inf and a term adds by logaddexp."""
+    box = np.max([w for w, _ in terms], axis=0) + 1
+    out = np.full(np.add(arr.shape, box) - 1, -np.inf if log else 0.0)
+    for w, c in terms:
+        dst = out[tuple(slice(a, a + m) for a, m in zip(w, arr.shape))]
+        if log:
+            np.logaddexp(dst, arr + c, out=dst)
+        else:
+            dst += arr * c
+    return out
 
 
 def _ssyt_rows(shape, max_entry, prev_row=None):
