@@ -5,8 +5,8 @@ weight-lambda component of v^{tensor k} is the coefficient of t^lambda in
 (sum_w q_w t^w)^k. Every engine reads one object, the law of S_k, a sum of
 k independent draws from a distribution p on integer weights, and steps it
 with one convolution step, the row stream's (_RowStream): by k -> k + 1,
-by k -> k + 32 with the law of S_32 in a duality report on a line, or by
-an FFT product with the law of S_J in any other report (_RowStream.jump).
+or in a duality report by k -> k + J, one product with the law of S_J
+(_RowStream.jump), direct on a line where that costs less, else by FFT.
 A step on one axis is one numpy.convolve call. On more axes, and in the
 log domain on any, it copies the row once, padded on every axis but the
 first to the output's extent, so that the shift by a weight is one flat
@@ -38,16 +38,14 @@ hold the fewest cells (_lll_axes).
   where F(x*) = log cap_theta(v)^2. Under p the mean of S_k is k theta, so
   the floor only removes far tails. Only every P-th k can be nonzero, P
   the least period of both theta and c_theta. The rows come from a stream
-  that crops lazily (_RowStream). On a line, with p on at most 128 cells,
-  it holds every 32nd row, convolving with the law of S_32, and reads the
-  32 rows from each held one through the laws of S_0 .. S_31 in one
-  windowed product (_line_stream, _reads). Every other report, on two
-  axes or more or on a wider line, holds every J-th row, J the largest
-  multiple of P up to 32 whose laws K_P, K_2P, .., K_J fit in 1 MiB
-  (_held_period). It reaches the next held row by one FFT product with
-  K_J, cropped once at the floor, reading the rows between through the
-  uncropped K_P .. K_J, one dot product each, or by J steps where those
-  cost less (_held_reads). Every read through a law is an exact
+  that crops lazily (_RowStream) and holds every J-th row, J a multiple of
+  P near 32 whose laws K_P, K_2P, .., K_J fit in 1 MiB (_held_period). It
+  reaches the next held row by J steps or by one product with K_J,
+  whichever costs less: on a line a direct product with K_J where that
+  costs less than an FFT, else an FFT product with K_J cropped once at
+  the floor. It reads the rows between through the uncropped K_P .. K_J,
+  on a line in one windowed product (_reads), on more axes one dot
+  product each (_held_reads). Every read through a law is an exact
   convolution of the held row, so the mass the crops removed bounds its
   error in absolute terms; a P_p(S_k = k theta) below that bound has no
   relative accuracy, in these rows or in a stream stepped every k.
@@ -100,17 +98,18 @@ MAX_DP_BYTES = 2 << 30  # 2 GiB guard for dense convolution tables
 # (_RowStream) has doubled its cells since its last crop.
 # - Stream rows: every row is the law of S_k and every step a convolution
 #   with p, which sums to 1, so mass removed at one crop removes exactly
-#   that much from all later rows. A jump (_RowStream.jump) is an FFT
-#   product with the law of S_J, which sums to 1, cropped once: the mass
-#   cropped from the law bounds what each jump loses by it, and counts at
-#   every jump, and the product's own crop counts as a step's does. A read
-#   goes through the uncropped law of S_j from a held row (_reads,
-#   _held_reads), which sums to 1. The sum of the removed masses, the
-#   report's metadata["dropped_mass"], is therefore an absolute bound on
-#   the truncation error of every P_p(S_k = k theta) read;
-#   the value read there, at the mean, is of order k^{-d/2}, but a value
-#   below the bound (far from the mean, or a wide kernel at large k) has
-#   only the bound and no relative accuracy. An FFT product also rounds
+#   that much from all later rows. A jump (_RowStream.jump) is a product
+#   with the law of S_J, which sums to 1. A direct one, with the uncropped
+#   law, crops as a step does. An FFT one goes by the law cropped once:
+#   the mass cropped from the law bounds what each such jump loses by it,
+#   and counts at every one, and the product's own crop counts as a
+#   step's does. A read goes through the uncropped law of S_j from a held
+#   row (_reads, _held_reads), which sums to 1. The sum of the removed
+#   masses, the report's metadata["dropped_mass"], is therefore an
+#   absolute bound on the truncation error of every P_p(S_k = k theta)
+#   read; the value read there, at the mean, is of order k^{-d/2}, but a
+#   value below the bound (far from the mean, or a wide kernel at large k)
+#   has only the bound and no relative accuracy. An FFT product also rounds
 #   each cell by at most about eps log2(cells) times the row's largest, far
 #   below the floor.
 # - Prefactor anchors: mass lost per product is below (array size) * floor
@@ -291,12 +290,11 @@ def projection_norm_table(v: WeightedVector, k_max: int,
                            list(_log_rows(stream, q, k_max)))
 
 
-# Rows a one-axis duality report reads per convolution step, and the most
-# cells p may take for it to do so: K_0 .. K_J then stay under about 1 MiB,
-# 8 _JUMP^2 _JUMP_CELLS bytes, the budget of every other report's read laws
-# too (_held_period).
-_JUMP = 32
-_JUMP_CELLS = 128
+# The rows a duality report holds sit about _HELD steps apart, and the laws
+# it reads them through take at most _LAW_CELLS float64 cells (1 MiB)
+# (_held_period).
+_HELD = 32
+_LAW_CELLS = 1 << 17
 
 
 def _tilted_law(v: WeightedVector, cap) -> tuple[np.ndarray, np.ndarray]:
@@ -325,95 +323,76 @@ def _exact_laws(stream: _RowStream, steps: int) -> Iterator[_Row]:
         yield exact.row
 
 
-def _line_stream(C: np.ndarray, p: np.ndarray
-                 ) -> tuple[_RowStream, np.ndarray, np.ndarray] | None:
-    """The stream a one-axis duality report holds, and the laws it reads
-    through; None on two axes or more, or with p on more than _JUMP_CELLS
-    cells.
+def _reads(row: _Row, flipped: np.ndarray, corners: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """sum_x row[x] K_i[t_i - x] for each one-axis law K_i, held flipped in
+    row i of flipped (zero-padded on the left to the widest) with lower
+    corner corners[i], and its target cell t_i = targets[i]: a sum of
+    nonnegative products each.
 
-    The stream steps by the law of S_J, J = _JUMP, so its k-th row is the
-    law of S_{kJ}, and the row held at k0 is read at k0 .. k0 + J - 1
-    through the laws K_0 .. K_{J-1} of S_0 .. S_{J-1} (_reads). Returns the
-    stream, K_0 .. K_{J-1} flipped and stacked as the rows of one J x L
-    array (zero-padded to the width L of the widest), and the lower corners
-    of the K_j.
-    """
-    if C.shape[1] > 1 or C.shape[1] == 1 and np.ptp(C) >= _JUMP_CELLS:
-        return None
-    walk = _RowStream(C, p)
-    powers = list(_exact_laws(walk, _JUMP))  # one axis: each row a new array
-    law = powers.pop()
-    cells = np.flatnonzero(law.arr)
-    # The axes are [[1]] (d = 1) or the 1 x 0 zero matrix (d = 0), so the
-    # chart point of the axis cell x is x U.
-    stream = _RowStream((cells + law.offset[0])[:, None] @ walk.axes, law.arr[cells])
-    flipped = np.zeros((_JUMP, powers[-1].arr.size))
-    for j, K in enumerate(powers):
-        flipped[j, flipped.shape[1] - K.arr.size:] = K.arr[::-1]
-    return stream, flipped, np.array([int(K.offset[0]) for K in powers])
-
-
-def _reads(row: _Row, flipped: np.ndarray, corners: np.ndarray, js: np.ndarray,
-           targets: np.ndarray) -> list[float]:
-    """P(S_{k0 + j} = t) for each j in js and its target cell t, from the
-    row held at k0, the law of S_k0, through the law K_j of S_j
-    (_line_stream): sum_x row[x] K_j[t - x], a sum of nonnegative products.
-
-    One windowed product: the flipped K_j against the windows of the row
-    that end where K_j's lower corner meets t, gathered from a copy of the
-    row padded with L zeros on each side, so that a window cell outside the
-    row reads 0.
+    One windowed product: the flipped K_i against the windows of the row
+    that end where K_i's lower corner meets t_i, gathered from a copy of the
+    row padded with L zeros on each side, L the width of flipped, so that a
+    window cell outside the row reads 0.
     """
     n, L = row.arr.size, flipped.shape[1]
     padded = np.zeros(n + 2 * L)
     padded[L:L + n] = row.arr
-    ends = targets - corners[js] - int(row.offset[0])
+    ends = targets - corners - int(row.offset[0])
     # the window of row cells ends - L + 1 .. ends starts at ends + 1 in the
     # padded copy; one wholly outside the row reads L padding zeros
     starts = np.clip(ends + 1, 0, n + L)
-    return np.einsum("ji,ji->j", padded[starts[:, None] + np.arange(L)], flipped[js]).tolist()
+    return np.einsum("ji,ji->j", padded[starts[:, None] + np.arange(L)], flipped)
 
 
 def _held_period(widths: np.ndarray, period: int, k_max: int) -> int:
-    """J, the distance between the rows a report off the line holds: the
-    largest multiple of period, at most max(period, min(_JUMP, k_max)),
-    whose read laws K_period, K_2period, .., K_J fit in the 8 _JUMP^2
-    _JUMP_CELLS bytes (1 MiB) the line's laws may take; period if none fit.
-    K_j spans j width_u + 1 cells on each axis u, so no law is built to
-    count them."""
+    """J, the distance between the rows a duality report holds: the largest
+    multiple of period up to a top whose read laws K_period, K_2period, ..,
+    K_J fit in _LAW_CELLS cells (1 MiB); period if none fit. The top is
+    max(period, min(_HELD, k_max)) on two axes or more. On one axis, where
+    a read is one row of a windowed product (_reads) and a jump may be a
+    direct product, rows held more densely than every _HELD-th cost more
+    than the reads they save, so the top is min(_HELD, k_max) rounded up to
+    a multiple of period. K_j spans j width_u + 1 cells on each axis u, so
+    no law is built to count them."""
+    top = min(_HELD, k_max)
+    top = -(-top // period) * period if len(widths) == 1 else max(period, top)
     J, cells = period, 0
-    for j in range(period, max(period, min(_JUMP, k_max)) + 1, period):
+    for j in range(period, top + 1, period):
         cells += math.prod((j * widths + 1).tolist())
-        if cells > _JUMP ** 2 * _JUMP_CELLS:
+        if cells > _LAW_CELLS:
             break
         J = j
     return J
 
 
-def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray
-                ) -> Iterator[float]:
-    """P(S_k = (k / period) step) at k = period, 2 period, .. <= k_max, from
-    a stream of p that holds every J-th row (_held_period).
+def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray) -> np.ndarray:
+    """P(S_k = (k / period) step) at k = period, 2 period, .. <= k_max, in
+    that order, from a stream of p that holds every J-th row (_held_period).
 
     From the row R held at k0 the stream reaches k0 + J in one of two ways,
     whichever costs less by the test on J steps (_fft_pays), which counts
     the cells of the product the jump forms: R's box plus the cropped K_J's
     box minus one on each axis, or K_J's uncropped box before the laws are
     built:
-    - a jump, one FFT product with a copy of K_J, the law of S_J, cropped
-      once at the stream's floor (_RowStream.jump). Each read at
-      k = k0 + j, 0 < j <= J, is sum_x R[x] K_j[t - x] through the
-      uncropped K_j, t the target of k (_cst_of_product): a sum of
-      nonnegative products. The laws K_period .. K_J are the rows of a
-      floor-0 copy of the stream (_exact_laws), built at the first jump.
-      From the point mass a read is a cell of K_j, and the row held at J
-      is the cropped K_J.
+    - a jump (_RowStream.jump) by K_J, the law of S_J, in one product: on
+      one axis a direct one with K_J where that costs less than an FFT
+      (_direct_pays), else an FFT product with a copy of K_J cropped once at
+      the stream's floor. Each read at k = k0 + j, 0 < j <= J, is
+      sum_x R[x] K_j[t - x] through the uncropped K_j, t the target of k, a
+      sum of nonnegative products: on one axis one windowed product reads
+      the whole block (_reads), on more one dot product reads each k
+      (_cst_of_product). The laws K_period .. K_J are the rows of a floor-0
+      copy of the stream (_exact_laws), built at the first jump. From the
+      point mass a read is a cell of K_j, and the row held at J is the
+      cropped K_J.
     - J steps, reading the cell of every period-th row on the way.
     No jump follows the last read.
     """
     widths = np.array(stream.kernel.arr.shape) - 1
+    line = widths.size == 1
     J = _held_period(widths, period, k_max)
     last = k_max // period * period
+    probs = np.zeros(last // period)
     laws = None
     for k0 in range(0, last, J):
         reach = min(J, last - k0)
@@ -421,21 +400,32 @@ def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray
         law = J * widths + 1 if laws is None else np.array(kernel.arr.shape)
         if _fft_pays(J, len(stream.terms), math.prod((shape + law - 1).tolist())):
             if laws is None:  # copied: on two axes the copy's step after next overwrites a row
-                laws = {j: _Row(K.arr.copy(), K.offset) for j, K in enumerate(_exact_laws(stream, J))
-                        if j and j % period == 0}
-                K = laws[J]  # the jumps go by a cropped copy; the reads stay uncropped
-                arr, offset, cut = _crop(K.arr.copy(), K.offset, float(K.arr.max()) * stream.floor)
+                laws = [_Row(K.arr.copy(), K.offset) for j, K in enumerate(_exact_laws(stream, J))
+                        if j and j % period == 0]
+                # the FFT jumps go by a cropped copy; the reads stay uncropped
+                arr, offset, cut = _crop(laws[-1].arr.copy(), laws[-1].offset,
+                                         float(laws[-1].arr.max()) * stream.floor)
                 kernel = _Row(arr, offset)
-            for j in range(period, reach + 1, period):
-                t = (k0 + j) // period * step
-                yield _cst_of_product(stream.row, replace(laws[j], offset=laws[j].offset - t))
+                if line:  # the laws flipped and stacked once, for _reads
+                    flipped = np.zeros((len(laws), laws[-1].arr.size))
+                    for i, K in enumerate(laws):
+                        flipped[i, flipped.shape[1] - K.arr.size:] = K.arr[::-1]
+                    corners = np.array([int(K.offset[0]) for K in laws])
+            i0, n = k0 // period, reach // period
+            targets = np.arange(i0 + 1, i0 + n + 1)[:, None] * step
+            if line:
+                probs[i0:i0 + n] = _reads(stream.row, flipped[:n], corners[:n], targets[:, 0])
+            else:
+                for i, t in enumerate(targets):
+                    probs[i0 + i] = _cst_of_product(stream.row, replace(laws[i], offset=laws[i].offset - t))
             if k0 + J < last:
-                stream.jump(kernel, J, cut)
+                stream.jump(kernel, J, cut, laws[-1])
         else:
             for j in range(1, reach + 1):
                 stream.step()
                 if j % period == 0:
-                    yield stream.row.cell((k0 + j) // period * step)
+                    probs[(k0 + j) // period - 1] = stream.row.cell((k0 + j) // period * step)
+    return probs
 
 
 def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
@@ -446,28 +436,27 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     where gap = -(1/k) log P_p(S_k = k theta) >= 0 is log_cap_sq - rate,
     read from the tilted row stream (module docstring). Only every P-th k
     is read, P = lcm(ell, m), ell the period of theta and m that of its
-    chart point c_theta; the other k of ell Z are exact zeros.
-    - On a line, with p on at most 128 cells, the stream holds every 32nd
-      row and reads the 32 rows from each held one (_line_stream, _reads).
-    - Otherwise (two axes or more, or a wider line kernel) it holds every
-      J-th row, J the largest multiple of P, at most max(P, min(32,
-      k_max)), whose laws K_P, K_2P, .., K_J take at most 1 MiB
-      (_held_period). From a held row it either jumps to the next by one
-      FFT product with K_J, the law of S_J cropped once at the floor, and
-      reads the rows between through the uncropped K_P .. K_J, one dot
-      product each, or takes J steps and reads every P-th row, whichever
-      costs less (_held_reads, _fft_pays).
+    chart point c_theta; the other k of ell Z are exact zeros. The stream
+    holds every J-th row, J a multiple of P whose laws K_P .. K_J take at
+    most 1 MiB, and about 32 (_held_period). From a held row it either
+    jumps to the next by one product with K_J, the law of S_J, and reads
+    the rows between through the uncropped K_P .. K_J, or takes J steps,
+    whichever costs less (_held_reads, _fft_pays). On one axis a jump is a
+    direct product with K_J where that costs less than an FFT
+    (_direct_pays), and otherwise an FFT product with K_J cropped once at
+    the floor.
     metadata["dropped_mass"] is the probability mass the truncation floor
     removed over the held rows, at their crops and FFT products, and
-    from K_J once a jump: an absolute bound on the error of every
+    from K_J at each FFT jump: an absolute bound on the error of every
     P_p(S_k = k theta), since every held row and every read is an exact
     convolution with a law that sums to 1, or with the cropped K_J. A
     P_p(S_k = k theta) below it has only that bound, and no relative
     accuracy. metadata["crops"] and metadata["max_row_cells"] count the
-    crops and the cells of the largest row over the rows the stream held,
-    each jump one crop and one row (the cropped K_J from the point mass,
-    else the FFT product). Outside the moment polytope every row is an
-    exact zero with a NaN gap and the counts are 0.
+    crops and the cells of the largest row over the rows the stream held:
+    a direct jump is one row and crops as a step does, an FFT jump is one
+    row and one crop (the cropped K_J from the point mass, else the FFT
+    product). Outside the moment polytope every row is an exact zero with a
+    NaN gap and the counts are 0.
     """
     _check_k_max(k_max)
     v = v.pruned()
@@ -490,20 +479,9 @@ def duality_report(v: WeightedVector, theta, k_max: int) -> ConvergenceReport:
     m = math.lcm(*(c.denominator for c in chart.theta_coords))  # k c_theta integral iff m | k
     P = math.lcm(ell, m)
     probs = np.zeros(k_max // ell)  # P_p(S_k = k theta) at k = ell, 2 ell, ..
-    if line := _line_stream(C, p):
-        stream, flipped, corners = line
-        step = int(stream.axes[0] @ np.array([int(c * m) for c in chart.theta_coords]))
-        for k0 in range(0, k_max + 1, _JUMP):  # the held rows: S_k0
-            if k0:
-                stream.step()
-            ks = np.arange(-(-max(k0, 1) // P) * P, min(k0 + _JUMP, k_max + 1), P)
-            if ks.size:
-                probs[ks // ell - 1] = _reads(stream.row, flipped, corners, ks - k0,
-                                              ks // m * step)
-    else:
-        stream = _RowStream(C, p)
-        step = stream.axes @ np.array([int(c * P) for c in chart.theta_coords], dtype=np.int64)
-        probs[P // ell - 1::P // ell] = list(_held_reads(stream, P, k_max, step))
+    stream = _RowStream(C, p)
+    step = stream.axes @ np.array([int(c * P) for c in chart.theta_coords], dtype=np.int64)
+    probs[P // ell - 1::P // ell] = _held_reads(stream, P, k_max, step)
     rows, zero = [], LogValue.zero()
     for k, prob in zip(range(ell, k_max + 1, ell), probs.tolist()):
         if prob > 0:
@@ -726,15 +704,10 @@ class _RowStream:
             plus(dst, times(src, c, out=term), out=dst)
         return flat[:size].reshape(shape)
 
-    def step(self) -> None:
-        arr = self.row.arr
-        if arr.ndim == 1:
-            out = np.convolve(arr, self.kernel.arr)
-        else:  # row k sits in buffer k % 2, or is a crop's or a jump's own array
-            out = self._shift_add(arr, self._p, _LINEAR,
-                                  lambda size: self._buffer((self.k + 1) % 2, size))
-        offset = self.row.offset + self.kernel.offset
-        self.k += 1
+    def _hold(self, out: np.ndarray, offset: np.ndarray) -> None:
+        """Make out, with lower corner offset, the row of a step or a direct
+        jump: cropped (_crop) once it holds twice the cells it kept at the
+        last crop."""
         self.max_row_cells = max(self.max_row_cells, out.size)
         if self.floor and out.size >= self._crop_at:
             out, offset, cut = _crop(out, offset, float(out.max()) * self.floor)
@@ -743,25 +716,42 @@ class _RowStream:
             self._crop_at = 2 * out.size
         self.row = _Row(out, offset)
 
-    def jump(self, law: _Row, steps: int, cut: float) -> None:
-        """`steps` steps at once: the row times law, the law of S_steps
-        cropped by the caller, whose crop removed the mass cut. From the
-        point mass the row is law itself; otherwise it is one FFT product
-        (_row_conv), cropped again. Each jump is one row and one crop, and
-        cut joins `dropped` on every jump, with the product's own cut: a
+    def step(self) -> None:
+        arr = self.row.arr
+        if arr.ndim == 1:
+            out = np.convolve(arr, self.kernel.arr)
+        else:  # row k sits in buffer k % 2, or is a crop's or a jump's own array
+            out = self._shift_add(arr, self._p, _LINEAR,
+                                  lambda size: self._buffer((self.k + 1) % 2, size))
+        self.k += 1
+        self._hold(out, self.row.offset + self.kernel.offset)
+
+    def jump(self, law: _Row, steps: int, cut: float, exact: _Row) -> None:
+        """`steps` steps at once, by exact, the law of S_steps, or by law, a
+        copy the caller cropped, whose crop removed the mass cut. On one axis,
+        past the point mass, where a direct product with exact costs less
+        than an FFT (_direct_pays), the row is that numpy.convolve product,
+        held and cropped as a step's is (_hold). Otherwise, from the point
+        mass the row is law itself, and after it one FFT product with law
+        (_row_conv), cropped again; each such jump is one row and one crop,
+        and cut joins `dropped` on every one, with the product's own cut: a
         row of mass at most 1 times the part cropped from the law has mass
         at most cut."""
-        if self.k:
-            cells = math.prod((np.array(self.row.arr.shape) + law.arr.shape - 1).tolist())
-            self.row, product_cut = _row_conv(self.row, law)
-            cut += product_cut
+        a = self.row.arr
+        if self.k and a.ndim == 1 and _direct_pays(a.size, exact.arr.size):
+            self._hold(np.convolve(a, exact.arr), self.row.offset + exact.offset)
         else:
-            cells, self.row = law.arr.size, law
-        self.dropped += cut
-        self.crops += 1
+            if self.k:
+                cells = math.prod((np.array(a.shape) + law.arr.shape - 1).tolist())
+                self.row, product_cut = _row_conv(self.row, law)
+                cut += product_cut
+            else:
+                cells, self.row = law.arr.size, law
+            self.dropped += cut
+            self.crops += 1
+            self.max_row_cells = max(self.max_row_cells, cells)
+            self._crop_at = 2 * self.row.arr.size
         self.k += steps
-        self.max_row_cells = max(self.max_row_cells, cells)
-        self._crop_at = 2 * self.row.arr.size
 
 
 def _cst_of_product(a: _Row, b: _Row) -> float:
@@ -797,6 +787,14 @@ def _fft_pays(steps: int, terms: int, cells: int) -> bool:
     cell updates a cell) cost more than one FFT product to `cells` cells
     (about 3 log2 cells a cell)."""
     return steps * terms > 3 * math.log2(cells)
+
+
+def _direct_pays(a: int, b: int) -> bool:
+    """Whether a direct product of two lines of a and b cells, a b
+    multiply-adds in one numpy.convolve call, costs less than an FFT product
+    (_row_conv): numpy.convolve's multiply-add takes about a tenth of an FFT
+    product's cell update, counted as 3 log2 cells a cell by _fft_pays."""
+    return a * b <= 30 * (a + b) * math.log2(a + b)
 
 
 def _row_conv(a: _Row, b: _Row) -> tuple[_Row, float]:

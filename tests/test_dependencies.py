@@ -17,12 +17,13 @@ import capdual
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs the FFT-powered prefactor rows, the tilted duality rows on two axes
-# and more (FFT jumps by the law of S_32 at theta = (1/2, 0) and of S_24 at
-# theta = (1/4, 1/3), with the rows between read through the laws of S_P ..
-# S_J; steps every k on the 3-D support at theta = (1/8, 1/8, 1/4)), the
-# exact projection table and the CLI, then prints every scipy module that got
-# imported.
+# Runs the FFT-powered prefactor rows, the tilted duality rows on one axis
+# (direct jumps by the law of S_32 for the qubit, with the rows between read
+# in one windowed product) and on two axes and more (FFT jumps by the law of
+# S_32 at theta = (1/2, 0) and of S_24 at theta = (1/4, 1/3), with the rows
+# between read through the laws of S_P .. S_J; steps every k on the 3-D
+# support at theta = (1/8, 1/8, 1/4)), the exact projection table and the
+# CLI, then prints every scipy module that got imported.
 SCRIPT = r"""
 import json, sys, tempfile
 from pathlib import Path
@@ -35,6 +36,8 @@ from capdual.projection import (duality_report, prefactor_sequence,
 cross = WeightedVector.from_terms(
     2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}).normalized()
 prefactor_sequence(cross, ks=[40, 42, 100])
+qubit = WeightedVector.from_terms(1, {(-1,): 0.7071067811865476, (1,): 0.7071067811865476})
+duality_report(qubit, (0,), 200)
 duality_report(cross, ("1/2", 0), 96)
 cross_plus_one = WeightedVector.from_terms(
     2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0, (1, 1): 1.0}).normalized()
