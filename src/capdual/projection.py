@@ -44,11 +44,12 @@ hold the fewest cells (_lll_axes).
   whichever costs less: on a line a direct product with K_J where that
   costs less than an FFT, else an FFT product with K_J cropped once at
   the floor. It reads the rows between through the uncropped K_P .. K_J,
-  on a line in one windowed product (_reads), on more axes one dot
-  product each (_held_reads). Every read through a law is an exact
-  convolution of the held row, so the mass the crops removed bounds its
-  error in absolute terms; a P_p(S_k = k theta) below that bound has no
-  relative accuracy, in these rows or in a stream stepped every k.
+  on a line in one windowed product (_reads) where the laws' stack fits
+  beside them, else one dot product each (_held_reads). Every read
+  through a law is an exact convolution of the held row, so the mass the
+  crops removed bounds its error in absolute terms; a P_p(S_k = k theta)
+  below that bound has no relative accuracy, in these rows or in a stream
+  stepped every k.
 - The prefactor sequence k^{d/2} |Pi_k v^{tensor k}|^2 is the theta = 0,
   x* = 0 case, p = q, read at 0 (k c0 in the chart of the whole support).
   The first target is powered by binary squaring, each product a real FFT
@@ -344,6 +345,22 @@ def _reads(row: _Row, flipped: np.ndarray, corners: np.ndarray, targets: np.ndar
     return np.einsum("ji,ji->j", padded[starts[:, None] + np.arange(L)], flipped)
 
 
+def _flipped_stack(laws: list[_Row]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The one-axis laws flipped and stacked once for _reads, each
+    zero-padded on the left to the last, widest one, with their lower
+    corners; None where that stack would not fit beside the laws in
+    _LAW_CELLS cells, the budget _held_period fits the laws to. On a wide
+    kernel the stack is about twice the laws: 32 x 6401 cells beside
+    105,632 for the 201-cell line at J = 32."""
+    width = laws[-1].arr.size
+    if len(laws) * width + sum(K.arr.size for K in laws) > _LAW_CELLS:
+        return None
+    flipped = np.zeros((len(laws), width))
+    for i, K in enumerate(laws):
+        flipped[i, width - K.arr.size:] = K.arr[::-1]
+    return flipped, np.array([int(K.offset[0]) for K in laws])
+
+
 def _held_period(widths: np.ndarray, period: int, k_max: int) -> int:
     """J, the distance between the rows a duality report holds: the largest
     multiple of period up to a top whose read laws K_period, K_2period, ..,
@@ -380,7 +397,8 @@ def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray) -
       the stream's floor. Each read at k = k0 + j, 0 < j <= J, is
       sum_x R[x] K_j[t - x] through the uncropped K_j, t the target of k, a
       sum of nonnegative products: on one axis one windowed product reads
-      the whole block (_reads), on more one dot product reads each k
+      the whole block (_reads) where the laws' stack fits beside them
+      (_flipped_stack), else, as on more axes, one dot product reads each k
       (_cst_of_product). The laws K_period .. K_J are the rows of a floor-0
       copy of the stream (_exact_laws), built at the first jump. From the
       point mass a read is a cell of K_j, and the row held at J is the
@@ -389,7 +407,6 @@ def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray) -
     No jump follows the last read.
     """
     widths = np.array(stream.kernel.arr.shape) - 1
-    line = widths.size == 1
     J = _held_period(widths, period, k_max)
     last = k_max // period * period
     probs = np.zeros(last // period)
@@ -406,14 +423,11 @@ def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray) -
                 arr, offset, cut = _crop(laws[-1].arr.copy(), laws[-1].offset,
                                          float(laws[-1].arr.max()) * stream.floor)
                 kernel = _Row(arr, offset)
-                if line:  # the laws flipped and stacked once, for _reads
-                    flipped = np.zeros((len(laws), laws[-1].arr.size))
-                    for i, K in enumerate(laws):
-                        flipped[i, flipped.shape[1] - K.arr.size:] = K.arr[::-1]
-                    corners = np.array([int(K.offset[0]) for K in laws])
+                stack = _flipped_stack(laws) if widths.size == 1 else None
             i0, n = k0 // period, reach // period
             targets = np.arange(i0 + 1, i0 + n + 1)[:, None] * step
-            if line:
+            if stack is not None:
+                flipped, corners = stack
                 probs[i0:i0 + n] = _reads(stream.row, flipped[:n], corners[:n], targets[:, 0])
             else:
                 for i, t in enumerate(targets):

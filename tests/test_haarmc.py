@@ -1,12 +1,14 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from capdual.core import WeightedVector
-from capdual.haarmc import (MAX_K, UnitaryOrbitVector, _chebyshev_u, _dispatch,
-                            mc_invariant_norm, mc_isotypic_norm, sample_haar_unitary)
+from capdual.haarmc import (BLOCK, MAX_K, UnitaryOrbitVector, _block_rng, _chebyshev_u,
+                            _dispatch, mc_invariant_norm, mc_isotypic_norm,
+                            sample_haar_unitary)
 from capdual.projection import projection_norm_table
 from capdual.spectrum import schur_weyl_measure
 
@@ -127,18 +129,32 @@ def test_estimate_validation():
 
 
 class FixedDraws:
-    """Stands in for a block generator: every draw returns one fixed batch."""
+    """Stands in for a block generator: its one draw fills out= with a fixed
+    batch."""
 
     def __init__(self, batch):
         self.batch = np.asarray(batch, dtype=float)
 
-    def standard_normal(self, shape):
-        assert shape == self.batch.shape
-        return self.batch.copy()
+    def standard_normal(self, *, out):
+        assert out.shape == self.batch.shape
+        out[...] = self.batch
+        return out
 
-    def uniform(self, low, high, shape):
-        assert shape == self.batch.shape
-        return self.batch.copy()
+
+def kernel_values(instance, k, lam, batch) -> np.ndarray:
+    """The block integrand at the normals of batch, fed as the kernel's one
+    draw, a (rows, size) array."""
+    kernel = _dispatch(instance, k, lam)
+    return kernel.block(FixedDraws(batch), np.empty((kernel.rows, batch.shape[1]))).copy()
+
+
+def circle_batch(rng, size: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normal pairs for the torus kernel, laid out as it draws them (rows 2j
+    and 2j + 1, read flat, alternate the real and imaginary parts of
+    coordinate j's pairs), and their angles x, one row a sample, from which
+    the references take their phases."""
+    pairs = rng.standard_normal((n, size, 2))
+    return pairs.reshape(2 * n, size), np.angle(pairs[..., 0] + 1j * pairs[..., 1]).T
 
 
 def quaternion_batch() -> np.ndarray:
@@ -196,19 +212,19 @@ def test_su2_kernel_matches_explicit_matrices(group, k):
         else:
             chi = np.array([schur_from_eigenvalues(x, l1, l2) for x in u])
             want = (l1 - l2 + 1) * np.conj(chi) * f**k
-        got = _dispatch(inst, k, lam)(FixedDraws(g), len(g))
+        got = kernel_values(inst, k, lam, g.T)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_torus_kernel_matches_explicit_phases():
     v = WeightedVector.from_terms(2, {(1, 0): 0.5, (-1, 2): 0.5j,
                                       (0, -3): 0.5, (2, 1): -0.5}).normalized()
-    x = np.random.default_rng(8).uniform(0.0, 2 * math.pi, (32, 2))
+    batch, x = circle_batch(np.random.default_rng(8), 32, 2)
     q = v.amplitudes_sq()
     f = sum(q[w] * np.exp(1j * (x @ np.array(w.coords))) for w in v.support)
     for lam in (None, (0, 0), (1, -2), (3, 4)):
         want = f**3 if lam is None else f**3 * np.exp(-1j * (x @ np.array(lam)))
-        got = _dispatch(v, 3, lam)(FixedDraws(x), len(x))
+        got = kernel_values(v, 3, lam, batch)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -218,16 +234,16 @@ def test_torus_kernel_matches_explicit_phases():
 ], ids=["unit", "general"])
 def test_torus_kernel_matches_one_cos_sin_pass_per_weight(W, labels, tol):
     # The kernel raises e^{i x_j} to the weights' coordinates; the reference
-    # takes cos and sin of <w, x> per weight. They agree within tol of the
-    # block's largest value (elementwise relative error is unbounded near
-    # the zeros of the integrand).
+    # takes cos and sin of <w, x> per weight, x the angles of the pairs.
+    # They agree within tol of the block's largest value (elementwise
+    # relative error is unbounded near the zeros of the integrand).
     rng = np.random.default_rng(12)
     v = WeightedVector.from_terms(2, {w: complex(*rng.normal(size=2)) for w in W}).normalized()
     q = v.amplitudes_sq()
-    x = rng.uniform(0.0, 2 * math.pi, (4096, 2))
+    batch, x = circle_batch(rng, 4096, 2)
     for k in (1, 3, MAX_K):
         for lam in (None, *labels):
-            got = _dispatch(v, k, lam)(FixedDraws(x), len(x))
+            got = kernel_values(v, k, lam, batch)
             want = torus_integrand([w.coords for w in v.support], [q[w] for w in v.support],
                                    k, lam, x)
             assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (k, lam)
@@ -240,29 +256,29 @@ def test_torus_coordinate_of_a_million_is_one_power_pass():
     for v, lam in ((WeightedVector.from_terms(1, {(0,): r, (10**6,): r}), (10**6,)),
                    (WeightedVector.from_terms(1, {(-10**6,): r, (10**6,): r}), (2 * 10**6,))):
         start = time.perf_counter()
-        est = mc_isotypic_norm(v, 2, lam, samples=1 << 16, seed=4)
+        est = mc_isotypic_norm(v, 2, lam, samples=BLOCK, seed=4)
         assert time.perf_counter() - start < 1.0
         assert est.blocks == 1
-        x = np.random.default_rng(6).uniform(0.0, 2 * math.pi, (4096, 1))
-        got = _dispatch(v, 2, lam)(FixedDraws(x), len(x))
+        batch, x = circle_batch(np.random.default_rng(6), 4096, 1)
+        got = kernel_values(v, 2, lam, batch)
         want = torus_integrand([w.coords for w in v.support], [0.5, 0.5], 2, lam, x)
         assert np.max(np.abs(got - want)) <= 1e-8
 
 
 @pytest.mark.parametrize("s", [99, 100, 12_345, 10**6])
 def test_torus_kernel_at_large_exponents_matches_one_cos_sin_pass_per_weight(s):
-    # Above 99 numpy's complex power leaves its products for the complex log
-    # and exp; the kernel takes cos and sin of s x instead, the reference's
-    # own arguments on one axis, so the two agree within the general
-    # kernel test's 1e-12 of the block's largest value. 99 keeps np.power.
+    # Above 99 the kernel takes cos and sin of s x, x the angle of the pair,
+    # the reference's own arguments on one axis, so the two agree within the
+    # general kernel test's 1e-12 of the block's largest value. 99 keeps
+    # the products.
     rng = np.random.default_rng(s)
     r = math.sqrt(0.5)
-    x = rng.uniform(0.0, 2 * math.pi, (4096, 1))
+    batch, x = circle_batch(rng, 4096, 1)
     for W, labels in (([(0,), (s,)], [(s,), (2 * s,)]), ([(-s,), (1,)], [(1 - s,), (-2 * s,)])):
         v = WeightedVector.from_terms(1, {w: r for w in W})
         for k in (2, 3, MAX_K):  # every label lies in the box of k-fold weight sums
             for lam in (None, *labels):
-                got = _dispatch(v, k, lam)(FixedDraws(x), len(x))
+                got = kernel_values(v, k, lam, batch)
                 want = torus_integrand([w.coords for w in v.support], [0.5, 0.5], k, lam, x)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (W, k, lam)
 
@@ -278,7 +294,61 @@ def test_torus_labels_outside_the_weight_box_give_exact_zero():
 def test_chebyshev_u_is_the_su2_character():
     phi = np.linspace(0.01, math.pi - 0.01, 201)
     for m in range(MAX_K + 1):
-        np.testing.assert_allclose(_chebyshev_u(m, np.cos(phi)),
+        np.testing.assert_allclose(_chebyshev_u(m, np.cos(phi), np.empty((4, phi.size))),
                                    np.sin((m + 1) * phi) / np.sin(phi),
                                    rtol=1e-12, atol=1e-12)
-        assert _chebyshev_u(m, np.array([1.0, -1.0])).tolist() == [m + 1, (m + 1) * (-1) ** m]
+        ends = _chebyshev_u(m, np.array([1.0, -1.0]), np.empty((4, 2)))
+        assert ends.tolist() == [m + 1, (m + 1) * (-1) ** m]
+
+
+_U2 = UnitaryOrbitVector("u2", ((0.8660254037844386, 0), (0, 0.5)))
+_TORUS2 = WeightedVector.from_terms(2, {(3, 0): 0.6, (-1, 2): 0.6j, (0, -1): 0.4, (1, 1): 0.36})
+
+
+@pytest.mark.parametrize("instance, k, lam, rows", [
+    (UnitaryOrbitVector("su2", (0.6, 0.8j)), 3, 1, 8),
+    (_U2, 2, (1, 1), 8),
+    (_TORUS2, 2, (2, 1), 4 * 2 + 7),
+], ids=["su2", "u2", "torus"])
+def test_a_run_allocates_one_workspace(instance, k, lam, rows):
+    # A run sizes one workspace for a block and every block draws and
+    # computes into it: over 3 full blocks and a part, the traced peak
+    # stays within 8 BLOCK bytes of the workspace, so no block allocates an
+    # array of its size (a complex one is 16 BLOCK bytes). The torus case
+    # raises a coordinate to the power 3, conjugates two, and has a label.
+    # A short run first, so that the first call's lazy imports are not
+    # traced.
+    kernel = _dispatch(instance, k, lam)
+    assert kernel.rows == rows
+    mc_isotypic_norm(instance, k, lam, samples=10, seed=1)
+    tracemalloc.start()
+    try:
+        est = mc_isotypic_norm(instance, k, lam, samples=3 * BLOCK + 100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.blocks == 4
+    assert 8 * rows * BLOCK <= peak < 8 * rows * BLOCK + 8 * BLOCK
+    assert est.stderr > 0
+
+
+def test_draws_have_the_haar_moments():
+    # At one seed over 2^17 samples: the SU(2) draw a (the integrand of
+    # v = (1, 0) at k = 1, tr(s e0 e0^*)) has E[a] = 0, and Re a, one
+    # coordinate of a uniform point on the 3-sphere, has E[(Re a)^2] = 1/4
+    # and E[(Re a)^4] = 1/8; the circle draw e^{ix} (weight 1, k = 1) has
+    # E[e^{ix}] = E[e^{2ix}] = 0. Each mean within 4 of its standard errors.
+    def draws(instance):
+        kernel = _dispatch(instance, 1, None)
+        ws = np.empty((kernel.rows, BLOCK))
+        return np.concatenate([kernel.block(_block_rng(1, b), ws).copy() for b in range(8)])
+
+    a = draws(UnitaryOrbitVector("su2", (1.0, 0.0)))
+    e = draws(WeightedVector.from_terms(1, {(1,): 1.0}))
+    assert a.size == e.size == 1 << 17
+    np.testing.assert_allclose(np.abs(e), 1.0, rtol=1e-15)
+    for name, x, mean in (("Re a", a.real, 0.0), ("Im a", a.imag, 0.0),
+                          ("(Re a)^2", a.real**2, 0.25), ("(Re a)^4", a.real**4, 0.125),
+                          ("Re e", e.real, 0.0), ("Im e", e.imag, 0.0),
+                          ("Re e^2", (e**2).real, 0.0), ("Im e^2", (e**2).imag, 0.0)):
+        assert abs(x.mean() - mean) <= 4 * x.std() / math.sqrt(x.size), name

@@ -689,6 +689,39 @@ def test_one_axis_jumps_are_direct_where_an_fft_costs_more(terms, theta, k_max, 
     assert rep.metadata["dropped_mass"] <= 1e-9
 
 
+@pytest.mark.parametrize("terms, theta, k_max, stacked", [
+    ({(-1,): _SQ, (1,): _SQ}, (F(0),), 1000, True),
+    (_MU_N1, (F(1, 4),), 1200, True),
+    ({(0,): 0.3, (1,): 0.2, (200,): 0.6}, (F(50),), 100, False),
+], ids=["qubit", "mu-n1", "wide"])
+def test_one_axis_read_stack_fits_beside_the_laws(terms, theta, k_max, stacked, monkeypatch):
+    # On one axis the laws K_P .. K_J are read flipped and stacked, each
+    # padded to K_J's width, where that stack fits beside them in
+    # _LAW_CELLS, and otherwise one dot product a read, as on more axes.
+    # wide (P = 1, J = 32) would stack 32 x 6401 cells beside its 105,632
+    # law cells; the others stack 32 x 33 and 32 x 129 cells.
+    built, stacks, dots = [], [], []
+    laws, reads, dot = projection._exact_laws, projection._reads, projection._cst_of_product
+    monkeypatch.setattr(projection, "_exact_laws",
+                        lambda stream, steps: (built.append(K) or K for K in laws(stream, steps)))
+    monkeypatch.setattr(projection, "_reads", lambda row, flipped, *a: (
+        stacks.append(flipped.base.shape) or reads(row, flipped, *a)))
+    monkeypatch.setattr(projection, "_cst_of_product", lambda a, b: dots.append(1) or dot(a, b))
+    v = WeightedVector.from_terms(1, terms)
+    rep = duality_report(v, theta, k_max)
+    P = _read_period(rep.metadata["period"], rep.metadata["capacity"])
+    J = len(built) - 1
+    law_cells = sum(K.arr.size for j, K in enumerate(built) if j and j % P == 0)
+    stack_cells = J // P * built[-1].arr.size
+    assert J == 32
+    if stacked:
+        assert set(stacks) == {(J // P, built[-1].arr.size)} and not dots
+        assert stack_cells + law_cells <= projection._LAW_CELLS
+    else:
+        assert not stacks and len(dots) == k_max // P
+        assert stack_cells + law_cells > projection._LAW_CELLS
+
+
 @pytest.mark.parametrize("W, p, period, jumps", [
     ([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], [0.3, 0.1, 0.2, 0.15, 0.25], 12, 15),
     ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [0.4, 0.3, 0.2, 0.1], 10, 8),
