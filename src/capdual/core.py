@@ -308,7 +308,10 @@ def power_rows(coeffs: Mapping[int, int | complex],
     in (sum_e c_e z^e)^k, from the unit row of k = 0 by one shifted add per
     nonzero term a power. Every nonzero cell sits on the lattice g Z that
     the offsets e - lo span, so the adds read and write only every g-th
-    cell, and a coefficient 1 adds without a multiply. This is the one path
+    cell, and a coefficient 1 adds without a multiply. On exact rows the
+    first term writes its slice instead of adding it to zeros; complex rows
+    add it, since 0 + (-0.0) is 0.0 and a write would keep the -0.0, so
+    every cell is the sum of its terms in term order. This is the one path
     to Laurent constant terms and rank-1 weight counts. coeffs needs a key
     (a zero coefficient still widens the row); integer coefficients give
     exact rows of Python ints (dtype object), any other puts every row in
@@ -319,11 +322,14 @@ def power_rows(coeffs: Mapping[int, int | complex],
     dtype = object if all(isinstance(c, int) for c in coeffs.values()) else complex
     terms = [(e - lo, c) for e, c in coeffs.items() if c]
     g = math.gcd(*(s for s, _ in terms)) or 1
+    first = 1 if dtype is object else 0  # exact rows write their first term
     row = np.ones(1, dtype=dtype)
     for k in range(1, k_max + 1):
         new = np.zeros(len(row) + width, dtype=dtype)
         src = row[::g]
-        for s, c in terms:
+        for s, c in terms[:first]:
+            new[s::g][:len(src)] = src if c == 1 else c * src
+        for s, c in terms[first:]:
             new[s::g][:len(src)] += src if c == 1 else c * src
         row = new
         yield k * lo, row

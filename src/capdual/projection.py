@@ -24,7 +24,8 @@ hold the fewest cells (_lll_axes).
   float64 keeps every cell within a relative k (|W| + 1) eps of exact, |W|
   weights, with no cancellation, as long as no cell underflows. The rows
   are therefore linear while every reachable cell stays a normal float,
-  and log-domain steps on the same axes after that.
+  kept as those probabilities and logged only where a read needs it, and
+  log-domain steps on the same axes after that.
 - The reports' rows carry a relative truncation floor, which keeps array
   extents O(sqrt(k log(1/floor))) per axis.
 - The duality report reads one coefficient per k, at k theta, that is at
@@ -143,22 +144,31 @@ def _linear_k(q: np.ndarray, k_max: int) -> int:
     return k_max if bits <= 0 else min(k_max, int(1000 / bits))
 
 
-def _log_rows(stream: _RowStream, q: np.ndarray, k_max: int) -> Iterator[_Row]:
-    """Rows k = 1 .. k_max of the log coefficients of (sum_w q_w t^w)^k on
-    the axes of the uncropped stream of p = q / |v|^2: its rows 1 ..
-    _linear_k, stored as log(row) + k log |v|^2, then log steps (_step_log)
-    from the last of them, or from the point mass at k = 0 when no row is
-    linear. The stream is reset after its rows, which frees its row buffers;
-    the log steps use only its padded-copy and term buffers."""
-    k_lin = _linear_k(q, k_max)
-    log_norm_sq = math.log(float(q.sum()))
-    row = _Row(np.zeros(stream.row.arr.shape), stream.row.offset)
-    for k in range(1, k_lin + 1):
+def _table_rows(stream: _RowStream, q: np.ndarray, k_lin: int, k_max: int,
+                log_norm_sq: float) -> Iterator[_Row]:
+    """Rows k = 1 .. k_max of a table on the axes of the uncropped stream of
+    p = q / |v|^2: its rows 1 .. k_lin (_linear_k) as they are, the
+    probabilities of p, each a fresh array (numpy.convolve's output on one
+    axis, a copy out of the stream's row buffer on more), then the log
+    coefficients of (sum_w q_w t^w)^k by log steps (_step_log). The log
+    steps start from log(row) + k log |v|^2 of the last linear row, or from
+    the point mass at k = 0 when no row is linear: that seed is written in
+    place into the padded copy (_RowStream._padded) that the first log step
+    reads, so it takes no memory of its own. The stream is reset after its
+    rows, which frees its row buffers; the log steps use only its
+    padded-copy and term buffers."""
+    for _ in range(k_lin):
         stream.step()
-        with np.errstate(divide="ignore"):  # unreachable cells are exact zeros
-            row = _Row(np.log(stream.row.arr), stream.row.offset)
-        row.arr += k * log_norm_sq
-        yield row
+        arr = stream.row.arr
+        yield _Row(arr if arr.ndim == 1 else arr.copy(), stream.row.offset)
+    if k_lin == k_max:
+        return
+    arr = stream.row.arr
+    seed = stream._padded(arr.shape, -math.inf)[tuple(map(slice, arr.shape))]
+    with np.errstate(divide="ignore"):  # unreachable cells are exact zeros
+        np.log(arr, out=seed)
+    seed += k_lin * log_norm_sq
+    row = _Row(seed, stream.row.offset)
     stream.reset()
     logq = np.log(q).tolist()
     for _ in range(k_lin, k_max):
@@ -167,17 +177,23 @@ def _log_rows(stream: _RowStream, q: np.ndarray, k_max: int) -> Iterator[_Row]:
 
 
 class ProjectionTable:
-    """Exact squared projection norms for k = 1 .. k_max, held as logs on
-    the chart of the support, w = w0 + B c, at the cells U c of axes U."""
+    """Exact squared projection norms for k = 1 .. k_max on the chart of the
+    support, w = w0 + B c, at the cells U c of axes U. Rows 1 .. linear hold
+    the squared norms over |v|^{2k}, the probabilities of p = q / |v|^2, and
+    each read takes the log of what it reads and adds k log_norm_sq; the
+    rows after hold the log squared norms."""
 
     def __init__(self, n: int, norm_sq: float, w0: Sequence[int],
-                 basis: Sequence[Sequence[int]], axes: np.ndarray, rows: list[_Row]):
+                 basis: Sequence[Sequence[int]], axes: np.ndarray, rows: list[_Row],
+                 linear: int = 0, log_norm_sq: float = 0.0):
         self.n = n
         self.norm_sq = norm_sq
         self._w0 = tuple(w0)
         self._hnf = [list(col) for col in zip(*basis)]  # the columns of B
         self._axes = axes.tolist()
         self._rows = rows
+        self._linear = linear
+        self._log_norm_sq = log_norm_sq
 
     @property
     def k_max(self) -> int:
@@ -196,8 +212,15 @@ class ProjectionTable:
         c = _lattice_solve(self._hnf, [int(x) - k * w for x, w in zip(lam, self._w0, strict=True)])
         if c is None or any(t.denominator != 1 for t in c):
             return LogValue.zero()
-        val = row.cell([sum(u * int(t) for u, t in zip(axis, c)) for axis in self._axes], -math.inf)
-        return LogValue.zero() if val == -math.inf else LogValue(1, val)
+        cell = [sum(u * int(t) for u, t in zip(axis, c)) for axis in self._axes]
+        if k > self._linear:
+            val = row.cell(cell, -math.inf)
+            return LogValue.zero() if val == -math.inf else LogValue(1, val)
+        val = row.cell(cell)
+        if val == 0.0:
+            return LogValue.zero()
+        # numpy's log, as row_weights takes it: the same float bit for bit
+        return LogValue(1, float(np.log(val)) + k * self._log_norm_sq)
 
     def row_weights(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Row k in bulk: (lam, logs), lam the int64 weights of the row's
@@ -215,11 +238,18 @@ class ProjectionTable:
         else:  # one cell on one axis, at k w0
             lift = np.zeros((self.n, 1), dtype=np.int64)
         cells = np.indices(row.arr.shape).reshape(row.arr.ndim, -1).T + row.offset
-        return k * np.array(self._w0, dtype=np.int64) + cells @ lift.T, row.arr.ravel()
+        logs = row.arr.ravel()
+        if k <= self._linear:
+            with np.errstate(divide="ignore"):  # unreachable cells are exact zeros
+                logs = np.log(logs)
+            logs += k * self._log_norm_sq
+        return k * np.array(self._w0, dtype=np.int64) + cells @ lift.T, logs
 
     def total(self, k: int) -> LogValue:
         """log of the sum over all weights; equals 2k log |v| exactly in math."""
         flat = self._row(k).arr.ravel()
+        if k <= self._linear:  # a probability row: one sum, which is 1 within rounding
+            return LogValue(1, math.log(float(flat.sum())) + k * self._log_norm_sq)
         m = float(flat.max())
         if m == -math.inf:
             return LogValue.zero()
@@ -239,11 +269,13 @@ def projection_norm_table(v: WeightedVector, k_max: int,
     q / |v|^2 on the chart of the whole support, w = w0 + B c
     (capacity._chart): one cell per lattice point, however far apart the
     weights are. They are linear float64 while p_min^k >= 2^-1000, so that
-    no reachable cell leaves the normal range, and log-domain steps after
-    that (_log_rows). A linear row holds every cell within a relative
-    k (|W| + 1) eps of exact, |W| weights; a log step adds an absolute
-    rounding error of about eps times the magnitude of the log values.
-    Unreachable cells and weights off the lattice k w0 + B Z^d are exact 0.
+    no reachable cell leaves the normal range, held as the probabilities of
+    p with one k log |v|^2 a row and logged where read, and log-domain
+    steps after that (_table_rows). A linear row holds every cell within a
+    relative k (|W| + 1) eps of exact, |W| weights; a log step adds an
+    absolute rounding error of about eps times the magnitude of the log
+    values. Unreachable cells and weights off the lattice k w0 + B Z^d are
+    exact 0.
 
     Raises MemoryError naming the chart extent, before any row is built, if
     the rows (k width_u + 1 cells on each chart axis u, and a log row one
@@ -254,6 +286,8 @@ def projection_norm_table(v: WeightedVector, k_max: int,
     rows with their tails, and the padded copy and the term buffer the last
     step's padded copy (_RowStream._shift_add); on one axis the linear
     steps are numpy.convolve calls and only the log steps use the latter two.
+    The log of the last linear row, which seeds the log steps, is written
+    into the padded copy, so it needs no memory of its own.
     """
     _check_k_max(k_max)
     v = v.pruned()
@@ -287,8 +321,10 @@ def projection_norm_table(v: WeightedVector, k_max: int,
                 f"projection table would need more than {max_bytes} bytes at "
                 f"k = {k}, chart extent {tuple(int(e) for e in (k * width + 1))}")
     stream._bufs = [np.empty(size) for size in sizes]
+    log_norm_sq = math.log(float(q.sum()))
     return ProjectionTable(v.n, v.norm_sq, w0, basis, stream.axes,
-                           list(_log_rows(stream, q, k_max)))
+                           list(_table_rows(stream, q, k_lin, k_max, log_norm_sq)),
+                           linear=k_lin, log_norm_sq=log_norm_sq)
 
 
 # The rows a duality report holds sit about _HELD steps apart, and the laws
@@ -542,7 +578,7 @@ def difference_lattice(v: WeightedVector) -> tuple[int, int]:
 
 @dataclass
 class _Row:
-    arr: np.ndarray          # values on the box: nonnegative, or logs in a table
+    arr: np.ndarray          # values on the box: nonnegative, or logs in a table's log rows
     offset: np.ndarray       # integer lower corner of the bounding box
 
     def cell(self, lam: Sequence[int], outside: float = 0.0) -> float:
@@ -638,7 +674,9 @@ class _RowStream:
       every axis but the first, so that a shift is one flat offset;
     - 3 holds one term's product.
     The log step (_step_log) uses 2 and 3 too, and `reset` frees only 0
-    and 1: 2 and 3 are rewritten whole by each step that uses them.
+    and 1: 2 and 3 are rewritten whole by each step that uses them, except
+    the row's own cells in 2 where the row already sits there (_padded):
+    a table writes the seed of its log steps in place.
     A row is cropped at floor times its maximum (_crop) only once it holds
     twice the cells it kept at the last crop; floor 0, the exact table's,
     never crops. As every later step convolves with p, `dropped`, the mass
@@ -680,6 +718,17 @@ class _RowStream:
             self._bufs[i] = np.empty(max(size, 2 * self._bufs[i].size))
         return self._bufs[i][:size]
 
+    def _padded(self, shape: Sequence[int], zero: float) -> np.ndarray:
+        """Buffer 2 laid out for a step from a row of `shape`: one block of
+        shape[0] cells on the first axis and the step's output extent on
+        every other, its cells past the row set to the semiring's zero. The
+        row's cells are the block's first shape[i] on each axis."""
+        extent = [a + b - 1 for a, b in zip(shape[1:], self.kernel.arr.shape[1:])]
+        block = self._buffer(2, shape[0] * math.prod(extent)).reshape(shape[0], *extent)
+        for ax in range(1, len(shape)):
+            block[(slice(None),) * ax + (slice(shape[ax], None),)] = zero
+        return block
+
     def _shift_add(self, arr: np.ndarray, coefs, ring, alloc) -> np.ndarray:
         """sum_w coefs_w * (arr shifted by w) over the terms in their order,
         in the semiring ring = (times, plus, zero): (np.multiply, np.add,
@@ -698,13 +747,11 @@ class _RowStream:
         (x + 0.0 = x, logaddexp(x, -inf) = x). Returns the output, without
         its tail, as an array of the output's shape."""
         times, plus, zero = ring
-        shape = (np.add(arr.shape, self.kernel.arr.shape) - 1).tolist()
+        src = self._padded(arr.shape, zero)
+        src[tuple(map(slice, arr.shape))] = arr  # no copy where arr already sits there
+        shape = [arr.shape[0] + self.kernel.arr.shape[0] - 1, *src.shape[1:]]
         strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
         size = shape[0] * strides[0]
-        src = self._buffer(2, arr.shape[0] * strides[0]).reshape(arr.shape[0], *shape[1:])
-        for ax in range(1, arr.ndim):
-            src[(slice(None),) * ax + (slice(arr.shape[ax], None),)] = zero
-        src[tuple(map(slice, arr.shape))] = arr
         src = src.reshape(-1)
         n = src.size
         flat = alloc(size + strides[0])

@@ -9,11 +9,14 @@ The measure and the Schur-Weyl report take P(lambda) from one helper. Every
 rank-1 table (SU(2)'s are those of the weights (-1, 1)) reads weight counts
 from core.power_rows of {w: multiplicity of w}, the row stream of the Laurent
 constant terms, which steps by one shifted add per weight on the lattice the
-weight differences span, takes n_lambda as one slice difference and checks
-sum (lambda + 1) n_lambda = d^k exactly. The Duffield report reads each row
-at the nonzero n_lambda nearest to k theta, found by a scan outward from
-k theta. The Duffield rate is a theta-capacity, -log cap_theta(v)^2 of a
-1-D unit vector, so `capacity.theta_capacity` is its one solver.
+weight differences span, takes n_lambda = w_lambda - w_{lambda+2} as one
+slice difference of the rows it returns (only the last for
+rank1_multiplicities) and checks sum (lambda + 1) n_lambda = d^k exactly on
+the last row. The Duffield report reads each row at the nonzero n_lambda
+nearest to k theta, found by a scan outward from k theta that differences
+only the cells it reads. The Duffield rate is a theta-capacity,
+-log cap_theta(v)^2 of a 1-D unit vector, so `capacity.theta_capacity` is
+its one solver.
 
 Schur polynomials are evaluated in exact integer arithmetic: q is cleared to
 integers by its common denominator and the Jacobi-Trudi determinant is taken
@@ -320,6 +323,20 @@ def _multiplicity_row(lo: int, row: np.ndarray) -> np.ndarray:
     return n
 
 
+class _Multiplicities:
+    """The n_lambda of _multiplicity_row, each differenced where it is read."""
+
+    def __init__(self, lo: int, row: np.ndarray) -> None:
+        self._w = row[-lo:]
+
+    def __len__(self) -> int:
+        return len(self._w)
+
+    def __getitem__(self, lam: int) -> int:
+        w = self._w
+        return w[lam] - w[lam + 2] if lam + 2 < len(w) else w[lam]
+
+
 def _nonzero(n: np.ndarray) -> dict[int, int]:
     return {lam: x for lam, x in enumerate(n) if x}
 
@@ -387,9 +404,11 @@ def rank1_multiplicities(weights: Sequence[int], k: int) -> dict[int, int]:
     if k < 0:
         raise ValueError(f"tensor power k must be nonnegative, got {k}")
     n = np.ones(1, dtype=object)  # k = 0: the trivial representation
-    for n in _multiplicity_rows(weights, k):
+    for row in _character_rows(weights, k):
         pass
-    return _nonzero(n)
+    if k:
+        n = _multiplicity_row(*row)
+    return _nonzero(_dimension_checked(n, len(weights), k))
 
 
 def duffield_rate(weights: Sequence[int], theta: float) -> float:
@@ -502,11 +521,14 @@ def ldp_report(family, theta, k_max: int) -> ConvergenceReport:
         th = float(as_fraction(theta))
         analytic = duffield_rate(family.weights, th)
         d = len(family.weights)
-        for k, n in enumerate(_multiplicity_rows(family.weights, k_max), start=1):
+        for k, row in enumerate(_character_rows(family.weights, k_max), start=1):
+            n = _Multiplicities(*row)
             lam_k = _nearest_nonzero(n, k * th)
             log_p = math.log((lam_k + 1) * n[lam_k]) - k * math.log(d)
             emp = -log_p / k
             rows.append((k, log_p, emp, analytic, abs(emp - analytic)))
+        if k_max >= 1:
+            _dimension_checked(_multiplicity_row(*row), d, k_max)
         meta = {"family": family, "theta": th, "analytic_rate": analytic}
     else:
         raise TypeError(f"unsupported family {type(family).__name__}")

@@ -175,3 +175,45 @@ def test_complex_power_rows_near_exact(exponents):
         want = np.array([complex(Fraction(re, dk), Fraction(im, dk)) for re, im in
                          (exact.get(lo + i, (0, 0)) for i in range(len(row)))])
         assert np.max(np.abs(row - want)) <= 8 * eps * np.max(np.abs(want))
+
+
+def _added_rows(coeffs, k_max):
+    """power_rows with every term added into a row of zeros: the
+    per-term path, each cell the same sum in the same order."""
+    lo = min(coeffs)
+    dtype = object if all(isinstance(c, int) for c in coeffs.values()) else complex
+    terms = [(e - lo, c) for e, c in coeffs.items() if c]
+    g = math.gcd(*(s for s, _ in terms)) or 1
+    row = np.ones(1, dtype=dtype)
+    for k in range(1, k_max + 1):
+        new = np.zeros(len(row) + max(coeffs) - lo, dtype=dtype)
+        for s, c in terms:
+            new[s::g][:len(row[::g])] += row[::g] if c == 1 else c * row[::g]
+        row = new
+        yield k * lo, row
+
+
+COMPLEX_MAPS = {
+    "negative-zero-imag": {-1: complex(-1, -0.0), 1: 1.0},
+    "negative-zero-first": {-2: complex(-1, -0.0), 0: complex(0.5, -0.0), 2: 2j},
+    "gaussian": {-1: 0.8 + 0.3j, 1: 1.1, 3: 0.5j},
+    "unit-first": {0: 1.0, 1: -0.0 - 1j},
+}
+
+
+@pytest.mark.parametrize("coeffs", [*INTEGER_MAPS.values(), *COMPLEX_MAPS.values()],
+                         ids=[*INTEGER_MAPS, *COMPLEX_MAPS])
+def test_power_rows_match_the_per_term_adds(coeffs):
+    # Exact rows write their first term instead of adding it to zeros: the
+    # same ints. Complex rows add every term, bit for bit as the per-term
+    # path: writing the first term would keep the -0.0 that 0 + (-0.0)
+    # turns into 0.0.
+    got = list(power_rows(coeffs, 30))
+    want = list(_added_rows(coeffs, 30))
+    assert len(got) == len(want) == 30
+    for (lo, row), (want_lo, want_row) in zip(got, want):
+        assert lo == want_lo and row.dtype == want_row.dtype
+        if row.dtype == object:
+            assert row.tolist() == want_row.tolist()
+        else:
+            assert row.tobytes() == want_row.tobytes()

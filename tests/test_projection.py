@@ -109,7 +109,9 @@ def _table_and_first_log_row(monkeypatch, v, k_max):
     # q = 1e-8 on the middle weight: p_min^k falls below 2^-1000 past k = 37.
     (1, {(-1,): 0.8 + 0.3j, (1,): 1e-4, (3,): 0.5j}, 300, 38),
     (2, {(0, 0): 0.6, (2, 0): 0.9j, (1, 1): -0.4, (0, 2): 1.2}, 60, 61),
-], ids=["n1", "n1-handoff", "n2"])
+    # q = 1e-8 on (1, 1): linear rows to k = 35, then log steps on two axes
+    (2, {(0, 0): 0.6, (2, 0): 0.9j, (1, 1): 1e-4, (0, 2): 1.2}, 45, 36),
+], ids=["n1", "n1-handoff", "n2", "n2-handoff"])
 def test_table_matches_exact_integer_powers(monkeypatch, n, terms, k_max, first_log_row):
     # Every row against (sum_w Q_w t^w)^k in Python ints, read in bulk
     # through row_weights: one cell per weight, and the weights of nonzero
@@ -132,12 +134,17 @@ def test_table_matches_exact_integer_powers(monkeypatch, n, terms, k_max, first_
 @pytest.mark.parametrize("n, terms, k_max, ks", [
     (1, {(-1,): 0.8 + 0.3j, (1,): 1.1, (3,): 0.5j}, 300, (*range(1, 41), 100, 200, 300)),
     (2, {(0, 0): 0.6, (2, 0): 0.9j, (1, 1): -0.4, (0, 2): 1.2}, 60, (*range(1, 13), 60)),
-], ids=["n1", "n2"])
+    # the last linear row and the first log rows on two axes
+    (2, {(0, 0): 0.6, (2, 0): 0.9j, (1, 1): 1e-4, (0, 2): 1.2}, 40, (1, 35, 36, 40)),
+], ids=["n1", "n2", "n2-handoff"])
 def test_get_matches_the_bulk_read(n, terms, k_max, ks):
     # get and row_weights read the same cells: every weight of the k-fold
     # bounding box and one past each edge reads the same float or the same
     # exact zero (off the lattice, where n2's LLL axes map U c back to a
     # weight, included), and every nonzero cell of the bulk read is met.
+    # On a linear row get logs one cell and row_weights the whole row, so
+    # the two meet bit for bit only if numpy's log gives a cell the same
+    # value alone as within a row.
     v = WeightedVector.from_terms(n, terms)
     table = projection_norm_table(v, k_max)
     lo = [min(w.coords[i] for w, _ in v.terms) for i in range(n)]
@@ -166,6 +173,45 @@ def test_table_total_across_the_hand_off(monkeypatch):
     assert table.get(7, (0,)).sign == 0
     for k in range(1, 81):
         assert abs(table.total(k).log_mag - k * math.log(7)) <= 1e-12 * k, k
+
+
+@pytest.mark.parametrize("terms, k_max, k_lin", [
+    ({(0, 0): 0.6, (2, 0): 0.9j, (1, 1): 1e-4, (0, 2): 1.2}, 45, 35),
+    ({(0, 0): 0.6, (2, 0): 0.9j, (1, 1): -0.4, (0, 2): 1.2}, 30, 30),
+    ({(-1,): 2.0, (1,): 1e-4, (3,): math.sqrt(3 - 1e-8)}, 80, 34),
+    ({(4,): 1.5}, 6, 6),
+], ids=["n2-handoff", "n2", "n1-handoff", "one-weight"])
+def test_table_build_logs_no_linear_row(monkeypatch, terms, k_max, k_lin):
+    # A table keeps rows 1 .. k_lin linear: the build takes numpy's log of
+    # row k_lin only, the seed of the log steps, and of q, and nothing when
+    # every row is linear. Every read of a linear row logs what it reads,
+    # and total(k) is k log |v|^2 within 1e-12 k, with no warning.
+    seen = []
+    log = np.log
+
+    def counted(x, *args, **kwargs):
+        seen.append(np.size(x))
+        return log(x, *args, **kwargs)
+
+    v = WeightedVector.from_terms(len(next(iter(terms))), terms)
+    monkeypatch.setattr(np, "log", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = projection_norm_table(v, k_max)
+        want = [] if k_lin == k_max else [table._rows[k_lin - 1].arr.size, len(terms)]
+        assert seen == want
+        seen.clear()
+        lam, logs = table.row_weights(1)
+        assert seen == [logs.size]
+        i = int(np.argmax(logs))
+        got = table.get(1, lam[i])
+        assert seen == [logs.size, 1] and got.log_mag == logs[i]
+        for k in range(1, k_max + 1):
+            assert abs(table.total(k).log_mag - k * math.log(v.norm_sq)) <= 1e-12 * k, k
+        # the zero vector's table has no row and takes no log
+        seen.clear()
+        assert projection_norm_table(WeightedVector.from_terms(2, {(1, 0): 0.0}), 3).k_max == 0
+        assert seen == []
 
 
 @settings(max_examples=30, deadline=None)

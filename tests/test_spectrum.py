@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capdual import spectrum
-from capdual.core import Partition, fraction_log
+from capdual.core import Partition, fraction_log, power_rows
 from capdual.spectrum import (DuffieldFamily, HermitianState, SchurWeylFamily,
                               _nearest_nonzero, _round_partition, duffield_rate,
                               hook_length_count, keyl_rate,
@@ -396,6 +396,40 @@ def test_duffield_rows_match_rank1_multiplicities():
             # rounded once: within a few ulps of k log d of the exact value
             tol = 4 * k * math.log(len(weights)) * sys.float_info.epsilon
             assert abs(rows[k][1] - fraction_log(p).log_mag) <= tol, (weights, k)
+
+
+@pytest.mark.parametrize("weights", [(-1, 1), (-2, 0, 2), (-3, -1, 1, 3)])
+def test_rank1_rows_match_the_per_row_path(monkeypatch, weights):
+    # The per-row path differences every weight-count row of power_rows in
+    # full. rank1_multiplicities differences only its last row, and the
+    # Duffield rows only the cells the scan reads, plus the last row for
+    # the dimension count; each result is the same ints and the same floats.
+    d, counts = len(weights), {w: weights.count(w) for w in weights}
+    per_row = [spectrum._multiplicity_row(lo, row) for lo, row in power_rows(counts, 40)]
+    for (lo, row), n in zip(power_rows(counts, 40), per_row):
+        lazy = spectrum._Multiplicities(lo, row)
+        assert [lazy[lam] for lam in range(len(lazy))] == n.tolist()
+    assert list(rank1_mult_tables(weights, 40)) == [spectrum._nonzero(n) for n in per_row]
+    differenced = []
+    real = spectrum._multiplicity_row
+    monkeypatch.setattr(spectrum, "_multiplicity_row",
+                        lambda lo, row: differenced.append(len(row)) or real(lo, row))
+    for k in (0, 1, 2, 7, 40):
+        differenced.clear()
+        assert rank1_multiplicities(weights, k) == (
+            spectrum._nonzero(per_row[k - 1]) if k else {0: 1})
+        assert len(differenced) == 1 + (k > 0)  # the character check, the last row
+    for theta in (F(0), F(1, 3), F(1, 2), F(9, 10), F(max(weights))):
+        differenced.clear()
+        rep = ldp_report(DuffieldFamily(weights), theta, 40)
+        assert len(differenced) == 2
+        rate = rep.metadata["analytic_rate"]
+        want = []
+        for k, n in enumerate(per_row, start=1):
+            lam = _nearest_nonzero(n, k * float(theta))
+            log_p = math.log((lam + 1) * n[lam]) - k * math.log(d)
+            want.append((k, log_p, -log_p / k, rate, abs(-log_p / k - rate)))
+        assert rep.rows == want
 
 
 def test_nearest_nonzero_matches_the_rule():
