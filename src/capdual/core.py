@@ -28,6 +28,7 @@ __all__ = [
     "Partition",
     "ConvergenceReport",
     "as_fraction",
+    "as_int",
     "rational_vector",
     "fraction_log",
     "power_rows",
@@ -128,6 +129,20 @@ def as_fraction(x: RationalLike, tol: float = 1e-9) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
+def as_int(x, what: str = "value") -> int:
+    """x as an int: an int, a numpy integer, or a value equal to an integer
+    (2.0, Fraction(4, 2)). Anything else, 2.5 or "2" or nan, raises a
+    ValueError that names it as `what`, where int() would truncate or
+    parse it."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return n
+
+
 def rational_vector(xs: Sequence[RationalLike], n: int | None = None,
                     tol: float = 1e-9) -> tuple[Fraction, ...]:
     vec = tuple(as_fraction(x, tol) for x in xs)
@@ -143,7 +158,7 @@ class WeightVector:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(int(c) for c in self.coords)
+        coords = tuple(as_int(c, "weight coordinate") for c in self.coords)
         object.__setattr__(self, "coords", coords)
         if len(coords) < 1:
             raise ValueError("weight vectors must have at least one coordinate")
@@ -259,7 +274,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(as_int(p, "partition part") for p in self.parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

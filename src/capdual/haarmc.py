@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Partition, WeightedVector
+from .core import Partition, WeightedVector, as_int
 
 __all__ = [
     "McEstimate",
@@ -331,9 +331,11 @@ def _run_blocks(kernel: _Kernel, samples: int, seed: int) -> McEstimate:
 
 def _label_pair(lam) -> tuple[int, int]:
     """(l1, l2), l1 >= l2, named by an su2 or u2 label: a Partition, an
-    integer l read as (l, 0), or one or two integer parts."""
+    integer l read as (l, 0), or one or two integer parts; a part that is
+    not an integer raises ValueError (core.as_int)."""
     parts = (lam.padded(2) if isinstance(lam, Partition) else
-             tuple(int(p) for p in lam) if isinstance(lam, (tuple, list)) else (int(lam),))
+             tuple(as_int(p, "label part") for p in lam) if isinstance(lam, (tuple, list))
+             else (as_int(lam, "label"),))
     if not 1 <= len(parts) <= 2:
         raise ValueError(f"label {list(parts)} must have one or two parts")
     pair = (parts[0], parts[1] if len(parts) > 1 else 0)

@@ -12,7 +12,9 @@ log domain on any, it copies the row once, padded on every axis but the
 first to the output's extent, so that the shift by a weight is one flat
 offset, and adds each weight's term as one contiguous product and one
 contiguous sum (_RowStream._shift_add): every cell is the same sum, in the
-same order, as per-term shifted slices would give.
+same order, as per-term shifted slices would give. Every row is a plain
+array of exactly its own cells, owned by whoever holds it: no later step
+writes into it.
 Rows live in the integer chart w = w0 + B c of the weights
 (capacity._chart): d axes for a d-dimensional face, one cell per lattice
 point however far apart the weights are, on the axes of that lattice that
@@ -78,7 +80,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .capacity import _chart, _lattice_solve, moment_map, theta_capacity
-from .core import (ConvergenceReport, LogValue, WeightedVector, power_rows,
+from .core import (ConvergenceReport, LogValue, WeightedVector, as_int, power_rows,
                    rational_vector)
 
 __all__ = [
@@ -129,9 +131,9 @@ _LOG = (np.add, np.logaddexp, -math.inf)
 def _step_log(row: _Row, stream: _RowStream, logq: Sequence[float]) -> _Row:
     """One exact convolution step in log domain: the stream's, log q_w for
     p_w, by the same flat shift and add (_RowStream._shift_add) with
-    logaddexp for + and -inf for 0. The row is a new array, which carries
-    the layout's one stride of tail past its last cell."""
-    out = stream._shift_add(row.arr, logq, _LOG, np.empty)
+    logaddexp for + and -inf for 0. The row is a new array of exactly its
+    cells."""
+    out = stream._shift_add(row.arr, logq, _LOG)
     return _Row(out, row.offset + stream.kernel.offset)
 
 
@@ -148,19 +150,15 @@ def _table_rows(stream: _RowStream, q: np.ndarray, k_lin: int, k_max: int,
                 log_norm_sq: float) -> Iterator[_Row]:
     """Rows k = 1 .. k_max of a table on the axes of the uncropped stream of
     p = q / |v|^2: its rows 1 .. k_lin (_linear_k) as they are, the
-    probabilities of p, each a fresh array (numpy.convolve's output on one
-    axis, a copy out of the stream's row buffer on more), then the log
+    probabilities of p, each the stream's own row, then the log
     coefficients of (sum_w q_w t^w)^k by log steps (_step_log). The log
     steps start from log(row) + k log |v|^2 of the last linear row, or from
     the point mass at k = 0 when no row is linear: that seed is written in
     place into the padded copy (_RowStream._padded) that the first log step
-    reads, so it takes no memory of its own. The stream is reset after its
-    rows, which frees its row buffers; the log steps use only its
-    padded-copy and term buffers."""
+    reads, so it takes no memory of its own."""
     for _ in range(k_lin):
         stream.step()
-        arr = stream.row.arr
-        yield _Row(arr if arr.ndim == 1 else arr.copy(), stream.row.offset)
+        yield stream.row
     if k_lin == k_max:
         return
     arr = stream.row.arr
@@ -169,7 +167,6 @@ def _table_rows(stream: _RowStream, q: np.ndarray, k_lin: int, k_max: int,
         np.log(arr, out=seed)
     seed += k_lin * log_norm_sq
     row = _Row(seed, stream.row.offset)
-    stream.reset()
     logq = np.log(q).tolist()
     for _ in range(k_lin, k_max):
         row = _step_log(row, stream, logq)
@@ -207,9 +204,13 @@ class ProjectionTable:
     def get(self, k: int, lam) -> LogValue:
         """Squared norm of the weight-lam component of v^{tensor k}, at the
         cell U c for lam - k w0 = B c (capacity._lattice_solve): exact zero
-        off the weights' affine span, at nonintegral c, or outside row k."""
+        off the weights' affine span, at nonintegral c, or outside row k.
+        Raises ValueError for a lam not in Z^n (core.as_int)."""
         row = self._row(k)
-        c = _lattice_solve(self._hnf, [int(x) - k * w for x, w in zip(lam, self._w0, strict=True)])
+        if len(lam) != self.n:
+            raise ValueError(f"weight {tuple(lam)} does not live in Z^{self.n}")
+        c = _lattice_solve(self._hnf, [as_int(x, "weight coordinate") - k * w
+                                       for x, w in zip(lam, self._w0)])
         if c is None or any(t.denominator != 1 for t in c):
             return LogValue.zero()
         cell = [sum(u * int(t) for u, t in zip(axis, c)) for axis in self._axes]
@@ -278,14 +279,12 @@ def projection_norm_table(v: WeightedVector, k_max: int,
     exact 0.
 
     Raises MemoryError naming the chart extent, before any row is built, if
-    the rows (k width_u + 1 cells on each chart axis u, and a log row one
-    stride of its first axis of tail) and the stream's four working buffers
-    would exceed max_bytes in total. The buffers are sized exactly, once,
-    before the first step (buffers that grow between the rows fragment the
-    heap): on two axes or more the two row buffers take the last two linear
-    rows with their tails, and the padded copy and the term buffer the last
-    step's padded copy (_RowStream._shift_add); on one axis the linear
-    steps are numpy.convolve calls and only the log steps use the latter two.
+    the rows (k width_u + 1 cells on each chart axis u) and the stream's two
+    scratch buffers would exceed max_bytes in total. The buffers, the padded
+    copy and the term product (_RowStream._shift_add), are sized exactly,
+    once, before the first step (buffers that grow between the rows
+    fragment the heap), to the last step's padded copy; on one axis the
+    linear steps are numpy.convolve calls and only the log steps use them.
     The log of the last linear row, which seeds the log steps, is written
     into the padded copy, so it needs no memory of its own.
     """
@@ -300,27 +299,21 @@ def projection_norm_table(v: WeightedVector, k_max: int,
     k_lin = _linear_k(q, k_max)
     multi = len(width) > 1
 
-    def cells(k: int) -> tuple[int, int, int]:
-        """A step to row k: the row's cells, its tail, the padded copy's cells."""
+    def cells(k: int) -> tuple[int, int]:
+        """A step to row k: the row's cells, the padded copy's cells."""
         shape = (k * width + 1).tolist()
-        tail = math.prod(shape[1:])
-        return shape[0] * tail, tail, ((k - 1) * int(width[0]) + 1) * tail
+        stride = math.prod(shape[1:])
+        return shape[0] * stride, ((k - 1) * int(width[0]) + 1) * stride
 
-    sizes = [0] * 4
-    for k in (k_lin - 1, k_lin) if multi else ():
-        if k >= 1:
-            sizes[k % 2] = sum(cells(k)[:2])
-    if multi or k_max > k_lin:
-        sizes[2] = sizes[3] = cells(k_max)[2]
-    total = 8 * sum(sizes)
+    scratch = cells(k_max)[1] if multi or k_max > k_lin else 0
+    total = 16 * scratch
     for k in range(1, k_max + 1):
-        row, tail, _ = cells(k)
-        total += 8 * (row + tail if k > k_lin else row)
+        total += 8 * cells(k)[0]
         if total > max_bytes:
             raise MemoryError(
                 f"projection table would need more than {max_bytes} bytes at "
                 f"k = {k}, chart extent {tuple(int(e) for e in (k * width + 1))}")
-    stream._bufs = [np.empty(size) for size in sizes]
+    stream._bufs = [np.empty(scratch), np.empty(scratch)]
     log_norm_sq = math.log(float(q.sum()))
     return ProjectionTable(v.n, v.norm_sq, w0, basis, stream.axes,
                            list(_table_rows(stream, q, k_lin, k_max, log_norm_sq)),
@@ -349,8 +342,7 @@ def _tilted_law(v: WeightedVector, cap) -> tuple[np.ndarray, np.ndarray]:
 def _exact_laws(stream: _RowStream, steps: int) -> Iterator[_Row]:
     """The laws K_0 .. K_steps of S_0 .. S_steps, K_0 the point mass, on the
     stream's axes: the rows of a copy of it at floor 0, which never crops.
-    On two axes or more a row lives in a working buffer of the copy, which
-    the step after next overwrites."""
+    The copy shares the stream's scratch buffers, which hold no row."""
     exact = copy.copy(stream)
     exact.floor = 0.0
     exact.reset()
@@ -452,10 +444,10 @@ def _held_reads(stream: _RowStream, period: int, k_max: int, step: np.ndarray) -
         shape = np.array(stream.row.arr.shape) if k0 else J * widths + 1
         law = J * widths + 1 if laws is None else np.array(kernel.arr.shape)
         if _fft_pays(J, len(stream.terms), math.prod((shape + law - 1).tolist())):
-            if laws is None:  # copied: on two axes the copy's step after next overwrites a row
-                laws = [_Row(K.arr.copy(), K.offset) for j, K in enumerate(_exact_laws(stream, J))
-                        if j and j % period == 0]
-                # the FFT jumps go by a cropped copy; the reads stay uncropped
+            if laws is None:
+                laws = [K for j, K in enumerate(_exact_laws(stream, J)) if j and j % period == 0]
+                # the FFT jumps go by a cropped copy (_crop works in place);
+                # the reads stay uncropped
                 arr, offset, cut = _crop(laws[-1].arr.copy(), laws[-1].offset,
                                          float(laws[-1].arr.max()) * stream.floor)
                 kernel = _Row(arr, offset)
@@ -664,19 +656,17 @@ class _RowStream:
 
     A step convolves the row with p: it shifts the row by every weight and
     adds it weighted by p, in one numpy.convolve call on a line, and on more
-    axes by one flat shift and add (_shift_add). That takes four working
-    buffers, kept across steps because fresh arrays each step would
-    fragment the heap between a table's rows:
-    - 0 and 1 take the rows in turn, row k in buffer k % 2, each with one
-      stride of the first axis of tail past the row's last cell, where the
-      last shifts write products of padding;
-    - 2 holds the row copied flat and padded to the output's extent on
+    axes by one flat shift and add (_shift_add). Every row is a plain array
+    of exactly its cells, which no later step writes into. The shift and add
+    takes two scratch buffers, kept across steps because fresh arrays each
+    step would fragment the heap between a table's rows:
+    - 0 holds the row copied flat and padded to the output's extent on
       every axis but the first, so that a shift is one flat offset;
-    - 3 holds one term's product.
-    The log step (_step_log) uses 2 and 3 too, and `reset` frees only 0
-    and 1: 2 and 3 are rewritten whole by each step that uses them, except
-    the row's own cells in 2 where the row already sits there (_padded):
-    a table writes the seed of its log steps in place.
+    - 1 holds one term's product.
+    The log step (_step_log) uses them too. Each step that uses them
+    rewrites them whole, except the row's own cells in 0 where the row
+    already sits there (_padded): a table writes the seed of its log steps
+    in place. So a shallow copy of the stream (_exact_laws) may share them.
     A row is cropped at floor times its maximum (_crop) only once it holds
     twice the cells it kept at the last crop; floor 0, the exact table's,
     never crops. As every later step convolves with p, `dropped`, the mass
@@ -696,13 +686,12 @@ class _RowStream:
         for w, pw in self.terms:
             kernel[w] = pw
         self.kernel = _Row(kernel, lo)  # p as a row: the law of S_1
-        self._bufs = [np.empty(0)] * 4
+        self._bufs = [np.empty(0)] * 2
         self.reset()
 
     def reset(self) -> None:
-        """Go back to k = 0, the point mass at the origin: zero counts, and
-        free the row buffers 0 and 1. A shallow copy (_exact_laws) that
-        resets gets its own row buffers and shares 2 and 3."""
+        """Go back to k = 0, the point mass at the origin, with zero counts.
+        The scratch buffers stay as they are."""
         n = self.kernel.arr.ndim
         self.k = 0
         self.row = _Row(np.ones((1,) * n), np.zeros(n, dtype=np.int64))
@@ -710,42 +699,41 @@ class _RowStream:
         self.crops = 0
         self.max_row_cells = 1
         self._crop_at = 2
-        self._bufs = [np.empty(0), np.empty(0), *self._bufs[2:]]
 
     def _buffer(self, i: int, size: int) -> np.ndarray:
-        """The first `size` cells of working buffer i, doubled when too small."""
+        """The first `size` cells of scratch buffer i, doubled when too small."""
         if self._bufs[i].size < size:
             self._bufs[i] = np.empty(max(size, 2 * self._bufs[i].size))
         return self._bufs[i][:size]
 
     def _padded(self, shape: Sequence[int], zero: float) -> np.ndarray:
-        """Buffer 2 laid out for a step from a row of `shape`: one block of
+        """Buffer 0 laid out for a step from a row of `shape`: one block of
         shape[0] cells on the first axis and the step's output extent on
         every other, its cells past the row set to the semiring's zero. The
         row's cells are the block's first shape[i] on each axis."""
         extent = [a + b - 1 for a, b in zip(shape[1:], self.kernel.arr.shape[1:])]
-        block = self._buffer(2, shape[0] * math.prod(extent)).reshape(shape[0], *extent)
+        block = self._buffer(0, shape[0] * math.prod(extent)).reshape(shape[0], *extent)
         for ax in range(1, len(shape)):
             block[(slice(None),) * ax + (slice(shape[ax], None),)] = zero
         return block
 
-    def _shift_add(self, arr: np.ndarray, coefs, ring, alloc) -> np.ndarray:
+    def _shift_add(self, arr: np.ndarray, coefs, ring) -> np.ndarray:
         """sum_w coefs_w * (arr shifted by w) over the terms in their order,
         in the semiring ring = (times, plus, zero): (np.multiply, np.add,
         0.0) for a linear step, (np.add, np.logaddexp, -inf) for a log step.
 
-        One flat layout: arr is copied into buffer 2, padded with the
+        One flat layout: arr is copied into buffer 0, padded with the
         semiring's zero on every axis but the first to the output's extent,
         so that the shift by w is the flat offset o_w = sum_i w_i stride_i of
         the output and each term is one contiguous times and one contiguous
-        plus over flat[o_w : o_w + n], n the padded copy's cells. The first
-        term writes its product there directly and only the cells outside
-        that window are set to zero. A padding cell can land past the
-        output's last cell, by less than the first axis's stride, so the
-        output, alloc(cells + tail), carries that one stride of tail. Each
-        output cell is the sum of its terms in term order plus exact zeros
-        (x + 0.0 = x, logaddexp(x, -inf) = x). Returns the output, without
-        its tail, as an array of the output's shape."""
+        plus over flat[o_w : o_w + m], m = min(n, size - o_w), n the padded
+        copy's cells and size the output's. A padded copy's cells past m
+        would land past the output's last cell, and they hold only padding,
+        so each term's window stops there. The first term writes its product
+        there directly and only the cells outside that window are set to
+        zero. Each output cell is the sum of its terms in term order plus
+        exact zeros (x + 0.0 = x, logaddexp(x, -inf) = x). Returns the
+        output, a fresh array of the output's shape."""
         times, plus, zero = ring
         src = self._padded(arr.shape, zero)
         src[tuple(map(slice, arr.shape))] = arr  # no copy where arr already sits there
@@ -754,16 +742,18 @@ class _RowStream:
         size = shape[0] * strides[0]
         src = src.reshape(-1)
         n = src.size
-        flat = alloc(size + strides[0])
-        term = self._buffer(3, n)
+        flat = np.empty(size)
+        term = self._buffer(1, n)
         (o, c), *rest = zip((self._shifts @ strides).tolist(), coefs)
-        times(src, c, out=flat[o:o + n])
+        m = min(n, size - o)
+        times(src[:m], c, out=flat[o:o + m])
         flat[:o] = zero
-        flat[o + n:] = zero
+        flat[o + m:] = zero
         for o, c in rest:
-            dst = flat[o:o + n]
-            plus(dst, times(src, c, out=term), out=dst)
-        return flat[:size].reshape(shape)
+            m = min(n, size - o)
+            dst = flat[o:o + m]
+            plus(dst, times(src[:m], c, out=term[:m]), out=dst)
+        return flat.reshape(shape)
 
     def _hold(self, out: np.ndarray, offset: np.ndarray) -> None:
         """Make out, with lower corner offset, the row of a step or a direct
@@ -781,9 +771,8 @@ class _RowStream:
         arr = self.row.arr
         if arr.ndim == 1:
             out = np.convolve(arr, self.kernel.arr)
-        else:  # row k sits in buffer k % 2, or is a crop's or a jump's own array
-            out = self._shift_add(arr, self._p, _LINEAR,
-                                  lambda size: self._buffer((self.k + 1) % 2, size))
+        else:  # a fresh array, like numpy.convolve's
+            out = self._shift_add(arr, self._p, _LINEAR)
         self.k += 1
         self._hold(out, self.row.offset + self.kernel.offset)
 

@@ -1,11 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from capdual.core import (ConvergenceReport, LogValue, Partition,
-                          WeightedVector, WeightVector, as_fraction,
+                          WeightedVector, WeightVector, as_fraction, as_int,
                           fraction_log, power_rows, rational_vector)
 
 from util import gaussian_power_rows
@@ -114,6 +115,30 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+
+
+def test_as_int_takes_integer_values_and_names_the_rest():
+    for x in (3, np.int64(3), np.uint8(3), 3.0, np.float64(3.0), Fraction(6, 2)):
+        n = as_int(x)
+        assert type(n) is int and n == 3
+    assert as_int(True) == 1 and as_int(-0.0) == 0
+    for x in (0.5, -2.5, Fraction(1, 2), "3", 3 + 0j, math.nan, math.inf, None):
+        with pytest.raises(ValueError, match=re.escape(f"part {x!r} is not an integer")):
+            as_int(x, "part")
+
+
+def test_nonintegral_coordinates_are_rejected_not_truncated():
+    # a coordinate or part that is not an integer is an error, not the
+    # integer int() truncates it to
+    with pytest.raises(ValueError, match="weight coordinate 0.5 is not an integer"):
+        WeightVector((0.5,))
+    with pytest.raises(ValueError, match="partition part 2.5 is not an integer"):
+        Partition((2.5, 1))
+    # not a "duplicate weight (0,)": (0.5,) is no weight at all
+    with pytest.raises(ValueError, match="weight coordinate 0.5 is not an integer"):
+        WeightedVector.from_terms(1, {(0.5,): 1, (0,): 1})
+    assert WeightVector((2.0, np.int64(-1))).coords == (2, -1)
+    assert Partition((np.int32(3), 1.0)).parts == (3, 1)
 
 
 def test_convergence_report_columns_and_duality():

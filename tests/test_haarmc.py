@@ -7,7 +7,7 @@ import pytest
 
 from capdual.core import WeightedVector
 from capdual.haarmc import (BLOCK, MAX_K, UnitaryOrbitVector, _block_rng, _chebyshev_u,
-                            _dispatch, mc_invariant_norm, mc_isotypic_norm,
+                            _dispatch, _label_pair, mc_invariant_norm, mc_isotypic_norm,
                             sample_haar_unitary)
 from capdual.projection import projection_norm_table
 from capdual.spectrum import schur_weyl_measure
@@ -87,6 +87,19 @@ def test_su2_partition_label_equivalence():
     a = mc_isotypic_norm(u, 4, (3, 1), samples=50_000, seed=13)
     b = mc_isotypic_norm(u, 4, 2, samples=50_000, seed=13)
     assert a.mean == b.mean and a.stderr == b.stderr
+
+
+def test_su2_labels_must_be_integers():
+    # a label part that is not an integer is an error, not the label int()
+    # truncates it to
+    assert _label_pair((2.0, np.int64(1))) == (2, 1) and _label_pair(np.int64(3)) == (3, 0)
+    for lam, bad in (((2.5, 0), "label part 2.5"), ([3, 0.5], "label part 0.5"),
+                     (1.5, "label 1.5")):
+        with pytest.raises(ValueError, match=f"{bad} is not an integer"):
+            _label_pair(lam)
+    u = UnitaryOrbitVector("su2", (0.6 + 0j, 0.8j))
+    with pytest.raises(ValueError, match="label part 2.5 is not an integer"):
+        mc_isotypic_norm(u, 2, (2.5, 0), samples=100)
 
 
 def test_u2_matches_schur_weyl_mass():

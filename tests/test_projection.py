@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -129,6 +130,18 @@ def test_table_matches_exact_integer_powers(monkeypatch, n, terms, k_max, first_
         got = dict(zip(map(tuple, lam[nonzero].tolist()), logs[nonzero].tolist()))
         assert got.keys() == want.keys(), k
         assert max(abs(got[w] - want[w]) for w in want) <= 1e-11, k
+
+
+def test_get_rejects_a_weight_outside_z_n():
+    # a coordinate that is not an integer, or a weight of the wrong length,
+    # is an error that names it, not a read at another weight
+    table = projection_norm_table(binomial_vector(), 3)
+    assert table.get(2, (1.0,)) == table.get(2, (1,)) == table.get(2, np.array([1]))
+    with pytest.raises(ValueError, match="weight coordinate 0.5 is not an integer"):
+        table.get(2, (0.5,))
+    for lam in ((0, 1), ()):
+        with pytest.raises(ValueError, match=re.escape(f"weight {lam} does not live in Z^1")):
+            table.get(2, lam)
 
 
 @pytest.mark.parametrize("n, terms, k_max, ks", [
@@ -874,9 +887,9 @@ def _corner_stream(W, floor):
 @pytest.mark.parametrize("W, n_steps", [(_CORNER2, 60), (_CORNER3, 24)], ids=["n2", "n3"])
 def test_step_matches_the_shift_and_add_oracle(W, n_steps):
     # Every step equals the direct shift and add (util.shift_add_step) bit
-    # for bit, cropped where the stream cropped: from a row in a working
-    # buffer, from a crop's copy, and from a jump's row (the cropped law
-    # from the point mass, then an FFT product).
+    # for bit, cropped where the stream cropped: from a step's own row,
+    # from a crop's copy, and from a jump's row (the cropped law from the
+    # point mass, then an FFT product).
     stream = _corner_stream(W, 1e-6)
     *_, law = projection._exact_laws(stream, 4)
     arr, offset, cut = projection._crop(law.arr.copy(), law.offset,
@@ -895,8 +908,8 @@ def test_step_matches_the_shift_and_add_oracle(W, n_steps):
         assert np.array_equal(stream.row.arr, want), (i, kind)
         assert stream.row.offset.tolist() == want_offset.tolist()
         kinds.add(kind)
-        kind = "crop" if stream.crops > crops else "buffer"
-    assert kinds == {"jump", "crop", "buffer"}
+        kind = "crop" if stream.crops > crops else "step"
+    assert kinds == {"jump", "crop", "step"}
 
 
 @pytest.mark.parametrize("W", [_CORNER2, _CORNER3], ids=["n2", "n3"])
@@ -918,17 +931,64 @@ def test_log_step_matches_the_shift_and_add_oracle(W):
         row = got
 
 
+def _owns_its_cells(arr):
+    """Whether arr is a plain array of exactly its cells: no base, or a base
+    of its own size (a reshape of a fresh flat array)."""
+    return arr.base is None or arr.base.size == arr.size
+
+
+def test_held_rows_stay_intact_and_have_no_tail(monkeypatch):
+    # Every row a stream gives is a plain array of exactly its cells, which
+    # no later step writes into: rows held from a floor-0 stream on two
+    # axes, its scratch buffers sized before the first step as a table's
+    # are, keep their values while it steps on, and so do the laws a
+    # jumping n = 2 report keeps. No step row or log-step row carries a
+    # tail past its last cell.
+    cross = {**_CROSS, (1, 1): 0.8}
+    p = np.array(list(cross.values())) / sum(cross.values())
+    stream = _RowStream(np.array(list(cross)), p, floor=0.0)
+    stream._bufs = [np.empty(1 << 12) for _ in stream._bufs]
+    held = []
+    for _ in range(16):
+        stream.step()
+        assert _owns_its_cells(stream.row.arr), stream.k
+        if stream.k <= 8:
+            held.append((stream.row.arr, stream.row.arr.copy()))
+    assert all(np.array_equal(arr, snap) for arr, snap in held)
+    logq = np.log(p).tolist()
+    with np.errstate(divide="ignore"):
+        row = _Row(np.log(held[0][0]), stream.kernel.offset)
+    for _ in range(4):
+        row = projection._step_log(row, stream, logq)
+        assert _owns_its_cells(row.arr) and np.isfinite(row.arr).any()
+
+    kept, jumps = [], []
+    laws, jump = projection._exact_laws, _RowStream.jump
+    monkeypatch.setattr(projection, "_exact_laws", lambda stream, steps: (
+        kept.append((K.arr, K.arr.copy())) or K for K in laws(stream, steps)))
+    monkeypatch.setattr(_RowStream, "jump", lambda self, *a: jumps.append(self.k) or jump(self, *a))
+    duality_report(WeightedVector.from_terms(2, _PENTAGON), (F(1), F(1)), 100)
+    assert len(jumps) == 3 and len(kept) == 33
+    assert all(_owns_its_cells(arr) and np.array_equal(arr, snap) for arr, snap in kept)
+
+    # linear rows to k = 35, then log steps (test_table_matches_exact_integer_powers)
+    v = WeightedVector.from_terms(2, {(0, 0): 0.6, (2, 0): 0.9j, (1, 1): 1e-4, (0, 2): 1.2})
+    table = projection_norm_table(v, 45)
+    assert table._linear == 35
+    assert all(_owns_its_cells(r.arr) for r in table._rows)
+
+
 @pytest.mark.parametrize("terms, k_max, log_steps", [
     # p_min about 4.1e-5: rows 1 .. 68 linear, then 32 log steps
     ({(0, 0): 1.0, (1, 0): 0.9, (0, 1): 0.8, (1, 1): 0.011, (2, 1): 0.7}, 100, 32),
     ({(0, 0, 0): 1.0, (2, 0, 0): 0.8, (0, 3, 0): 0.6, (0, 0, 2): 0.7, (1, 1, 1): 0.9}, 30, 0),
 ], ids=["n2-handoff", "n3"])
 def test_table_buffers_are_sized_once_and_exactly(terms, k_max, log_steps, monkeypatch):
-    # projection_norm_table sizes the stream's four working buffers before
-    # the first step: no step grows one, each is as large as the largest
-    # view any step takes of it, and the budget it checks is exact (the
-    # rows with their tails and the buffers), its MemoryError raised before
-    # any step.
+    # projection_norm_table sizes the stream's two scratch buffers (the
+    # padded copy and the term product) before the first step: no step
+    # grows one, each is as large as the largest view any step takes of
+    # it, and the budget it checks is exact (the rows, each exactly its
+    # cells, and the buffers), its MemoryError raised before any step.
     held, need = {}, {}
     buffer = _RowStream._buffer
 
@@ -941,9 +1001,8 @@ def test_table_buffers_are_sized_once_and_exactly(terms, k_max, log_steps, monke
     v = WeightedVector.from_terms(len(next(iter(terms))), terms)
     table, first_log = _table_and_first_log_row(monkeypatch, v, k_max)
     assert k_max + 1 - first_log == log_steps
-    assert sorted(held) == [0, 1, 2, 3] and held == need
-    total = 8 * sum(held.values()) + sum((r.arr if r.arr.base is None else r.arr.base).nbytes
-                                         for r in table._rows)
+    assert sorted(held) == [0, 1] and held == need
+    total = 8 * sum(held.values()) + sum(r.arr.nbytes for r in table._rows)
     assert projection_norm_table(v, k_max, max_bytes=total).k_max == k_max
 
     def no_step(self):
