@@ -300,7 +300,9 @@ def _ldp_common(report, tol):
 
 
 def _run_schur_weyl_ldp(inst: dict, tol: dict, k_max: int):
-    q = tuple(float(as_fraction(t)) for t in inst["q"])
+    # strings and integers stay exact; a JSON float is rationalized (and
+    # checked) at tolerance 1e-9 by the exact side
+    q = tuple(t if isinstance(t, float) else as_fraction(t) for t in inst["q"])
     theta = [as_fraction(t) for t in inst["theta"]]
     return _ldp_common(ldp_report(SchurWeylFamily(q), theta, k_max), tol)
 

@@ -369,10 +369,15 @@ def perm_rc_exact(M, r: Sequence[int], c: Sequence[int],
                   budget: int = TABLE_BUDGET) -> PermExact:
     """Exact rational perm_{r,c}(M) with margins r (rows) and c (columns).
 
-    One forward DP over remaining column sums carries, per state, the count
-    and exact summed weight of the partial tables reaching it. Every partial
-    fill extends to a full table, so the DP raises RuntimeError as soon as
-    the partial tables it has met exceed the budget.
+    Row i's weight prod_j M_ij^{b_j} / b_j! over a fill b of the row is the
+    integer multinomial(r_i; b) prod_j M'_ij^{b_j} over D_i^{r_i} r_i!, where
+    M' is row i cleared by its common denominator D_i. So one forward DP over
+    remaining column sums carries, per state, the count and the summed
+    integer weight of the partial tables reaching it, all over the one
+    common denominator prod_i D_i^{r_i} r_i!, and the value is one Fraction
+    at the end. Every partial fill extends to a full table, so the DP raises
+    RuntimeError as soon as the partial tables it has met in one row exceed
+    the budget.
     """
     rows = [list(map(as_fraction, row)) for row in M]
     n = len(rows)
@@ -387,23 +392,30 @@ def perm_rc_exact(M, r: Sequence[int], c: Sequence[int],
         raise ValueError("margins must be nonnegative integers matching M")
     if sum(r) != sum(c):
         raise ValueError(f"margin sums differ: {sum(r)} != {sum(c)}")
+    dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    cleared = [[v.numerator * (d // v.denominator) for v in row]
+               for row, d in zip(rows, dens)]
 
     @functools.cache
-    def row_weight(i: int, comp: tuple[int, ...]) -> Fraction:
-        w = Fraction(1)
-        for j, b in enumerate(comp):
+    def row_weight(i: int, comp: tuple[int, ...]) -> int:
+        w = math.factorial(r[i])
+        for b in comp:
+            w //= math.factorial(b)
+        for v, b in zip(cleared[i], comp):
             if b:
-                if rows[i][j] == 0:
-                    return Fraction(0)
-                w *= rows[i][j] ** b / math.factorial(b)
+                w *= v**b
         return w
 
-    # remaining column sums -> (partial tables, their summed weight)
-    layer: dict[tuple[int, ...], tuple[int, Fraction]] = {c: (1, Fraction(1))}
+    # remaining column sums -> partial tables, and their summed weight
+    # times prod_{i' < i} D_i'^{r_i'} r_i'!
+    counts: dict[tuple[int, ...], int] = {c: 1}
+    weights: dict[tuple[int, ...], int] = {c: 1}
     for i in range(n):
-        nxt: dict[tuple[int, ...], tuple[int, Fraction]] = {}
+        nxt_counts: dict[tuple[int, ...], int] = {}
+        nxt_weights: dict[tuple[int, ...], int] = {}
         partials = 0
-        for rem, (ways, weight) in layer.items():
+        for rem, ways in counts.items():
+            weight = weights[rem]
             for comp in _compositions(r[i], rem):
                 partials += ways
                 if partials > budget:
@@ -411,12 +423,14 @@ def perm_rc_exact(M, r: Sequence[int], c: Sequence[int],
                         "contingency-table enumeration needs more than "
                         f"{budget} tables, budget is {budget}")
                 key = tuple(a - b for a, b in zip(rem, comp))
-                count, acc = nxt.get(key, (0, Fraction(0)))
-                nxt[key] = (count + ways, acc + weight * row_weight(i, comp))
-        layer = nxt
-    total_tables, value = layer.get((0,) * m, (0, Fraction(0)))
+                nxt_counts[key] = nxt_counts.get(key, 0) + ways
+                nxt_weights[key] = nxt_weights.get(key, 0) + weight * row_weight(i, comp)
+        counts, weights = nxt_counts, nxt_weights
+    denom = math.prod(d**ri * math.factorial(ri) for d, ri in zip(dens, r))
+    empty = (0,) * m
+    value = Fraction(weights.get(empty, 0), denom)
     lv = fraction_log(value) if value else LogValue.zero()
-    return PermExact(value, lv, total_tables)
+    return PermExact(value, lv, counts.get(empty, 0))
 
 
 def perm_dual_report(M, r, c, k_max: int,

@@ -18,16 +18,21 @@ only the cells it reads. The Duffield rate is a theta-capacity,
 -log cap_theta(v)^2 of a 1-D unit vector, so `capacity.theta_capacity` is
 its one solver.
 
-Schur polynomials are evaluated in exact integer arithmetic: q is cleared to
-integers by its common denominator and the Jacobi-Trudi determinant is taken
-over big-integer complete homogeneous values. Floating-point determinants
-cancel catastrophically here (for separated q the two Jacobi-Trudi products
-agree to a relative 2^{-50} already around k = 400), so exactness is load
-bearing, not a luxury.
+Schur polynomials are evaluated in exact integer arithmetic: q is checked
+and cleared to integers by its common denominator once, by one helper that
+the measure and the report share, and the Jacobi-Trudi determinant is taken
+over big-integer complete homogeneous values, summed over permutation signs
+computed once per size. One table of those values serves every partition
+of the measure and every k of the report, and f^lambda comes from the
+Frobenius formula, so no Fraction is built per row. Floating-point
+determinants cancel catastrophically here (for separated q the two
+Jacobi-Trudi products agree to a relative 2^{-50} already around k = 400),
+so exactness is load bearing, not a luxury.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -39,7 +44,7 @@ import numpy as np
 
 from .capacity import theta_capacity
 from .core import (ConvergenceReport, LogValue, Partition, WeightedVector,
-                   as_fraction, fraction_log, power_rows)
+                   as_fraction, power_rows)
 from .haarmc import sample_haar_unitary
 
 __all__ = [
@@ -86,15 +91,21 @@ def partitions_bounded(k: int, max_parts: int,
 
 
 def hook_length_count(lam: Partition | Sequence[int]) -> int:
-    """Number of standard Young tableaux of shape lam, by hook lengths."""
+    """Number of standard Young tableaux of shape lam, by the Frobenius
+    formula f^lam = k! prod_{i<j} (l_i - l_j) / prod_i l_i! with
+    l_i = lam_i + r - 1 - i over the r parts (Fulton-Harris, Representation
+    Theory, eq. 4.11): r(r-1)/2 products and r + 1 factorials, where the
+    hook-length product takes one factor per box."""
     parts = lam.parts if isinstance(lam, Partition) else Partition(tuple(lam)).parts
-    k = sum(parts)
-    conj = [sum(1 for p in parts if p > j) for j in range(parts[0])] if parts else []
-    hooks = 1
-    for i, p in enumerate(parts):
-        for j in range(p):
-            hooks *= p - j + conj[j] - i - 1
-    return math.factorial(k) // hooks
+    r = len(parts)
+    ls = [p + r - 1 - i for i, p in enumerate(parts)]
+    num = math.factorial(sum(parts))
+    den = 1
+    for i, li in enumerate(ls):
+        den *= math.factorial(li)
+        for lj in ls[i + 1:]:
+            num *= li - lj
+    return num // den
 
 
 def _homogeneous_table(a: Sequence[int], m_max: int) -> list[int]:
@@ -107,55 +118,77 @@ def _homogeneous_table(a: Sequence[int], m_max: int) -> list[int]:
     return h
 
 
-def _schur_int(lam: Sequence[int], a: Sequence[int],
-               h: list[int] | None = None) -> int:
-    """s_lam(a_1..a_n) for integer a, exact Jacobi-Trudi determinant."""
-    n = len(a)
-    parts = list(lam) + [0] * (n - len(lam))
-    if len(lam) > n:
-        return 0 if any(p > 0 for p in lam[n:]) else _schur_int(lam[:n], a, h)
-    if h is None:
-        h = _homogeneous_table(a, (parts[0] if parts else 0) + n)
-
-    def entry(i: int, j: int) -> int:
-        m = parts[i] - i + j
-        return h[m] if 0 <= m < len(h) else 0
-
-    det = 0
+@functools.cache
+def _permutation_signs(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(permutation, sign) for every permutation of range(n), once per n."""
+    out = []
     for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        out.append((perm, -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def _schur_int(lam: Sequence[int], a: Sequence[int], h: list[int]) -> int:
+    """s_lam(a_1..a_n) for integer a and lam without trailing zeros, exact
+    Jacobi-Trudi determinant det h_{lam_i - i + j}, summed over the
+    precomputed permutation signs; h holds h_m(a) at least for
+    m <= lam_1 + n - 1."""
+    n = len(a)
+    if len(lam) > n:
+        return 0
+    parts = [*lam, *[0] * (n - len(lam))]
+    jt = [[h[m] if m >= 0 else 0 for m in range(p - i, p - i + n)]
+          for i, p in enumerate(parts)]
+    det = 0
+    for perm, sign in _permutation_signs(n):
         prod = sign
-        for i in range(n):
-            prod *= entry(i, perm[i])
+        for row, j in zip(jt, perm):
+            prod *= row[j]
         det += prod
     return det
 
 
 def _cleared_spectrum(q: Sequence) -> tuple[list[int], int]:
-    """(integer weights a, denominator D) with q_i = a_i/D exactly and
-    sum(a) = D; float inputs are rationalized at tolerance 1e-9."""
+    """Check a spectrum and clear it to integers: (a, D) with q_i = a_i/D
+    exactly and sum(a) = D.
+
+    q needs 1..SCHUR_N_MAX nonnegative entries, sorted nonincreasing, that
+    sum to 1: exactly when every entry is exact, within 1e-9 when any is a
+    float. Floats are rationalized at tolerance 1e-9 and the result is
+    renormalized. ValueError names the first failed condition.
+    """
+    q = list(q)
     qs = [as_fraction(t) for t in q]
+    if not 1 <= len(qs) <= SCHUR_N_MAX:
+        raise ValueError(f"spectrum length {len(qs)} is not in 1..{SCHUR_N_MAX}")
     if any(t < 0 for t in qs):
         raise ValueError("spectrum entries must be nonnegative")
+    if any(qs[i] < qs[i + 1] for i in range(len(qs) - 1)):
+        raise ValueError("spectrum must be sorted nonincreasing")
     total = sum(qs)
-    if total == 0:
-        raise ValueError("spectrum must have positive mass")
+    if abs(total - 1) > (1e-9 if any(isinstance(t, float) for t in q) else 0):
+        raise ValueError(f"spectrum sums to {float(total)!r}, not 1")
     qs = [t / total for t in qs]
     D = math.lcm(*(t.denominator for t in qs))
     return [int(t * D) for t in qs], D
 
 
-def _schur_weyl_prob(lam: Sequence[int], a: Sequence[int], denom: int,
-                     h: list[int] | None = None) -> tuple[int, int, LogValue]:
+def _ratio_log(num: int, den: int) -> LogValue:
+    """fraction_log(Fraction(num, den)) for integers num >= 0 and den > 0,
+    the same float, without building the Fraction."""
+    if not num:
+        return LogValue.zero()
+    g = math.gcd(num, den)
+    return LogValue(1, math.log(num // g) - math.log(den // g))
+
+
+def _schur_weyl_prob(lam: Partition, a: Sequence[int], denom: int,
+                     h: list[int]) -> tuple[int, int, LogValue]:
     """(f^lam, s_lam(a), P(lam) = f^lam s_lam(a) / denom) for the cleared
-    spectrum a and denom = D^k."""
+    spectrum a, its h-table h and denom = D^k."""
     f = hook_length_count(lam)
-    s_int = _schur_int(lam, a, h)
-    return f, s_int, fraction_log(Fraction(f * s_int, denom))
+    s_int = _schur_int(lam.parts, a, h)
+    return f, s_int, _ratio_log(f * s_int, denom)
 
 
 @dataclass(frozen=True)
@@ -170,29 +203,23 @@ def schur_weyl_measure(q, k: int) -> list[SchurWeylRow]:
     """The measure P(lambda) = f^lambda s_lambda(q) over partitions of k with
     at most len(q) parts, rows in descending lexicographic order.
 
-    q must be sorted nonincreasing. The normalization sum_lambda P = 1 is
-    checked exactly in integer arithmetic; RuntimeError if it fails.
+    q is checked as `_cleared_spectrum` checks it. The normalization
+    sum_lambda P = 1 is checked exactly in integer arithmetic; RuntimeError
+    if it fails.
     """
-    q = list(q)
-    if len(q) > SCHUR_N_MAX:
-        raise ValueError(f"spectrum length {len(q)} exceeds {SCHUR_N_MAX}")
-    if any(q[i] < q[i + 1] for i in range(len(q) - 1)):
-        raise ValueError("spectrum must be sorted nonincreasing")
-    if abs(sum(float(t) for t in q) - 1.0) > 1e-9:
-        raise ValueError(f"spectrum sums to {sum(float(t) for t in q)}, not 1")
+    a, D = _cleared_spectrum(q)
     if not 1 <= k <= SCHUR_K_MAX:
         raise ValueError(f"k must be in 1..{SCHUR_K_MAX}")
-    a, D = _cleared_spectrum(q)
     nz = [v for v in a if v > 0]
     h = _homogeneous_table(nz, k + len(nz))
     denom = D**k
     rows = []
     check = 0
-    for lam in partitions_bounded(k, len(q)):
+    for parts in partitions_bounded(k, len(a)):
+        lam = Partition(parts)
         f, s_int, p_lv = _schur_weyl_prob(lam, nz, denom, h)
         check += f * s_int
-        s_lv = fraction_log(Fraction(s_int, denom))
-        rows.append(SchurWeylRow(Partition(lam), f, s_lv, p_lv))
+        rows.append(SchurWeylRow(lam, f, _ratio_log(s_int, denom), p_lv))
     if check != denom:
         raise RuntimeError("Schur-Weyl weights failed the exact normalization")
     return rows
@@ -449,8 +476,10 @@ def duffield_rate(weights: Sequence[int], theta: float) -> float:
 
 @dataclass(frozen=True)
 class SchurWeylFamily:
-    """Spectrum estimation for a state with spectrum q (sorted nonincreasing)."""
-    q: tuple[float, ...]
+    """Spectrum estimation for a state with spectrum q (sorted nonincreasing,
+    summing to 1), exact rationals or floats as `_cleared_spectrum` takes
+    them."""
+    q: tuple[Fraction | float, ...]
 
 
 @dataclass(frozen=True)
@@ -459,13 +488,18 @@ class DuffieldFamily:
     weights: tuple[int, ...]
 
 
-def _round_partition(theta: Sequence[Fraction], k: int) -> tuple[int, ...]:
-    """Largest-remainder rounding of k*theta (exact, summing to 1): floors,
-    then one unit each to the largest fractional parts, ties to the earlier
-    index. Sorted theta gives a partition of k within 1 of k*theta."""
-    scaled = [k * t for t in theta]
-    parts = [math.floor(x) for x in scaled]
-    by_remainder = sorted(range(len(parts)), key=lambda i: (parts[i] - scaled[i], i))
+def _round_partition(weights: Sequence[int], k: int) -> tuple[int, ...]:
+    """Largest-remainder rounding of k*theta for theta_i = weights_i /
+    sum(weights), in integers when the weights are: floors, then one unit
+    each to the largest remainders, ties to the earlier index. Sorted theta
+    gives a partition of k within 1 of k*theta."""
+    total = sum(weights)
+    parts, rems = [], []
+    for w in weights:
+        p, rem = divmod(k * w, total)
+        parts.append(p)
+        rems.append(rem)
+    by_remainder = sorted(range(len(parts)), key=lambda i: (-rems[i], i))
     for i in by_remainder[:k - sum(parts)]:
         parts[i] += 1
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or parts[-1] < 0:
@@ -496,22 +530,31 @@ def ldp_report(family, theta, k_max: int) -> ConvergenceReport:
     """Empirical decay rates -(1/k) log P(lambda_k = round(k theta)) against
     the analytic rate, one row per k.
 
+    A Schur-Weyl family's q is checked as `_cleared_spectrum` checks it,
+    and its rows read one h-table built for k_max.
+
     Columns: k, log_prob, empirical_rate, analytic_rate, difference.
     """
     rows = []
     if isinstance(family, SchurWeylFamily):
         if k_max > SCHUR_K_MAX:
             raise ValueError(f"k_max must be at most {SCHUR_K_MAX}")
+        a, D = _cleared_spectrum(family.q)
         th = [as_fraction(t) for t in (theta if isinstance(theta, Iterable) else [theta])]
-        if len(th) != len(family.q):
+        if len(th) != len(a):
             raise ValueError("theta must match the spectrum length")
         if sum(th) != 1:
             raise ValueError("theta must sum to 1")
         analytic = kw_rate(sorted(map(float, th), reverse=True), family.q)
-        a, D = _cleared_spectrum(family.q)
+        L = math.lcm(*(t.denominator for t in th))
+        tw = [t.numerator * (L // t.denominator) for t in th]
         nz = [v for v in a if v > 0]
+        h = _homogeneous_table(nz, k_max + len(nz))
+        denom = 1
         for k in range(1, k_max + 1):
-            log_p = _schur_weyl_prob(_round_partition(th, k), nz, D**k)[2].log_mag
+            denom *= D
+            lam = Partition(_round_partition(tw, k))
+            log_p = _schur_weyl_prob(lam, nz, denom, h)[2].log_mag
             emp = -log_p / k
             rows.append((k, log_p, emp, analytic, abs(emp - analytic)))
         meta = {"family": family, "theta": tuple(map(float, th)), "analytic_rate": analytic}

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capdual import capacity, cli, projection, scaling
+from capdual.core import fraction_log
 from capdual.cli import main
 from capdual.haarmc import (BLOCK, UnitaryOrbitVector, mc_invariant_norm,
                             mc_isotypic_norm)
@@ -582,3 +583,27 @@ def test_mc_schema_valid_labels_never_crash(group, k, lam):
             code = main(["run", str(cfg)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_schur_weyl_ldp_keeps_the_spectrum_exact(tmp_path):
+    # q2 = 1/1000003 has a denominator past 10^6, where a float spectrum
+    # would be rationalized to (999999, 1)/10^6
+    q = [Fraction(1000002, 1000003), Fraction(1, 1000003)]
+    cfg = write_config(tmp_path, "sw.json", {
+        "experiment": "schur-weyl-ldp", "k_max": 3,
+        "instance": {"q": [str(t) for t in q], "theta": ["2/3", "1/3"]}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    log_p = float(rows[3].split(",")[1])
+    # k = 3 rounds to lambda = (2, 1): P = f^(2,1) s_(2,1)(q) = 2 q1 q2 (q1 + q2)
+    assert log_p == fraction_log(2 * q[0] * q[1] * (q[0] + q[1])).log_mag
+    assert log_p == -13.122367377397328
+
+
+def test_schur_weyl_ldp_rejects_a_spectrum_off_the_simplex(tmp_path, capsys):
+    cfg = write_config(tmp_path, "sw.json", {
+        "experiment": "schur-weyl-ldp", "k_max": 3,
+        "instance": {"q": ["3/5", "3/5"], "theta": ["3/4", "1/4"]}})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "spectrum sums to 1.2, not 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -4,12 +4,14 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capdual.capacity import capacity_kl_form, moment_polytope_contains
+from capdual.core import LogValue, fraction_log
 from capdual.scaling import (ScalingState, _sinkhorn_kernel, perm_dual_report,
                              perm_rc_exact, rc_capacity, rc_weighted_vector,
                              sinkhorn_scale)
@@ -350,27 +352,47 @@ def test_perm_exact_worked_values():
     assert perm_rc_exact(ones, (0, 0), (0, 0)).value == 1
 
 
+def _partial_tables(r, c):
+    """Per row i, every fill of rows 0..i with row sums r and column sums
+    at most c, by direct enumeration."""
+    layers, layer = [], [()]
+    for ri in r:
+        nxt = []
+        for t in layer:
+            used = [sum(col) for col in zip(*t)] if t else [0] * len(c)
+            for row in product(*(range(cj - u + 1) for cj, u in zip(c, used))):
+                if sum(row) == ri:
+                    nxt.append(t + (row,))
+        layers.append(layer := nxt)
+    return layers
+
+
 def test_perm_exact_brute_force_cross_check():
-    # direct enumeration of all tables for a 3x3 with mixed margins
+    # direct enumeration of all tables: a random integer 3x3 with mixed
+    # margins; rational rows over different denominators with zero entries;
+    # a zero row, whose tables all weigh 0 but still count
     rng = np.random.default_rng(5)
-    M = [[F(int(x)) for x in rng.integers(1, 5, size=3)] for _ in range(3)]
-    r, c = (2, 1, 1), (1, 2, 1)
-    got = perm_rc_exact(M, r, c).value
-    total = F(0)
-    # brute force over B11..B33 with row sums fixed
-    from itertools import product
-    for b in product(*(range(x + 1) for x in (2, 2, 2, 1, 1, 1, 1, 1, 1))):
-        B = [b[0:3], b[3:6], b[6:9]]
-        if any(sum(B[i]) != r[i] for i in range(3)):
-            continue
-        if any(sum(B[i][j] for i in range(3)) != c[j] for j in range(3)):
-            continue
-        term = F(1)
-        for i in range(3):
-            for j in range(3):
-                term *= M[i][j] ** B[i][j] / math.factorial(B[i][j])
-        total += term
-    assert got == total
+    cases = [
+        ([[F(int(x)) for x in rng.integers(1, 5, size=3)] for _ in range(3)],
+         (2, 1, 1), (1, 2, 1)),
+        ([[F(1, 3), F(2, 5), F(0)], [F(1, 2), F(1, 7), F(3)], [F(0), F(5, 6), F(2, 9)]],
+         (3, 2, 1), (2, 2, 2)),
+        ([[F(3, 4), F(0), F(1, 6)], [F(0), F(7, 10), F(0)], [F(2), F(1, 9), F(5, 8)]],
+         (2, 3, 3), (4, 2, 2)),
+        ([[F(0), F(0)], [F(1, 2), F(3, 4)]], (1, 1), (1, 1)),
+    ]
+    for M, r, c in cases:
+        tables = _partial_tables(r, c)[-1]
+        total = F(0)
+        for B in tables:
+            term = F(1)
+            for i, row in enumerate(B):
+                for j, b in enumerate(row):
+                    term *= M[i][j] ** b / math.factorial(b)
+            total += term
+        got = perm_rc_exact(M, r, c)
+        assert (got.value, got.table_count) == (total, len(tables)), (M, r, c)
+        assert got.log_value == (fraction_log(total) if total else LogValue.zero())
 
 
 def test_perm_exact_margin_mismatch():
@@ -382,6 +404,14 @@ def test_perm_exact_budget():
     M = [[F(1)] * 6] * 6
     with pytest.raises(RuntimeError, match="budget"):
         perm_rc_exact(M, (10,) * 6, (10,) * 6, budget=10)
+    # the budget bounds the partial tables met in one row: the largest such
+    # count passes and one less raises
+    M = [[F(1, 2), F(0), F(2)], [F(1, 3), F(1), F(1, 5)], [F(3), F(1, 7), F(1)]]
+    r, c = (3, 2, 2), (2, 3, 2)
+    need = max(len(layer) for layer in _partial_tables(r, c))
+    assert perm_rc_exact(M, r, c, budget=need).table_count == len(_partial_tables(r, c)[-1])
+    with pytest.raises(RuntimeError, match=f"more than {need - 1} tables"):
+        perm_rc_exact(M, r, c, budget=need - 1)
 
 
 def test_perm_dual_report_all_ones():

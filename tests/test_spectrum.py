@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -65,6 +66,35 @@ def test_hook_length_known_values():
     assert hook_length_count((2, 1)) == 2
     assert hook_length_count((3, 2)) == 5
     assert hook_length_count(Partition((2, 2))) == 2
+
+
+def _hook_product(lam) -> int:
+    """The product of the hook lengths of lam, box by box."""
+    lam = [p for p in lam if p]
+    conj = [sum(1 for p in lam if p > j) for j in range(lam[0])] if lam else []
+    prod = 1
+    for i, p in enumerate(lam):
+        for j in range(p):
+            prod *= p - j + conj[j] - i - 1
+    return prod
+
+
+def test_hook_length_two_row_closed_form():
+    # f^(a,b) = C(a+b, b) (a-b+1) / (a+1), the ballot numbers
+    for n in range(0, 401):
+        for b in range(0, n // 2 + 1):
+            a = n - b
+            num = math.comb(n, b) * (a - b + 1)
+            assert num % (a + 1) == 0
+            assert hook_length_count((a, b)) == num // (a + 1), (a, b)
+
+
+def test_hook_length_matches_the_hook_product():
+    for k in range(0, 61):
+        for lam in partitions_bounded(k, 4):
+            assert hook_length_count(lam) == math.factorial(k) // _hook_product(lam), lam
+    # trailing zeros and a validated Partition give the same count
+    assert hook_length_count((3, 2, 0, 0)) == hook_length_count(Partition((3, 2))) == 5
 
 
 # -- Schur-Weyl measure ------------------------------------------------------
@@ -374,6 +404,80 @@ def test_schur_weyl_ldp_report():
     assert math.isclose(rep.metadata["analytic_rate"], expected, rel_tol=1e-12)
     assert by_k[100][4] < 0.02
     assert by_k[4][4] > by_k[100][4]
+
+
+def _largest_remainder(theta, k):
+    scaled = [k * t for t in theta]
+    parts = [math.floor(x) for x in scaled]
+    for i in sorted(range(len(parts)), key=lambda i: (parts[i] - scaled[i], i))[:k - sum(parts)]:
+        parts[i] += 1
+    return parts
+
+
+def _jacobi_trudi(lam, a) -> int:
+    """s_lam(a) from a fresh table of h_m(a), m <= lam_1 + n, and the
+    permutation expansion of det h_{lam_i - i + j}."""
+    n = len(a)
+    if any(lam[n:]):
+        return 0
+    lam = (list(lam) + [0] * n)[:n]
+    h = [1] + [0] * (lam[0] + n)
+    for av in a:
+        for m in range(1, len(h)):
+            h[m] += av * h[m - 1]
+    det = 0
+    for perm in itertools.permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for i, j in enumerate(perm):
+            m = lam[i] - i + j
+            term *= h[m] if m >= 0 else 0
+        det += term
+    return det
+
+
+@pytest.mark.parametrize("q, theta", [
+    ((F(13, 20), F(7, 20)), (F(3, 4), F(1, 4))),
+    ((F(9, 20), F(7, 20), F(1, 5)), (F(1, 2), F(1, 3), F(1, 6))),
+    ((F(2, 3), F(1, 3), F(0)), (F(1, 2), F(1, 3), F(1, 6))),  # P = 0 at most k
+    ((F(1, 2), F(1, 4), F(1, 8), F(1, 8)), (F(2, 5), F(3, 10), F(1, 5), F(1, 10))),
+])
+def test_schur_weyl_rows_match_a_fresh_table_per_k(q, theta):
+    # one h-table for the whole report and Frobenius hook counts give the
+    # same floats as a fresh table and a hook product at every k
+    rep = ldp_report(SchurWeylFamily(q), theta, 400)
+    D = math.lcm(*(t.denominator for t in q))
+    a = [int(t * D) for t in q if t]
+    rate = kw_rate(sorted(map(float, theta), reverse=True), [float(t) for t in q])
+    want = []
+    for k in range(1, 401):
+        lam = _largest_remainder(theta, k)
+        p = F(math.factorial(k) // _hook_product(lam) * _jacobi_trudi(lam, a), D**k)
+        log_p = fraction_log(p).log_mag
+        want.append((k, log_p, -log_p / k, rate, abs(-log_p / k - rate)))
+    hexed = [[k, *map(float.hex, row)] for k, *row in want]
+    assert [[k, *map(float.hex, row)] for k, *row in rep.rows] == hexed
+
+
+def test_spectrum_is_checked_alike_by_the_measure_and_the_report():
+    theta = [F(3, 4), F(1, 4)]
+    bad = [((F(3, 5), F(3, 5)), "sums to 1.2"),
+           ((0.6, 0.6), "sums to 1.2"),
+           ((F(1, 2) + F(1, 10**12), F(1, 2)), "not 1"),
+           ((0.5 + 1e-6, 0.5), "not 1"),
+           ((F(1, 4), F(3, 4)), "sorted nonincreasing"),
+           ((F(5, 4), F(-1, 4)), "nonnegative"),
+           ((F(1, 5),) * 5, "length 5"),
+           ((), "length 0")]
+    for q, msg in bad:
+        with pytest.raises(ValueError, match=msg):
+            schur_weyl_measure(q, 3)
+        with pytest.raises(ValueError, match=msg):
+            ldp_report(SchurWeylFamily(q), theta, 3)
+    # floats are taken within 1e-9 and renormalized, as before
+    near = (0.7 + 1e-12, 0.3)
+    assert schur_weyl_measure(near, 3) == schur_weyl_measure((F(7, 10), F(3, 10)), 3)
+    assert (ldp_report(SchurWeylFamily(near), theta, 5).rows[-1][1]
+            == ldp_report(SchurWeylFamily((F(7, 10), F(3, 10))), theta, 5).rows[-1][1])
 
 
 def test_duffield_ldp_report():
